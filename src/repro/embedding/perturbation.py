@@ -31,7 +31,7 @@ from ..analysis.markers import zero_alloc
 from ..engine.batch import BatchGradients
 from ..exceptions import ConfigurationError, TrainingError
 from ..privacy.mechanisms import clip_gradient
-from ..utils.rng import ensure_rng
+from ..privacy.noise import NoiseRing
 from .objectives import PairGradients
 
 __all__ = [
@@ -199,7 +199,9 @@ class PerturbationStrategy(abc.ABC):
         Gaussian noise multiplier ``σ``; the injected noise std is
         ``σ · sensitivity``.
     seed:
-        Seed or generator for the noise draws.
+        Seed or generator of the noise stream; the strategy's
+        :class:`~repro.privacy.noise.NoiseRing` owns it, so nothing else
+        may draw from a generator passed here.
     """
 
     name: str = "base"
@@ -220,7 +222,7 @@ class PerturbationStrategy(abc.ABC):
             )
         self.clipping_threshold = float(clipping_threshold)
         self.noise_multiplier = float(noise_multiplier)
-        self._rng = ensure_rng(seed)
+        self.noise = NoiseRing(seed)
 
     # ------------------------------------------------------------------ #
     def perturb(
@@ -380,7 +382,7 @@ class NaivePerturbation(PerturbationStrategy):
         std = self.noise_multiplier * self.sensitivity(batch_size)
         # noise is always drawn in float64 (the DP calibration is exact);
         # the sum keeps the compute dtype of the gradients
-        noise = self._rng.normal(0.0, std, size=gradient_sum.shape)
+        noise = self.noise.draw(gradient_sum.shape, std)
         return (gradient_sum + noise).astype(gradient_sum.dtype, copy=False)
 
 
@@ -408,9 +410,10 @@ class NonZeroPerturbation(PerturbationStrategy):
         With a :class:`~repro.engine.StepWorkspace` the same pipeline runs
         allocation-free through the workspace's segment scratch (in-place
         sort + ``reduceat`` instead of ``unique`` + ``bincount``) and the
-        Gaussians land in a reused float64 buffer via
-        ``standard_normal(out=...)`` — same draw count, order and values as
-        the allocating path, so the noise stream stays pinned.
+        scaled Gaussians land in a reused float64 buffer via
+        :meth:`~repro.privacy.noise.NoiseRing.fill` — same draw count,
+        order and values as the allocating path, so the noise stream stays
+        pinned.
         """
         batch_size = len(batch_gradients)
         if batch_size == 0:
@@ -426,7 +429,7 @@ class NonZeroPerturbation(PerturbationStrategy):
         w_in_rows, inverse_in = np.unique(batch_gradients.centers, return_inverse=True)
         w_in_grads = _segment_sum(inverse_in, clipped_centers, w_in_rows.size)
         w_in_counts = np.bincount(inverse_in, minlength=w_in_rows.size).astype(dtype)
-        w_in_grads += self._rng.normal(0.0, std, size=(w_in_rows.size, embedding_dim))
+        w_in_grads += self.noise.draw((w_in_rows.size, embedding_dim), std)
 
         flat_contexts = batch_gradients.context_nodes.reshape(-1)
         w_out_rows, inverse_out = np.unique(flat_contexts, return_inverse=True)
@@ -434,7 +437,7 @@ class NonZeroPerturbation(PerturbationStrategy):
             inverse_out, clipped_contexts.reshape(-1, embedding_dim), w_out_rows.size
         )
         w_out_counts = np.bincount(inverse_out, minlength=w_out_rows.size).astype(dtype)
-        w_out_grads += self._rng.normal(0.0, std, size=(w_out_rows.size, embedding_dim))
+        w_out_grads += self.noise.draw((w_out_rows.size, embedding_dim), std)
 
         return SparsePerturbedBatchGradients(
             w_in_rows=w_in_rows,
@@ -519,9 +522,7 @@ class NonZeroPerturbation(PerturbationStrategy):
         )
         for prefix, scratch, rows, values in phases:
             unique = scratch.reduce(rows, values)
-            noise = scratch.noise[:unique]
-            self._rng.standard_normal(out=noise)
-            np.multiply(noise, std, out=noise)
+            noise = self.noise.fill(scratch.noise[:unique], std)
             sums = scratch.sums[:unique]
             if scratch.noise_cast is not scratch.noise:
                 # stage the float64 draws in the compute dtype: copyto casts
@@ -550,7 +551,7 @@ class NonZeroPerturbation(PerturbationStrategy):
         rows = np.asarray(touched_rows, dtype=np.int64)
         if rows.size:
             std = self.noise_multiplier * self.sensitivity(batch_size)
-            noise = self._rng.normal(0.0, std, size=(rows.size, gradient_sum.shape[1]))
+            noise = self.noise.draw((rows.size, gradient_sum.shape[1]), std)
             noisy[rows] += noise
         return noisy
 

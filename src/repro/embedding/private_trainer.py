@@ -325,11 +325,14 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
         if isinstance(self._perturbation_spec, PerturbationStrategy):
             self.perturbation = self._perturbation_spec
         else:
+            # the noise gets its own child stream: spawning draws nothing
+            # from the parent, so init, pool and sampler streams are as if
+            # the noise did not exist, and the noise ring may run ahead
             self.perturbation = get_perturbation(
                 self._perturbation_spec,
                 clipping_threshold=self.privacy_config.clipping_threshold,
                 noise_multiplier=self.privacy_config.noise_multiplier,
-                seed=self._rng,
+                seed=self._rng.spawn(1)[0],
             )
 
         self.accountant = RdpAccountant(
@@ -365,24 +368,26 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
         # Each worker must draw its own Gaussian noise: forked children would
         # otherwise share the parent strategy's COW generator state and emit
         # identical perturbations.  Rebuild the strategy from its calibration
-        # on the worker's spawned stream.
+        # on a child of the worker's stream, filled synchronously: the
+        # worker's core is already busy training.
         if isinstance(self._perturbation_spec, PerturbationStrategy):
             strategy = self._perturbation_spec
-            perturbation = get_perturbation(
-                strategy.name,
-                clipping_threshold=strategy.clipping_threshold,
-                noise_multiplier=strategy.noise_multiplier,
-                seed=rng,
-            )
+            name = strategy.name
+            clipping, sigma = strategy.clipping_threshold, strategy.noise_multiplier
         else:
-            perturbation = get_perturbation(
-                self._perturbation_spec,
-                clipping_threshold=self.privacy_config.clipping_threshold,
-                noise_multiplier=self.privacy_config.noise_multiplier,
-                seed=rng,
-            )
+            name = self._perturbation_spec
+            clipping = self.privacy_config.clipping_threshold
+            sigma = self.privacy_config.noise_multiplier
+        perturbation = get_perturbation(
+            name,
+            clipping_threshold=clipping,
+            noise_multiplier=sigma,
+            seed=rng.spawn(1)[0],
+        )
         return PerturbedUpdate(
-            perturbation, gradient_normalization=self.gradient_normalization
+            perturbation,
+            gradient_normalization=self.gradient_normalization,
+            prefetch_noise=False,
         )
 
     def _run_engine(self, epochs: int | None) -> FitResult:

@@ -154,15 +154,16 @@ class TrainingEngine:
 
         losses: list[float] = []
         stopped_early = False
-        for epoch in range(epochs):
-            if not all(hook.before_step(self, epoch) for hook in self.hooks):
-                stopped_early = True
-                break
-            loss = self.step(epoch)
-            losses.append(loss)
-            for hook in self.hooks:
-                hook.after_step(self, epoch, loss)
-            self.optimizer.step_epoch()
+        with self.update_rule.running():
+            for epoch in range(epochs):
+                if not all(hook.before_step(self, epoch) for hook in self.hooks):
+                    stopped_early = True
+                    break
+                loss = self.step(epoch)
+                losses.append(loss)
+                for hook in self.hooks:
+                    hook.after_step(self, epoch, loss)
+                self.optimizer.step_epoch()
 
         result = EngineResult(
             embeddings=self.model.embeddings(),

@@ -50,7 +50,9 @@ interleaving of the racy parameter writes is scheduler-dependent, so
 multi-worker results are reproducible only in distribution.  A restarted
 incarnation continues a *deterministic* stream (the checkpointed
 ``bit_generator.state``), but not a bit-replay of the lost steps — the
-same in-distribution guarantee.  ``workers=1`` never enters the pool —
+same in-distribution guarantee.  Streams spawned from the worker's
+generator (the perturbation noise) are keyed by incarnation, so a restart
+from a checkpoint draws fresh noise rather than replaying the dead one's.  ``workers=1`` never enters the pool —
 trainers keep the exact serial path for it.
 """
 
@@ -368,7 +370,15 @@ def _run_shard(
 ) -> tuple[WorkerReport, _IterateSumHook | None]:
     """Run one shard incarnation in the current process; pool and inline share it."""
     if task.rng_state is not None:
-        rng = np.random.default_rng()  # repro-lint: disable=RNG001 -- placeholder generator; the very next line overwrites its state with the checkpointed bit_generator state, which carries the original seeding
+        # the checkpointed state continues the sampler stream; the seed
+        # sequence underneath only seeds streams spawned from it (the
+        # perturbation noise), so each incarnation gets its own key and a
+        # restart never replays noise a dead incarnation already released
+        rng = np.random.default_rng(
+            np.random.SeedSequence(
+                seed.entropy, spawn_key=(*seed.spawn_key, task.incarnation)
+            )
+        )
         rng.bit_generator.state = task.rng_state
     else:
         rng = np.random.default_rng(seed)

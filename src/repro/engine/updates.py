@@ -18,12 +18,16 @@ The engine threads two optional collaborators onto every rule before a run:
 descend through preallocated scratch instead of fresh arrays) and
 ``profiler`` (a :class:`~repro.engine.profiler.StepProfiler`; rules record
 their ``perturb`` / ``descend`` phase times).  Both default to ``None`` and
-cost a single attribute read per step when unused.
+cost a single attribute read per step when unused.  The engine also holds
+each rule's :meth:`UpdateRule.running` context around the step loop;
+:class:`PerturbedUpdate` uses it to prefetch its Gaussian noise on a
+background thread that never outlives the run.
 """
 
 from __future__ import annotations
 
 import abc
+from contextlib import AbstractContextManager, nullcontext
 from time import perf_counter
 from typing import TYPE_CHECKING
 
@@ -61,6 +65,10 @@ class UpdateRule(abc.ABC):
         gradients: "BatchGradients",
     ) -> None:
         """Update ``model`` in place from the batch gradients."""
+
+    def running(self) -> AbstractContextManager:
+        """Context the engine holds around one run's step loop."""
+        return nullcontext()
 
 
 class DirectSparseUpdate(UpdateRule):
@@ -118,12 +126,18 @@ class PerturbedUpdate(UpdateRule):
         ``"per_row"`` divides each noisy row by the number of examples that
         touched it; ``"batch"`` divides by ``B`` (the literal Eq. 9).  Both
         are post-processing of the noised sum, hence privacy-free.
+    prefetch_noise:
+        If ``True`` (default) a background thread fills the strategy's
+        noise ring during each run (:meth:`running`); the noise values are
+        the same either way.  Hogwild workers pass ``False``: their cores
+        are already busy training.
     """
 
     def __init__(
         self,
         perturbation: "PerturbationStrategy",
         gradient_normalization: str = "per_row",
+        prefetch_noise: bool = True,
     ) -> None:
         if gradient_normalization not in {"per_row", "batch"}:
             raise TrainingError(
@@ -132,6 +146,13 @@ class PerturbedUpdate(UpdateRule):
             )
         self.perturbation = perturbation
         self.gradient_normalization = gradient_normalization
+        self.prefetch_noise = prefetch_noise
+
+    def running(self) -> AbstractContextManager:
+        """Prefetch the noise for one run; the filler is joined on exit."""
+        if not self.prefetch_noise:
+            return nullcontext()
+        return self.perturbation.noise.prefetching()
 
     def apply(self, model, optimizer, batch, gradients) -> None:
         profiler = self.profiler

@@ -233,7 +233,7 @@ def _legacy_nonprivate_train(graph, config, seed, epochs):
 
 
 def _legacy_private_train(graph, training, privacy, seed, epochs):
-    """Replica of the seed SE-PrivGEmb trainer (Algorithm 2), same RNG order."""
+    """Replica of the SE-PrivGEmb trainer (Algorithm 2), same RNG streams."""
     rng = ensure_rng(seed)
     proximity = DegreeProximity().compute(graph)
     objective = StructurePreferenceObjective(proximity)
@@ -247,11 +247,13 @@ def _legacy_private_train(graph, training, privacy, seed, epochs):
     )
     pool = generate_disjoint_subgraph_arrays(graph, negative_sampler, training.negative_samples)
     sampler = SubgraphSampler(pool, training.batch_size, seed=rng)
+    # the noise draws from its own child stream, spawned without consuming
+    # any draw of the shared generator
     perturbation = get_perturbation(
         "nonzero",
         clipping_threshold=privacy.clipping_threshold,
         noise_multiplier=privacy.noise_multiplier,
-        seed=rng,
+        seed=rng.spawn(1)[0],
     )
     accountant = RdpAccountant(
         noise_multiplier=privacy.noise_multiplier, sampling_rate=sampler.sampling_rate
