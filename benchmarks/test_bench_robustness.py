@@ -3,11 +3,12 @@
 Two questions, answered with wall clocks and written to
 ``BENCH_robustness_*.json``:
 
-* **Checkpoint tax** — steps/sec of a supervised hogwild fit (periodic
-  per-shard checkpoints) vs. the unsupervised fast-path floor.  The target
-  is a <= 5% tax at paper scale; locally the enforced ceiling defaults to
-  a lenient 15% (two identical hogwild runs can differ by more than 5%
-  from scheduler noise alone at benchmark scale) and is overridable via
+* **Checkpoint tax** — the median, over interleaved pairs, of the
+  supervised hogwild fit's wall time (periodic per-shard checkpoints)
+  over the unsupervised fast-path floor's.  The target is a <= 5% tax at
+  paper scale; locally the enforced ceiling defaults to a lenient 15%
+  (two identical hogwild runs can differ by more than 5% from scheduler
+  noise alone at benchmark scale) and is overridable via
   ``REPRO_BENCH_MAX_CHECKPOINT_TAX``.
 * **Killed-shard recovery** — wall-clock of a fit whose shard 0 is crashed
   mid-run and restarted from its last checkpoint, vs. the uncrashed run:
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import statistics
 import time
 
 import pytest
@@ -37,6 +39,7 @@ NUM_NODES = 5_000
 STEPS = 800
 WORKERS = 2
 CHECKPOINT_EVERY = 50
+PAIRS = 7
 TRAIN = TrainingConfig(
     embedding_dim=16,
     epochs=STEPS,
@@ -72,14 +75,23 @@ def test_checkpoint_tax_and_killed_shard_recovery(bench_artifact, tmp_path):
         backoff_max=0.05,
     )
 
-    # interleave the repeats so machine drift hits both arms equally
-    floor_times, supervised_times = [], []
-    for _ in range(3):
-        floor_times.append(_fit_seconds(graph, None))
-        supervised_times.append(_fit_seconds(graph, supervised))
-    floor_s = min(floor_times)
-    supervised_s = min(supervised_times)
-    tax = supervised_s / floor_s - 1.0
+    # Interleaved floor/supervised pairs, gated on the median per-pair
+    # ratio: each pair shares the machine's speed at that moment, so drift
+    # cancels within a pair and one slow fit cannot swing the gate (a
+    # best-of-3 per arm swung the tax from -9% to +20% on identical code).
+    # The arm that runs first alternates, so an order effect cancels too.
+    floor_times, supervised_times, ratios = [], [], []
+    for pair in range(PAIRS):
+        if pair % 2:
+            supervised_times.append(_fit_seconds(graph, supervised))
+            floor_times.append(_fit_seconds(graph, None))
+        else:
+            floor_times.append(_fit_seconds(graph, None))
+            supervised_times.append(_fit_seconds(graph, supervised))
+        ratios.append(supervised_times[-1] / floor_times[-1])
+    floor_s = statistics.median(floor_times)
+    supervised_s = statistics.median(supervised_times)
+    tax = statistics.median(ratios) - 1.0
 
     # killed-shard recovery: crash shard 0 mid-run, resume from checkpoint
     crash_plan = FaultPlan(
@@ -93,7 +105,9 @@ def test_checkpoint_tax_and_killed_shard_recovery(bench_artifact, tmp_path):
     )
     with crash_plan:
         crashed_s = _fit_seconds(graph, supervised)
-    recovery_overhead_s = crashed_s - supervised_s
+    # a recovery can finish inside the uncrashed runs' spread; it never
+    # makes a fit faster, so a negative difference is reported as no cost
+    recovery_overhead_s = max(0.0, crashed_s - supervised_s)
 
     max_tax = float(os.environ.get("REPRO_BENCH_MAX_CHECKPOINT_TAX", "0.15"))
     bench_artifact(
@@ -105,6 +119,7 @@ def test_checkpoint_tax_and_killed_shard_recovery(bench_artifact, tmp_path):
             "checkpoint_every": CHECKPOINT_EVERY,
             "floor_steps_per_second": round(STEPS / floor_s, 2),
             "supervised_steps_per_second": round(STEPS / supervised_s, 2),
+            "pairs": PAIRS,
             "checkpoint_tax": round(tax, 4),
             "max_checkpoint_tax": max_tax,
             "uncrashed_seconds": round(supervised_s, 4),
