@@ -11,6 +11,7 @@ a hogwild fork), and the zero-allocation contract of the workspace path.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import tracemalloc
 from contextlib import nullcontext
@@ -24,8 +25,8 @@ from repro.config import PrivacyConfig, TrainingConfig
 from repro.embedding import SEPrivGEmbTrainer, get_perturbation
 from repro.embedding import perturbation as perturbation_module
 from repro.engine import EngineHook
-from repro.exceptions import ConfigurationError
 from repro.engine.updates import PerturbedUpdate
+from repro.exceptions import ConfigurationError
 from repro.graph import load_dataset
 from repro.privacy import noise as noise_module
 from repro.privacy.noise import NoiseRing
@@ -101,6 +102,14 @@ class _FailingGenerator:
         return self._rng.standard_normal(out=out)
 
 
+class _ZeroGenerator:
+    """A generator stand-in whose 'standard normals' are all zero."""
+
+    def standard_normal(self, out):
+        out[...] = 0.0
+        return out
+
+
 # --------------------------------------------------------------------- #
 # stream equality
 # --------------------------------------------------------------------- #
@@ -116,6 +125,19 @@ class TestStreamEquality:
         else:
             reads = [ring.draw(size, 1.0) for size in self.SIZES]
         assert np.array_equal(np.concatenate(reads), _inline(5, sum(self.SIZES)))
+
+    def test_stream_survives_constant_thread_switching(self):
+        """Tiny blocks, a 1 µs switch interval: a lost or reordered block shows."""
+        sizes = np.random.default_rng(9).integers(1, 40, size=3000)
+        ring = NoiseRing(3, block_size=8, depth=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ring.prefetching():
+                reads = [ring.draw(int(size), 1.0) for size in sizes]
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(np.concatenate(reads), _inline(3, int(sizes.sum())))
 
     def test_scaling_matches_multiplying_inline_draws(self):
         out = np.empty((6, 50))
@@ -170,14 +192,6 @@ class TestStreamEquality:
         drawn = np.concatenate(reads)
         child = np.random.default_rng(13).spawn(1)[0]
         assert np.array_equal(drawn, child.standard_normal(drawn.size) * STD)
-
-
-class _ZeroGenerator:
-    """A generator stand-in whose 'standard normals' are all zero."""
-
-    def standard_normal(self, out):
-        out[...] = 0.0
-        return out
 
 
 # --------------------------------------------------------------------- #
