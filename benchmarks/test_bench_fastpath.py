@@ -14,8 +14,11 @@ Floors (relaxable via env on noisy shared runners):
   (locally measures ~2.2-2.4x; the dominant win is the compact segment
   descent replacing ``np.subtract.at`` plus float32 gradient math).
 * ``REPRO_BENCH_MIN_FASTPATH_PRIV_SPEEDUP``  — private, default 1.2
-  (locally ~1.4x; the Gaussian draws — kept in float64 and stream-pinned
-  to the default for parity — bound the private step from below).
+  (locally ~1.3-1.7x; both engines read their float64 Gaussians from a
+  prefetched noise ring, so the noise no longer bounds the private step).
+
+The gated speedup is the median over seven back-to-back default/fast
+pairs, which shields it from this machine's second-to-second speed drift.
 
 ``REPRO_FASTPATH_BENCH_NODES`` scales the graph (default 20000); CI smoke
 runs a reduced node count with the same assertions.  Recorded headline
@@ -25,6 +28,7 @@ numbers live in ``RESULTS_fastpath.md``.
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 import numpy as np
@@ -56,7 +60,7 @@ BENCH_PRIVACY = PrivacyConfig(
     epsilon=3.5, delta=1e-5, noise_multiplier=5.0, clipping_threshold=2.0
 )
 ENGINE_STEPS = 25
-ROUNDS = 3
+PAIRS = 7
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_FASTPATH_SPEEDUP", "2.0"))
 MIN_PRIV_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_FASTPATH_PRIV_SPEEDUP", "1.2"))
 
@@ -129,14 +133,26 @@ def _build_engine(graph, objective, pool, *, fast: bool, private: bool, seed=0):
     return engine, profiler
 
 
-def _best_seconds_per_step(engine):
-    engine.run(3)  # warm-up: caches, cast pools, BLAS threads
-    best = float("inf")
-    for _ in range(ROUNDS):
-        start = time.perf_counter()
-        engine.run(ENGINE_STEPS)
-        best = min(best, (time.perf_counter() - start) / ENGINE_STEPS)
-    return best
+def _paired_seconds_per_step(default_engine, fast_engine):
+    """Median seconds per step of each engine and the median per-pair speedup.
+
+    The engines run in ``PAIRS`` back-to-back pairs, alternating which goes
+    first.  This machine's speed drifts by up to 1.5x within seconds, so
+    timing all rounds of one engine and then all of the other let a slow
+    stretch land on one arm (2.0x floor, 1.58x measured in a full suite
+    run, 2.2-3.4x alone); within a pair both arms see the same machine.
+    """
+    for engine in (default_engine, fast_engine):
+        engine.run(3)  # warm-up: caches, cast pools, BLAS threads
+    default_times, fast_times = [], []
+    for pair in range(PAIRS):
+        order = [(default_engine, default_times), (fast_engine, fast_times)]
+        for engine, times in order[:: -1 if pair % 2 else 1]:
+            start = time.perf_counter()
+            engine.run(ENGINE_STEPS)
+            times.append((time.perf_counter() - start) / ENGINE_STEPS)
+    speedup = statistics.median(d / f for d, f in zip(default_times, fast_times))
+    return statistics.median(default_times), statistics.median(fast_times), speedup
 
 
 def _phase_means(profiler):
@@ -144,8 +160,7 @@ def _phase_means(profiler):
     return {} if profile is None else profile.to_dict()["phase_mean_seconds"]
 
 
-def _report(label, default_spp, fast_spp):
-    speedup = default_spp / fast_spp
+def _report(label, default_spp, fast_spp, speedup):
     print()
     print(
         f"{label} step throughput on the {BENCH_NODES}-node smallworld graph "
@@ -154,7 +169,6 @@ def _report(label, default_spp, fast_spp):
     print(f"  default float64 engine : {1.0 / default_spp:10.1f} steps/sec")
     print(f"  fast-path float32      : {1.0 / fast_spp:10.1f} steps/sec")
     print(f"  speedup                : {speedup:10.2f}x")
-    return speedup
 
 
 def test_fastpath_speedup_nonprivate(bench_artifact, bench_setup):
@@ -165,9 +179,8 @@ def test_fastpath_speedup_nonprivate(bench_artifact, bench_setup):
     fast_engine, fast_profiler = _build_engine(
         graph, objective, pool, fast=True, private=False
     )
-    default_spp = _best_seconds_per_step(default_engine)
-    fast_spp = _best_seconds_per_step(fast_engine)
-    speedup = _report("SE-GEmb (non-private)", default_spp, fast_spp)
+    default_spp, fast_spp, speedup = _paired_seconds_per_step(default_engine, fast_engine)
+    _report("SE-GEmb (non-private)", default_spp, fast_spp, speedup)
     bench_artifact(
         "fastpath_nonprivate",
         {
@@ -194,9 +207,8 @@ def test_fastpath_speedup_private(bench_artifact, bench_setup):
     fast_engine, fast_profiler = _build_engine(
         graph, objective, pool, fast=True, private=True
     )
-    default_spp = _best_seconds_per_step(default_engine)
-    fast_spp = _best_seconds_per_step(fast_engine)
-    speedup = _report("SE-PrivGEmb (private, non-zero Eq. 9)", default_spp, fast_spp)
+    default_spp, fast_spp, speedup = _paired_seconds_per_step(default_engine, fast_engine)
+    _report("SE-PrivGEmb (private, non-zero Eq. 9)", default_spp, fast_spp, speedup)
     bench_artifact(
         "fastpath_private",
         {
