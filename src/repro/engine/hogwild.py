@@ -52,8 +52,9 @@ incarnation continues a *deterministic* stream (the checkpointed
 ``bit_generator.state``), but not a bit-replay of the lost steps — the
 same in-distribution guarantee.  Streams spawned from the worker's
 generator (the perturbation noise) are keyed by incarnation, so a restart
-from a checkpoint draws fresh noise rather than replaying the dead one's.  ``workers=1`` never enters the pool —
-trainers keep the exact serial path for it.
+from a checkpoint draws fresh noise rather than replaying the dead one's.
+``workers=1`` never enters the pool — trainers keep the exact serial path
+for it.
 """
 
 from __future__ import annotations

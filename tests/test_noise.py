@@ -10,6 +10,7 @@ a hogwild fork), and the zero-allocation contract of the workspace path.
 
 from __future__ import annotations
 
+import copy
 import os
 import sys
 import threading
@@ -25,6 +26,7 @@ from repro.config import PrivacyConfig, TrainingConfig
 from repro.embedding import SEPrivGEmbTrainer, get_perturbation
 from repro.embedding import perturbation as perturbation_module
 from repro.engine import EngineHook
+from repro.engine.hogwild import _run_shard, _ShardTask
 from repro.engine.updates import PerturbedUpdate
 from repro.exceptions import ConfigurationError
 from repro.graph import load_dataset
@@ -350,6 +352,35 @@ class TestFillerLifecycle:
         assert isinstance(rule, PerturbedUpdate)
         assert not rule.prefetch_noise
         assert isinstance(rule.running(), nullcontext)
+
+    def test_restarted_worker_spawns_fresh_deterministic_noise(self):
+        """A checkpoint restart resumes the sampler stream, not the noise."""
+        shard_seed = np.random.SeedSequence(42).spawn(2)[1]
+        checkpoint = np.random.default_rng(shard_seed).bit_generator.state
+
+        class _Stop(Exception):
+            pass
+
+        def streams(task):
+            seen = {}
+
+            def factory(rng):
+                seen["noise"] = rng.spawn(1)[0].standard_normal(4)
+                seen["sampler"] = rng.standard_normal(4)
+                raise _Stop
+
+            with pytest.raises(_Stop):  # each call sees a fresh copy, as after a fork
+                _run_shard(factory, copy.deepcopy(shard_seed), task, False, False)
+            return seen
+
+        first = streams(_ShardTask(shard=1, target=10))
+        restart = _ShardTask(
+            shard=1, target=10, resume_at=5, incarnation=1, rng_state=checkpoint
+        )
+        restarted, replayed = streams(restart), streams(restart)
+        assert np.array_equal(restarted["sampler"], first["sampler"])
+        assert not np.array_equal(restarted["noise"], first["noise"])
+        assert np.array_equal(restarted["noise"], replayed["noise"])
 
 
 # --------------------------------------------------------------------- #
