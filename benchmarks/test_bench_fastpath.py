@@ -151,7 +151,9 @@ def _paired_seconds_per_step(default_engine, fast_engine):
             start = time.perf_counter()
             engine.run(ENGINE_STEPS)
             times.append((time.perf_counter() - start) / ENGINE_STEPS)
-    speedup = statistics.median(d / f for d, f in zip(default_times, fast_times))
+    speedup = statistics.median(
+        d / f for d, f in zip(default_times, fast_times, strict=True)
+    )
     return statistics.median(default_times), statistics.median(fast_times), speedup
 
 

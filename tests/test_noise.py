@@ -116,7 +116,7 @@ class _ZeroGenerator:
 # stream equality
 # --------------------------------------------------------------------- #
 class TestStreamEquality:
-    SIZES = [7, 93, 100, 1, 250, 49, 300]  # straddle 100-draw blocks
+    SIZES = (7, 93, 100, 1, 250, 49, 300)  # straddle 100-draw blocks
 
     @pytest.mark.parametrize("prefetch", [False, True], ids=["sync", "thread"])
     def test_reads_equal_inline_draws_across_block_boundaries(self, prefetch):
@@ -390,7 +390,7 @@ class TestZeroAllocation:
     def test_marked_functions_pass_alloc001(self):
         paths = [Path(perturbation_module.__file__), Path(noise_module.__file__)]
         report = analyze_paths(paths, rules=[get_rule("ALLOC001")])
-        assert [f for f in report.findings] == []
+        assert list(report.findings) == []
 
     @pytest.mark.parametrize("prefetch", [False, True], ids=["sync", "thread"])
     def test_workspace_perturb_allocates_no_arrays(self, prefetch):
