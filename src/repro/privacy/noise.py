@@ -21,7 +21,9 @@ Lifecycle: the filler is started and joined by its owner (the engine's
 ``PerturbedUpdate`` does it around each run, in a ``finally``), so no
 thread outlives a run — in particular none is alive when hogwild or the
 experiment orchestrator forks.  An exception in the filler is re-raised
-in the consuming thread the next time it needs a block.
+in the consuming thread the next time it needs a block, and on every
+later read or prefetch: the block it was filling is lost, so the stream
+cannot continue.
 """
 
 from __future__ import annotations
@@ -138,6 +140,8 @@ class NoiseRing:
         """
         if self._thread is not None:
             raise ConfigurationError("the noise filler is already running")
+        if self._error is not None:
+            raise self._error  # a lost block: the stream cannot continue
         self._stopping = False
         thread = threading.Thread(
             target=self._fill_loop, name="repro-noise-filler", daemon=True

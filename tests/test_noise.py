@@ -328,8 +328,11 @@ class TestFillerLifecycle:
         assert np.array_equal(outcome["first"], _inline(0, 64))
         assert isinstance(outcome["error"], MemoryError)
         assert not _fillers()
-        with pytest.raises(MemoryError):  # the ring stays poisoned
+        with pytest.raises(MemoryError):  # the ring stays failed
             ring.draw(1, 1.0)
+        with pytest.raises(MemoryError), ring.prefetching():
+            pass
+        assert not _fillers()
 
     def test_filler_failure_fails_the_fit(self, graph):
         trainer = _trainer(graph)
