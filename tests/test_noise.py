@@ -11,6 +11,7 @@ a hogwild fork), and the zero-allocation contract of the workspace path.
 from __future__ import annotations
 
 import copy
+import multiprocessing
 import os
 import sys
 import threading
@@ -286,7 +287,8 @@ class TestFillerLifecycle:
         assert not _fillers()
 
     @pytest.mark.skipif(
-        not hasattr(os, "fork"), reason="hogwild workers require fork"
+        multiprocessing.get_start_method() != "fork",
+        reason="hogwild workers require the fork start method",
     )
     def test_no_filler_alive_when_hogwild_forks(self, graph, monkeypatch):
         alive_at_fork: list[int] = []
