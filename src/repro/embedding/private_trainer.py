@@ -368,8 +368,7 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
         # Each worker must draw its own Gaussian noise: forked children would
         # otherwise share the parent strategy's COW generator state and emit
         # identical perturbations.  Rebuild the strategy from its calibration
-        # on a child of the worker's stream, filled synchronously: the
-        # worker's core is already busy training.
+        # on a child of the worker's stream.
         if isinstance(self._perturbation_spec, PerturbationStrategy):
             strategy = self._perturbation_spec
             name = strategy.name
@@ -385,9 +384,7 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
             seed=rng.spawn(1)[0],
         )
         return PerturbedUpdate(
-            perturbation,
-            gradient_normalization=self.gradient_normalization,
-            prefetch_noise=False,
+            perturbation, gradient_normalization=self.gradient_normalization
         )
 
     def _run_engine(self, epochs: int | None) -> FitResult:

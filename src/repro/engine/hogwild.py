@@ -50,11 +50,13 @@ interleaving of the racy parameter writes is scheduler-dependent, so
 multi-worker results are reproducible only in distribution.  A restarted
 incarnation continues a *deterministic* stream (the checkpointed
 ``bit_generator.state``), but not a bit-replay of the lost steps — the
-same in-distribution guarantee.  Streams spawned from the worker's
-generator (the perturbation noise) are keyed by incarnation, so a restart
-from a checkpoint draws fresh noise rather than replaying the dead one's.
-``workers=1`` never enters the pool — trainers keep the exact serial path
-for it.
+same in-distribution guarantee.  Every restart is launched from a fresh
+seed taken from a sibling of the shard seeds, never from a shard seed's
+own subtree: a worker spawns its perturbation noise from its launch seed
+inside the fork, where the supervisor cannot see the spawn counter, so a
+restart seed drawn from the shard seed could equal the key of noise a dead
+incarnation already released.  ``workers=1`` never enters the pool —
+trainers keep the exact serial path for it.
 """
 
 from __future__ import annotations
@@ -370,19 +372,11 @@ def _run_shard(
     trace_memory: bool,
 ) -> tuple[WorkerReport, _IterateSumHook | None]:
     """Run one shard incarnation in the current process; pool and inline share it."""
+    rng = np.random.default_rng(seed)
     if task.rng_state is not None:
-        # the checkpointed state continues the sampler stream; the seed
-        # sequence underneath only seeds streams spawned from it (the
-        # perturbation noise), so each incarnation gets its own key and a
-        # restart never replays noise a dead incarnation already released
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                seed.entropy, spawn_key=(*seed.spawn_key, task.incarnation)
-            )
-        )
+        # continue the checkpointed sampler stream; streams spawned from
+        # ``rng`` (the perturbation noise) still come from the fresh seed
         rng.bit_generator.state = task.rng_state
-    else:
-        rng = np.random.default_rng(seed)
     engine = engine_factory(rng)
     profiler = StepProfiler()
     averager = _IterateSumHook() if iterate_averaging else None
@@ -491,12 +485,14 @@ class _ShardState:
         shard: int,
         target: int,
         seed: np.random.SeedSequence,
+        restart_seeds: np.random.SeedSequence,
         max_restarts: int,
         backoff: float,
     ) -> None:
         self.shard = shard
         self.target = target
         self.seed = seed
+        self.restart_seeds = restart_seeds
         self.resume_at = 0
         self.incarnation = 0
         self.rng_state: dict[str, Any] | None = None
@@ -608,7 +604,8 @@ def run_hogwild(
         )
     workers = _mp.resolve_fork_workers(int(workers), "hogwild training")
     shards = plan_shards(total_steps, max(1, workers))
-    seeds = _seed_sequence(seed).spawn(len(shards))
+    root = _seed_sequence(seed)
+    seeds = root.spawn(len(shards))
 
     if len(shards) == 1:
         # fork unavailable or a single-step run: same machinery, no pool
@@ -649,9 +646,15 @@ def run_hogwild(
     accumulator = (
         _SharedAccumulator(model.w_in.shape) if iterate_averaging else None
     )
+    # restart seeds come from siblings of the shard seeds (see module doc)
+    restart_roots = root.spawn(len(shards))
     states = [
-        _ShardState(shard, steps, shard_seed, policy.max_restarts, policy.backoff_base)
-        for shard, (steps, shard_seed) in enumerate(zip(shards, seeds, strict=True))
+        _ShardState(
+            shard, steps, shard_seed, restart_root, policy.max_restarts, policy.backoff_base
+        )
+        for shard, (steps, shard_seed, restart_root) in enumerate(
+            zip(shards, seeds, restart_roots, strict=True)
+        )
     ]
     store: CheckpointStore | None = None
     temp_ckpt_dir: str | None = None
@@ -678,9 +681,11 @@ def run_hogwild(
             checkpoint_dir=str(store.directory) if store is not None else None,
             checkpoint_every=policy.checkpoint_every if store is not None else 0,
         )
-        # restarts draw a fresh spawned stream unless a checkpointed
-        # bit_generator state pins the continuation exactly
-        launch_seed = state.seed if state.incarnation == 0 else state.seed.spawn(1)[0]
+        # every restart gets a fresh seed: it seeds the noise, and the
+        # sampler too unless a checkpointed bit_generator state continues it
+        launch_seed = (
+            state.seed if state.incarnation == 0 else state.restart_seeds.spawn(1)[0]
+        )
         process = ctx.Process(
             target=_worker_entry,
             args=(

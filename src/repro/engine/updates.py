@@ -126,18 +126,12 @@ class PerturbedUpdate(UpdateRule):
         ``"per_row"`` divides each noisy row by the number of examples that
         touched it; ``"batch"`` divides by ``B`` (the literal Eq. 9).  Both
         are post-processing of the noised sum, hence privacy-free.
-    prefetch_noise:
-        If ``True`` (default) a background thread fills the strategy's
-        noise ring during each run (:meth:`running`); the noise values are
-        the same either way.  Hogwild workers pass ``False``: their cores
-        are already busy training.
     """
 
     def __init__(
         self,
         perturbation: "PerturbationStrategy",
         gradient_normalization: str = "per_row",
-        prefetch_noise: bool = True,
     ) -> None:
         if gradient_normalization not in {"per_row", "batch"}:
             raise TrainingError(
@@ -146,12 +140,9 @@ class PerturbedUpdate(UpdateRule):
             )
         self.perturbation = perturbation
         self.gradient_normalization = gradient_normalization
-        self.prefetch_noise = prefetch_noise
 
     def running(self) -> AbstractContextManager:
         """Prefetch the noise for one run; the filler is joined on exit."""
-        if not self.prefetch_noise:
-            return nullcontext()
         return self.perturbation.noise.prefetching()
 
     def apply(self, model, optimizer, batch, gradients) -> None:

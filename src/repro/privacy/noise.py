@@ -55,26 +55,17 @@ class NoiseRing:
     seed:
         Seed or generator of the noise stream.  The ring owns it: nothing
         else may draw from a generator passed in here.
-    block_size, depth:
-        Draws per block and number of blocks (at least two, so the filler
-        has a block to fill while the consumer reads another).
+
+    The ring holds :data:`RING_DEPTH` blocks of :data:`BLOCK_SIZE` draws.
     """
 
     def __init__(
-        self,
-        seed: int | np.random.Generator | np.random.SeedSequence | None = None,
-        *,
-        block_size: int = BLOCK_SIZE,
-        depth: int = RING_DEPTH,
+        self, seed: int | np.random.Generator | np.random.SeedSequence | None = None
     ) -> None:
-        if block_size < 1 or depth < 2:
-            raise ConfigurationError(
-                f"need block_size >= 1 and depth >= 2, got {block_size} and {depth}"
-            )
         self._rng = ensure_rng(seed)
-        self._block_size = int(block_size)
-        self._blocks = [np.empty(self._block_size) for _ in range(depth)]
-        self._free: deque[int] = deque(range(depth))
+        self._block_size = BLOCK_SIZE
+        self._blocks = [np.empty(self._block_size) for _ in range(RING_DEPTH)]
+        self._free: deque[int] = deque(range(RING_DEPTH))
         self._full: deque[int] = deque()
         self._current = -1  # block being read; -1 before the first read
         self._pos = self._block_size
@@ -116,6 +107,7 @@ class NoiseRing:
         with self._cond:
             if self._current >= 0:
                 self._free.append(self._current)
+                self._current = -1  # handed back: never queue it twice
                 self._cond.notify_all()
             while not self._full:
                 if self._error is not None:
@@ -146,8 +138,8 @@ class NoiseRing:
         thread = threading.Thread(
             target=self._fill_loop, name="repro-noise-filler", daemon=True
         )
+        thread.start()  # a failed start leaves the ring filling synchronously
         self._thread = thread
-        thread.start()
         try:
             yield self
         finally:

@@ -11,6 +11,7 @@ a hogwild fork), and the zero-allocation contract of the workspace path.
 from __future__ import annotations
 
 import copy
+import json
 import multiprocessing
 import os
 import sys
@@ -27,13 +28,12 @@ from repro.config import PrivacyConfig, TrainingConfig
 from repro.embedding import SEPrivGEmbTrainer, get_perturbation
 from repro.embedding import perturbation as perturbation_module
 from repro.engine import EngineHook
-from repro.engine.hogwild import _run_shard, _ShardTask
-from repro.engine.updates import PerturbedUpdate
 from repro.exceptions import ConfigurationError
 from repro.graph import load_dataset
 from repro.privacy import noise as noise_module
 from repro.privacy.noise import NoiseRing
 from repro.proximity import DegreeProximity
+from repro.robustness import FaultPlan, FaultRule, SupervisorPolicy
 
 FILLER = "repro-noise-filler"
 TRAIN = TrainingConfig(
@@ -58,6 +58,18 @@ def graph():
     return load_dataset("smallworld", num_nodes=80, seed=4)
 
 
+@pytest.fixture
+def small_ring(monkeypatch):
+    """Build rings of ``depth`` blocks of ``block_size`` draws."""
+
+    def build(seed, block_size=100, depth=3):
+        monkeypatch.setattr(noise_module, "BLOCK_SIZE", block_size)
+        monkeypatch.setattr(noise_module, "RING_DEPTH", depth)
+        return NoiseRing(seed)
+
+    return build
+
+
 def _trainer(graph, *, perturbation="nonzero", fast_path=False, seed=7, **kwargs):
     trainer = SEPrivGEmbTrainer(
         proximity=DegreeProximity(),
@@ -72,10 +84,10 @@ def _trainer(graph, *, perturbation="nonzero", fast_path=False, seed=7, **kwargs
     return trainer
 
 
-def _small_blocks(trainer, block_size=100):
+def _small_blocks(trainer, small_ring):
     """Swap in a small-block ring over the same (still untouched) generator."""
     strategy = trainer.perturbation
-    strategy.noise = NoiseRing(strategy.noise._rng, block_size=block_size, depth=3)
+    strategy.noise = small_ring(strategy.noise._rng)
 
 
 class _Probe(EngineHook):
@@ -105,6 +117,18 @@ class _FailingGenerator:
         return self._rng.standard_normal(out=out)
 
 
+class _GatedGenerator:
+    """Draws like ``default_rng(seed)``, but only while ``gate`` is set."""
+
+    def __init__(self, seed: int, gate: threading.Event) -> None:
+        self._rng = np.random.default_rng(seed)
+        self._gate = gate
+
+    def standard_normal(self, out):
+        self._gate.wait()
+        return self._rng.standard_normal(out=out)
+
+
 class _ZeroGenerator:
     """A generator stand-in whose 'standard normals' are all zero."""
 
@@ -120,8 +144,8 @@ class TestStreamEquality:
     SIZES = (7, 93, 100, 1, 250, 49, 300)  # straddle 100-draw blocks
 
     @pytest.mark.parametrize("prefetch", [False, True], ids=["sync", "thread"])
-    def test_reads_equal_inline_draws_across_block_boundaries(self, prefetch):
-        ring = NoiseRing(np.random.default_rng(5), block_size=100, depth=3)
+    def test_reads_equal_inline_draws_across_block_boundaries(self, prefetch, small_ring):
+        ring = small_ring(np.random.default_rng(5))
         if prefetch:
             with ring.prefetching():
                 reads = [ring.draw(size, 1.0) for size in self.SIZES]
@@ -129,10 +153,10 @@ class TestStreamEquality:
             reads = [ring.draw(size, 1.0) for size in self.SIZES]
         assert np.array_equal(np.concatenate(reads), _inline(5, sum(self.SIZES)))
 
-    def test_stream_survives_constant_thread_switching(self):
+    def test_stream_survives_constant_thread_switching(self, small_ring):
         """Tiny blocks, a 1 µs switch interval: a lost or reordered block shows."""
         sizes = np.random.default_rng(9).integers(1, 40, size=3000)
-        ring = NoiseRing(3, block_size=8, depth=2)
+        ring = small_ring(3, block_size=8, depth=2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -142,19 +166,19 @@ class TestStreamEquality:
             sys.setswitchinterval(interval)
         assert np.array_equal(np.concatenate(reads), _inline(3, int(sizes.sum())))
 
-    def test_scaling_matches_multiplying_inline_draws(self):
+    def test_scaling_matches_multiplying_inline_draws(self, small_ring):
         out = np.empty((6, 50))
-        NoiseRing(11, block_size=64).fill(out, 2.5)
+        small_ring(11, block_size=64).fill(out, 2.5)
         assert np.array_equal(out.ravel(), _inline(11, 300) * 2.5)
 
-    def test_rejects_non_float64_or_strided_targets(self):
-        ring = NoiseRing(0, block_size=16)
+    def test_rejects_non_float64_or_strided_targets(self, small_ring):
+        ring = small_ring(0, block_size=16)
         with pytest.raises(ConfigurationError, match="C-contiguous float64"):
             ring.fill(np.empty(4, dtype=np.float32), 1.0)
         with pytest.raises(ConfigurationError, match="C-contiguous float64"):
             ring.fill(np.empty((4, 4))[:, 0], 1.0)
 
-    def test_dense_naive_draw_larger_than_one_block(self, graph):
+    def test_dense_naive_draw_larger_than_one_block(self, graph, small_ring):
         """Eq. 6's dense |V| x r draws span many blocks and still equal inline."""
         trainer = _trainer(graph, perturbation="naive")
         gradients = trainer.objective.batch_gradients(
@@ -164,9 +188,9 @@ class TestStreamEquality:
         num_nodes, dim = graph.num_nodes, TRAIN.embedding_dim
         cells = num_nodes * dim
         noisy = get_perturbation("naive", 1.0, 2.0)
-        noisy.noise = NoiseRing(21, block_size=100)
+        noisy.noise = small_ring(21)
         clean = get_perturbation("naive", 1.0, 2.0)
-        clean.noise = NoiseRing(0, block_size=100)
+        clean.noise = small_ring(0)
         clean.noise._rng = _ZeroGenerator()
         result = noisy.perturb_batch(gradients, num_nodes, dim)
         sums = clean.perturb_batch(gradients, num_nodes, dim)
@@ -204,13 +228,14 @@ class TestFits:
     @pytest.mark.parametrize("perturbation", ["nonzero", "naive"])
     @pytest.mark.parametrize("fast_path", [False, True], ids=["default", "fast"])
     def test_thread_filled_and_synchronous_fits_are_byte_identical(
-        self, graph, perturbation, fast_path
+        self, graph, perturbation, fast_path, small_ring
     ):
         embeddings = []
         for prefetch in (True, False):
             trainer = _trainer(graph, perturbation=perturbation, fast_path=fast_path)
-            _small_blocks(trainer)
-            trainer.engine.update_rule.prefetch_noise = prefetch
+            _small_blocks(trainer, small_ring)
+            if not prefetch:
+                trainer.engine.update_rule.running = nullcontext
             probe = _Probe()
             trainer.engine.hooks += (probe,)
             result = trainer.engine.run(TRAIN.epochs)
@@ -220,10 +245,12 @@ class TestFits:
         assert threaded_in.tobytes() == sync_in.tobytes()
         assert threaded_out.tobytes() == sync_out.tobytes()
 
-    def test_two_train_calls_continue_the_stream_exactly(self, graph, monkeypatch):
+    def test_two_train_calls_continue_the_stream_exactly(
+        self, graph, monkeypatch, small_ring
+    ):
         def build():
             strategy = get_perturbation("nonzero", 1.0, 2.0, seed=77)
-            strategy.noise = NoiseRing(77, block_size=64, depth=3)
+            strategy.noise = small_ring(77, block_size=64)
             return SEPrivGEmbTrainer(
                 proximity=DegreeProximity(),
                 training_config=TRAIN,
@@ -310,8 +337,8 @@ class TestFillerLifecycle:
         ).fit(graph)
         assert alive_at_fork and set(alive_at_fork) == {0}
 
-    def test_filler_failure_raises_in_the_consumer(self):
-        ring = NoiseRing(0, block_size=32, depth=2)
+    def test_filler_failure_raises_in_the_consumer(self, small_ring):
+        ring = small_ring(0, block_size=32, depth=2)
         ring._rng = _FailingGenerator(0, good=2)
         outcome: dict = {}
 
@@ -336,56 +363,128 @@ class TestFillerLifecycle:
             pass
         assert not _fillers()
 
-    def test_filler_failure_fails_the_fit(self, graph):
+    def test_filler_failure_fails_the_fit(self, graph, small_ring):
         trainer = _trainer(graph)
-        _small_blocks(trainer)
+        _small_blocks(trainer, small_ring)
         trainer.perturbation.noise._rng = _FailingGenerator(0, good=1)
         with pytest.raises(MemoryError, match="filler failure"):
             trainer.engine.run(TRAIN.epochs)
         assert not _fillers()
 
-    def test_nested_prefetching_is_rejected(self):
-        ring = NoiseRing(0, block_size=16)
+    def test_nested_prefetching_is_rejected(self, small_ring):
+        ring = small_ring(0, block_size=16)
         with ring.prefetching(), pytest.raises(ConfigurationError, match="already running"):
             with ring.prefetching():
                 pass
         assert not _fillers()
 
-    def test_hogwild_rules_fill_synchronously(self, graph):
-        trainer = _trainer(graph)
-        rule = trainer._hogwild_update_rule(np.random.default_rng(0))
-        assert isinstance(rule, PerturbedUpdate)
-        assert not rule.prefetch_noise
-        assert isinstance(rule.running(), nullcontext)
+    def test_failed_filler_start_leaves_the_ring_usable(self, small_ring, monkeypatch):
+        ring = small_ring(8, block_size=16)
 
-    def test_restarted_worker_spawns_fresh_deterministic_noise(self):
-        """A checkpoint restart resumes the sampler stream, not the noise."""
-        shard_seed = np.random.SeedSequence(42).spawn(2)[1]
-        checkpoint = np.random.default_rng(shard_seed).bit_generator.state
+        def refuse(thread):
+            raise RuntimeError("can't start new thread")
 
-        class _Stop(Exception):
-            pass
+        with monkeypatch.context() as patch:
+            patch.setattr(threading.Thread, "start", refuse)
+            with pytest.raises(RuntimeError, match="can't start"), ring.prefetching():
+                pass
+        reads: list[np.ndarray] = []
 
-        def streams(task):
-            seen = {}
+        def consume():
+            reads.append(ring.draw(40, 1.0))  # fills synchronously, no waiting
+            with ring.prefetching():
+                reads.append(ring.draw(40, 1.0))
 
-            def factory(rng):
-                seen["noise"] = rng.spawn(1)[0].standard_normal(4)
-                seen["sampler"] = rng.standard_normal(4)
-                raise _Stop
+        consumer = threading.Thread(target=consume, daemon=True)
+        consumer.start()
+        consumer.join(timeout=30)
+        assert not consumer.is_alive(), "the consumer waited on a filler that never ran"
+        assert np.array_equal(np.concatenate(reads), _inline(8, 80))
 
-            with pytest.raises(_Stop):  # each call sees a fresh copy, as after a fork
-                _run_shard(factory, copy.deepcopy(shard_seed), task, False, False)
-            return seen
+    def test_interrupted_wait_hands_each_block_back_once(self, small_ring):
+        """A KeyboardInterrupt while waiting for a block must not corrupt the ring."""
+        ring = small_ring(6, block_size=16, depth=2)
+        gate = threading.Event()
+        gate.set()
+        ring._rng = _GatedGenerator(6, gate)
+        first = ring.draw(16, 1.0)  # the one block read to its end
+        consumer = threading.current_thread()
+        real_wait = ring._cond.wait
 
-        first = streams(_ShardTask(shard=1, target=10))
-        restart = _ShardTask(
-            shard=1, target=10, resume_at=5, incarnation=1, rng_state=checkpoint
+        def interrupted_wait(*args, **kwargs):
+            if threading.current_thread() is consumer:
+                raise KeyboardInterrupt
+            return real_wait(*args, **kwargs)
+
+        gate.clear()  # hold the filler inside its first block
+        with ring.prefetching():
+            ring._cond.wait = interrupted_wait
+            with pytest.raises(KeyboardInterrupt):
+                ring.draw(1, 1.0)
+            ring._cond.wait = real_wait
+            gate.set()
+            rest = ring.draw(64, 1.0)
+        assert np.array_equal(np.concatenate([first, rest]), _inline(6, 80))
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="hogwild workers require the fork start method",
+)
+class TestHogwildRestartStreams:
+    """Restarted workers never read a stream that released noise came from."""
+
+    @staticmethod
+    def _streams(graph, tmp_path, monkeypatch, checkpoint_every):
+        tmp_path.mkdir(exist_ok=True)
+        log = tmp_path / "streams.jsonl"
+        original = SEPrivGEmbTrainer._hogwild_update_rule
+
+        def recording_rule(self, rng):
+            rule = original(self, rng)
+            noise = rule.perturbation.noise._rng
+            record = {  # the next draws of each stream, taken from copies
+                "sampler": copy.deepcopy(rng).standard_normal(8).tolist(),
+                "noise": copy.deepcopy(noise).standard_normal(8).tolist(),
+            }
+            with log.open("a") as handle:
+                handle.write(json.dumps(record) + "\n")
+            return rule
+
+        monkeypatch.setattr(SEPrivGEmbTrainer, "_hogwild_update_rule", recording_rule)
+        policy = SupervisorPolicy(
+            max_restarts=1,
+            checkpoint_every=checkpoint_every,
+            checkpoint_dir=tmp_path / "ckpt" if checkpoint_every else None,
+            backoff_base=0.01,
+            backoff_max=0.02,
         )
-        restarted, replayed = streams(restart), streams(restart)
-        assert np.array_equal(restarted["sampler"], first["sampler"])
-        assert not np.array_equal(restarted["noise"], first["noise"])
-        assert np.array_equal(restarted["noise"], replayed["noise"])
+        trainer = SEPrivGEmbTrainer(
+            proximity=DegreeProximity(), training_config=TRAIN,
+            privacy_config=PRIVACY, seed=2, workers=2, hogwild_resilience=policy,
+        )
+        crash = FaultRule(
+            "hogwild.worker.step", "crash", where={"shard": 0, "step": 2, "incarnation": 0}
+        )
+        with FaultPlan([crash]):
+            trainer.fit(graph)
+        assert trainer.last_hogwild_run.restarts == 1
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert len(records) == 3  # two shards and one restart
+        return records
+
+    @pytest.mark.parametrize("checkpoint_every", [0, 1], ids=["fresh", "checkpoint"])
+    def test_restart_draws_fresh_deterministic_noise(
+        self, graph, tmp_path, monkeypatch, checkpoint_every
+    ):
+        records = self._streams(graph, tmp_path, monkeypatch, checkpoint_every)
+        samplers = {tuple(record["sampler"]) for record in records}
+        noises = {tuple(record["noise"]) for record in records}
+        assert len(noises) == 3
+        # no sampler ever reads values that some incarnation released as noise
+        assert not samplers & noises
+        again = self._streams(graph, tmp_path / "again", monkeypatch, checkpoint_every)
+        assert sorted(map(json.dumps, again)) == sorted(map(json.dumps, records))
 
 
 # --------------------------------------------------------------------- #
@@ -398,7 +497,7 @@ class TestZeroAllocation:
         assert list(report.findings) == []
 
     @pytest.mark.parametrize("prefetch", [False, True], ids=["sync", "thread"])
-    def test_workspace_perturb_allocates_no_arrays(self, prefetch):
+    def test_workspace_perturb_allocates_no_arrays(self, prefetch, small_ring):
         """Block refills inside the measured call allocate nothing array-sized."""
         big = load_dataset("smallworld", num_nodes=2000, seed=3)
         config = TrainingConfig(
@@ -414,7 +513,7 @@ class TestZeroAllocation:
         engine.run(2)
         ws = engine.workspace
         strategy = trainer.perturbation
-        strategy.noise = NoiseRing(1, block_size=4096, depth=3)  # refills every call
+        strategy.noise = small_ring(1, block_size=4096)  # refills every call
         batch = engine.sampler.sample_batch_arrays(workspace=ws)
 
         def perturb():
