@@ -20,6 +20,7 @@ from repro.embedding.objectives import StructurePreferenceObjective
 from repro.graph import load_dataset
 from repro.graph.sampling import SubgraphSampler, UnigramNegativeSampler, generate_disjoint_subgraph_arrays
 from repro.engine import DirectSparseUpdate, PerturbedUpdate, TrainingEngine
+from repro.privacy.mechanisms import clip_gradient
 from repro.proximity import DegreeProximity
 
 BENCH_CONFIG = TrainingConfig(
@@ -102,16 +103,22 @@ def _legacy_nonprivate_step(model, optimizer, objective, sampler):
 
 
 def _legacy_private_step(model, optimizer, objective, sampler, perturbation):
+    """The seed's private step: clip, sum and noise one example at a time."""
     batch = sampler.sample_batch()
-    example_gradients = [
-        objective.example_gradients(model.w_in, model.w_out, subgraph) for subgraph in batch
-    ]
-    perturbed = perturbation.perturb(
-        example_gradients, num_nodes=model.num_nodes, embedding_dim=model.embedding_dim
-    )
-    w_in_grad, w_out_grad = perturbed.averaged_by_row_counts()
-    optimizer.descend(model.w_in, w_in_grad)
-    optimizer.descend(model.w_out, w_out_grad)
+    threshold = perturbation.clipping_threshold
+    std = perturbation.noise_multiplier * perturbation.sensitivity(len(batch))
+    sums = (np.zeros_like(model.w_in), np.zeros_like(model.w_out))
+    counts = (np.zeros(model.num_nodes), np.zeros(model.num_nodes))
+    for subgraph in batch:
+        grads = objective.example_gradients(model.w_in, model.w_out, subgraph)
+        sums[0][grads.center] += clip_gradient(grads.center_gradient, threshold)
+        counts[0][grads.center] += 1
+        np.add.at(sums[1], grads.context_nodes, clip_gradient(grads.context_gradients, threshold))
+        np.add.at(counts[1], grads.context_nodes, 1)
+    for parameters, summed, touched in zip((model.w_in, model.w_out), sums, counts, strict=True):
+        rows = np.flatnonzero(touched)
+        summed[rows] += perturbation.noise.draw((rows.size, model.embedding_dim), std)
+        optimizer.descend(parameters, summed / np.maximum(touched, 1.0)[:, None])
     optimizer.step_epoch()
 
 

@@ -43,7 +43,6 @@ def _steps_per_second(graph, workers: int) -> float:
         proximity=get_proximity("degree"),
         config=TRAIN,
         seed=11,
-        fast_path=True,
         workers=workers,
     )
     started = time.perf_counter()

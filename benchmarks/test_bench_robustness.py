@@ -54,7 +54,6 @@ def _fit_seconds(graph, supervision: SupervisorPolicy | None) -> float:
         proximity=get_proximity("degree"),
         config=TRAIN,
         seed=11,
-        fast_path=True,
         workers=WORKERS,
         hogwild_resilience=supervision,
     )

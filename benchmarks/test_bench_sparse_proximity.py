@@ -22,6 +22,7 @@ from repro import TrainingConfig
 from repro.embedding import SEGEmbTrainer
 from repro.graph import load_dataset
 from repro.proximity import DeepWalkProximity
+from repro.utils.rng import ensure_rng
 
 # floor of 4000: below that, fixed interpreter/import overhead (~7 MB)
 # dominates the peak and the dense-fraction assertion loses its meaning
@@ -50,10 +51,11 @@ def test_sparse_proximity_pipeline_never_densifies():
     proximity = measure.compute(graph, sparse=True)
     proximity_done = time.perf_counter()
 
-    trainer = SEGEmbTrainer(graph, proximity, config=TRAINING, seed=0)
+    trainer = SEGEmbTrainer(proximity, config=TRAINING, seed=0)
+    trainer._setup(graph, ensure_rng(0))
     pool_done = time.perf_counter()
 
-    result = trainer.train(1)
+    result = trainer.engine.run(1)
     train_done = time.perf_counter()
 
     _, peak = tracemalloc.get_traced_memory()
@@ -72,7 +74,7 @@ def test_sparse_proximity_pipeline_never_densifies():
     print(f"  Algorithm-1 pool (bulk)  : {pool_done - proximity_done:8.2f} s")
     print(
         f"  1 training epoch (B={TRAINING.batch_size}): {train_done - pool_done:8.3f} s   "
-        f"loss={result.final_loss:.4f}"
+        f"loss={result.losses[-1]:.4f}"
     )
     print(
         f"  peak allocation          : {peak / 1e6:8.0f} MB   "

@@ -50,7 +50,6 @@ def main() -> None:
         proximity=get_proximity("degree"),
         config=training,
         seed=11,
-        fast_path=True,
         workers=WORKERS,
     )
 

@@ -22,7 +22,12 @@ from repro import TrainingConfig, load_dataset
 from repro.embedding.objectives import StructurePreferenceObjective
 from repro.embedding.perturbation import NaivePerturbation, NonZeroPerturbation
 from repro.embedding.skipgram import SkipGramModel
-from repro.graph.sampling import SubgraphSampler, UnigramNegativeSampler, generate_disjoint_subgraphs
+from repro.engine import StepWorkspace
+from repro.graph.sampling import (
+    SubgraphSampler,
+    UnigramNegativeSampler,
+    generate_disjoint_subgraph_arrays,
+)
 from repro.proximity import DeepWalkProximity
 
 
@@ -35,32 +40,41 @@ def main() -> None:
     model = SkipGramModel(graph.num_nodes, config.embedding_dim, seed=0)
 
     sampler = UnigramNegativeSampler(graph, seed=0)
-    subgraphs = generate_disjoint_subgraphs(graph, sampler, config.negative_samples)
-    batch = SubgraphSampler(subgraphs, config.batch_size, seed=0).sample_batch()
+    pool = generate_disjoint_subgraph_arrays(graph, sampler, config.negative_samples)
+    pool = pool.with_weights(objective.edge_weights(pool.centers, pool.positives))
 
-    example_gradients = [
-        objective.example_gradients(model.w_in, model.w_out, subgraph) for subgraph in batch
-    ]
-    touched = sorted({g.center for g in example_gradients})
-    print(f"Batch of {len(batch)} edges touches W_in rows: {touched}\n")
+    def noisy_w_in_gradient(strategy):
+        """One training step's noisy summed W_in gradient as a dense matrix."""
+        # same seed, same batch for both strategies
+        batch_sampler = SubgraphSampler(pool, config.batch_size, seed=0)
+        workspace = StepWorkspace.for_training(model, batch_sampler)
+        batch = batch_sampler.sample_batch_arrays(workspace)
+        gradients = objective.batch_gradients(
+            model.w_in, model.w_out, batch, workspace=workspace
+        )
+        perturbed = strategy.perturb_batch(gradients, workspace)
+        dense = np.zeros_like(model.w_in)
+        dense[perturbed.w_in_rows] = perturbed.w_in_sums
+        return dense, batch
 
     naive = NaivePerturbation(clipping_threshold=2.0, noise_multiplier=5.0, seed=1)
     nonzero = NonZeroPerturbation(clipping_threshold=2.0, noise_multiplier=5.0, seed=1)
-
-    naive_grad = naive.perturb(example_gradients, graph.num_nodes, config.embedding_dim)
-    nonzero_grad = nonzero.perturb(example_gradients, graph.num_nodes, config.embedding_dim)
+    naive_grad, batch = noisy_w_in_gradient(naive)
+    nonzero_grad, _ = noisy_w_in_gradient(nonzero)
+    touched = np.unique(batch.centers).tolist()
+    print(f"Batch of {len(batch)} edges touches W_in rows: {touched}\n")
 
     np.set_printoptions(precision=3, suppress=True)
     show = min(10, graph.num_nodes)
     print(f"Naive perturbation (Eq. 6), sensitivity B·C = {naive.sensitivity(len(batch)):.0f}")
     print("first rows of the noisy W_in gradient (every row is noisy):")
-    print(naive_grad.w_in_gradient[:show])
+    print(naive_grad[:show])
     print()
     print(f"Non-zero perturbation (Eq. 9), sensitivity C = {nonzero.sensitivity(len(batch)):.0f}")
     print("first rows of the noisy W_in gradient (untouched rows stay exactly zero):")
-    print(nonzero_grad.w_in_gradient[:show])
+    print(nonzero_grad[:show])
     print()
-    ratio = np.linalg.norm(naive_grad.w_in_gradient) / np.linalg.norm(nonzero_grad.w_in_gradient)
+    ratio = np.linalg.norm(naive_grad) / np.linalg.norm(nonzero_grad)
     print(f"Frobenius-norm ratio naive / non-zero: {ratio:.1f}x more noise under Eq. (6)")
 
 

@@ -15,8 +15,8 @@ from .perturbation import (
     NonZeroPerturbation,
     get_perturbation,
 )
-from .trainer import SEGEmbTrainer, EmbeddingResult
-from .private_trainer import SEPrivGEmbTrainer, PrivateEmbeddingResult
+from .trainer import SEGEmbTrainer
+from .private_trainer import SEPrivGEmbTrainer
 
 __all__ = [
     "SkipGramModel",
@@ -32,7 +32,5 @@ __all__ = [
     "NonZeroPerturbation",
     "get_perturbation",
     "SEGEmbTrainer",
-    "EmbeddingResult",
     "SEPrivGEmbTrainer",
-    "PrivateEmbeddingResult",
 ]

@@ -39,8 +39,8 @@ __all__ = [
 
 # Mirrors the exp() clamp inside utils.math.sigmoid: at |score| = 35 the
 # sigmoid saturates to within 1e-15 of {0, 1}, so clamping the workspace
-# score buffer in place is numerically indistinguishable from the default
-# path while keeping every exp() finite in float32 as well.
+# score buffer in place is numerically indistinguishable from the
+# per-example pair_gradients while keeping every exp() finite in float32.
 _SCORE_CLAMP = 35.0
 
 
@@ -201,97 +201,30 @@ class StructurePreferenceObjective:
     # ---------------------------------------------------------------- #
     # Vectorized batch path (the engine's hot path)
     # ---------------------------------------------------------------- #
-    def _resolve_batch(
-        self, batch: SubgraphBatch | Sequence[EdgeSubgraph]
-    ) -> tuple[SubgraphBatch, np.ndarray]:
-        """Normalise list/array input and bind proximity weights to it."""
-        if not isinstance(batch, SubgraphBatch):
-            if len(batch) == 0:
-                raise TrainingError("batch must not be empty")
-            batch = SubgraphBatch.from_subgraphs(batch)
-        weights = batch.weights
-        if weights is None:
-            weights = self.edge_weights(batch.centers, batch.positives)
-        elif np.any(weights < 0):
-            raise TrainingError("proximity weights must be non-negative")
-        return batch, weights
-
-    @staticmethod
-    def _batch_scores(
-        w_in: np.ndarray, w_out: np.ndarray, batch: SubgraphBatch
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All ``B × (1+k)`` sigmoid pre-activations in one contraction."""
-        center_vecs = w_in[batch.centers]  # [B, r]
-        context_vecs = w_out[batch.contexts]  # [B, 1+k, r]
-        scores = np.einsum("bkr,br->bk", context_vecs, center_vecs)
-        return center_vecs, context_vecs, scores
-
-    @staticmethod
-    def _batch_losses(scores: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Per-example Eq. (5) losses from the score matrix."""
-        positive_ll = log_sigmoid(scores[:, 0])
-        negative_ll = np.sum(log_sigmoid(-scores[:, 1:]), axis=1)
-        return -weights * (positive_ll + negative_ll)
-
+    @zero_alloc
     def batch_gradients(
-        self,
-        w_in: np.ndarray,
-        w_out: np.ndarray,
-        batch: SubgraphBatch | Sequence[EdgeSubgraph],
-        *,
-        workspace=None,
+        self, w_in: np.ndarray, w_out: np.ndarray, batch: SubgraphBatch, *, workspace
     ) -> BatchGradients:
         """Eq. (7) / Eq. (8) gradients of a whole batch in one vectorized pass.
 
         Numerically equivalent to calling :meth:`example_gradients` per
-        subgraph — one matmul computes all ``B × (1+k)`` scores instead of
-        ``B`` Python-level matvecs.  The per-example losses are returned on
-        the :class:`BatchGradients` (they fall out of the same scores), so
+        subgraph — one contraction computes all ``B × (1+k)`` scores
+        instead of ``B`` Python-level matvecs — up to floating-point
+        evaluation order.  The per-example losses fall out of the same
+        scores and ride along on the returned :class:`BatchGradients`, so
         callers never pay a second loss pass.
 
-        With ``workspace`` (a :class:`~repro.engine.StepWorkspace`) the
-        whole pass runs through preallocated buffers — gathers with
-        ``np.take(out=)``, contractions with ``einsum(out=)``, losses and
-        errors through in-place ufunc chains — and the returned
+        The whole pass runs through the preallocated buffers of
+        ``workspace`` (a :class:`~repro.engine.StepWorkspace`) — gathers
+        with ``np.take(out=)``, contractions with ``einsum(out=)``, losses
+        and errors through in-place ufunc chains — and the returned
         :class:`BatchGradients` is the workspace's reused view.  The batch
-        must carry pre-bound proximity weights in that mode.
-        """
-        if workspace is not None:
-            return self._batch_gradients_into(w_in, w_out, batch, workspace)
-        batch, weights = self._resolve_batch(batch)
-        center_vecs, context_vecs, scores = self._batch_scores(w_in, w_out, batch)
-
-        errors = np.asarray(sigmoid(scores))  # fresh array, safe to mutate
-        errors[:, 0] -= 1.0  # column 0 is the positive v_j: indicator 1
-        errors *= weights[:, None]
-
-        center_gradients = np.einsum("bk,bkr->br", errors, context_vecs)
-        context_gradients = errors[:, :, None] * center_vecs[:, None, :]
-
-        return BatchGradients(
-            centers=batch.centers,
-            center_gradients=center_gradients,
-            context_nodes=batch.contexts,
-            context_gradients=context_gradients,
-            losses=self._batch_losses(scores, weights),
-        )
-
-    @zero_alloc
-    def _batch_gradients_into(
-        self, w_in: np.ndarray, w_out: np.ndarray, batch: SubgraphBatch, workspace
-    ) -> BatchGradients:
-        """The allocation-free gradient pass of the fast path.
-
-        Every array below is a preallocated workspace buffer; the only
-        heap traffic is Python object overhead.  The math is the same as
-        the default path up to floating-point evaluation order (the losses
-        sum all ``1+k`` log-sigmoids in one row pass instead of positive
-        and negatives separately).
+        must carry pre-bound proximity weights.
         """
         ws = workspace
         if not isinstance(batch, SubgraphBatch) or batch.weights is None:
             raise TrainingError(
-                "the workspace fast path needs a SubgraphBatch with pre-bound "
+                "batch_gradients needs a SubgraphBatch with pre-bound "
                 "proximity weights (bind them once on the pool)"
             )
         ws.validate_batch(batch)
@@ -343,15 +276,25 @@ class StructurePreferenceObjective:
         w_out: np.ndarray,
         batch: SubgraphBatch | Sequence[EdgeSubgraph],
     ) -> float:
-        """Mean loss over a batch of edge subgraphs (vectorized).
+        """Mean Eq. (5) loss over a batch of edge subgraphs (vectorized).
 
         Prefer reading :attr:`BatchGradients.mean_loss` when gradients are
         being computed anyway — the scores are shared, so calling both would
         pay for the same sigmoids twice.
         """
-        batch, weights = self._resolve_batch(batch)
-        _, _, scores = self._batch_scores(w_in, w_out, batch)
-        return float(np.mean(self._batch_losses(scores, weights)))
+        if not isinstance(batch, SubgraphBatch):
+            if len(batch) == 0:
+                raise TrainingError("batch must not be empty")
+            batch = SubgraphBatch.from_subgraphs(batch)
+        weights = batch.weights
+        if weights is None:
+            weights = self.edge_weights(batch.centers, batch.positives)
+        elif np.any(weights < 0):
+            raise TrainingError("proximity weights must be non-negative")
+        scores = np.einsum("bkr,br->bk", w_out[batch.contexts], w_in[batch.centers])
+        positive_ll = log_sigmoid(scores[:, 0])
+        negative_ll = np.sum(log_sigmoid(-scores[:, 1:]), axis=1)
+        return float(np.mean(-weights * (positive_ll + negative_ll)))
 
     def __repr__(self) -> str:
         return (

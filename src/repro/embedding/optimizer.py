@@ -2,14 +2,14 @@
 
 The paper optimises skip-gram with vanilla SGD (Algorithm 2 updates each
 weight matrix by the averaged, possibly-noised batch gradient scaled by the
-learning rate ``η``).  The optimiser here applies dense deltas; sparsity is
-handled upstream by the trainers, which build dense delta matrices whose
-untouched rows are zero.
+learning rate ``η``).  The training step descends on the touched rows only
+(:meth:`SGDOptimizer.descend_unique_rows`, through workspace scratch);
+the dense and duplicate-row descents serve callers outside the engine.
 
 Every ``descend*`` method rejects float gradients whose dtype differs from
 the parameters': numpy would otherwise upcast silently, and a float32
 compute run that quietly descends through float64 temporaries voids the
-whole point of the fast path.  Integer gradients (convenience callers,
+whole point of the float32 step.  Integer gradients (convenience callers,
 tests) are still cast to the parameter dtype — they are exact.
 """
 
@@ -93,8 +93,7 @@ class SGDOptimizer:
         ``rows`` may contain duplicates; contributions accumulate, matching
         a dense update where several examples touch the same row.  With
         ``scratch`` (a preallocated ``gradient_rows``-shaped buffer) the
-        rate-scaled rows are computed into it instead of a fresh array —
-        the workspace fast path.
+        rate-scaled rows are computed into it instead of a fresh array.
         """
         rows = np.asarray(rows, dtype=np.int64)
         gradient_rows = np.asarray(gradient_rows)

@@ -24,15 +24,9 @@ Since the estimator redesign the trainer follows the
 
     model = SEPrivGEmbTrainer(DeepWalkProximity(), privacy_config=privacy).fit(graph)
     model.result_.privacy_spent   # budget actually consumed
-
-The pre-estimator convention — graph in the constructor, ``train()`` to
-run — still works behind a :class:`DeprecationWarning` and produces
-bit-identical embeddings for the same seed.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,37 +48,18 @@ from ..graph.sampling import (
     generate_disjoint_subgraph_arrays,
 )
 from ..models.base import FitResult
-from ..privacy.accountant import PrivacySpent, RdpAccountant
+from ..privacy.accountant import RdpAccountant
 from ..proximity.base import ProximityMatrix, ProximityMeasure
 from ..robustness.checkpoint import SupervisorPolicy
 from ..utils.logging import get_logger
-from ..utils.rng import ensure_rng
 from .objectives import StructurePreferenceObjective
 from .optimizer import SGDOptimizer
 from .perturbation import PerturbationStrategy, get_perturbation
-from .skipgram import SkipGramModel
 from .trainer import SkipGramTrainerBase
 
-__all__ = ["PrivateEmbeddingResult", "SEPrivGEmbTrainer"]
+__all__ = ["SEPrivGEmbTrainer"]
 
 _LOGGER = get_logger("embedding.private_trainer")
-
-
-@dataclass
-class PrivateEmbeddingResult:
-    """Output of a private training run, including the privacy spent."""
-
-    embeddings: np.ndarray
-    context_embeddings: np.ndarray
-    privacy_spent: PrivacySpent
-    losses: list[float] = field(default_factory=list)
-    epochs_run: int = 0
-    stopped_early: bool = False
-
-    @property
-    def final_loss(self) -> float:
-        """Loss of the last completed epoch (NaN if no epoch ran)."""
-        return self.losses[-1] if self.losses else float("nan")
 
 
 class SEPrivGEmbTrainer(SkipGramTrainerBase):
@@ -131,20 +106,12 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
         ``"off"`` (default), ``"default"`` (process-wide cache) or an
         explicit :class:`~repro.proximity.cache.ProximityCache`; ignored
         when ``proximity`` is already a matrix.
-    fast_path:
-        Opt into the zero-allocation training fast path (preallocated
-        :class:`~repro.engine.StepWorkspace`, alias-table negative draws,
-        partial Fisher–Yates batch indices).  Sampling RNG *streams*
-        differ from the default; the privacy guarantee is unaffected —
-        clipping, sensitivities and the Gaussian noise (always drawn in
-        float64, same stream as the default perturb path) are unchanged.
     compute_dtype:
         ``"float64"`` (default) or ``"float32"`` for the model matrices
         and gradient arithmetic.  The RDP accountant, sensitivities and
         noise calibration always stay float64.
     workers:
-        ``1`` (default) trains serially on the existing engine path,
-        bit-for-bit.  ``> 1`` shards the private step stream over that
+        ``1`` (default) trains serially.  ``> 1`` shards the private step stream over that
         many forked hogwild workers updating a shared-memory model
         (:mod:`repro.engine.hogwild`).  Privacy is composed honestly
         across the shards: the budgeted step count is fixed up front via
@@ -156,28 +123,13 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
         RDP composition is linear in steps at fixed γ, so the reported
         (ε, δ) equals the serial accountant's exactly.  Falls back to
         serial with a warning where ``fork`` is unavailable.
-
-    Passing the graph as the first constructor argument (the pre-estimator
-    convention, followed by ``train()``) is still supported but deprecated.
     """
 
     #: private fits can check admission against / record into a PrivacyLedger
     _supports_ledger = True
 
-    _LEGACY_POSITIONALS = (
-        "proximity",
-        "training_config",
-        "privacy_config",
-        "perturbation",
-        "iterate_averaging",
-        "gradient_normalization",
-        "seed",
-    )
-
     def __init__(
         self,
-        *args,
-        graph: Graph | None = None,
         proximity: ProximityMeasure | ProximityMatrix | None = None,
         training_config: TrainingConfig | None = None,
         privacy_config: PrivacyConfig | None = None,
@@ -186,33 +138,11 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
         gradient_normalization: str = "per_row",
         seed: int | np.random.Generator | None = None,
         proximity_cache="off",
-        fast_path: bool = False,
         compute_dtype="float64",
         workers: int = 1,
         hogwild_resilience: SupervisorPolicy | None = None,
     ) -> None:
         super().__init__()
-        graph, values = self._resolve_init_args(
-            args,
-            graph,
-            {
-                "proximity": proximity,
-                "training_config": training_config,
-                "privacy_config": privacy_config,
-                "perturbation": perturbation,
-                "iterate_averaging": iterate_averaging,
-                "gradient_normalization": gradient_normalization,
-                "seed": seed,
-            },
-        )
-        proximity = values["proximity"]
-        training_config = values["training_config"]
-        privacy_config = values["privacy_config"]
-        perturbation = values["perturbation"]
-        iterate_averaging = values["iterate_averaging"]
-        gradient_normalization = values["gradient_normalization"]
-        seed = values["seed"]
-
         if proximity is None:
             raise TrainingError("SEPrivGEmbTrainer requires a proximity measure or matrix")
         if gradient_normalization not in {"per_row", "batch"}:
@@ -231,7 +161,6 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
         )
         self._seed = seed
         self._proximity_cache = proximity_cache
-        self.fast_path = bool(fast_path)
         self.compute_dtype = resolve_compute_dtype(compute_dtype)
         self.workers = self._validate_workers(workers)
         self.hogwild_resilience = hogwild_resilience
@@ -239,11 +168,6 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
         self.engine: TrainingEngine | None = None
         self.accountant: RdpAccountant | None = None
         self.proximity_matrix: ProximityMatrix | None = None
-
-        if graph is not None:
-            self._warn_legacy_graph_convention()
-            self._rng = ensure_rng(seed if seed is not None else self.training_config.seed)
-            self._setup(graph, self._rng)
 
     # ------------------------------------------------------------------ #
     def _metadata(self) -> dict:
@@ -308,7 +232,7 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
 
         # Theorem-3 negative sampler: candidates uniform, mass min(P)/Σ_j p_ij.
         negative_sampler = ProximityNegativeSampler.from_proximity(
-            graph, self.proximity_matrix, seed=self._rng, use_alias=self.fast_path
+            graph, self.proximity_matrix, seed=self._rng
         )
         pool = generate_disjoint_subgraph_arrays(
             graph, negative_sampler, self.training_config.negative_samples
@@ -318,8 +242,7 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
             self.objective.edge_weights(pool.centers, pool.positives)
         )
         self._sampler = SubgraphSampler(
-            self._subgraph_pool, self.training_config.batch_size, seed=self._rng,
-            fast_path=self.fast_path,
+            self._subgraph_pool, self.training_config.batch_size, seed=self._rng
         )
 
         if isinstance(self._perturbation_spec, PerturbationStrategy):
@@ -347,11 +270,6 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
         ]
         if self.iterate_averaging:
             hooks.append(IterateAveragingHook())
-        workspace = (
-            self._ensure_workspace(self._subgraph_pool, graph.num_nodes)
-            if self.fast_path
-            else None
-        )
         self.engine = TrainingEngine(
             model=self.model,
             optimizer=self.optimizer,
@@ -361,7 +279,6 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
                 self.perturbation, gradient_normalization=self.gradient_normalization
             ),
             hooks=hooks,
-            workspace=workspace,
         )
 
     def _hogwild_update_rule(self, rng):
@@ -500,33 +417,11 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
         """Number of epochs the (ε, δ) budget allows (Algorithm 2 stop rule).
 
         Requires a graph: the sampling rate γ depends on the subgraph set,
-        so the trainer must have been constructed the deprecated way or
-        already fitted.
+        so the trainer must already be fitted.
         """
         self._require_setup()
         return self.accountant.max_steps(
             self.privacy_config.epsilon, self.privacy_config.delta
-        )
-
-    def train(self, epochs: int | None = None) -> PrivateEmbeddingResult:
-        """Run Algorithm 2 and return the private embeddings (legacy entry).
-
-        Training runs for ``epochs`` (default ``training_config.epochs``) or
-        until the privacy budget is exhausted, whichever comes first.  New
-        code should call ``fit(graph)`` and read ``embeddings_`` /
-        ``result_``.
-        """
-        self._require_setup()
-        result = self._run_engine(epochs)
-        self._result = result
-        self._dataset_fingerprint = self.graph.content_fingerprint()
-        return PrivateEmbeddingResult(
-            embeddings=self._embeddings,
-            context_embeddings=self._context_embeddings,
-            privacy_spent=result.privacy_spent,
-            losses=result.losses,
-            epochs_run=result.epochs_run,
-            stopped_early=result.stopped_early,
         )
 
     def __repr__(self) -> str:

@@ -16,16 +16,10 @@ measure, then ``fit(graph)``::
 
     model = SEGEmbTrainer(DegreeProximity(), config=training, seed=0).fit(graph)
     model.embeddings_
-
-The pre-redesign convention — graph in the constructor, ``train()`` to run —
-still works behind a :class:`DeprecationWarning` and produces bit-identical
-embeddings for the same seed.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
 from dataclasses import replace as _dc_replace
 
 import numpy as np
@@ -36,7 +30,6 @@ from ..engine import (
     EngineResult,
     HogwildRun,
     LossLoggingHook,
-    StepWorkspace,
     SubgraphBatch,
     TrainingEngine,
     WorkerReport,
@@ -64,44 +57,9 @@ from .optimizer import SGDOptimizer
 from .shared_model import SharedSkipGramModel
 from .skipgram import SkipGramModel
 
-__all__ = ["EmbeddingResult", "SEGEmbTrainer"]
+__all__ = ["SEGEmbTrainer"]
 
 _LOGGER = get_logger("embedding.trainer")
-
-
-def bind_legacy_positionals(
-    cls_name: str, names: tuple[str, ...], args: tuple, kwargs: dict
-) -> None:
-    """Map leftover legacy positional arguments onto their keyword slots.
-
-    Shared by both trainers' dual-convention constructors; mutates
-    ``kwargs`` in place and raises ``TypeError`` with the usual
-    duplicate/arity messages so the shim feels like a normal signature.
-    """
-    if len(args) > len(names):
-        raise TypeError(
-            f"{cls_name}() takes at most {len(names) + 1} positional arguments "
-            f"({len(args) + 1} given)"
-        )
-    for name, value in zip(names, args, strict=False):
-        if name in kwargs:
-            raise TypeError(f"{cls_name}() got multiple values for argument {name!r}")
-        kwargs[name] = value
-
-
-@dataclass
-class EmbeddingResult:
-    """Output of a (non-private) training run."""
-
-    embeddings: np.ndarray
-    context_embeddings: np.ndarray
-    losses: list[float] = field(default_factory=list)
-    epochs_run: int = 0
-
-    @property
-    def final_loss(self) -> float:
-        """Loss of the last completed epoch (NaN if no epoch ran)."""
-        return self.losses[-1] if self.losses else float("nan")
 
 
 class SkipGramTrainerBase(Embedder):
@@ -200,42 +158,6 @@ class SkipGramTrainerBase(Embedder):
             self._seed if self._seed is not None else self.training_config.seed
         )
 
-    def _resolve_init_args(
-        self, args: tuple, graph: Graph | None, keyword_values: dict
-    ) -> tuple[Graph | None, dict]:
-        """Shared dual-convention constructor parsing.
-
-        ``keyword_values`` maps the class's ``_LEGACY_POSITIONALS`` names to
-        the keyword-passed values; leftover positionals (with an optional
-        leading legacy graph) are bound over them.  Returns the graph (when
-        the deprecated graph-first convention was used) and the final
-        name → value mapping.
-        """
-        cls_name = type(self).__name__
-        values = dict(keyword_values)
-        if args and isinstance(args[0], Graph):
-            if graph is not None:
-                raise TypeError(f"{cls_name}() got multiple values for argument 'graph'")
-            graph, args = args[0], args[1:]
-        if args:
-            if values.get("proximity") is not None:
-                raise TypeError(
-                    f"{cls_name}() got multiple values for argument 'proximity'"
-                )
-            bound: dict = {"proximity": args[0]}
-            bind_legacy_positionals(cls_name, self._LEGACY_POSITIONALS[1:], args[1:], bound)
-            values.update(bound)
-        return graph, values
-
-    def _warn_legacy_graph_convention(self) -> None:
-        warnings.warn(
-            f"passing the graph to {type(self).__name__}(...) is deprecated; "
-            "construct with the proximity only and call fit(graph) (or use "
-            "repro.models.get_method(...).build(...))",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
     def _resolve_proximity_matrix(
         self, graph: Graph, override: ProximityMatrix | None = None
     ) -> ProximityMatrix:
@@ -267,10 +189,8 @@ class SkipGramTrainerBase(Embedder):
         return self._run_engine(epochs)
 
     def _build_options(self) -> dict:
-        """Record the fast-path knobs (shared by both trainers) for artifacts."""
+        """Record the knobs both trainers share for artifacts."""
         options = super()._build_options()
-        if self.fast_path:
-            options["fast_path"] = True
         if self.compute_dtype != np.dtype(np.float64):
             options["compute_dtype"] = self.compute_dtype.name
         if self.workers != 1:
@@ -290,31 +210,19 @@ class SkipGramTrainerBase(Embedder):
 
         Runs *inside* the forked worker: everything heavy (subgraph pool,
         proximity weights, the shared model) is inherited zero-copy; only
-        the sampler, optimizer, update rule and step workspace are
-        worker-private, each seeded from the worker's spawned stream.
-        Workers always run the zero-allocation fast path — a preallocated
-        :class:`~repro.engine.StepWorkspace` per worker is the PR-5
-        invariant this subsystem preserves.
+        the sampler, optimizer and update rule are worker-private, each
+        seeded from the worker's spawned stream.  Each worker's engine
+        allocates its own step workspace per run, like the serial engine.
         """
-        pool = self._subgraph_pool
-        sampler = SubgraphSampler(
-            pool, self.training_config.batch_size, seed=rng, fast_path=True
-        )
-        workspace = StepWorkspace(
-            batch_size=sampler.batch_size,
-            num_negatives=pool.num_negatives,
-            embedding_dim=self.training_config.embedding_dim,
-            num_nodes=self.graph.num_nodes,
-            dtype=self.compute_dtype,
-        )
         return TrainingEngine(
             model=self.model,
             optimizer=SGDOptimizer(self.training_config.learning_rate),
             objective=self.objective,
-            sampler=sampler,
+            sampler=SubgraphSampler(
+                self._subgraph_pool, self.training_config.batch_size, seed=rng
+            ),
             update_rule=self._hogwild_update_rule(rng),
             hooks=(),
-            workspace=workspace,
         )
 
     def _run_hogwild(
@@ -348,25 +256,6 @@ class SkipGramTrainerBase(Embedder):
         if stopped_early:
             result = _dc_replace(result, stopped_early=True)
         return result
-
-    def _ensure_workspace(self, pool: SubgraphBatch, num_nodes: int) -> StepWorkspace:
-        """Create (or reuse, when the geometry matches) the step workspace.
-
-        Reuse across fits is deliberate — the buffers are fully rewritten
-        every step, so a second ``fit`` on the same-shaped problem pays no
-        reallocation; a leak test pins that reuse cannot carry state over.
-        """
-        geometry = dict(
-            batch_size=self._sampler.batch_size,
-            num_negatives=pool.num_negatives,
-            embedding_dim=self.training_config.embedding_dim,
-            num_nodes=num_nodes,
-            dtype=self.compute_dtype,
-        )
-        existing: StepWorkspace | None = getattr(self, "_workspace", None)
-        if existing is None or not existing.matches(**geometry):
-            self._workspace = StepWorkspace(**geometry)
-        return self._workspace
 
     def _require_setup(self) -> None:
         if self.engine is None:
@@ -416,20 +305,12 @@ class SEGEmbTrainer(SkipGramTrainerBase):
         :class:`~repro.proximity.cache.ProximityCache`; an explicit cache
         instance is used as-is.  Ignored when ``proximity`` is already a
         matrix.
-    fast_path:
-        Opt into the zero-allocation training fast path: a preallocated
-        :class:`~repro.engine.StepWorkspace` threads every step, the
-        negative sampler draws through a Walker alias table and batch
-        indices come from a partial Fisher–Yates shuffle.  Sampling RNG
-        *streams* differ from the default (the distributions do not);
-        the default path stays bit-identical.
     compute_dtype:
         ``"float64"`` (default) or ``"float32"``.  Controls the model
         matrices and all gradient arithmetic; privacy-relevant math (noise
         draws, sensitivities, the accountant) always stays float64.
     workers:
-        ``1`` (default) trains serially on the existing engine path,
-        bit-for-bit.  ``> 1`` backs the model with shared memory and
+        ``1`` (default) trains serially.  ``> 1`` backs the model with shared memory and
         shards the step stream over that many forked hogwild workers
         (:mod:`repro.engine.hogwild`); each worker runs its own
         zero-allocation workspace and a spawned RNG stream.  Multi-worker
@@ -444,43 +325,20 @@ class SEGEmbTrainer(SkipGramTrainerBase):
         a shard exhausts its restart budget — degradation to a
         partial-result :class:`~repro.exceptions.HogwildDegradedError`.
         ``None`` (default) keeps the historical all-or-nothing semantics.
-
-    Passing the graph as the first constructor argument (the pre-estimator
-    convention, followed by ``train()``) is still supported but deprecated.
     """
-
-    _LEGACY_POSITIONALS = ("proximity", "config", "negative_sampling", "seed")
 
     def __init__(
         self,
-        *args,
-        graph: Graph | None = None,
         proximity: ProximityMeasure | ProximityMatrix | None = None,
         config: TrainingConfig | None = None,
         negative_sampling: str = "proximity",
         seed: int | np.random.Generator | None = None,
         proximity_cache="off",
-        fast_path: bool = False,
         compute_dtype="float64",
         workers: int = 1,
         hogwild_resilience: SupervisorPolicy | None = None,
     ) -> None:
         super().__init__()
-        graph, values = self._resolve_init_args(
-            args,
-            graph,
-            {
-                "proximity": proximity,
-                "config": config,
-                "negative_sampling": negative_sampling,
-                "seed": seed,
-            },
-        )
-        proximity = values["proximity"]
-        config = values["config"]
-        negative_sampling = values["negative_sampling"]
-        seed = values["seed"]
-
         if proximity is None:
             raise TrainingError("SEGEmbTrainer requires a proximity measure or matrix")
         if negative_sampling not in {"proximity", "unigram"}:
@@ -492,18 +350,12 @@ class SEGEmbTrainer(SkipGramTrainerBase):
         self.negative_sampling = negative_sampling
         self._seed = seed
         self._proximity_cache = proximity_cache
-        self.fast_path = bool(fast_path)
         self.compute_dtype = resolve_compute_dtype(compute_dtype)
         self.workers = self._validate_workers(workers)
         self.hogwild_resilience = hogwild_resilience
         self.graph: Graph | None = None
         self.engine: TrainingEngine | None = None
         self.proximity_matrix: ProximityMatrix | None = None
-
-        if graph is not None:
-            self._warn_legacy_graph_convention()
-            self._rng = ensure_rng(seed if seed is not None else self.config.seed)
-            self._setup(graph, self._rng)
 
     # ------------------------------------------------------------------ #
     @property
@@ -558,12 +410,10 @@ class SEGEmbTrainer(SkipGramTrainerBase):
 
         if self.negative_sampling == "proximity":
             negative_sampler = ProximityNegativeSampler.from_proximity(
-                graph, self.proximity_matrix, seed=self._rng, use_alias=self.fast_path
+                graph, self.proximity_matrix, seed=self._rng
             )
         else:
-            negative_sampler = UnigramNegativeSampler(
-                graph, seed=self._rng, use_alias=self.fast_path
-            )
+            negative_sampler = UnigramNegativeSampler(graph, seed=self._rng)
         pool = generate_disjoint_subgraph_arrays(
             graph, negative_sampler, self.config.negative_samples
         )
@@ -573,13 +423,7 @@ class SEGEmbTrainer(SkipGramTrainerBase):
             self.objective.edge_weights(pool.centers, pool.positives)
         )
         self._sampler = SubgraphSampler(
-            self._subgraph_pool, self.config.batch_size, seed=self._rng,
-            fast_path=self.fast_path,
-        )
-        workspace = (
-            self._ensure_workspace(self._subgraph_pool, graph.num_nodes)
-            if self.fast_path
-            else None
+            self._subgraph_pool, self.config.batch_size, seed=self._rng
         )
         self.engine = TrainingEngine(
             model=self.model,
@@ -588,7 +432,6 @@ class SEGEmbTrainer(SkipGramTrainerBase):
             sampler=self._sampler,
             update_rule=DirectSparseUpdate(),
             hooks=(LossLoggingHook(_LOGGER),),
-            workspace=workspace,
         )
 
     def _run_engine(self, epochs: int | None) -> FitResult:
@@ -606,24 +449,6 @@ class SEGEmbTrainer(SkipGramTrainerBase):
             losses=result.losses,
             epochs_run=result.epochs_run,
             stopped_early=result.stopped_early,
-        )
-
-    def train(self, epochs: int | None = None) -> EmbeddingResult:
-        """Run training and return embeddings (pre-estimator entry point).
-
-        Requires the deprecated graph-at-construction form (or a prior
-        ``fit``); new code should call ``fit(graph)`` and read
-        ``embeddings_`` / ``result_``.
-        """
-        self._require_setup()
-        result = self._run_engine(epochs)
-        self._result = result
-        self._dataset_fingerprint = self.graph.content_fingerprint()
-        return EmbeddingResult(
-            embeddings=self._embeddings,
-            context_embeddings=self._context_embeddings,
-            losses=result.losses,
-            epochs_run=result.epochs_run,
         )
 
     def __repr__(self) -> str:

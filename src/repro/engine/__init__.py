@@ -7,10 +7,9 @@ structure-preference gradients in one vectorized pass
 (:class:`TrainingEngine`) that both the non-private and the private trainer
 configure via update rules and hooks instead of re-implementing.
 
-Two opt-in collaborators speed and instrument the loop without touching the
-default path: :class:`StepWorkspace` preallocates every per-step array once
-(the zero-allocation fast path), and :class:`StepProfiler` records where a
-step's wall time goes (sample / gradients / perturb / descend).
+Every step runs through a :class:`StepWorkspace` that preallocates the
+per-step arrays once per run, and an opt-in :class:`StepProfiler` records
+where a step's wall time goes (sample / gradients / perturb / descend).
 """
 
 from .batch import BatchGradients, SubgraphBatch
@@ -24,7 +23,7 @@ from .hooks import (
 from .hogwild import HogwildRun, WorkerReport, plan_shards, run_hogwild
 from .profiler import StepProfile, StepProfiler
 from .updates import DirectSparseUpdate, PerturbedUpdate, UpdateRule
-from .workspace import StepWorkspace, WorkspacePerturbedGradients, resolve_compute_dtype
+from .workspace import PerturbedGradients, StepWorkspace, resolve_compute_dtype
 
 __all__ = [
     "BatchGradients",
@@ -42,7 +41,7 @@ __all__ = [
     "plan_shards",
     "run_hogwild",
     "StepWorkspace",
-    "WorkspacePerturbedGradients",
+    "PerturbedGradients",
     "UpdateRule",
     "DirectSparseUpdate",
     "PerturbedUpdate",

@@ -119,7 +119,7 @@ class SubgraphBatch:
         With ``out`` (a batch wrapping preallocated buffers, e.g.
         ``StepWorkspace.batch``) the rows are gathered straight into the
         buffers via ``np.take(..., out=..., mode="clip")`` and ``out`` is
-        returned — the allocation-free fast path.  ``indices`` must already
+        returned — the engine's allocation-free step.  ``indices`` must already
         be in range (``mode="clip"`` silently clamps, it does not validate)
         and the weight dtypes must match exactly, otherwise numpy would
         allocate a casting buffer behind the scenes.

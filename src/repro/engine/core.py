@@ -10,11 +10,16 @@ One epoch of either trainer is the same four moves:
    for SE-PrivGEmb),
 4. run the hooks (privacy accounting, iterate averaging, logging).
 
+Every phase runs through one :class:`~repro.engine.workspace.StepWorkspace`
+that :meth:`TrainingEngine.run` allocates from the model's and the
+sampler's geometry and drops when the run ends.
+
 The engine is deliberately duck-typed: it needs a model with ``w_in`` /
 ``w_out`` / ``embeddings()``, an optimizer with ``descend*`` /
 ``step_epoch``, an objective with ``batch_gradients`` and a sampler with
-``sample_batch_arrays`` — it imports nothing from the embedding package, so
-the embedding layer can depend on the engine without a cycle.
+``batch_size`` / ``pool`` / ``sample_batch_arrays`` — it imports nothing
+from the embedding package, so the embedding layer can depend on the
+engine without a cycle.
 """
 
 from __future__ import annotations
@@ -29,10 +34,10 @@ import numpy as np
 from ..exceptions import TrainingError
 from .hooks import EngineHook
 from .updates import UpdateRule
+from .workspace import StepWorkspace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .profiler import StepProfile, StepProfiler
-    from .workspace import StepWorkspace
 
 __all__ = ["EngineResult", "TrainingEngine"]
 
@@ -65,22 +70,16 @@ class TrainingEngine:
     optimizer:
         SGD optimizer applying the updates (and learning-rate decay).
     objective:
-        Objective exposing ``batch_gradients(w_in, w_out, batch)``.
+        Objective exposing ``batch_gradients(w_in, w_out, batch, workspace=)``.
     sampler:
-        Batch source exposing ``sample_batch_arrays() -> SubgraphBatch``.
+        Batch source exposing ``batch_size``, its ``pool`` and
+        ``sample_batch_arrays(workspace) -> SubgraphBatch``.
     update_rule:
         How gradients hit the parameters (exact vs private).
     hooks:
         Ordered :class:`EngineHook` instances; ``before_step`` hooks can
         stop training (privacy budget), ``on_train_end`` hooks can replace
         the published matrices (iterate averaging).
-    workspace:
-        Optional :class:`~repro.engine.workspace.StepWorkspace`.  When
-        present every step runs through the preallocated buffers (the
-        zero-allocation fast path); the sampler and objective must be
-        workspace-aware (``SubgraphSampler`` / the structure-preference
-        objective are).  ``None`` (default) keeps the existing path
-        bit-for-bit.
     """
 
     def __init__(
@@ -92,7 +91,6 @@ class TrainingEngine:
         sampler,
         update_rule: UpdateRule,
         hooks: Sequence[EngineHook] = (),
-        workspace: "StepWorkspace | None" = None,
     ) -> None:
         self.model = model
         self.optimizer = optimizer
@@ -100,7 +98,8 @@ class TrainingEngine:
         self.sampler = sampler
         self.update_rule = update_rule
         self.hooks = tuple(hooks)
-        self.workspace = workspace
+        #: the step buffers, allocated by ``run`` and dropped when it ends
+        self.workspace: StepWorkspace | None = None
         #: installed by a StepProfiler hook for the duration of a run
         self.profiler: "StepProfiler | None" = None
         #: total epochs requested by the current ``run`` (for logging hooks).
@@ -108,29 +107,19 @@ class TrainingEngine:
 
     # ------------------------------------------------------------------ #
     def step(self, epoch: int = 0) -> float:
-        """Run one training step and return its mean batch loss."""
+        """Run one training step through the workspace; return its mean batch loss."""
         profiler = self.profiler
         workspace = self.workspace
         if profiler is not None:
             start = perf_counter()
-        if workspace is None:
-            batch = self.sampler.sample_batch_arrays()
-            if profiler is not None:
-                now = perf_counter()
-                profiler.record("sample", now - start)
-                start = now
-            gradients = self.objective.batch_gradients(
-                self.model.w_in, self.model.w_out, batch
-            )
-        else:
-            batch = self.sampler.sample_batch_arrays(workspace=workspace)
-            if profiler is not None:
-                now = perf_counter()
-                profiler.record("sample", now - start)
-                start = now
-            gradients = self.objective.batch_gradients(
-                self.model.w_in, self.model.w_out, batch, workspace=workspace
-            )
+        batch = self.sampler.sample_batch_arrays(workspace)
+        if profiler is not None:
+            now = perf_counter()
+            profiler.record("sample", now - start)
+            start = now
+        gradients = self.objective.batch_gradients(
+            self.model.w_in, self.model.w_out, batch, workspace=workspace
+        )
         if profiler is not None:
             profiler.record("gradients", perf_counter() - start)
         self.update_rule.apply(self.model, self.optimizer, batch, gradients)
@@ -142,28 +131,30 @@ class TrainingEngine:
         if epochs <= 0:
             raise TrainingError(f"epochs must be positive, got {epochs}")
         self.total_epochs = epochs
-        if self.workspace is not None:
-            self.workspace.validate_model(self.model)
+        self.workspace = StepWorkspace.for_training(self.model, self.sampler)
         self.update_rule.workspace = self.workspace
+        try:
+            self.profiler = None
+            for hook in self.hooks:
+                hook.on_train_start(self)
+            # a StepProfiler hook installs itself on engine.profiler above
+            self.update_rule.profiler = self.profiler
 
-        self.profiler = None
-        for hook in self.hooks:
-            hook.on_train_start(self)
-        # a StepProfiler hook installs itself on engine.profiler above
-        self.update_rule.profiler = self.profiler
-
-        losses: list[float] = []
-        stopped_early = False
-        with self.update_rule.running():
-            for epoch in range(epochs):
-                if not all(hook.before_step(self, epoch) for hook in self.hooks):
-                    stopped_early = True
-                    break
-                loss = self.step(epoch)
-                losses.append(loss)
-                for hook in self.hooks:
-                    hook.after_step(self, epoch, loss)
-                self.optimizer.step_epoch()
+            losses: list[float] = []
+            stopped_early = False
+            with self.update_rule.running():
+                for epoch in range(epochs):
+                    if not all(hook.before_step(self, epoch) for hook in self.hooks):
+                        stopped_early = True
+                        break
+                    loss = self.step(epoch)
+                    losses.append(loss)
+                    for hook in self.hooks:
+                        hook.after_step(self, epoch, loss)
+                    self.optimizer.step_epoch()
+        finally:
+            # the buffers live for one run only: a fitted estimator keeps none
+            self.workspace = self.update_rule.workspace = None
 
         result = EngineResult(
             embeddings=self.model.embeddings(),

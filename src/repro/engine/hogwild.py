@@ -15,10 +15,10 @@ than corruption (Niu et al., 2011).  This module provides the pool:
 * each worker derives its own namespaced RNG stream from a
   ``SeedSequence.spawn`` child and builds a private engine around the
   shared model via the caller's ``engine_factory`` — its own sampler,
-  optimizer, perturbation and preallocated
-  :class:`~repro.engine.workspace.StepWorkspace`, so the PR-5
-  zero-allocation invariant holds per worker and nothing but the model
-  pages is shared on the hot path;
+  optimizer and perturbation; each engine run allocates its own
+  :class:`~repro.engine.workspace.StepWorkspace`, so the zero-allocation
+  step holds per worker and nothing but the model pages is shared on the
+  hot path;
 * per-worker losses, :class:`~repro.engine.profiler.StepProfile` results
   and (opt-in) tracemalloc evidence come back over a pipe and are merged
   into one :class:`~repro.engine.core.EngineResult`.

@@ -1,31 +1,28 @@
-"""Preallocated per-step workspaces: the zero-allocation training fast path.
+"""Preallocated per-step workspaces: every training step runs allocation-free.
 
-Every engine step of the default path allocates roughly ten fresh arrays —
-the batch gather, the ``[B, 1+k, r]`` context-vector block, einsum
-temporaries, the outer-product gradient block, clipping quotients, Gaussian
-noise matrices — so on large graphs step time is dominated by the allocator,
-not FLOPs.  :class:`StepWorkspace` allocates each of those arrays exactly
-once, and the fast path threads it through the whole step:
+An engine step needs roughly ten arrays — the batch gather, the
+``[B, 1+k, r]`` context-vector block, the score and error blocks, the
+outer-product gradient block, clipping quotients, Gaussian noise — and on
+large graphs allocating them per step would dominate the step time.
+:class:`StepWorkspace` allocates each of them once per
+:meth:`~repro.engine.core.TrainingEngine.run`, and the step threads it
+through every phase:
 
-* ``SubgraphSampler.sample_batch_arrays(workspace=...)`` fills the batch
+* ``SubgraphSampler.sample_batch_arrays(workspace)`` fills the batch
   buffers in place via ``np.take(..., out=..., mode="clip")``,
 * ``StructurePreferenceObjective.batch_gradients(..., workspace=...)``
   computes scores, losses, errors and both gradient blocks with ``out=``
   ufuncs and einsums into the preallocated blocks,
-* the update rules descend through scratch buffers
-  (``SGDOptimizer.descend_rows(..., scratch=...)``), and
-* :class:`~repro.embedding.perturbation.NonZeroPerturbation` runs its
-  clip → aggregate → noise pipeline entirely inside the two
-  :class:`_SegmentScratch` blocks, drawing Gaussians with
-  ``standard_normal(out=...)`` into a reused buffer.
+* the perturbation strategies clip in place and (non-zero Eq. 9) run
+  their aggregate → noise pipeline inside the two :class:`_SegmentScratch`
+  blocks, drawing Gaussians into a reused float64 buffer, and
+* the update rules descend through the same scratch.
 
 Steady-state steps therefore perform no array-sized heap allocations in the
 gradient / perturb / descend phases (a tracemalloc test pins this); the only
 remaining per-step allocations are O(bytes) Python object overhead (view
-structs, the loss float).
-
-The workspace is opt-in: engines built without one run the existing
-float64 default path bit-for-bit unchanged.
+structs, the loss float).  The engine drops the workspace when the run
+ends, so a fitted estimator holds no step buffers.
 """
 
 from __future__ import annotations
@@ -40,12 +37,12 @@ from ..exceptions import ConfigurationError
 from .batch import BatchGradients, SubgraphBatch
 
 __all__ = [
+    "PerturbedGradients",
     "StepWorkspace",
-    "WorkspacePerturbedGradients",
     "resolve_compute_dtype",
 ]
 
-#: dtypes the compute fast path supports; accountant / sensitivity / noise
+#: the supported compute dtypes; accountant / sensitivity / noise
 #: calibration always stay float64 regardless of this knob.
 _COMPUTE_DTYPES = {"float32": np.float32, "float64": np.float64}
 
@@ -186,12 +183,14 @@ class _SegmentScratch:
 
 
 @dataclass
-class WorkspacePerturbedGradients:
-    """Per-step view of the noised compact gradients, reused every step.
+class PerturbedGradients:
+    """The noised summed gradients of one private step, row by row.
 
-    The fields are views into the owning workspace's scratch buffers —
-    consumers (the :class:`~repro.engine.updates.PerturbedUpdate` fast
-    branch) must finish with them before the next step overwrites them.
+    For each matrix: the rows that carry a gradient (sorted unique), their
+    noisy clipped sums and how many examples touched each row.  Non-zero
+    Eq. 9 reports the touched rows only, as views into the workspace's
+    segment scratch (valid until the next step overwrites them); naive
+    Eq. 6 reports every row of the matrix, untouched ones with count 0.
     """
 
     w_in_rows: np.ndarray | None = None
@@ -205,7 +204,7 @@ class WorkspacePerturbedGradients:
 
 
 class StepWorkspace:
-    """Every per-step array of the training fast path, allocated once.
+    """Every per-step array of a training run, allocated once.
 
     Parameters
     ----------
@@ -281,7 +280,6 @@ class StepWorkspace:
         self.loss_scratch_b = np.empty((B, K), dtype=self.dtype)
         self.center_gradients = np.empty((B, r), dtype=self.dtype)
         self.context_gradients = np.empty((B, K, r), dtype=self.dtype)
-        self.context_gradients_flat = self.context_gradients.reshape(slots, r)
         # broadcastable views built once so the hot loop never re-slices
         self.weights_col = self.weights[:, None]
         self.errors_col = self.errors[:, :, None]
@@ -302,43 +300,20 @@ class StepWorkspace:
         # ---- compact scatter scratch (direct descents and non-zero Eq. 9) ----
         self.center_scratch = _SegmentScratch(B, r, self.dtype)
         self.context_scratch = _SegmentScratch(slots, r, self.dtype)
-        self.perturb_result = WorkspacePerturbedGradients()
+        self.perturb_result = PerturbedGradients()
 
-    # ------------------------------------------------------------------ #
-    def matches(
-        self,
-        *,
-        batch_size: int,
-        num_negatives: int,
-        embedding_dim: int,
-        num_nodes: int,
-        dtype: DTypeLike | None,
-    ) -> bool:
-        """Whether this workspace can serve a run with the given geometry."""
-        return (
-            self.batch_size == int(batch_size)
-            and self.num_negatives == int(num_negatives)
-            and self.embedding_dim == int(embedding_dim)
-            and self.num_nodes == int(num_nodes)
-            and self.dtype == resolve_compute_dtype(dtype)
+    @classmethod
+    def for_training(cls, model, sampler) -> "StepWorkspace":
+        """The workspace of one run: the model's shape and dtype, the sampler's batch."""
+        return cls(
+            batch_size=sampler.batch_size,
+            num_negatives=sampler.pool.num_negatives,
+            embedding_dim=model.embedding_dim,
+            num_nodes=model.num_nodes,
+            dtype=model.w_in.dtype,
         )
 
-    def validate_model(self, model: object) -> None:
-        """Check the model's matrices against the workspace geometry."""
-        w_in = getattr(model, "w_in", None)
-        if w_in is None:
-            raise ConfigurationError("workspace requires a model with a w_in matrix")
-        if w_in.dtype != self.dtype:
-            raise ConfigurationError(
-                f"model dtype {w_in.dtype} does not match workspace compute "
-                f"dtype {self.dtype}; build the model with the same compute_dtype"
-            )
-        if w_in.shape != (self.num_nodes, self.embedding_dim):
-            raise ConfigurationError(
-                f"model shape {w_in.shape} does not match workspace geometry "
-                f"({self.num_nodes}, {self.embedding_dim})"
-            )
-
+    # ------------------------------------------------------------------ #
     def validate_batch(self, batch: SubgraphBatch) -> None:
         """Check an incoming batch against the preallocated buffer shapes."""
         if batch.contexts.shape != self.contexts.shape:

@@ -28,7 +28,7 @@ from ..evaluation import (
     structural_equivalence_score,
 )
 from ..graph import Graph
-from ..models import Embedder, available_methods, get_method
+from ..models import Embedder, get_method
 from ..proximity.base import ProximityMatrix
 from ..proximity.cache import ProximityCache, resolve_cache_policy
 from ..utils.rng import repeat_streams
@@ -40,51 +40,6 @@ __all__ = [
     "evaluate_link_prediction",
     "is_private_method",
 ]
-
-def __getattr__(name: str):
-    # METHOD_NAMES predates the registry; keep imports of it working while
-    # steering callers to available_methods()
-    if name == "METHOD_NAMES":
-        warnings.warn(
-            "repro.experiments.runner.METHOD_NAMES is deprecated; use "
-            "repro.models.available_methods()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return tuple(available_methods())
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _coerce_cache_policy(policy: Any, *, legacy_none: str) -> "str | ProximityCache":
-    """Translate legacy cache arguments onto the explicit contract.
-
-    The explicit contract is ``"default"`` / ``"off"`` / a
-    :class:`ProximityCache` instance.  ``None`` and booleans are the
-    pre-redesign overloads: ``None`` meant whatever the call site's old
-    default was (passed in as ``legacy_none``), ``False`` meant bypass and
-    ``True`` the default cache — all accepted with a
-    :class:`DeprecationWarning`.
-    """
-    if isinstance(policy, ProximityCache) or policy in ("default", "off"):
-        return policy
-    if policy is None:
-        warnings.warn(
-            "proximity_cache=None is deprecated; pass 'default', 'off', or a "
-            "ProximityCache instance",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return legacy_none
-    if isinstance(policy, bool):
-        warnings.warn(
-            "boolean proximity_cache values are deprecated; pass 'off' instead of "
-            "False and 'default' instead of True",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return "default" if policy else "off"
-    # invalid values fall through to resolve_cache_policy's error
-    return policy
 
 
 def _resolve_proximity(
@@ -150,9 +105,7 @@ def embed_with_method(
         ``"default"`` (process-wide cache), ``"off"`` (compute ephemerally
         — the right choice for one-shot embeds of large graphs or throwaway
         split graphs), or an explicit
-        :class:`~repro.proximity.cache.ProximityCache`.  The old ``None`` /
-        ``False`` / ``True`` overloads are accepted with a
-        :class:`DeprecationWarning`.
+        :class:`~repro.proximity.cache.ProximityCache`.
     return_model:
         When ``True``, return the fitted :class:`~repro.models.Embedder`
         (with ``embeddings_``, ``result_`` incl. privacy spent, and
@@ -163,7 +116,6 @@ def embed_with_method(
         ignore it rather than fail the sweep.
     """
     spec = get_method(method)
-    proximity_cache = _coerce_cache_policy(proximity_cache, legacy_none="default")
     workers = int(workers)
     build_kwargs: dict[str, Any] = {}
     if workers != 1:
@@ -230,7 +182,6 @@ def evaluate_structural_equivalence(
     either).
     """
     spec = get_method(method)
-    proximity_cache = _coerce_cache_policy(proximity_cache, legacy_none="default")
     proximity = _resolve_proximity(spec, graph, None, deepwalk_window, proximity_cache)
     train_streams, eval_stream = repeat_streams(seed, repeats)
     if evaluation_seed is not None:
@@ -293,7 +244,6 @@ def evaluate_link_prediction(
     (e.g. when sweeping several ε values over the same seeds and splits).
     """
     spec = get_method(method)
-    proximity_cache = _coerce_cache_policy(proximity_cache, legacy_none="off")
     train_streams, _ = repeat_streams(seed, repeats)
     scores = []
     for train_stream in train_streams:

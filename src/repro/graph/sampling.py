@@ -63,20 +63,10 @@ class EdgeSubgraph:
 class _NegativeSamplerBase:
     """Common machinery: draw nodes from a distribution, rejecting neighbours.
 
-    Draws are vectorised: candidates come from one inverse-CDF lookup
-    (``searchsorted`` over the cumulative probabilities) per rejection
-    round, and neighbour rejection runs through the graph's bulk CSR edge
-    test.  The seed implementation paid one O(n) ``rng.choice`` per
-    negative, which made Algorithm-1 pool construction the bottleneck on
-    graphs past a few thousand nodes.
-
-    With ``use_alias=True`` candidates come from a Walker alias table
-    instead: two O(1) lookups per draw in place of the O(log n)
-    ``searchsorted`` binary search — the standard trick of node2vec-family
-    implementations.  The draw *distribution* is identical but the RNG
-    *stream* is not (one uniform per draw instead of one per bin search),
-    so the alias path sits behind the fast-path switch and the default
-    stream stays pinned.
+    Draws are vectorised: candidates come from a Walker alias table — two
+    O(1) lookups per draw, the standard trick of node2vec-family
+    implementations — and neighbour rejection runs through the graph's
+    bulk CSR edge test, one round for all pending draws at a time.
     """
 
     def __init__(
@@ -85,7 +75,6 @@ class _NegativeSamplerBase:
         probabilities: np.ndarray,
         seed: int | np.random.Generator | None = None,
         max_attempts: int = 1000,
-        use_alias: bool = False,
     ) -> None:
         probabilities = np.asarray(probabilities, dtype=float)
         if probabilities.shape != (graph.num_nodes,):
@@ -99,15 +88,9 @@ class _NegativeSamplerBase:
             raise GraphError("negative sampling probabilities must not all be zero")
         self.graph = graph
         self.probabilities = probabilities / total
-        self._cdf = np.cumsum(self.probabilities)
-        self._cdf[-1] = 1.0  # guard the top bin against cumsum round-off
         self._rng = ensure_rng(seed)
         self._max_attempts = int(max_attempts)
-        self.use_alias = bool(use_alias)
-        self._alias_accept: np.ndarray | None = None
-        self._alias_index: np.ndarray | None = None
-        if self.use_alias:
-            self._build_alias_table()
+        self._build_alias_table()
 
     # ------------------------------------------------------------------ #
     def _build_alias_table(self) -> None:
@@ -143,11 +126,6 @@ class _NegativeSamplerBase:
 
     def _draw_candidates(self, count: int) -> np.ndarray:
         """Draw ``count`` node candidates from the sampling distribution."""
-        if not self.use_alias:
-            draws = np.searchsorted(
-                self._cdf, self._rng.random(count), side="right"
-            ).astype(np.int64)
-            return np.minimum(draws, self.graph.num_nodes - 1, out=draws)
         n = self.graph.num_nodes
         u = self._rng.random(count)
         u *= n
@@ -172,7 +150,7 @@ class _NegativeSamplerBase:
         Returns an ``[len(centers), count]`` array where no entry is a
         neighbour of (or equal to) its row's centre.  All pending draws
         across all rows share each rejection round, so the cost is a few
-        ``searchsorted`` passes regardless of the number of centres.
+        alias-table passes regardless of the number of centres.
         """
         if count < 0:
             raise GraphError(f"count must be non-negative, got {count}")
@@ -227,12 +205,11 @@ class UnigramNegativeSampler(_NegativeSamplerBase):
         graph: Graph,
         power: float = 0.75,
         seed: int | np.random.Generator | None = None,
-        use_alias: bool = False,
     ) -> None:
         degrees = graph.degrees().astype(float)
         # Isolated nodes get a tiny positive mass so the distribution is valid.
         weights = np.power(np.maximum(degrees, 1e-12), power)
-        super().__init__(graph, weights, seed=seed, use_alias=use_alias)
+        super().__init__(graph, weights, seed=seed)
         self.power = float(power)
 
 
@@ -256,7 +233,6 @@ class ProximityNegativeSampler(_NegativeSamplerBase):
         proximity_row_sums: np.ndarray,
         min_positive_proximity: float,
         seed: int | np.random.Generator | None = None,
-        use_alias: bool = False,
     ) -> None:
         proximity_row_sums = np.asarray(proximity_row_sums, dtype=float)
         if proximity_row_sums.shape != (graph.num_nodes,):
@@ -271,7 +247,7 @@ class ProximityNegativeSampler(_NegativeSamplerBase):
         # Candidate negatives are drawn uniformly; the proximity information
         # enters through the per-centre weight used in the objective.
         uniform = np.ones(graph.num_nodes, dtype=float)
-        super().__init__(graph, uniform, seed=seed, use_alias=use_alias)
+        super().__init__(graph, uniform, seed=seed)
         self.row_sums = proximity_row_sums
         self.min_positive_proximity = float(min_positive_proximity)
 
@@ -281,7 +257,6 @@ class ProximityNegativeSampler(_NegativeSamplerBase):
         graph: Graph,
         proximity,
         seed: int | np.random.Generator | None = None,
-        use_alias: bool = False,
     ) -> "ProximityNegativeSampler":
         """Build the Theorem-3 sampler straight from a ``ProximityMatrix``.
 
@@ -294,7 +269,6 @@ class ProximityNegativeSampler(_NegativeSamplerBase):
             proximity_row_sums=proximity.row_sums,
             min_positive_proximity=max(proximity.min_positive, 1e-12),
             seed=seed,
-            use_alias=use_alias,
         )
 
     def negative_probability(self, center: int) -> float:
@@ -389,17 +363,13 @@ class SubgraphSampler:
     subsampling rate ``γ = B / |GS|`` feeds the privacy-amplification bound
     (Theorem 4 / 5 of the paper).
 
-    The pool is stored as a :class:`~repro.engine.batch.SubgraphBatch`;
-    :meth:`sample_batch_arrays` is the engine's zero-copy hot path, while
-    :meth:`sample_batch` keeps the per-example dataclass view for callers
-    that want one (both consume the identical RNG draw).
-
-    With ``fast_path=True`` index draws switch from ``rng.choice`` —
-    O(|GS|) per step, it permutes the whole pool — to a partial
-    Fisher–Yates shuffle of a persistent permutation: O(B) work and O(B)
-    uniform draws per step, still exactly uniform without replacement.
-    The draw stream differs from ``rng.choice``, which is why the switch
-    defaults off and the default stream stays pinned.
+    The pool is stored as a :class:`~repro.engine.batch.SubgraphBatch`.
+    Indices come from one ``rng.choice(replace=False)`` per step, so the
+    generator's ``bit_generator.state`` is the sampler's whole state — a
+    hogwild checkpoint that saves it resumes the exact index stream.
+    :meth:`sample_batch_arrays` gathers a batch into the engine's
+    workspace; :meth:`sample_batch` is the per-example dataclass view of
+    the same draw.
     """
 
     def __init__(
@@ -407,7 +377,6 @@ class SubgraphSampler:
         subgraphs: Sequence[EdgeSubgraph] | SubgraphBatch,
         batch_size: int,
         seed: int | np.random.Generator | None = None,
-        fast_path: bool = False,
     ) -> None:
         if isinstance(subgraphs, SubgraphBatch):
             pool = subgraphs
@@ -423,30 +392,7 @@ class SubgraphSampler:
         self.pool = pool
         self.batch_size = min(int(batch_size), len(pool))
         self._rng = ensure_rng(seed)
-        self.fast_path = bool(fast_path)
         self._cast_pools: dict[np.dtype, SubgraphBatch] = {}
-        if self.fast_path:
-            size = len(pool)
-            batch = self.batch_size
-            # the permutation lives as a Python list: the B sequential swaps
-            # are ~5x faster on list ints than through numpy scalar indexing
-            self._perm = list(range(size))
-            # span[i] = size - i, so u * span + i is uniform over [i, size)
-            self._fy_spans = (size - np.arange(batch)).astype(np.float64)
-            self._fy_base = np.arange(batch, dtype=np.float64)
-            self._fy_uniforms = np.empty(batch, dtype=np.float64)
-            self._fy_draws = np.empty(batch, dtype=np.int64)
-            self._fy_indices = np.empty(batch, dtype=np.int64)
-
-    @property
-    def subgraphs(self) -> list[EdgeSubgraph]:
-        """Compatibility copy of the pool as per-example dataclasses.
-
-        Built fresh on each access (O(|GS|)); mutating the returned list
-        does not affect what :meth:`sample_batch` can draw — the pool
-        arrays are the source of truth.
-        """
-        return self.pool.to_subgraphs()
 
     @property
     def sampling_rate(self) -> float:
@@ -454,40 +400,8 @@ class SubgraphSampler:
         return self.batch_size / len(self.pool)
 
     def sample_indices(self) -> np.ndarray:
-        """Draw ``batch_size`` pool indices uniformly without replacement.
-
-        The fast path returns a *view* of the persistent permutation's
-        prefix — copy it if you need it to survive the next draw.
-        """
-        if self.fast_path:
-            return self._fisher_yates_prefix()
+        """Draw ``batch_size`` pool indices uniformly without replacement."""
         return self._rng.choice(len(self.pool), size=self.batch_size, replace=False)
-
-    def _fisher_yates_prefix(self) -> np.ndarray:
-        """Partial Fisher–Yates: shuffle a uniform B-prefix into ``_perm``.
-
-        All ``B`` swap targets are drawn and truncated vectorised (into the
-        preallocated buffers); only the inherently sequential swaps run in
-        Python, over the list-backed permutation.  Starting from any
-        permutation the B-prefix after the swaps is a uniform ordered
-        sample without replacement.  Returns the reused index buffer —
-        valid until the next draw.
-        """
-        size = len(self.pool)
-        batch = self.batch_size
-        uniforms = self._fy_uniforms
-        draws = self._fy_draws
-        self._rng.random(out=uniforms)
-        np.multiply(uniforms, self._fy_spans, out=uniforms)
-        np.add(uniforms, self._fy_base, out=uniforms)
-        np.copyto(draws, uniforms, casting="unsafe")  # trunc: floor for x >= 0
-        np.minimum(draws, size - 1, out=draws)  # u * span can round up to span
-        perm = self._perm
-        for i, j in enumerate(draws.tolist()):
-            perm[i], perm[j] = perm[j], perm[i]
-        indices = self._fy_indices
-        indices[:] = perm[:batch]
-        return indices
 
     def _pool_for_dtype(self, dtype: np.dtype) -> SubgraphBatch:
         """The pool with weights cast to ``dtype`` (cached; cast once)."""
@@ -500,21 +414,19 @@ class SubgraphSampler:
             self._cast_pools[dtype] = cast
         return cast
 
-    def sample_batch_arrays(self, *, workspace=None) -> SubgraphBatch:
-        """Sample one batch in array form — the engine's hot path.
+    def sample_batch_arrays(self, workspace) -> SubgraphBatch:
+        """Sample one batch into ``workspace.batch`` — the engine's hot path.
 
-        With ``workspace`` the batch is gathered straight into the
-        workspace's preallocated buffers (no per-step allocation); pool
-        weights are cast to the workspace compute dtype once and cached.
+        The rows are gathered straight into the workspace's preallocated
+        buffers; pool weights are cast to the workspace compute dtype once
+        and cached.
         """
-        if workspace is None:
-            return self.pool.take(self.sample_indices())
         pool = self._pool_for_dtype(workspace.dtype)
         return pool.take(self.sample_indices(), out=workspace.batch)
 
     def sample_batch(self) -> list[EdgeSubgraph]:
         """Sample ``batch_size`` subgraphs uniformly without replacement."""
-        return self.sample_batch_arrays().to_subgraphs()
+        return self.pool.take(self.sample_indices()).to_subgraphs()
 
     def __len__(self) -> int:
         return len(self.pool)

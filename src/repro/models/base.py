@@ -468,11 +468,15 @@ class Embedder(abc.ABC):
             TrainingConfig(**metadata["training"]) if metadata.get("training") else None
         )
         privacy = PrivacyConfig(**metadata["privacy"]) if metadata.get("privacy") else None
+        options = dict(metadata.get("build_options") or {})
+        # older skip-gram artifacts record fast_path=True, the name of the
+        # workspace step that is now the only step: nothing left to replay
+        options.pop("fast_path", None)
         model = spec.build(
             training=training,
             privacy=privacy,
             perturbation=metadata.get("perturbation"),
-            **(metadata.get("build_options") or {}),
+            **options,
         )
         if not isinstance(model, cls):
             raise ArtifactError(

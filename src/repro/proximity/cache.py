@@ -346,9 +346,7 @@ def resolve_cache_policy(policy) -> ProximityCache | None:
     The contract is three-valued: ``"default"`` routes through the
     process-wide cache, ``"off"`` bypasses caching entirely (returns
     ``None``), and a :class:`ProximityCache` instance is used as-is.
-    Anything else — including the pre-redesign ``None``/``False``/``True``
-    overloads, which only the experiment runner shims (they never existed
-    on the trainer constructors) — is rejected with
+    Anything else — ``None`` and booleans included — is rejected with
     :class:`~repro.exceptions.ConfigurationError`.
     """
     if isinstance(policy, ProximityCache):

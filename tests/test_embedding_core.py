@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from perturbation_oracle import densify, load_gradients, workspace_for
 
 from repro import ConfigurationError, SkipGramModel, TrainingError
 from repro.embedding.objectives import (
@@ -17,6 +18,7 @@ from repro.embedding.perturbation import (
     NonZeroPerturbation,
     get_perturbation,
 )
+from repro.engine import PerturbedUpdate
 from repro.graph.sampling import EdgeSubgraph
 from repro.proximity import DeepWalkProximity
 from repro.utils.math import log_sigmoid, sigmoid
@@ -205,6 +207,12 @@ class TestSGDOptimizer:
             opt.descend(np.zeros((2, 2)), np.zeros((3, 2)))
 
 
+def _perturb(strategy, grads, num_nodes=10):
+    """Run the workspace perturbation on per-example gradients, densified."""
+    ws = workspace_for(grads, num_nodes)
+    return densify(strategy.perturb_batch(load_gradients(ws, grads), ws), num_nodes)
+
+
 class TestPerturbationStrategies:
     def _example_gradients(self, rng, num_nodes=10, dim=4, count=6):
         grads = []
@@ -233,7 +241,7 @@ class TestPerturbationStrategies:
     def test_nonzero_only_noises_touched_rows(self, rng):
         grads = self._example_gradients(rng, count=3)
         strategy = NonZeroPerturbation(2.0, 5.0, seed=1)
-        result = strategy.perturb(grads, num_nodes=10, embedding_dim=4)
+        result = _perturb(strategy, grads)
         touched_in = {g.center for g in grads}
         untouched_in = set(range(10)) - touched_in
         for row in untouched_in:
@@ -243,36 +251,46 @@ class TestPerturbationStrategies:
     def test_naive_noises_every_row(self, rng):
         grads = self._example_gradients(rng, count=3)
         strategy = NaivePerturbation(2.0, 5.0, seed=1)
-        result = strategy.perturb(grads, num_nodes=10, embedding_dim=4)
+        result = _perturb(strategy, grads)
         assert np.all(np.any(result.w_in_gradient != 0, axis=1))
 
     def test_naive_noise_is_much_larger(self, rng):
         grads = self._example_gradients(rng, count=8)
-        naive = NaivePerturbation(2.0, 5.0, seed=2).perturb(grads, 10, 4)
-        nonzero = NonZeroPerturbation(2.0, 5.0, seed=2).perturb(grads, 10, 4)
+        naive = _perturb(NaivePerturbation(2.0, 5.0, seed=2), grads)
+        nonzero = _perturb(NonZeroPerturbation(2.0, 5.0, seed=2), grads)
         assert np.linalg.norm(naive.w_in_gradient) > 3 * np.linalg.norm(nonzero.w_in_gradient)
 
     def test_counts_track_batch_composition(self, rng):
         grads = self._example_gradients(rng, count=5)
-        result = NonZeroPerturbation(2.0, 5.0, seed=0).perturb(grads, 10, 4)
+        result = _perturb(NonZeroPerturbation(2.0, 5.0, seed=0), grads)
         assert result.w_in_counts.sum() == 5
         assert result.w_out_counts.sum() == 5 * 3  # positive + 2 negatives each
         assert result.batch_size == 5
 
     def test_normalisation_helpers(self, rng):
+        """The update divides the noisy sums by B or by each row's count."""
         grads = self._example_gradients(rng, count=4)
-        result = NonZeroPerturbation(2.0, 5.0, seed=0).perturb(grads, 10, 4)
-        by_batch_in, _ = result.averaged_by_batch()
-        by_row_in, _ = result.averaged_by_row_counts()
-        np.testing.assert_allclose(by_batch_in * result.batch_size, result.w_in_gradient)
+        raw = _perturb(NonZeroPerturbation(2.0, 5.0, seed=0), grads)
+        by_batch = raw.w_in_gradient / raw.batch_size
+        by_row = raw.w_in_gradient / np.maximum(raw.w_in_counts, 1.0)[:, None]
+        for normalization, expected in (("batch", by_batch), ("per_row", by_row)):
+            ws = workspace_for(grads, num_nodes=10)
+            update = PerturbedUpdate(
+                NonZeroPerturbation(2.0, 5.0, seed=0), gradient_normalization=normalization
+            )
+            update.workspace = ws
+            model = SkipGramModel(10, 4, seed=0)
+            model.w_in[:] = 0.0
+            update.apply(model, SGDOptimizer(1.0), None, load_gradients(ws, grads))
+            np.testing.assert_allclose(-model.w_in, expected, rtol=1e-12, atol=1e-12)
         # rows touched exactly once are identical to the raw sum under per-row averaging
-        once = np.where(result.w_in_counts == 1)[0]
-        np.testing.assert_allclose(by_row_in[once], result.w_in_gradient[once])
+        once = np.flatnonzero(raw.w_in_counts == 1)
+        np.testing.assert_allclose(by_row[once], raw.w_in_gradient[once])
 
     def test_empty_batch_rejected(self):
-        strategy = NonZeroPerturbation(2.0, 5.0, seed=0)
-        with pytest.raises(TrainingError):
-            strategy.perturb([], num_nodes=5, embedding_dim=3)
+        for strategy in (NonZeroPerturbation(2.0, 5.0, seed=0), NaivePerturbation(2.0, 5.0)):
+            with pytest.raises(TrainingError):
+                strategy.sensitivity(batch_size=0)
 
     def test_registry_lookup(self):
         assert isinstance(get_perturbation("naive", 2.0, 5.0), NaivePerturbation)

@@ -1,15 +1,17 @@
 """Tests for the vectorized training engine.
 
-The headline guarantee: the engine's batched path (``batch_gradients`` +
-``perturb_batch`` + ``TrainingEngine``) is *numerically equivalent* to the
-seed's per-example loop (``pair_gradients`` + ``perturb``) — same weights,
-same clipping, same noise draws given the same seed — to within 1e-10.
+The headline guarantee: the engine's workspace step (``batch_gradients`` +
+``perturb_batch`` + ``TrainingEngine``) is *numerically equivalent* to a
+per-example loop (``pair_gradients`` + the oracle ``perturb``) — same
+weights, same clipping, same noise draws given the same seed — to within
+1e-10.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from perturbation_oracle import densify, perturb
 
 from repro import (
     PrivacyConfig,
@@ -25,6 +27,7 @@ from repro.engine import (
     DirectSparseUpdate,
     EngineHook,
     LossLoggingHook,
+    StepWorkspace,
     TrainingEngine,
 )
 from repro.graph.sampling import (
@@ -47,6 +50,16 @@ def _objective_and_pool(graph, k=4, seed=0):
     sampler = UnigramNegativeSampler(graph, seed=seed)
     pool = generate_disjoint_subgraph_arrays(graph, sampler, k)
     return objective, pool
+
+
+def _whole_pool_gradients(graph, objective, pool, w_in, w_out):
+    """Gradients of every pool row in one workspace step."""
+    pool = pool.with_weights(objective.edge_weights(pool.centers, pool.positives))
+    ws = StepWorkspace(
+        batch_size=len(pool), num_negatives=pool.num_negatives,
+        embedding_dim=w_in.shape[1], num_nodes=graph.num_nodes,
+    )
+    return objective.batch_gradients(w_in, w_out, pool, workspace=ws), ws
 
 
 class TestSubgraphBatch:
@@ -101,10 +114,13 @@ class TestSubgraphBatch:
 
 class TestBatchedSampler:
     def test_array_and_list_batches_share_the_rng_stream(self, small_graph):
-        _, pool = _objective_and_pool(small_graph)
+        objective, pool = _objective_and_pool(small_graph)
+        pool = pool.with_weights(objective.edge_weights(pool.centers, pool.positives))
         a = SubgraphSampler(pool, batch_size=8, seed=42)
         b = SubgraphSampler(pool.to_subgraphs(), batch_size=8, seed=42)
-        arrays = a.sample_batch_arrays()
+        ws = StepWorkspace(batch_size=8, num_negatives=pool.num_negatives,
+                           embedding_dim=4, num_nodes=small_graph.num_nodes)
+        arrays = a.sample_batch_arrays(ws)
         listed = b.sample_batch()
         assert len(listed) == len(arrays)
         for row, sub in enumerate(listed):
@@ -115,7 +131,9 @@ class TestBatchedSampler:
         objective, pool = _objective_and_pool(small_graph)
         pool = pool.with_weights(objective.edge_weights(pool.centers, pool.positives))
         sampler = SubgraphSampler(pool, batch_size=8, seed=1)
-        batch = sampler.sample_batch_arrays()
+        ws = StepWorkspace(batch_size=8, num_negatives=pool.num_negatives,
+                           embedding_dim=4, num_nodes=small_graph.num_nodes)
+        batch = sampler.sample_batch_arrays(ws)
         assert batch.weights is not None
         np.testing.assert_allclose(
             batch.weights,
@@ -139,7 +157,7 @@ class TestBatchGradientEquivalence:
         w_in = rng.normal(size=(small_graph.num_nodes, 8))
         w_out = rng.normal(size=(small_graph.num_nodes, 8))
 
-        batch = objective.batch_gradients(w_in, w_out, pool)
+        batch, _ = _whole_pool_gradients(small_graph, objective, pool, w_in, w_out)
 
         for row, sub in enumerate(pool.to_subgraphs()):
             weight = objective.edge_weight(sub.center, sub.positive)
@@ -158,7 +176,7 @@ class TestBatchGradientEquivalence:
         objective, pool = _objective_and_pool(small_graph)
         w_in = rng.normal(size=(small_graph.num_nodes, 8))
         w_out = rng.normal(size=(small_graph.num_nodes, 8))
-        grads = objective.batch_gradients(w_in, w_out, pool)
+        grads, _ = _whole_pool_gradients(small_graph, objective, pool, w_in, w_out)
         assert objective.batch_loss(w_in, w_out, pool) == pytest.approx(
             grads.mean_loss, abs=ATOL
         )
@@ -171,23 +189,23 @@ class TestBatchGradientEquivalence:
 class TestPerturbationEquivalence:
     @pytest.mark.parametrize("strategy", ["nonzero", "naive"])
     def test_perturb_batch_matches_perturb(self, small_graph, rng, strategy):
-        """Same clipping, same noise draws: the two paths agree to 1e-10."""
+        """Same clipping, same noise draws: step and oracle agree to 1e-10."""
         objective, pool = _objective_and_pool(small_graph)
         w_in = rng.normal(size=(small_graph.num_nodes, 8))
         w_out = rng.normal(size=(small_graph.num_nodes, 8))
-        batch_grads = objective.batch_gradients(w_in, w_out, pool)
+        batch_grads, ws = _whole_pool_gradients(small_graph, objective, pool, w_in, w_out)
 
         loop = get_perturbation(strategy, clipping_threshold=0.5, noise_multiplier=2.0, seed=77)
         vec = get_perturbation(strategy, clipping_threshold=0.5, noise_multiplier=2.0, seed=77)
 
-        reference = loop.perturb(
+        # copies: perturb_batch clips the workspace buffers in place
+        reference = perturb(
+            loop,
             batch_grads.to_pair_gradients(),
             num_nodes=small_graph.num_nodes,
             embedding_dim=8,
         )
-        batched = vec.perturb_batch(
-            batch_grads, num_nodes=small_graph.num_nodes, embedding_dim=8
-        )
+        batched = densify(vec.perturb_batch(batch_grads, ws), small_graph.num_nodes)
 
         np.testing.assert_allclose(batched.w_in_gradient, reference.w_in_gradient, atol=ATOL)
         np.testing.assert_allclose(batched.w_out_gradient, reference.w_out_gradient, atol=ATOL)
@@ -269,8 +287,11 @@ def _legacy_private_train(graph, training, privacy, seed, epochs):
             objective.example_gradients(model.w_in, model.w_out, subgraph)
             for subgraph in batch
         ]
-        perturbed = perturbation.perturb(
-            example_gradients, num_nodes=model.num_nodes, embedding_dim=model.embedding_dim
+        perturbed = perturb(
+            perturbation,
+            example_gradients,
+            num_nodes=model.num_nodes,
+            embedding_dim=model.embedding_dim,
         )
         w_in_grad, w_out_grad = perturbed.averaged_by_row_counts()
         optimizer.descend(model.w_in, w_in_grad)
@@ -291,11 +312,11 @@ def _legacy_private_train(graph, training, privacy, seed, epochs):
 class TestEngineTrainerEquivalence:
     def test_nonprivate_trainer_matches_legacy_loop(self, small_graph, fast_training_config):
         legacy = _legacy_nonprivate_train(small_graph, fast_training_config, seed=3, epochs=5)
-        result = SEGEmbTrainer(
-            small_graph, DegreeProximity(), config=fast_training_config, seed=3
-        ).train(epochs=5)
-        np.testing.assert_allclose(result.embeddings, legacy.w_in, atol=ATOL)
-        np.testing.assert_allclose(result.context_embeddings, legacy.w_out, atol=ATOL)
+        trainer = SEGEmbTrainer(
+            DegreeProximity(), config=fast_training_config, seed=3
+        ).fit(small_graph, epochs=5)
+        np.testing.assert_allclose(trainer.embeddings_, legacy.w_in, atol=ATOL)
+        np.testing.assert_allclose(trainer.context_embeddings_, legacy.w_out, atol=ATOL)
 
     def test_private_trainer_matches_legacy_loop(
         self, small_graph, fast_training_config, fast_privacy_config
@@ -303,15 +324,14 @@ class TestEngineTrainerEquivalence:
         legacy_w_in, legacy_w_out = _legacy_private_train(
             small_graph, fast_training_config, fast_privacy_config, seed=9, epochs=5
         )
-        result = SEPrivGEmbTrainer(
-            small_graph,
+        trainer = SEPrivGEmbTrainer(
             DegreeProximity(),
             training_config=fast_training_config,
             privacy_config=fast_privacy_config,
             seed=9,
-        ).train(epochs=5)
-        np.testing.assert_allclose(result.embeddings, legacy_w_in, atol=ATOL)
-        np.testing.assert_allclose(result.context_embeddings, legacy_w_out, atol=ATOL)
+        ).fit(small_graph, epochs=5)
+        np.testing.assert_allclose(trainer.embeddings_, legacy_w_in, atol=ATOL)
+        np.testing.assert_allclose(trainer.context_embeddings_, legacy_w_out, atol=ATOL)
 
 
 class _StopAfter(EngineHook):

@@ -1,16 +1,19 @@
-"""Tests for the zero-allocation training fast path.
+"""Tests for the zero-allocation training step.
 
 Covers the :class:`~repro.engine.StepWorkspace` machinery (in-place
-gradients, compact perturbation, segment reduction), the ``compute_dtype``
-knob (float32 ↔ float64 parity at tolerance across every registered
-method), the alias negative sampler, the partial Fisher–Yates batch
-sampler, the per-phase :class:`~repro.engine.StepProfiler`, the SGD dtype
-guard, and the tracemalloc allocation pins.
+gradients, compact perturbation, segment reduction) and its per-run
+lifetime, the ``compute_dtype`` knob (float32 ↔ float64 parity at
+tolerance, phase by phase and across every registered method), the alias
+negative sampler, the ``rng.choice`` batch sampler, the per-phase
+:class:`~repro.engine.StepProfiler`, the SGD dtype guard, and the
+tracemalloc allocation pins.
 """
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -24,11 +27,11 @@ from repro.embedding.private_trainer import SEPrivGEmbTrainer
 from repro.embedding.trainer import SEGEmbTrainer
 from repro.engine import (
     DirectSparseUpdate,
+    EngineHook,
+    PerturbedGradients,
     PerturbedUpdate,
     StepProfiler,
     StepWorkspace,
-    TrainingEngine,
-    WorkspacePerturbedGradients,
     resolve_compute_dtype,
 )
 from repro.engine.workspace import _SegmentScratch
@@ -40,7 +43,7 @@ from repro.graph.sampling import (
     UnigramNegativeSampler,
     generate_disjoint_subgraph_arrays,
 )
-from repro.models import Embedder, available_methods, get_method
+from repro.models import Embedder, available_methods, get_method, load_artifact, save_artifact
 from repro.proximity import DegreeProximity
 
 TRAINING = TrainingConfig(
@@ -57,20 +60,25 @@ def graph():
     return load_dataset("smallworld", num_nodes=80, seed=7)
 
 
-def _fast_setup(graph, *, dtype="float64", private=False, seed=0):
-    """A trainer's engine stack on the fast path, already set up."""
+def _setup(graph, *, dtype="float64", private=False, seed=0):
+    """A trainer's engine stack, already set up."""
     if private:
         trainer = SEPrivGEmbTrainer(
             proximity=DegreeProximity(), training_config=TRAINING,
-            privacy_config=PRIVACY, seed=seed, fast_path=True, compute_dtype=dtype,
+            privacy_config=PRIVACY, seed=seed, compute_dtype=dtype,
         )
     else:
         trainer = SEGEmbTrainer(
             proximity=DegreeProximity(), config=TRAINING, seed=seed,
-            fast_path=True, compute_dtype=dtype,
+            compute_dtype=dtype,
         )
     trainer._setup(graph, np.random.default_rng(seed))
     return trainer
+
+
+def _workspace(trainer):
+    """The workspace a run of ``trainer``'s engine would allocate."""
+    return StepWorkspace.for_training(trainer.model, trainer._sampler)
 
 
 # --------------------------------------------------------------------- #
@@ -101,18 +109,14 @@ class TestStepWorkspace:
         with pytest.raises(ConfigurationError, match="num_negatives"):
             StepWorkspace(batch_size=4, num_negatives=0, embedding_dim=3, num_nodes=10)
 
-    def test_matches_and_model_validation(self):
-        ws = StepWorkspace(batch_size=4, num_negatives=2, embedding_dim=3, num_nodes=10)
-        assert ws.matches(batch_size=4, num_negatives=2, embedding_dim=3,
-                          num_nodes=10, dtype="float64")
-        assert not ws.matches(batch_size=4, num_negatives=2, embedding_dim=3,
-                              num_nodes=10, dtype="float32")
-        assert not ws.matches(batch_size=5, num_negatives=2, embedding_dim=3,
-                              num_nodes=10, dtype="float64")
-        model = SkipGramModel(10, 3, seed=0, dtype="float32")
-        with pytest.raises(ConfigurationError, match="float32"):
-            ws.validate_model(model)
-        ws.validate_model(SkipGramModel(10, 3, seed=0))
+    def test_for_training_takes_model_and_sampler_geometry(self, graph):
+        trainer = _setup(graph, dtype="float32")
+        ws = _workspace(trainer)
+        assert ws.batch_size == trainer._sampler.batch_size
+        assert ws.num_negatives == TRAINING.negative_samples
+        assert ws.embedding_dim == TRAINING.embedding_dim
+        assert ws.num_nodes == graph.num_nodes
+        assert ws.dtype == np.dtype(np.float32)
 
     def test_resolve_compute_dtype(self):
         assert resolve_compute_dtype("float32") == np.dtype(np.float32)
@@ -156,33 +160,34 @@ class TestSegmentScratch:
 
 
 # --------------------------------------------------------------------- #
-# workspace gradient / perturb equivalence with the default path
+# float32 workspace phases against the float64 default, same batches
 # --------------------------------------------------------------------- #
+def _gradients_for(trainer, batch):
+    ws = _workspace(trainer)
+    model = trainer.model
+    return trainer.objective.batch_gradients(model.w_in, model.w_out, batch, workspace=ws), ws
+
+
 class TestWorkspaceEquivalence:
     def test_gradients_match_default_path(self, graph):
-        trainer = _fast_setup(graph)
-        ws = trainer.engine.workspace
-        batch = trainer._sampler.sample_batch_arrays(workspace=ws)
-        model = trainer.model
-        fast = trainer.objective.batch_gradients(
-            model.w_in, model.w_out, batch, workspace=ws
-        )
-        # the same indices through the allocating default path
-        default = trainer.objective.batch_gradients(
-            model.w_in, model.w_out,
-            trainer._subgraph_pool.take(trainer._sampler._fy_indices),
-        )
-        np.testing.assert_allclose(fast.center_gradients, default.center_gradients,
-                                   rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(fast.context_gradients, default.context_gradients,
-                                   rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(fast.losses, default.losses, rtol=1e-12, atol=1e-14)
-        np.testing.assert_array_equal(fast.centers, default.centers)
-        np.testing.assert_array_equal(fast.context_nodes, default.context_nodes)
+        """float32 gradients of one sampled batch shadow the float64 default."""
+        default = _setup(graph)
+        fast = _setup(graph, dtype="float32")
+        batch64 = default._sampler.sample_batch_arrays(_workspace(default))
+        batch32 = fast._sampler.sample_batch_arrays(_workspace(fast))
+        np.testing.assert_array_equal(batch32.centers, batch64.centers)
+        np.testing.assert_array_equal(batch32.contexts, batch64.contexts)
+        grads64, _ = _gradients_for(default, batch64)
+        grads32, _ = _gradients_for(fast, batch32)
+        assert grads32.center_gradients.dtype == np.dtype(np.float32)
+        for name in ("center_gradients", "context_gradients", "losses"):
+            np.testing.assert_allclose(
+                getattr(grads32, name), getattr(grads64, name), rtol=1e-4, atol=1e-6
+            )
 
     def test_workspace_requires_bound_weights(self, graph):
-        trainer = _fast_setup(graph)
-        ws = trainer.engine.workspace
+        trainer = _setup(graph)
+        ws = _workspace(trainer)
         model = trainer.model
         pool = trainer._subgraph_pool
         weightless = pool.take(np.arange(ws.batch_size)).with_weights(
@@ -195,47 +200,29 @@ class TestWorkspaceEquivalence:
             )
 
     def test_perturb_batch_workspace_matches_default(self, graph):
-        trainer = _fast_setup(graph, private=True)
-        ws = trainer.engine.workspace
-        model = trainer.model
-        batch = trainer._sampler.sample_batch_arrays(workspace=ws)
-        gradients = trainer.objective.batch_gradients(
-            model.w_in, model.w_out, batch, workspace=ws
-        )
-        # two strategies with the same seed: the noise streams are pinned
-        fast_strategy = get_perturbation("nonzero", 2.0, 5.0, seed=123)
-        default_strategy = get_perturbation("nonzero", 2.0, 5.0, seed=123)
-        # the default path must not see the in-place clipped buffers
-        default_gradients = type(gradients)(
-            centers=gradients.centers.copy(),
-            center_gradients=gradients.center_gradients.copy(),
-            context_nodes=gradients.context_nodes.copy(),
-            context_gradients=gradients.context_gradients.copy(),
-            losses=gradients.losses.copy(),
-        )
-        default = default_strategy.perturb_batch(
-            default_gradients, num_nodes=graph.num_nodes,
-            embedding_dim=model.embedding_dim,
-        )
-        fast = fast_strategy.perturb_batch(
-            gradients, num_nodes=graph.num_nodes,
-            embedding_dim=model.embedding_dim, workspace=ws,
-        )
-        assert isinstance(fast, WorkspacePerturbedGradients)
+        """float32 perturbation: the float64 default's rows, counts and noise."""
+        results = {}
+        for dtype in ("float64", "float32"):
+            trainer = _setup(graph, private=True, dtype=dtype)
+            batch = trainer._sampler.sample_batch_arrays(_workspace(trainer))
+            gradients, ws = _gradients_for(trainer, batch)
+            # same seed: the float64 noise stream is identical for both dtypes
+            strategy = get_perturbation("nonzero", 2.0, 5.0, seed=123)
+            results[dtype] = strategy.perturb_batch(gradients, ws)
+        fast, default = results["float32"], results["float64"]
+        assert isinstance(fast, PerturbedGradients)
+        assert fast.w_in_sums.dtype == np.dtype(np.float32)
         np.testing.assert_array_equal(fast.w_in_rows, default.w_in_rows)
         np.testing.assert_array_equal(fast.w_out_rows, default.w_out_rows)
-        np.testing.assert_array_equal(fast.w_in_counts, default.w_in_row_counts)
-        np.testing.assert_array_equal(fast.w_out_counts, default.w_out_row_counts)
-        # same noise draws land on the same touched rows -> near-identical sums
-        np.testing.assert_allclose(fast.w_in_sums, default.w_in_gradient_rows,
-                                   rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(fast.w_out_sums, default.w_out_gradient_rows,
-                                   rtol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(fast.w_in_counts, default.w_in_counts)
+        np.testing.assert_array_equal(fast.w_out_counts, default.w_out_counts)
+        np.testing.assert_allclose(fast.w_in_sums, default.w_in_sums, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(fast.w_out_sums, default.w_out_sums, rtol=1e-5, atol=1e-5)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)
     def test_engine_step_matches_default_given_same_batches(self, seed):
-        """One fast-path step == one default step when fed identical batches."""
+        """One float32 step shadows one float64 step fed the identical batch."""
         graph = load_dataset("smallworld", num_nodes=50, seed=3)
         proximity = DegreeProximity().compute(graph)
         objective = StructurePreferenceObjective(proximity)
@@ -244,30 +231,26 @@ class TestWorkspaceEquivalence:
         pool = generate_disjoint_subgraph_arrays(graph, negative, 3)
         pool = pool.with_weights(objective.edge_weights(pool.centers, pool.positives))
         indices = np.random.default_rng(seed + 1).choice(len(pool), size=16, replace=False)
-        batch = pool.take(indices)
 
-        model_a = SkipGramModel(graph.num_nodes, 6, seed=seed)
-        model_b = SkipGramModel(graph.num_nodes, 6, seed=seed)
-        np.testing.assert_array_equal(model_a.w_in, model_b.w_in)
-        optimizer_a = SGDOptimizer(0.1)
-        optimizer_b = SGDOptimizer(0.1)
+        models, losses = {}, {}
+        for dtype in ("float64", "float32"):
+            model = SkipGramModel(graph.num_nodes, 6, seed=seed, dtype=dtype)
+            ws = StepWorkspace(batch_size=16, num_negatives=3, embedding_dim=6,
+                               num_nodes=graph.num_nodes, dtype=dtype)
+            batch = pool.with_weights(pool.weights.astype(dtype)).take(indices, out=ws.batch)
+            rule = DirectSparseUpdate()
+            rule.workspace = ws
+            gradients = objective.batch_gradients(model.w_in, model.w_out, batch, workspace=ws)
+            losses[dtype] = gradients.mean_loss
+            rule.apply(model, SGDOptimizer(0.1), batch, gradients)
+            models[dtype] = model
 
-        rule_a = DirectSparseUpdate()
-        gradients_a = objective.batch_gradients(model_a.w_in, model_a.w_out, batch)
-        rule_a.apply(model_a, optimizer_a, batch, gradients_a)
-
-        ws = StepWorkspace(batch_size=16, num_negatives=3, embedding_dim=6,
-                           num_nodes=graph.num_nodes)
-        rule_b = DirectSparseUpdate()
-        rule_b.workspace = ws
-        gradients_b = objective.batch_gradients(
-            model_b.w_in, model_b.w_out, batch, workspace=ws
-        )
-        rule_b.apply(model_b, optimizer_b, batch, gradients_b)
-
-        assert gradients_a.mean_loss == pytest.approx(gradients_b.mean_loss, rel=1e-12)
-        np.testing.assert_allclose(model_a.w_in, model_b.w_in, rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(model_a.w_out, model_b.w_out, rtol=1e-12, atol=1e-13)
+        assert losses["float32"] == pytest.approx(losses["float64"], rel=1e-5)
+        for name in ("w_in", "w_out"):
+            np.testing.assert_allclose(
+                getattr(models["float32"], name), getattr(models["float64"], name),
+                rtol=1e-5, atol=1e-6,
+            )
 
 
 # --------------------------------------------------------------------- #
@@ -277,16 +260,13 @@ def _small_parity_graph():
     return load_dataset("smallworld", num_nodes=70, seed=5)
 
 
-_SE_METHODS = ("se_privgemb_dw", "se_privgemb_deg", "se_gemb_dw", "se_gemb_deg")
-
-
 class TestComputeDtypeParity:
     @pytest.mark.parametrize("method", available_methods())
     def test_float32_matches_float64_at_tolerance(self, method):
         """The satellite contract: float32 runs shadow float64 at rtol<=1e-4.
 
-        SE methods run both dtypes on the *fast path* (index draws and DP
-        noise are dtype-independent there, so the two runs see identical
+        SE methods run both dtypes through the same step (index draws and
+        DP noise are dtype-independent, so the two runs see identical
         batches and noise); the one-shot baselines publish a float32 cast
         of their float64 release.
         """
@@ -296,12 +276,11 @@ class TestComputeDtypeParity:
             embedding_dim=10, batch_size=20, learning_rate=0.1,
             negative_samples=3, epochs=12, seed=0,
         )
-        extra = {"fast_path": True} if method in _SE_METHODS else {}
         runs = {}
         for dtype in ("float64", "float32"):
             model = spec.build(
                 training=training, privacy=PRIVACY, proximity_cache="off",
-                seed=0, compute_dtype=dtype, **extra,
+                seed=0, compute_dtype=dtype,
             ).fit(graph)
             runs[dtype] = model
         emb64 = runs["float64"].embeddings_
@@ -322,7 +301,7 @@ class TestComputeDtypeParity:
         for dtype in ("float64", "float32"):
             runs[dtype] = SEGEmbTrainer(
                 proximity=DegreeProximity(), config=TRAINING, seed=seed,
-                fast_path=True, compute_dtype=dtype,
+                compute_dtype=dtype,
             ).fit(graph)
         emb64 = runs["float64"].embeddings_
         emb32 = runs["float32"].embeddings_
@@ -334,69 +313,74 @@ class TestComputeDtypeParity:
             rtol=1e-4, atol=1e-6,
         )
 
-    def test_fast64_matches_default64_statistics_not_stream(self, graph):
-        """Fast and default paths draw different batch streams by design.
-
-        The losses should land in the same range (same objective, same
-        distribution) even though the sequences differ.
-        """
-        default = SEGEmbTrainer(
-            proximity=DegreeProximity(), config=TRAINING, seed=0
-        ).fit(graph)
-        fast = SEGEmbTrainer(
-            proximity=DegreeProximity(), config=TRAINING, seed=0, fast_path=True
-        ).fit(graph)
-        assert fast.result_.final_loss == pytest.approx(
-            default.result_.final_loss, rel=0.25
-        )
-
     def test_artifact_roundtrip_replays_fastpath_and_dtype(self, tmp_path, graph):
+        """Artifacts recording the retired ``fast_path`` option still load."""
         model = get_method("se_gemb_deg").build(
-            training=TRAINING, seed=0, proximity_cache="off",
-            fast_path=True, compute_dtype="float32",
+            training=TRAINING, seed=0, proximity_cache="off", compute_dtype="float32",
         ).fit(graph)
         path = model.save(tmp_path / "fast.npz")
+        arrays, metadata = load_artifact(path)
+        assert "fast_path" not in metadata["build_options"]
+        # what an artifact saved with fast_path=True looked like
+        metadata["build_options"]["fast_path"] = True
+        save_artifact(path, arrays, metadata)
         reloaded = Embedder.load(path)
-        assert reloaded.fast_path is True
+        assert not hasattr(reloaded, "fast_path")
         assert reloaded.compute_dtype == np.dtype(np.float32)
         np.testing.assert_array_equal(reloaded.embeddings_, model.embeddings_)
 
 
 # --------------------------------------------------------------------- #
-# workspace reuse cannot leak state between fits
+# the workspace lives for one run
 # --------------------------------------------------------------------- #
-class TestWorkspaceReuse:
-    def test_refit_reuses_workspace_without_leaking(self, graph):
-        trainer = SEGEmbTrainer(
-            proximity=DegreeProximity(), config=TRAINING, seed=0, fast_path=True
-        )
-        first = trainer.fit(graph).embeddings_.copy()
-        workspace_first = trainer._workspace
-        second = trainer.fit(graph).embeddings_
-        assert trainer._workspace is workspace_first  # reused, not rebuilt
-        fresh = SEGEmbTrainer(
-            proximity=DegreeProximity(), config=TRAINING, seed=0, fast_path=True
-        ).fit(graph).embeddings_
-        np.testing.assert_array_equal(first, second)
-        np.testing.assert_array_equal(second, fresh)
+def _reachable_workspaces(root):
+    """Every StepWorkspace reachable from ``root`` through object references.
 
-    def test_refit_on_other_graph_rebuilds_and_stays_clean(self):
+    Classes, modules and functions are not followed: through them (a
+    function's globals) everything in the process would be reachable.
+    """
+    skipped = (type, types.ModuleType, types.FunctionType, np.ndarray)
+    found, seen, pending = [], set(), [root]
+    while pending:
+        item = pending.pop()
+        if id(item) in seen or isinstance(item, skipped):
+            continue
+        seen.add(id(item))
+        if isinstance(item, StepWorkspace):
+            found.append(item)
+        pending.extend(gc.get_referents(item))
+    return found
+
+
+class TestWorkspaceLifetime:
+    @pytest.mark.parametrize("private", [False, True], ids=["direct", "perturbed"])
+    def test_fit_leaves_no_workspace_reachable(self, graph, private):
+        if private:
+            trainer = SEPrivGEmbTrainer(
+                proximity=DegreeProximity(), training_config=TRAINING,
+                privacy_config=PRIVACY, seed=0,
+            )
+        else:
+            trainer = SEGEmbTrainer(proximity=DegreeProximity(), config=TRAINING, seed=0)
+        trainer.fit(graph)
+        assert _reachable_workspaces(trainer) == []
+
+    def test_second_fit_matches_fresh_estimator(self):
         graph_a = load_dataset("smallworld", num_nodes=60, seed=1)
         graph_b = load_dataset("smallworld", num_nodes=90, seed=2)
         trainer = SEPrivGEmbTrainer(
             proximity=DegreeProximity(), training_config=TRAINING,
-            privacy_config=PRIVACY, seed=0, fast_path=True,
+            privacy_config=PRIVACY, seed=0,
         )
-        trainer.fit(graph_a)
-        ws_a = trainer._workspace
+        first = trainer.fit(graph_a).embeddings_.copy()
         trainer.fit(graph_b)
-        assert trainer._workspace is not ws_a  # geometry changed
-        roundtrip = trainer.fit(graph_a).embeddings_
+        again = trainer.fit(graph_a).embeddings_
         fresh = SEPrivGEmbTrainer(
             proximity=DegreeProximity(), training_config=TRAINING,
-            privacy_config=PRIVACY, seed=0, fast_path=True,
+            privacy_config=PRIVACY, seed=0,
         ).fit(graph_a).embeddings_
-        np.testing.assert_array_equal(roundtrip, fresh)
+        np.testing.assert_array_equal(first, fresh)
+        np.testing.assert_array_equal(again, fresh)
 
 
 # --------------------------------------------------------------------- #
@@ -419,7 +403,7 @@ class TestZeroAllocation:
     # Python/numpy object overhead per phase (view structs, the loss float,
     # numpy-internal cast buffers) is a few tens of KB; an array-sized
     # allocation at these shapes is >= 192 KB (one [B, 1+k, r] float32
-    # block), and the default path peaks in the MBs.
+    # block).
     PHASE_BUDGET = 128 * 1024
 
     @pytest.fixture(scope="class")
@@ -434,18 +418,18 @@ class TestZeroAllocation:
         if private:
             trainer = SEPrivGEmbTrainer(
                 proximity=DegreeProximity(), training_config=config,
-                privacy_config=PRIVACY, seed=0, fast_path=True,
-                compute_dtype="float32",
+                privacy_config=PRIVACY, seed=0, compute_dtype="float32",
             )
         else:
             trainer = SEGEmbTrainer(
                 proximity=DegreeProximity(), config=config, seed=0,
-                fast_path=True, compute_dtype="float32",
+                compute_dtype="float32",
             )
         trainer._setup(alloc_graph, np.random.default_rng(0))
         engine = trainer.engine
         engine.run(3)  # steady state: caches warm, cast pools built
-        engine.update_rule.workspace = engine.workspace
+        # a run drops its workspace; attach one to step outside run()
+        engine.workspace = engine.update_rule.workspace = _workspace(trainer)
         return trainer, engine
 
     @pytest.mark.parametrize("private", [False, True], ids=["direct", "perturbed"])
@@ -455,7 +439,7 @@ class TestZeroAllocation:
         trainer, engine = self._engine(alloc_graph, private)
         ws = engine.workspace
         model, optimizer = engine.model, engine.optimizer
-        batch = engine.sampler.sample_batch_arrays(workspace=ws)
+        batch = engine.sampler.sample_batch_arrays(ws)
 
         gradient_peak = _phase_peak(
             lambda: engine.objective.batch_gradients(
@@ -472,25 +456,11 @@ class TestZeroAllocation:
         )
         assert update_peak < self.PHASE_BUDGET, f"update allocates {update_peak}"
 
-    def test_full_fast_step_is_far_below_default_path(self, alloc_graph):
-        _, fast_engine = self._engine(alloc_graph, private=True)
-        fast_peak = _phase_peak(lambda: fast_engine.step())
-
-        default = SEPrivGEmbTrainer(
-            proximity=DegreeProximity(),
-            training_config=TrainingConfig(
-                embedding_dim=32, batch_size=512, learning_rate=0.1,
-                negative_samples=5, epochs=1, seed=0,
-            ),
-            privacy_config=PRIVACY, seed=0,
-        )
-        default._setup(alloc_graph, np.random.default_rng(0))
-        default.engine.run(3)
-        default_peak = _phase_peak(lambda: default.engine.step())
-
-        assert fast_peak < default_peak / 8, (fast_peak, default_peak)
+    def test_full_step_stays_below_budget(self, alloc_graph):
+        _, engine = self._engine(alloc_graph, private=True)
+        peak = _phase_peak(lambda: engine.step())
         # one [B, 1+k, r] float32 block would already be 384 KiB
-        assert fast_peak < 256 * 1024
+        assert peak < 256 * 1024, peak
 
 
 # --------------------------------------------------------------------- #
@@ -499,7 +469,7 @@ class TestZeroAllocation:
 class TestAliasSampler:
     def test_alias_table_preserves_distribution(self):
         graph = load_dataset("smallworld", num_nodes=200, seed=0)
-        sampler = UnigramNegativeSampler(graph, seed=0, use_alias=True)
+        sampler = UnigramNegativeSampler(graph, seed=0)
         # marginal check of the raw candidate draw (before rejection)
         draws = sampler._draw_candidates(200_000)
         observed = np.bincount(draws, minlength=graph.num_nodes) / draws.size
@@ -507,7 +477,7 @@ class TestAliasSampler:
 
     def test_alias_draws_respect_rejection_contract(self, graph):
         sampler = ProximityNegativeSampler.from_proximity(
-            graph, DegreeProximity().compute(graph), seed=3, use_alias=True
+            graph, DegreeProximity().compute(graph), seed=3
         )
         centers = np.arange(graph.num_nodes, dtype=np.int64)
         negatives = sampler.sample_negatives_bulk(centers, 4)
@@ -518,21 +488,11 @@ class TestAliasSampler:
                 assert int(negative) != center
 
     def test_alias_deterministic_per_seed(self, graph):
-        a = UnigramNegativeSampler(graph, seed=11, use_alias=True)
-        b = UnigramNegativeSampler(graph, seed=11, use_alias=True)
+        a = UnigramNegativeSampler(graph, seed=11)
+        b = UnigramNegativeSampler(graph, seed=11)
         centers = np.arange(20, dtype=np.int64)
         np.testing.assert_array_equal(
             a.sample_negatives_bulk(centers, 3), b.sample_negatives_bulk(centers, 3)
-        )
-
-    def test_default_stream_is_not_alias_stream(self, graph):
-        default = UnigramNegativeSampler(graph, seed=11)
-        alias = UnigramNegativeSampler(graph, seed=11, use_alias=True)
-        assert default._alias_accept is None  # table only built when opted in
-        centers = np.arange(30, dtype=np.int64)
-        assert not np.array_equal(
-            default.sample_negatives_bulk(centers, 3),
-            alias.sample_negatives_bulk(centers, 3),
         )
 
     def test_fallback_complement_still_works_with_alias(self):
@@ -542,7 +502,7 @@ class TestAliasSampler:
         from repro import Graph
 
         graph = Graph(6, edges)
-        sampler = UnigramNegativeSampler(graph, seed=0, use_alias=True)
+        sampler = UnigramNegativeSampler(graph, seed=0)
         negatives = sampler.sample_negatives(0, 5)
         assert set(negatives.tolist()) == {5}
         with pytest.raises(GraphError, match="every other node"):
@@ -550,9 +510,9 @@ class TestAliasSampler:
 
 
 # --------------------------------------------------------------------- #
-# partial Fisher-Yates batch sampling
+# batch index sampling
 # --------------------------------------------------------------------- #
-class TestFisherYatesSampler:
+class TestBatchIndexSampler:
     def _pool(self, graph):
         proximity = DegreeProximity().compute(graph)
         objective = StructurePreferenceObjective(proximity)
@@ -562,46 +522,38 @@ class TestFisherYatesSampler:
 
     def test_without_replacement_and_in_range(self, graph):
         pool = self._pool(graph)
-        sampler = SubgraphSampler(pool, 32, seed=0, fast_path=True)
+        sampler = SubgraphSampler(pool, 32, seed=0)
         for _ in range(50):
             indices = sampler.sample_indices()
             assert indices.shape == (32,)
             assert len(np.unique(indices)) == 32
             assert indices.min() >= 0 and indices.max() < len(pool)
 
-    def test_marginal_uniformity(self, graph):
+    def test_generator_state_is_the_whole_sampler_state(self, graph):
+        """Restoring bit_generator.state replays the index stream exactly."""
         pool = self._pool(graph)
-        sampler = SubgraphSampler(pool, 16, seed=0, fast_path=True)
-        hits = np.zeros(len(pool))
-        rounds = 3000
-        for _ in range(rounds):
-            hits[sampler.sample_indices()] += 1
-        expected = 16 * rounds / len(pool)
-        assert np.all(hits > 0.5 * expected)
-        assert np.all(hits < 1.5 * expected)
-
-    def test_deterministic_per_seed_and_distinct_from_default(self, graph):
-        pool = self._pool(graph)
-        fast_a = SubgraphSampler(pool, 16, seed=5, fast_path=True)
-        fast_b = SubgraphSampler(pool, 16, seed=5, fast_path=True)
-        np.testing.assert_array_equal(
-            fast_a.sample_indices().copy(), fast_b.sample_indices().copy()
-        )
-        default = SubgraphSampler(pool, 16, seed=5)
-        fast_c = SubgraphSampler(pool, 16, seed=5, fast_path=True)
-        assert not np.array_equal(default.sample_indices(), fast_c.sample_indices())
+        rng = np.random.default_rng(5)
+        sampler = SubgraphSampler(pool, 16, seed=rng)
+        sampler.sample_indices()
+        state = rng.bit_generator.state
+        expected = [sampler.sample_indices() for _ in range(3)]
+        resumed_rng = np.random.default_rng(0)
+        resumed_rng.bit_generator.state = state
+        resumed = SubgraphSampler(pool, 16, seed=resumed_rng)
+        for want in expected:
+            np.testing.assert_array_equal(resumed.sample_indices(), want)
 
     def test_workspace_take_fills_buffers_in_place(self, graph):
         pool = self._pool(graph)
-        sampler = SubgraphSampler(pool, 16, seed=0, fast_path=True)
+        sampler = SubgraphSampler(pool, 16, seed=0)
         ws = StepWorkspace(batch_size=16, num_negatives=pool.num_negatives,
                            embedding_dim=4, num_nodes=graph.num_nodes,
                            dtype="float32")
-        batch = sampler.sample_batch_arrays(workspace=ws)
+        batch = sampler.sample_batch_arrays(ws)
         assert batch is ws.batch
         assert batch.weights.dtype == np.dtype(np.float32)
         # the float32 weights mirror the float64 pool values for those rows
-        rows = sampler._fy_indices
+        rows = SubgraphSampler(pool, 16, seed=0).sample_indices()
         np.testing.assert_allclose(
             batch.weights, pool.weights[rows].astype(np.float32), rtol=0, atol=0
         )
@@ -661,7 +613,7 @@ class TestOptimizerDtypeGuard:
 # --------------------------------------------------------------------- #
 class TestStepProfiler:
     def test_profile_surfaces_phases_on_engine_result(self, graph):
-        trainer = _fast_setup(graph)
+        trainer = _setup(graph)
         profiler = StepProfiler()
         engine = trainer.engine
         engine.hooks = (*engine.hooks, profiler)
@@ -676,7 +628,7 @@ class TestStepProfiler:
         assert set(payload["phase_mean_seconds"]) == set(profile.phase_seconds)
 
     def test_private_run_records_perturb_phase(self, graph):
-        trainer = _fast_setup(graph, private=True)
+        trainer = _setup(graph, private=True)
         profiler = StepProfiler()
         engine = trainer.engine
         engine.hooks = (*engine.hooks, profiler)
@@ -686,7 +638,7 @@ class TestStepProfiler:
         }
 
     def test_profiler_detaches_after_run(self, graph):
-        trainer = _fast_setup(graph)
+        trainer = _setup(graph)
         profiler = StepProfiler()
         engine = trainer.engine
         engine.hooks = (*engine.hooks, profiler)
@@ -711,39 +663,45 @@ class TestStepProfiler:
 # --------------------------------------------------------------------- #
 # engine-level wiring
 # --------------------------------------------------------------------- #
-class TestEngineWorkspaceWiring:
-    def test_engine_rejects_model_dtype_mismatch(self, graph):
-        trainer = _fast_setup(graph, dtype="float32")
-        engine = trainer.engine
-        engine.model = SkipGramModel(
-            graph.num_nodes, TRAINING.embedding_dim, seed=0, dtype="float64"
-        )
-        with pytest.raises(ConfigurationError, match="compute"):
-            engine.run(1)
+class _PerturbedRows(EngineHook):
+    """Record the workspace's perturbed-gradient holder after every step."""
 
+    def __init__(self) -> None:
+        self.rows: list[int] = []
+        self.batch_sizes: list[int] = []
+
+    def after_step(self, engine, epoch, loss) -> None:
+        result = engine.workspace.perturb_result
+        self.rows.append(len(result.w_in_rows))
+        self.batch_sizes.append(result.batch_size)
+
+
+class TestEngineWorkspaceWiring:
     def test_private_fast_run_spends_budget_like_default(self, graph):
-        default = SEPrivGEmbTrainer(
-            proximity=DegreeProximity(), training_config=TRAINING,
-            privacy_config=PRIVACY, seed=0,
-        ).fit(graph)
-        fast = SEPrivGEmbTrainer(
-            proximity=DegreeProximity(), training_config=TRAINING,
-            privacy_config=PRIVACY, seed=0, fast_path=True,
-        ).fit(graph)
-        # the accountant is driven by (sigma, gamma, steps): identical setups
-        # must spend identical budgets on both paths
+        """A float32 private fit spends exactly the float64 default's budget."""
+        runs = {
+            dtype: SEPrivGEmbTrainer(
+                proximity=DegreeProximity(), training_config=TRAINING,
+                privacy_config=PRIVACY, seed=0, compute_dtype=dtype,
+            ).fit(graph)
+            for dtype in ("float64", "float32")
+        }
+        default, fast = runs["float64"], runs["float32"]
+        # the accountant is driven by (sigma, gamma, steps), never the dtype
         assert fast.result_.privacy_spent.epsilon == pytest.approx(
             default.result_.privacy_spent.epsilon
         )
         assert fast.result_.epochs_run == default.result_.epochs_run
 
     def test_perturbed_update_workspace_path_used(self, graph):
-        trainer = _fast_setup(graph, private=True)
+        trainer = _setup(graph, private=True)
         engine = trainer.engine
         assert isinstance(engine.update_rule, PerturbedUpdate)
-        ws = engine.workspace
-        assert ws is not None
+        probe = _PerturbedRows()
+        engine.hooks = (*engine.hooks, probe)
         engine.run(2)
-        # the reused result holder was filled by the last step
-        assert ws.perturb_result.w_in_rows is not None
-        assert ws.perturb_result.batch_size == trainer._sampler.batch_size
+        # the reused result holder was filled by every step, then dropped
+        assert len(probe.rows) == 2 and all(rows > 0 for rows in probe.rows)
+        assert probe.batch_sizes == [trainer._sampler.batch_size] * 2
+        assert engine.workspace is None
+        assert engine.update_rule.workspace is None

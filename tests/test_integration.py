@@ -47,29 +47,27 @@ class TestEndToEndPipeline:
             embedding_dim=16, batch_size=64, learning_rate=0.1, negative_samples=3, epochs=15
         )
         trainer = SEPrivGEmbTrainer(
-            graph,
             DeepWalkProximity(window_size=3),
             training_config=config,
             privacy_config=PrivacyConfig(epsilon=2.0),
             seed=0,
-        )
-        result = trainer.train()
-        assert result.privacy_spent.epsilon <= 2.0 + 1e-9
+        ).fit(graph)
+        assert trainer.result_.privacy_spent.epsilon <= 2.0 + 1e-9
 
-        strucequ = structural_equivalence_score(graph, result.embeddings)
+        strucequ = structural_equivalence_score(graph, trainer.embeddings_)
         assert -1.0 <= strucequ <= 1.0
 
         split = make_link_prediction_split(graph, seed=0)
-        auc = link_prediction_auc(result.embeddings, split)
+        auc = link_prediction_auc(trainer.embeddings_, split)
         assert 0.0 <= auc <= 1.0
 
     def test_nonprivate_training_learns_structure(self, graph, training_config):
         """SE-GEmb must clearly beat random embeddings on structural equivalence."""
-        trainer = SEGEmbTrainer(graph, DeepWalkProximity(window_size=5), config=training_config, seed=0)
-        result = trainer.train()
-        learned = structural_equivalence_score(graph, result.embeddings)
+        trainer = SEGEmbTrainer(DeepWalkProximity(window_size=5), config=training_config, seed=0)
+        embeddings = trainer.fit(graph).embeddings_
+        learned = structural_equivalence_score(graph, embeddings)
         random_score = structural_equivalence_score(
-            graph, np.random.default_rng(0).normal(size=result.embeddings.shape)
+            graph, np.random.default_rng(0).normal(size=embeddings.shape)
         )
         assert learned > random_score + 0.2
         assert learned > 0.3
@@ -82,26 +80,25 @@ class TestEndToEndPipeline:
             seed=1,
         )
         nonzero = SEPrivGEmbTrainer(
-            graph, DeepWalkProximity(window_size=5), perturbation="nonzero", **common
-        ).train()
+            DeepWalkProximity(window_size=5), perturbation="nonzero", **common
+        ).fit(graph)
         naive = SEPrivGEmbTrainer(
-            graph, DeepWalkProximity(window_size=5), perturbation="naive", **common
-        ).train()
-        score_nonzero = structural_equivalence_score(graph, nonzero.embeddings)
-        score_naive = structural_equivalence_score(graph, naive.embeddings)
+            DeepWalkProximity(window_size=5), perturbation="naive", **common
+        ).fit(graph)
+        score_nonzero = structural_equivalence_score(graph, nonzero.embeddings_)
+        score_naive = structural_equivalence_score(graph, naive.embeddings_)
         assert score_nonzero > score_naive + 0.1
 
     def test_private_methods_beat_gnn_baselines(self, graph, training_config):
         """The Figure-3 ordering: SE-PrivGEmb above the aggregation-perturbation GNNs."""
         privacy = PrivacyConfig(epsilon=3.5)
         se_priv = SEPrivGEmbTrainer(
-            graph,
             DegreeProximity(),
             training_config=training_config,
             privacy_config=privacy,
             seed=2,
-        ).train()
-        se_priv_score = structural_equivalence_score(graph, se_priv.embeddings)
+        ).fit(graph)
+        se_priv_score = structural_equivalence_score(graph, se_priv.embeddings_)
 
         for baseline_name in ("gap", "progap"):
             baseline = get_baseline(
@@ -117,13 +114,12 @@ class TestEndToEndPipeline:
         """Smaller ε must stop training earlier (Algorithm 2 lines 8-10)."""
         def epochs_at(epsilon):
             trainer = SEPrivGEmbTrainer(
-                graph,
                 DegreeProximity(),
                 training_config=training_config.with_updates(epochs=10_000),
                 privacy_config=PrivacyConfig(epsilon=epsilon),
                 seed=0,
             )
-            return trainer.max_private_epochs()
+            return trainer.fit(graph, epochs=1).max_private_epochs()
 
         assert epochs_at(0.5) < epochs_at(2.0) < epochs_at(3.5)
 
@@ -133,14 +129,13 @@ class TestEndToEndPipeline:
             embedding_dim=16, batch_size=64, learning_rate=0.1, negative_samples=3, epochs=20
         )
         split = make_link_prediction_split(graph, seed=3)
-        result = SEPrivGEmbTrainer(
-            split.training_graph,
+        embeddings = SEPrivGEmbTrainer(
             DegreeProximity(),
             training_config=config,
             privacy_config=PrivacyConfig(epsilon=3.5),
             seed=3,
-        ).train()
-        auc = link_prediction_auc(result.embeddings, split)
-        strucequ = structural_equivalence_score(split.training_graph, result.embeddings)
+        ).fit_transform(split.training_graph)
+        auc = link_prediction_auc(embeddings, split)
+        strucequ = structural_equivalence_score(split.training_graph, embeddings)
         assert 0.0 <= auc <= 1.0
         assert -1.0 <= strucequ <= 1.0

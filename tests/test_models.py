@@ -363,66 +363,6 @@ class TestArtifacts:
         assert metadata["custom"] == [1, 2]
         assert metadata["format_version"] >= 1
 
-    def test_save_after_legacy_train_also_works(self, graph, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            trainer = SEGEmbTrainer(graph, DegreeProximity(), config=FAST_TRAINING, seed=0)
-        trainer._spec = get_method("se_gemb_deg")
-        trainer.train()
-        path = tmp_path / "legacy.npz"
-        trainer.save(path)
-        np.testing.assert_array_equal(
-            Embedder.load(path).embeddings_, trainer.embeddings_
-        )
-
-
-class TestDeprecationShims:
-    def test_legacy_constructor_warns_and_matches_fit(self, graph):
-        with pytest.warns(DeprecationWarning):
-            old = SEGEmbTrainer(graph, DegreeProximity(), config=FAST_TRAINING, seed=3).train()
-        new = SEGEmbTrainer(DegreeProximity(), config=FAST_TRAINING, seed=3).fit(graph)
-        np.testing.assert_array_equal(old.embeddings, new.embeddings_)
-
-    def test_legacy_private_constructor_warns_and_matches_fit(self, graph):
-        kwargs = dict(training_config=FAST_TRAINING, privacy_config=FAST_PRIVACY, seed=3)
-        with pytest.warns(DeprecationWarning):
-            old = SEPrivGEmbTrainer(graph, DegreeProximity(), **kwargs).train()
-        new = SEPrivGEmbTrainer(DegreeProximity(), **kwargs).fit(graph)
-        np.testing.assert_array_equal(old.embeddings, new.embeddings_)
-        assert old.privacy_spent == new.result_.privacy_spent
-
-    def test_method_names_module_attribute_is_shimmed(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.experiments.runner import METHOD_NAMES
-        assert set(PAPER_METHOD_NAMES) <= set(METHOD_NAMES)
-
-    def test_train_without_graph_raises(self):
-        trainer = SEGEmbTrainer(DegreeProximity(), config=FAST_TRAINING, seed=0)
-        with pytest.raises(TrainingError):
-            trainer.train()
-
-    def test_boolean_cache_policy_warns(self, graph):
-        with pytest.warns(DeprecationWarning, match="boolean proximity_cache"):
-            embeddings = embed_with_method(
-                "se_gemb_deg",
-                graph,
-                FAST_TRAINING,
-                FAST_PRIVACY,
-                seed=0,
-                proximity_cache=False,
-            )
-        assert embeddings.shape[0] == graph.num_nodes
-
-    def test_none_cache_policy_warns(self, graph):
-        with pytest.warns(DeprecationWarning, match="proximity_cache=None"):
-            embed_with_method(
-                "se_gemb_deg",
-                graph,
-                FAST_TRAINING,
-                FAST_PRIVACY,
-                seed=0,
-                proximity_cache=None,
-            )
-
 
 class TestCachePolicyContract:
     def test_off_bypasses_the_default_cache(self, graph):

@@ -27,7 +27,7 @@ from repro.analysis import analyze_paths, get_rule
 from repro.config import PrivacyConfig, TrainingConfig
 from repro.embedding import SEPrivGEmbTrainer, get_perturbation
 from repro.embedding import perturbation as perturbation_module
-from repro.engine import EngineHook
+from repro.engine import EngineHook, StepWorkspace
 from repro.exceptions import ConfigurationError
 from repro.graph import load_dataset
 from repro.privacy import noise as noise_module
@@ -70,14 +70,13 @@ def small_ring(monkeypatch):
     return build
 
 
-def _trainer(graph, *, perturbation="nonzero", fast_path=False, seed=7, **kwargs):
+def _trainer(graph, *, perturbation="nonzero", seed=7, **kwargs):
     trainer = SEPrivGEmbTrainer(
         proximity=DegreeProximity(),
         training_config=TRAIN,
         privacy_config=PRIVACY,
         perturbation=perturbation,
         seed=seed,
-        fast_path=fast_path,
         **kwargs,
     )
     trainer._setup(graph, np.random.default_rng(seed))
@@ -181,10 +180,15 @@ class TestStreamEquality:
     def test_dense_naive_draw_larger_than_one_block(self, graph, small_ring):
         """Eq. 6's dense |V| x r draws span many blocks and still equal inline."""
         trainer = _trainer(graph, perturbation="naive")
-        gradients = trainer.objective.batch_gradients(
-            trainer.model.w_in, trainer.model.w_out,
-            trainer._sampler.sample_batch_arrays(),
-        )
+        model = trainer.model
+        # one workspace per strategy: clipping mutates the gradient buffers
+        # and each workspace holds its own result
+        workspaces = [StepWorkspace.for_training(model, trainer._sampler) for _ in range(2)]
+        batch = trainer._sampler.sample_batch_arrays(workspaces[0])
+        gradients = [
+            trainer.objective.batch_gradients(model.w_in, model.w_out, batch, workspace=ws)
+            for ws in workspaces
+        ]
         num_nodes, dim = graph.num_nodes, TRAIN.embedding_dim
         cells = num_nodes * dim
         noisy = get_perturbation("naive", 1.0, 2.0)
@@ -192,15 +196,16 @@ class TestStreamEquality:
         clean = get_perturbation("naive", 1.0, 2.0)
         clean.noise = small_ring(0)
         clean.noise._rng = _ZeroGenerator()
-        result = noisy.perturb_batch(gradients, num_nodes, dim)
-        sums = clean.perturb_batch(gradients, num_nodes, dim)
-        noise = _inline(21, 2 * cells) * (2.0 * 1.0 * len(gradients))  # σ·B·C
+        result = noisy.perturb_batch(gradients[0], workspaces[0])
+        sums = clean.perturb_batch(gradients[1], workspaces[1])
+        noise = _inline(21, 2 * cells) * (2.0 * 1.0 * len(gradients[0]))  # σ·B·C
         assert cells > 100
+        assert np.array_equal(result.w_in_rows, np.arange(num_nodes))
         assert np.array_equal(
-            result.w_in_gradient, sums.w_in_gradient + noise[:cells].reshape(num_nodes, dim)
+            result.w_in_sums, sums.w_in_sums + noise[:cells].reshape(num_nodes, dim)
         )
         assert np.array_equal(
-            result.w_out_gradient, sums.w_out_gradient + noise[cells:].reshape(num_nodes, dim)
+            result.w_out_sums, sums.w_out_sums + noise[cells:].reshape(num_nodes, dim)
         )
 
     def test_fit_reads_the_perturbation_child_stream(self, graph, monkeypatch):
@@ -226,13 +231,18 @@ class TestStreamEquality:
 # --------------------------------------------------------------------- #
 class TestFits:
     @pytest.mark.parametrize("perturbation", ["nonzero", "naive"])
-    @pytest.mark.parametrize("fast_path", [False, True], ids=["default", "fast"])
+    # "fast": the float32 compute dtype, whose noise is cast into the sums
+    @pytest.mark.parametrize(
+        "compute_dtype", ["float64", "float32"], ids=["default", "fast"]
+    )
     def test_thread_filled_and_synchronous_fits_are_byte_identical(
-        self, graph, perturbation, fast_path, small_ring
+        self, graph, perturbation, compute_dtype, small_ring
     ):
         embeddings = []
         for prefetch in (True, False):
-            trainer = _trainer(graph, perturbation=perturbation, fast_path=fast_path)
+            trainer = _trainer(
+                graph, perturbation=perturbation, compute_dtype=compute_dtype
+            )
             _small_blocks(trainer, small_ring)
             if not prefetch:
                 trainer.engine.update_rule.running = nullcontext
@@ -271,8 +281,7 @@ class TestFits:
         whole = build().fit(graph, epochs=5)
         monkeypatch.setattr(NoiseRing, "fill", recording_fill)
         split = build().fit(graph, epochs=3)
-        split.train(epochs=2)
-        assert split.result_.epochs_run == 2
+        assert split.engine.run(2).epochs_run == 2
         assert split.model.w_in.tobytes() == whole.model.w_in.tobytes()
         assert split.model.w_out.tobytes() == whole.model.w_out.tobytes()
         drawn = np.concatenate(reads)
@@ -506,21 +515,21 @@ class TestZeroAllocation:
         )
         trainer = SEPrivGEmbTrainer(
             proximity=DegreeProximity(), training_config=config,
-            privacy_config=PRIVACY, seed=0, fast_path=True,
+            privacy_config=PRIVACY, seed=0,
         )
         trainer._setup(big, np.random.default_rng(0))
         engine = trainer.engine
         engine.run(2)
-        ws = engine.workspace
+        ws = StepWorkspace.for_training(engine.model, engine.sampler)
         strategy = trainer.perturbation
         strategy.noise = small_ring(1, block_size=4096)  # refills every call
-        batch = engine.sampler.sample_batch_arrays(workspace=ws)
+        batch = engine.sampler.sample_batch_arrays(ws)
 
         def perturb():
             gradients = engine.objective.batch_gradients(
                 engine.model.w_in, engine.model.w_out, batch, workspace=ws
             )
-            strategy._perturb_batch_into(gradients, big.num_nodes, 32, ws)
+            strategy.perturb_batch(gradients, ws)
 
         with strategy.noise.prefetching() if prefetch else nullcontext():
             for _ in range(3):

@@ -260,8 +260,8 @@ class TestComputeProximityFrontDoor:
         )
         default = default_proximity_cache()
         default.clear()
-        # False bypasses caching entirely
-        embed_with_method("se_gemb_deg", small_graph, cfg, priv, seed=0, proximity_cache=False)
+        # "off" bypasses caching entirely
+        embed_with_method("se_gemb_deg", small_graph, cfg, priv, seed=0, proximity_cache="off")
         assert len(default) == 0
         # an explicit-but-empty cache (falsy via __len__) is still honoured
         empty = ProximityCache()

@@ -18,91 +18,86 @@ from repro.proximity import DeepWalkProximity, DegreeProximity
 
 class TestSEGEmbTrainer:
     def test_output_shapes(self, small_graph, fast_training_config):
-        trainer = SEGEmbTrainer(small_graph, DegreeProximity(), config=fast_training_config, seed=0)
-        result = trainer.train()
-        assert result.embeddings.shape == (small_graph.num_nodes, 8)
-        assert result.context_embeddings.shape == (small_graph.num_nodes, 8)
+        trainer = SEGEmbTrainer(DegreeProximity(), config=fast_training_config, seed=0)
+        result = trainer.fit(small_graph).result_
+        assert trainer.embeddings_.shape == (small_graph.num_nodes, 8)
+        assert trainer.context_embeddings_.shape == (small_graph.num_nodes, 8)
         assert result.epochs_run == fast_training_config.epochs
         assert len(result.losses) == fast_training_config.epochs
-        assert np.all(np.isfinite(result.embeddings))
+        assert np.all(np.isfinite(trainer.embeddings_))
 
     def test_loss_decreases_with_training(self, small_graph):
         config = TrainingConfig(
             embedding_dim=16, batch_size=64, learning_rate=0.1, negative_samples=5, epochs=120
         )
-        trainer = SEGEmbTrainer(small_graph, DeepWalkProximity(window_size=3), config=config, seed=0)
-        result = trainer.train()
+        trainer = SEGEmbTrainer(DeepWalkProximity(window_size=3), config=config, seed=0)
+        result = trainer.fit(small_graph).result_
         early = float(np.mean(result.losses[:10]))
         late = float(np.mean(result.losses[-10:]))
         assert late < early
 
     def test_deterministic_given_seed(self, small_graph, fast_training_config):
-        a = SEGEmbTrainer(small_graph, DegreeProximity(), config=fast_training_config, seed=3).train()
-        b = SEGEmbTrainer(small_graph, DegreeProximity(), config=fast_training_config, seed=3).train()
-        np.testing.assert_allclose(a.embeddings, b.embeddings)
+        a = SEGEmbTrainer(DegreeProximity(), config=fast_training_config, seed=3).fit(small_graph)
+        b = SEGEmbTrainer(DegreeProximity(), config=fast_training_config, seed=3).fit(small_graph)
+        np.testing.assert_allclose(a.embeddings_, b.embeddings_)
 
     def test_accepts_precomputed_proximity(self, small_graph, fast_training_config):
         proximity = DeepWalkProximity(window_size=3).compute(small_graph)
-        trainer = SEGEmbTrainer(small_graph, proximity, config=fast_training_config, seed=0)
-        result = trainer.train(epochs=2)
+        trainer = SEGEmbTrainer(proximity, config=fast_training_config, seed=0)
+        result = trainer.fit(small_graph, epochs=2).result_
         assert result.epochs_run == 2
 
     def test_unigram_negative_sampling_option(self, small_graph, fast_training_config):
         trainer = SEGEmbTrainer(
-            small_graph,
             DegreeProximity(),
             config=fast_training_config,
             negative_sampling="unigram",
             seed=0,
         )
-        result = trainer.train(epochs=3)
-        assert result.embeddings.shape[0] == small_graph.num_nodes
+        trainer.fit(small_graph, epochs=3)
+        assert trainer.embeddings_.shape[0] == small_graph.num_nodes
 
     def test_invalid_inputs(self, small_graph, fast_training_config):
         empty = Graph(5, [])
         with pytest.raises(TrainingError):
-            SEGEmbTrainer(empty, DegreeProximity(), config=fast_training_config)
+            SEGEmbTrainer(DegreeProximity(), config=fast_training_config).fit(empty)
         with pytest.raises(TrainingError):
-            SEGEmbTrainer(
-                small_graph, DegreeProximity(), config=fast_training_config, negative_sampling="bad"
-            )
-        trainer = SEGEmbTrainer(small_graph, DegreeProximity(), config=fast_training_config, seed=0)
+            SEGEmbTrainer(DegreeProximity(), config=fast_training_config, negative_sampling="bad")
+        trainer = SEGEmbTrainer(DegreeProximity(), config=fast_training_config, seed=0)
         with pytest.raises(TrainingError):
-            trainer.train(epochs=0)
+            trainer.fit(small_graph, epochs=0)
 
     def test_final_loss_property(self, small_graph, fast_training_config):
-        trainer = SEGEmbTrainer(small_graph, DegreeProximity(), config=fast_training_config, seed=0)
-        result = trainer.train(epochs=2)
+        trainer = SEGEmbTrainer(DegreeProximity(), config=fast_training_config, seed=0)
+        result = trainer.fit(small_graph, epochs=2).result_
         assert result.final_loss == result.losses[-1]
 
 
 class TestSEPrivGEmbTrainer:
     def test_output_shapes_and_privacy_report(self, small_graph, fast_training_config, fast_privacy_config):
         trainer = SEPrivGEmbTrainer(
-            small_graph,
             DegreeProximity(),
             training_config=fast_training_config,
             privacy_config=fast_privacy_config,
             seed=0,
         )
-        result = trainer.train()
-        assert result.embeddings.shape == (small_graph.num_nodes, 8)
+        result = trainer.fit(small_graph).result_
+        assert trainer.embeddings_.shape == (small_graph.num_nodes, 8)
         assert result.privacy_spent.epsilon > 0
         assert result.privacy_spent.epsilon <= fast_privacy_config.epsilon + 1e-9
         assert result.epochs_run == len(result.losses)
-        assert np.all(np.isfinite(result.embeddings))
+        assert np.all(np.isfinite(trainer.embeddings_))
 
     def test_budget_limits_epochs(self, small_graph, fast_training_config):
         tight = PrivacyConfig(epsilon=0.5, delta=1e-5, noise_multiplier=5.0, clipping_threshold=2.0)
         trainer = SEPrivGEmbTrainer(
-            small_graph,
             DegreeProximity(),
             training_config=fast_training_config.with_updates(epochs=500),
             privacy_config=tight,
             seed=0,
         )
+        result = trainer.fit(small_graph).result_
         allowed = trainer.max_private_epochs()
-        result = trainer.train()
         assert result.epochs_run <= max(allowed, 0) + 1
         assert result.stopped_early
         assert result.epochs_run < 500
@@ -110,26 +105,24 @@ class TestSEPrivGEmbTrainer:
     def test_larger_budget_allows_more_epochs(self, small_graph, fast_training_config):
         def epochs_for(epsilon):
             trainer = SEPrivGEmbTrainer(
-                small_graph,
                 DegreeProximity(),
                 training_config=fast_training_config.with_updates(epochs=10_000),
                 privacy_config=PrivacyConfig(epsilon=epsilon),
                 seed=0,
             )
-            return trainer.max_private_epochs()
+            return trainer.fit(small_graph, epochs=1).max_private_epochs()
 
         assert epochs_for(0.5) < epochs_for(3.5)
 
     def test_privacy_spent_within_target(self, small_graph, fast_training_config):
         config = PrivacyConfig(epsilon=1.0)
         trainer = SEPrivGEmbTrainer(
-            small_graph,
             DegreeProximity(),
             training_config=fast_training_config.with_updates(epochs=1000),
             privacy_config=config,
             seed=0,
         )
-        result = trainer.train()
+        result = trainer.fit(small_graph).result_
         assert result.privacy_spent.epsilon <= config.epsilon + 1e-9
         assert result.privacy_spent.delta == config.delta
 
@@ -139,86 +132,81 @@ class TestSEPrivGEmbTrainer:
             privacy_config=fast_privacy_config,
             seed=9,
         )
-        a = SEPrivGEmbTrainer(small_graph, DegreeProximity(), **kwargs).train()
-        b = SEPrivGEmbTrainer(small_graph, DegreeProximity(), **kwargs).train()
-        np.testing.assert_allclose(a.embeddings, b.embeddings)
+        a = SEPrivGEmbTrainer(DegreeProximity(), **kwargs).fit(small_graph)
+        b = SEPrivGEmbTrainer(DegreeProximity(), **kwargs).fit(small_graph)
+        np.testing.assert_allclose(a.embeddings_, b.embeddings_)
 
     def test_naive_and_nonzero_strategies_differ(self, small_graph, fast_training_config, fast_privacy_config):
         nonzero = SEPrivGEmbTrainer(
-            small_graph,
             DegreeProximity(),
             training_config=fast_training_config,
             privacy_config=fast_privacy_config,
             perturbation="nonzero",
             seed=4,
-        ).train()
+        ).fit(small_graph)
         naive = SEPrivGEmbTrainer(
-            small_graph,
             DegreeProximity(),
             training_config=fast_training_config,
             privacy_config=fast_privacy_config,
             perturbation="naive",
             seed=4,
-        ).train()
-        assert not np.allclose(nonzero.embeddings, naive.embeddings)
+        ).fit(small_graph)
+        assert not np.allclose(nonzero.embeddings_, naive.embeddings_)
         # The naive strategy injects dense noise with sensitivity B·C, so its
         # embeddings drift much further from the origin.
-        assert np.linalg.norm(naive.embeddings) > np.linalg.norm(nonzero.embeddings)
+        assert np.linalg.norm(naive.embeddings_) > np.linalg.norm(nonzero.embeddings_)
 
     def test_iterate_averaging_toggle(self, small_graph, fast_training_config, fast_privacy_config):
         averaged = SEPrivGEmbTrainer(
-            small_graph,
             DegreeProximity(),
             training_config=fast_training_config,
             privacy_config=fast_privacy_config,
             iterate_averaging=True,
             seed=5,
-        ).train()
+        ).fit(small_graph)
         last_iterate = SEPrivGEmbTrainer(
-            small_graph,
             DegreeProximity(),
             training_config=fast_training_config,
             privacy_config=fast_privacy_config,
             iterate_averaging=False,
             seed=5,
-        ).train()
-        assert not np.allclose(averaged.embeddings, last_iterate.embeddings)
-        assert np.linalg.norm(averaged.embeddings) <= np.linalg.norm(last_iterate.embeddings) + 1e-9
+        ).fit(small_graph)
+        assert not np.allclose(averaged.embeddings_, last_iterate.embeddings_)
+        assert (
+            np.linalg.norm(averaged.embeddings_)
+            <= np.linalg.norm(last_iterate.embeddings_) + 1e-9
+        )
 
     def test_batch_normalization_mode(self, small_graph, fast_training_config, fast_privacy_config):
         trainer = SEPrivGEmbTrainer(
-            small_graph,
             DegreeProximity(),
             training_config=fast_training_config,
             privacy_config=fast_privacy_config,
             gradient_normalization="batch",
             seed=0,
         )
-        result = trainer.train(epochs=3)
+        result = trainer.fit(small_graph, epochs=3).result_
         assert result.epochs_run <= 3
 
     def test_sampling_rate_matches_batch_over_edges(self, small_graph, fast_training_config, fast_privacy_config):
         trainer = SEPrivGEmbTrainer(
-            small_graph,
             DegreeProximity(),
             training_config=fast_training_config,
             privacy_config=fast_privacy_config,
             seed=0,
-        )
+        ).fit(small_graph, epochs=1)
         expected = min(fast_training_config.batch_size, small_graph.num_edges) / small_graph.num_edges
         assert trainer.sampling_rate == pytest.approx(expected)
 
     def test_invalid_inputs(self, small_graph, fast_training_config, fast_privacy_config):
         with pytest.raises(TrainingError):
             SEPrivGEmbTrainer(
-                Graph(4, []),
                 DegreeProximity(),
                 training_config=fast_training_config,
                 privacy_config=fast_privacy_config,
-            )
+            ).fit(Graph(4, []))
         with pytest.raises(TrainingError):
             SEPrivGEmbTrainer(
-                small_graph,
                 DegreeProximity(),
                 training_config=fast_training_config,
                 privacy_config=fast_privacy_config,
@@ -227,11 +215,10 @@ class TestSEPrivGEmbTrainer:
 
     def test_deepwalk_proximity_variant_runs(self, small_graph, fast_training_config, fast_privacy_config):
         trainer = SEPrivGEmbTrainer(
-            small_graph,
             DeepWalkProximity(window_size=3),
             training_config=fast_training_config,
             privacy_config=fast_privacy_config,
             seed=0,
         )
-        result = trainer.train(epochs=3)
-        assert result.embeddings.shape == (small_graph.num_nodes, 8)
+        trainer.fit(small_graph, epochs=3)
+        assert trainer.embeddings_.shape == (small_graph.num_nodes, 8)
