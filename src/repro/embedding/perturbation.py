@@ -81,7 +81,6 @@ class PerturbationStrategy(abc.ABC):
         self.noise = NoiseRing(seed)
 
     # ------------------------------------------------------------------ #
-    @zero_alloc
     def perturb_batch(
         self, batch_gradients: BatchGradients, workspace: StepWorkspace
     ) -> PerturbedGradients:
@@ -94,7 +93,8 @@ class PerturbationStrategy(abc.ABC):
         copy first if you pass your own and still need the raw values).
 
         Returns the workspace's reused :class:`PerturbedGradients`, valid
-        until the next step.
+        until the next step.  Allocation-free for non-zero Eq. 9; naive
+        Eq. 6 allocates its dense ``|V| × r`` noise.
         """
         ws = workspace
         batch_size = len(batch_gradients)

@@ -131,17 +131,18 @@ class TrainingEngine:
         if epochs <= 0:
             raise TrainingError(f"epochs must be positive, got {epochs}")
         self.total_epochs = epochs
+
+        self.profiler = None
+        for hook in self.hooks:
+            hook.on_train_start(self)
+        # a StepProfiler hook installs itself on engine.profiler above
+        self.update_rule.profiler = self.profiler
+
+        losses: list[float] = []
+        stopped_early = False
         self.workspace = StepWorkspace.for_training(self.model, self.sampler)
         self.update_rule.workspace = self.workspace
         try:
-            self.profiler = None
-            for hook in self.hooks:
-                hook.on_train_start(self)
-            # a StepProfiler hook installs itself on engine.profiler above
-            self.update_rule.profiler = self.profiler
-
-            losses: list[float] = []
-            stopped_early = False
             with self.update_rule.running():
                 for epoch in range(epochs):
                     if not all(hook.before_step(self, epoch) for hook in self.hooks):
@@ -153,7 +154,7 @@ class TrainingEngine:
                         hook.after_step(self, epoch, loss)
                     self.optimizer.step_epoch()
         finally:
-            # the buffers live for one run only: a fitted estimator keeps none
+            # the buffers live for one run: a fitted estimator keeps none
             self.workspace = self.update_rule.workspace = None
 
         result = EngineResult(
