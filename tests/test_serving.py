@@ -24,7 +24,7 @@ from repro.serving import (
     export_servable,
     write_servable,
 )
-from repro.serving.engine import _pack_keys_inplace, _unpack_keys
+from repro.serving.engine import QueryWorkspace, _pack_keys_inplace, _unpack_keys
 
 
 # --------------------------------------------------------------------- #
@@ -101,6 +101,21 @@ class TestPackedKeys:
         # +inf best, -inf worst; -0.0 ranks (only) below +0.0
         assert ids[0] == 2 and ids[-1] == 3
         assert list(ids).index(0) < list(ids).index(1)
+
+
+class TestQueryWorkspaceLayout:
+    def test_block_buffers_start_at_distinct_page_offsets(self):
+        """2 MiB-multiple buffers must not start in the same cache-line slot of a page."""
+        ws = QueryWorkspace(
+            max_batch=64, max_k=10, block_rows=8192, dim=64, source_dtype=np.float32
+        )
+        buffers = (ws.block, ws.scores, ws.mask_u32, ws.keys, ws.combined)
+        assert ws.scores.nbytes % (2 << 20) == 0  # the aliasing-prone geometry
+        offsets = {buffer.ctypes.data % 4096 // 64 for buffer in buffers}
+        assert len(offsets) == len(buffers)
+        assert all(buffer.ctypes.data % 64 == 0 for buffer in buffers)
+        assert all(buffer.flags.writeable and buffer.flags.c_contiguous for buffer in buffers)
+        assert not ws.block.any() and not ws.scores.any()
 
 
 # --------------------------------------------------------------------- #
