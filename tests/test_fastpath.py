@@ -365,7 +365,23 @@ class TestWorkspaceLifetime:
         trainer.fit(graph)
         assert _reachable_workspaces(trainer) == []
 
-    def test_second_fit_matches_fresh_estimator(self):
+
+class TestWorkspaceReuse:
+    """Refitting an estimator: every run builds its own workspace, so nothing
+    from an earlier fit survives into, or leaks out of, the next one."""
+
+    def test_refit_reuses_workspace_without_leaking(self, graph):
+        trainer = SEGEmbTrainer(proximity=DegreeProximity(), config=TRAINING, seed=0)
+        first = trainer.fit(graph).embeddings_.copy()
+        second = trainer.fit(graph).embeddings_
+        assert _reachable_workspaces(trainer) == []
+        fresh = SEGEmbTrainer(
+            proximity=DegreeProximity(), config=TRAINING, seed=0
+        ).fit(graph).embeddings_
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(second, fresh)
+
+    def test_refit_on_other_graph_rebuilds_and_stays_clean(self):
         graph_a = load_dataset("smallworld", num_nodes=60, seed=1)
         graph_b = load_dataset("smallworld", num_nodes=90, seed=2)
         trainer = SEPrivGEmbTrainer(
@@ -375,6 +391,7 @@ class TestWorkspaceLifetime:
         first = trainer.fit(graph_a).embeddings_.copy()
         trainer.fit(graph_b)
         again = trainer.fit(graph_a).embeddings_
+        assert _reachable_workspaces(trainer) == []
         fresh = SEPrivGEmbTrainer(
             proximity=DegreeProximity(), training_config=TRAINING,
             privacy_config=PRIVACY, seed=0,
