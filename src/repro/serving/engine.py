@@ -4,7 +4,7 @@ The serving counterpart of the training fast path: where
 :class:`~repro.engine.workspace.StepWorkspace` preallocates every per-step
 training array, :class:`QueryWorkspace` preallocates every per-query array —
 the gather staging block, the float32 query block, the candidate-block
-staging buffer, the score block and the packed ranking keys — so a steady
+staging buffer, the score block and the survivor mask — so a steady
 stream of ``top_k`` calls performs no array-sized allocations proportional
 to the corpus.  The scan is *blocked*: candidates are scored
 ``block_rows`` at a time through one ``matmul`` into a reused score
@@ -18,14 +18,16 @@ a *descending* rank and packed with the candidate node id::
 
     key = (0xFFFFFFFF - ordered(score)) << 32 | node_id
 
-Ascending ``argpartition`` over keys is then exactly "descending score,
-ties broken by ascending node id" — the tie-break is deterministic *by
-construction*, chunking cannot change it, and both the score and the id
-are recovered from the key afterwards (the mapping is a bijection on
-float32 bit patterns).  ``compute_dtype="float64"`` selects a chunked
-reference path (stable argsort merge, same tie-break contract) used to pin
-float32 score parity at rtol ≤ 1e-4, mirroring the PR-5 training-dtype
-policy.
+Ascending order over keys is "descending score, ties by ascending node
+id" by construction, whatever the chunking, and score and id are both
+recovered from a key.  Only candidates that can still enter a row's top-k
+are packed: a block entry is merged only if its score is ``>=`` the row's
+running threshold (the k-th best of the first 512 columns, then the worst
+score of the running top-k).  ``>=`` passes every candidate whose key
+could enter, so the answer is bit for bit that of a full-block partition.
+NaN never passes: it ranks after every other score, by ascending id.
+``compute_dtype="float64"`` selects a chunked reference path (stable
+lexsort merge, same ranking contract) used to pin float32 score parity.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ _KEY_SENTINEL = np.uint64(0xFFFFFFFFFFFFFFFF)
 _U32_MAX = np.uint32(0xFFFFFFFF)
 _U32_SIGN = np.uint32(0x80000000)
 _U32_LOW = np.uint32(0x7FFFFFFF)
+_SENTINEL_ID = 0xFFFFFFFF  # the node id a sentinel key unpacks to
+#: first-block columns whose k-th best score seeds each row's threshold
+_SEED_COLUMNS = 512
 
 #: floor applied to row norms so cosine never divides by zero
 _NORM_FLOOR = 1e-12
@@ -104,6 +109,39 @@ def _unpack_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids, scores
 
 
+def _seed_threshold(scores: np.ndarray, seed: np.ndarray, k: int, thr: np.ndarray) -> None:
+    """Each row's k-th best score among its first columns, NaN left out.
+
+    Any k real candidates bound the final k-th best score from below; a
+    row with fewer than k non-NaN scores there gets -inf.
+    """
+    cols = min(scores.shape[1], seed.shape[1])
+    thr.fill(-np.inf)
+    if k <= cols:
+        np.negative(scores[:, :cols], out=seed[:, :cols])
+        seed[:, :cols].partition(k - 1, axis=1)  # NaN sorts last
+        np.fmax(np.negative(seed[:, k - 1], out=thr), -np.inf, out=thr)
+
+
+def _merge_survivors(top: np.ndarray, scores: np.ndarray, flat: np.ndarray,
+                     start: int) -> None:
+    """Merge the score-block entries at row-major flat indices ``flat`` into ``top``."""
+    B, k = top.shape
+    rows, ids = np.divmod(flat, scores.shape[1])
+    ids += start
+    keys = np.empty(flat.size, dtype=np.uint64)
+    _pack_keys_inplace(np.take(scores, flat).view(np.uint32),
+                       np.empty(flat.size, dtype=np.uint32), keys, ids.view(np.uint64))
+    counts = np.bincount(rows, minlength=B)
+    merged = np.full((B, k + int(counts.max())), _KEY_SENTINEL)
+    merged[:, :k] = top
+    slots = np.arange(k, k + rows.size)
+    slots -= (np.cumsum(counts) - counts)[rows]
+    merged[rows, slots] = keys
+    merged.partition(k - 1, axis=1)
+    top[:] = merged[:, :k]
+
+
 #: byte step between the start offsets of the block-sized ranking buffers:
 #: one page plus five cache lines, so no two share a page offset
 _STAGGER_BYTES = 4096 + 5 * 64
@@ -117,14 +155,14 @@ def _staggered_zeros(shape: tuple[int, ...], dtype, slot: int) -> np.ndarray:
     page and within a huge page.  Where huge pages back them, the streams
     of one partition pass then compete for the same cache sets; measured
     on a 2-vCPU VM, offline top-k ran 10–15% slower in that placement.
-    Shifting each buffer by a different number of bytes keeps them apart
-    whatever pages back them.
+    Shifting each buffer by a different number of bytes past a page
+    boundary keeps them apart whatever pages back them.
     """
     dtype = np.dtype(dtype)
     nbytes = int(np.prod(shape)) * dtype.itemsize
     offset = slot * _STAGGER_BYTES
-    raw = np.zeros(nbytes + offset + 64, dtype=np.uint8)
-    start = offset + (-raw.ctypes.data) % 64  # keep 64-byte alignment
+    raw = np.zeros(nbytes + offset + 4096, dtype=np.uint8)
+    start = offset + (-raw.ctypes.data) % 4096
     return raw[start:start + nbytes].view(dtype).reshape(shape)
 
 
@@ -134,9 +172,10 @@ class QueryWorkspace:
     Mirrors :class:`~repro.engine.workspace.StepWorkspace`: buffers are
     sized by the engine geometry (``max_batch`` queries × ``block_rows``
     candidates × ``max_k`` results) and reused by every ``top_k`` /
-    ``score_links`` call.  Float32 geometry adds the uint32/uint64 key
-    buffers of the packed ranking path; the float64 reference path only
-    needs the staging and score blocks.
+    ``score_links`` call.  Float32 geometry adds the survivor mask, the
+    threshold buffers and the running top-k keys of the pruned ranking
+    path; the float64 reference path only needs the staging and score
+    blocks.
     """
 
     def __init__(self, *, max_batch: int, max_k: int, block_rows: int, dim: int,
@@ -160,14 +199,11 @@ class QueryWorkspace:
         self.scores = _staggered_zeros((B, W), self.dtype, 1)
 
         if self.dtype == np.dtype(np.float32):
-            # ---- packed-key ranking buffers (float32 fast path only) ----
-            self.scores_u32 = self.scores.view(np.uint32)
-            self.mask_u32 = _staggered_zeros((B, W), np.uint32, 2)
-            self.keys = _staggered_zeros((B, W), np.uint64, 3)
+            # ---- threshold-pruned ranking buffers (float32 fast path only) ----
+            self.mask = _staggered_zeros((B, W), np.bool_, 2)
+            self.seed = np.empty((B, min(W, _SEED_COLUMNS)), dtype=np.float32)
+            self.threshold = np.empty(B, dtype=np.float32)
             self.top = np.empty((B, K), dtype=np.uint64)
-            self.combined = _staggered_zeros((B, K + W), np.uint64, 4)
-            self.block_ids = np.empty(W, dtype=np.uint64)
-            self.arange = np.arange(W, dtype=np.uint64)
 
         # ---- link-scoring buffers ----
         self.link_left_raw = np.zeros((B, d), dtype=source_dtype)
@@ -365,7 +401,7 @@ class QueryEngine:
         partition_seconds = 0.0
         top = ws.top[:B, :k]
         top.fill(_KEY_SENTINEL)
-        combined = ws.combined[:B, :k + W]
+        thr = ws.threshold[:B]
         for start in range(0, self.num_nodes, W):
             stop = min(start + W, self.num_nodes)
             nb = stop - start
@@ -381,24 +417,29 @@ class QueryEngine:
                 matmul_seconds += now - tick
                 tick = now
 
-            np.add(ws.arange, np.uint64(start), out=ws.block_ids)
-            keys = ws.keys[:B]
-            _pack_keys_inplace(ws.scores_u32[:B], ws.mask_u32[:B], keys, ws.block_ids)
-            if nb < W:
-                keys[:, nb:] = _KEY_SENTINEL
             if exclude_self:
                 here = np.flatnonzero((nodes >= start) & (nodes < stop))
                 if here.size:
-                    keys[here, nodes[here] - start] = _KEY_SENTINEL
-            combined[:, :k] = top
-            combined[:, k:] = keys
-            part = np.argpartition(combined, k - 1, axis=1)[:, :k]
-            top[:, :] = np.take_along_axis(combined, part, axis=1)
+                    ws.scores[here, nodes[here] - start] = np.nan  # never passes a threshold
+            if start == 0:
+                _seed_threshold(ws.scores[:B, :nb], ws.seed[:B], k, thr)
+            mask = ws.mask[:B]
+            np.greater_equal(ws.scores[:B, :nb], thr[:, None], out=mask[:, :nb])
+            mask[:, nb:] = False
+            _merge_survivors(top, ws.scores, np.flatnonzero(mask), start)
+            _, worst = _unpack_keys(top[:, k - 1])
+            np.fmax(worst, -np.inf, out=thr)  # a sentinel (NaN) keeps -inf
             if prof is not None:
                 partition_seconds += time.perf_counter() - tick
 
         tick = time.perf_counter() if prof is not None else 0.0
         ids, scores = _unpack_keys(np.sort(top, axis=1))
+        # rows short of k non-NaN candidates: NaNs fill in by ascending id
+        for row in np.flatnonzero(ids[:, -1] == _SENTINEL_ID):
+            short = ids[row] == _SENTINEL_ID
+            taken = np.append(ids[row], nodes[row]) if exclude_self else ids[row]
+            fill = np.setdiff1d(np.arange(min(k + 1, self.num_nodes)), taken)
+            ids[row, short] = fill[:np.count_nonzero(short)]
         if prof is not None:
             partition_seconds += time.perf_counter() - tick
             prof.record("matmul", matmul_seconds)
@@ -410,11 +451,11 @@ class QueryEngine:
         """Chunked float64 reference ranking (same tie-break contract).
 
         Blocks are scanned in ascending id order and merged with a *stable*
-        argsort on the negated scores: every id in the running top list
-        precedes every id of the current block and (inductively) ties
-        within the list are already id-ascending, so stable appearance
-        order equals "descending score, ascending id" — the same contract
-        the packed keys enforce, without the 32-bit packing.
+        lexsort on (NaN / self class, negated score): every id in the
+        running top list precedes every id of the current block and
+        (inductively) ties within the list are already id-ascending, so
+        stable appearance order equals "descending score, NaN last, ascending
+        id" — the same contract the pruned float32 path keeps.
         """
         prof = self.profiler
         B = nodes.size
@@ -439,10 +480,6 @@ class QueryEngine:
             if norms is not None:
                 scores /= norms[start:stop]
                 scores /= query_norms
-            if exclude_self:
-                here = np.flatnonzero((nodes >= start) & (nodes < stop))
-                if here.size:
-                    scores[here, nodes[here] - start] = -np.inf
             if prof is not None:
                 now = time.perf_counter()
                 matmul_seconds += now - tick
@@ -451,7 +488,9 @@ class QueryEngine:
             ids = np.broadcast_to(np.arange(start, stop, dtype=np.int64), scores.shape)
             merged_scores = np.concatenate([top_scores, scores], axis=1)
             merged_ids = np.concatenate([top_ids, ids], axis=1)
-            order = np.argsort(-merged_scores, axis=1, kind="stable")[:, :k]
+            # NaN ranks after every score, and the query itself after every NaN
+            last = np.isnan(merged_scores) + 2 * exclude_self * (merged_ids == nodes[:, None])
+            order = np.lexsort((-merged_scores, last), axis=1)[:, :k]
             top_scores = np.take_along_axis(merged_scores, order, axis=1)
             top_ids = np.take_along_axis(merged_ids, order, axis=1)
             if prof is not None:

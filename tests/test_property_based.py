@@ -11,7 +11,9 @@ from repro.evaluation import pearson_correlation, roc_auc_score
 from repro.privacy import RdpAccountant, clip_gradient, gaussian_rdp, rdp_to_dp
 from repro.privacy.subsampling import subsampled_rdp
 from repro.proximity import CommonNeighborsProximity, DegreeProximity, ProximityMatrix
+from repro.serving import QueryEngine
 from repro.utils.math import clip_norm, log_sigmoid, pairwise_euclidean, sigmoid
+from topk_oracle import brute_force_topk
 
 
 # --------------------------------------------------------------------------- #
@@ -24,6 +26,24 @@ def edge_lists(draw, max_nodes=12):
     possible = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(possible), max_size=len(possible)))
     return n, edges
+
+
+@st.composite
+def tied_embeddings(draw, max_nodes=24):
+    """Small matrices of a few base rows, so scores tie exactly.
+
+    Entries come from {0.0, -0.0, ±1, ±2} and rows are scaled by 1 or 2 in
+    at most 4 dimensions: every dot product is exact in float32, cosines
+    that tie in real arithmetic also tie after rounding, and distinct
+    cosines stay far more than a rounding error apart.
+    """
+    dim = draw(st.integers(min_value=1, max_value=4))
+    entry = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+    pool = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    n = draw(st.integers(min_value=2, max_value=max_nodes))
+    rows = st.tuples(st.sampled_from(pool), st.sampled_from([1.0, 2.0]))
+    picks = draw(st.lists(rows, min_size=n, max_size=n))
+    return np.array([np.array(row) * scale for row, scale in picks])
 
 
 finite_vectors = st.lists(
@@ -138,6 +158,25 @@ class TestPrivacyProperties:
         eps, alpha = rdp_to_dp(curve, [2.0, 8.0, 32.0], delta)
         assert eps > 0
         assert alpha in (2.0, 8.0, 32.0)
+
+
+# --------------------------------------------------------------------------- #
+# serving invariants
+# --------------------------------------------------------------------------- #
+class TestServingProperties:
+    @given(tied_embeddings(), st.integers(min_value=1, max_value=30),
+           st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=24),
+           st.sampled_from(["cosine", "dot"]), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_top_k_matches_brute_force(self, E, block_rows, max_batch, k, metric,
+                                       exclude_self):
+        nodes = np.arange(E.shape[0])
+        expected, _ = brute_force_topk(E, nodes, k, metric=metric, exclude_self=exclude_self)
+        for dtype in ("float32", "float64"):
+            engine = QueryEngine(E, compute_dtype=dtype, block_rows=block_rows,
+                                 max_batch=max_batch)
+            result = engine.top_k(nodes, k, metric=metric, exclude_self=exclude_self)
+            assert np.array_equal(result.ids, expected), dtype
 
 
 # --------------------------------------------------------------------------- #

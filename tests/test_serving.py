@@ -25,28 +25,7 @@ from repro.serving import (
     write_servable,
 )
 from repro.serving.engine import QueryWorkspace, _pack_keys_inplace, _unpack_keys
-
-
-# --------------------------------------------------------------------- #
-# oracle
-# --------------------------------------------------------------------- #
-def brute_force_topk(embeddings, nodes, k, *, metric="cosine", exclude_self=True):
-    """Reference ranking: descending float64 score, ties by ascending id."""
-    E = np.asarray(embeddings, dtype=np.float64)
-    n = E.shape[0]
-    norms = np.maximum(np.linalg.norm(E, axis=1), 1e-12)
-    ids_out, scores_out = [], []
-    for node in np.asarray(nodes, dtype=np.int64):
-        scores = E @ E[node]
-        if metric == "cosine":
-            scores = scores / norms / norms[node]
-        if exclude_self:
-            scores = scores.copy()
-            scores[node] = -np.inf
-        order = np.lexsort((np.arange(n), -scores))[:k]
-        ids_out.append(order)
-        scores_out.append(scores[order])
-    return np.array(ids_out), np.array(scores_out)
+from topk_oracle import brute_force_topk
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +88,7 @@ class TestQueryWorkspaceLayout:
         ws = QueryWorkspace(
             max_batch=64, max_k=10, block_rows=8192, dim=64, source_dtype=np.float32
         )
-        buffers = (ws.block, ws.scores, ws.mask_u32, ws.keys, ws.combined)
+        buffers = (ws.block, ws.scores, ws.mask)
         assert ws.scores.nbytes % (2 << 20) == 0  # the aliasing-prone geometry
         offsets = {buffer.ctypes.data % 4096 // 64 for buffer in buffers}
         assert len(offsets) == len(buffers)
@@ -160,6 +139,46 @@ class TestQueryEngine:
         for dtype in ("float32", "float64"):
             result = QueryEngine(E, compute_dtype=dtype, block_rows=2).top_k([3], 5)
             assert np.array_equal(result.ids[0], [0, 1, 2, 4, 5])
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("metric", ["cosine", "dot"])
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    def test_non_finite_rows_rank_by_one_contract(self, bad, dtype, metric, exclude_self):
+        # nonzero integer rows keep every finite score exact in float32, and
+        # inf * 0 out of the picture
+        rng = np.random.default_rng(5)
+        E = rng.choice([-2.0, -1.0, 1.0, 2.0], size=(12, 3))
+        E[7] = bad
+        E[2, 1] = bad
+        nodes = np.arange(12)
+        k = 11 if exclude_self else 12
+        engine = QueryEngine(E, compute_dtype=dtype, block_rows=5, max_batch=4)
+        for kk in (3, k):
+            result = engine.top_k(nodes, kk, metric=metric, exclude_self=exclude_self)
+            ids, scores = brute_force_topk(
+                E, nodes, kk, metric=metric, exclude_self=exclude_self
+            )
+            assert np.array_equal(result.ids, ids)
+            np.testing.assert_allclose(result.scores, scores, rtol=1e-6)  # NaN where NaN
+            assert result.ids.max() < 12  # never a sentinel id
+            if exclude_self:
+                assert not (result.ids == nodes[:, None]).any()
+
+    def test_topk_allocates_no_block_sized_arrays(self):
+        rng = np.random.default_rng(2)
+        engine = QueryEngine(rng.standard_normal((20_000, 64)), max_batch=64, max_k=10)
+        nodes = rng.integers(0, 20_000, size=128)
+        engine.top_k(nodes[:64], 10)  # warm-up: norms cache
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            engine.top_k(nodes[64:], 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 1 << 20
 
     def test_k_clamps_to_candidate_count(self, embeddings):
         engine = QueryEngine(embeddings, max_k=211)
