@@ -127,10 +127,11 @@ def pair_gradients(
 class StructurePreferenceObjective:
     """Binds a proximity matrix to the skip-gram objective of Eq. (5).
 
-    The objective supplies, per edge subgraph, the proximity weight ``p_ij``
-    and (through :meth:`negative_sampling_mass`) the Theorem-3 negative
-    sampling mass ``min(P)/Σ_j p_ij`` that makes the optimum preserve
-    ``log(p_ij / (k · min(P)))``.
+    The objective supplies, per edge subgraph, the proximity weight
+    ``p_ij``; the proximity's own
+    :meth:`~repro.proximity.base.ProximityMatrix.negative_sampling_mass`
+    gives the Theorem-3 mass ``min(P)/Σ_j p_ij`` that makes the optimum
+    preserve ``log(p_ij / (k · min(P)))``.
 
     Parameters
     ----------
@@ -175,21 +176,6 @@ class StructurePreferenceObjective:
         """Vectorised :meth:`edge_weight` for parallel centre/positive arrays."""
         values = self.proximity.pair_values(centers, positives) * self._weight_scale
         return np.maximum(values, self.weight_floor)
-
-    def negative_sampling_mass(self, center: int) -> float:
-        """Theorem-3 mass ``min(P) / Σ_j p_ij`` for the given centre."""
-        return self.proximity.negative_sampling_mass(center)
-
-    def optimal_inner_product(self, center: int, positive: int, num_negatives: int) -> float:
-        """Eq. (10): the theoretically optimal ``v_i · v_j`` for this pair."""
-        return self.proximity.theoretical_optimal_inner_product(
-            center, positive, num_negatives
-        )
-
-    def example_loss(self, w_in: np.ndarray, w_out: np.ndarray, subgraph: EdgeSubgraph) -> float:
-        """Loss of one edge subgraph with its proximity weight applied."""
-        weight = self.edge_weight(subgraph.center, subgraph.positive)
-        return pair_loss(w_in, w_out, subgraph, weight)
 
     def example_gradients(
         self, w_in: np.ndarray, w_out: np.ndarray, subgraph: EdgeSubgraph

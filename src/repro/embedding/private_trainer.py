@@ -15,9 +15,12 @@ The published output is the pair ``(W_in, W_out)``; by post-processing
 (Theorem 2) any downstream task computed from them retains the same
 node-level DP guarantee.
 
-The loop itself is :class:`~repro.engine.TrainingEngine`; this class is a
-thin configuration of it — the clip→noise→average update rule plus the RDP
-accounting and iterate-averaging hooks.
+The loop itself is :class:`~repro.engine.TrainingEngine`, and the set-up
+and run shared with SE-GEmb live in
+:class:`~repro.embedding.trainer.SkipGramTrainerBase`; this class adds only
+what Algorithm 2 adds — the clip→noise→average update rule, the RDP
+accounting and iterate-averaging hooks, the ledger and the budget-capped
+hogwild run.
 
 Since the estimator redesign the trainer follows the
 :class:`~repro.models.Embedder` protocol: configure, then ``fit(graph)``::
@@ -32,28 +35,17 @@ import numpy as np
 
 from ..config import PrivacyConfig, TrainingConfig
 from ..engine import (
+    EngineHook,
     EngineResult,
     IterateAveragingHook,
     PerturbedUpdate,
     RdpAccountingHook,
-    SubgraphBatch,
-    TrainingEngine,
-    resolve_compute_dtype,
 )
 from ..exceptions import HogwildDegradedError, TrainingError
-from ..graph import Graph
-from ..graph.sampling import (
-    ProximityNegativeSampler,
-    SubgraphSampler,
-    generate_disjoint_subgraph_arrays,
-)
-from ..models.base import FitResult
-from ..privacy.accountant import RdpAccountant
+from ..privacy.accountant import PrivacySpent, RdpAccountant
 from ..proximity.base import ProximityMatrix, ProximityMeasure
 from ..robustness.checkpoint import SupervisorPolicy
 from ..utils.logging import get_logger
-from .objectives import StructurePreferenceObjective
-from .optimizer import SGDOptimizer
 from .perturbation import PerturbationStrategy, get_perturbation
 from .trainer import SkipGramTrainerBase
 
@@ -142,32 +134,23 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
         workers: int = 1,
         hogwild_resilience: SupervisorPolicy | None = None,
     ) -> None:
-        super().__init__()
-        if proximity is None:
-            raise TrainingError("SEPrivGEmbTrainer requires a proximity measure or matrix")
+        super().__init__(
+            proximity, training_config, seed, proximity_cache, compute_dtype,
+            workers, hogwild_resilience,
+        )
         if gradient_normalization not in {"per_row", "batch"}:
             raise TrainingError(
                 "gradient_normalization must be 'per_row' or 'batch', got "
                 f"{gradient_normalization!r}"
             )
-        self.proximity = proximity
         self.iterate_averaging = bool(iterate_averaging)
         self.gradient_normalization = gradient_normalization
-        self.training_config = training_config or TrainingConfig()
         self.privacy_config = privacy_config or PrivacyConfig()
         self._perturbation_spec = perturbation
         self.perturbation: PerturbationStrategy | None = (
             perturbation if isinstance(perturbation, PerturbationStrategy) else None
         )
-        self._seed = seed
-        self._proximity_cache = proximity_cache
-        self.compute_dtype = resolve_compute_dtype(compute_dtype)
-        self.workers = self._validate_workers(workers)
-        self.hogwild_resilience = hogwild_resilience
-        self.graph: Graph | None = None
-        self.engine: TrainingEngine | None = None
         self.accountant: RdpAccountant | None = None
-        self.proximity_matrix: ProximityMatrix | None = None
 
     # ------------------------------------------------------------------ #
     def _metadata(self) -> dict:
@@ -187,129 +170,64 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
         }
 
     @classmethod
-    def from_method_spec(
-        cls,
-        spec,
-        *,
-        training=None,
-        privacy=None,
-        perturbation=None,
-        proximity=None,
-        proximity_cache="default",
-        seed=None,
-        **kwargs,
-    ) -> "SEPrivGEmbTrainer":
-        model = cls(
-            proximity=proximity,
-            training_config=training,
-            privacy_config=privacy,
-            perturbation=perturbation if perturbation is not None else "nonzero",
-            seed=seed,
-            proximity_cache=proximity_cache,
-            **kwargs,
-        )
-        model._spec = spec
-        return model
+    def _privacy_options(cls, privacy, perturbation) -> dict:
+        return {
+            "privacy_config": privacy,
+            "perturbation": perturbation if perturbation is not None else "nonzero",
+        }
 
     # ------------------------------------------------------------------ #
-    def _setup(
-        self,
-        graph: Graph,
-        rng: np.random.Generator,
-        proximity: ProximityMatrix | None = None,
-    ) -> None:
-        """Build model, samplers, perturbation, accountant and engine."""
-        if graph.num_edges == 0:
-            raise TrainingError("cannot train on a graph with no edges")
-        self.graph = graph
-        self._rng = rng
-        self._active_workers = self._resolve_active_workers()
-        self.proximity_matrix = self._resolve_proximity_matrix(graph, proximity)
-        self.objective = StructurePreferenceObjective(self.proximity_matrix)
-
-        self.model = self._make_model(graph)
-        self.optimizer = SGDOptimizer(self.training_config.learning_rate)
-
-        # Theorem-3 negative sampler: candidates uniform, mass min(P)/Σ_j p_ij.
-        negative_sampler = ProximityNegativeSampler.from_proximity(
-            graph, self.proximity_matrix, seed=self._rng
+    def _engine_parts(self) -> tuple[PerturbedUpdate, list[EngineHook]]:
+        """The perturbed update rule, then the accountant and its hooks."""
+        spec = self._perturbation_spec
+        self.perturbation = (
+            spec if isinstance(spec, PerturbationStrategy)
+            else self._new_perturbation(self._rng)
         )
-        pool = generate_disjoint_subgraph_arrays(
-            graph, negative_sampler, self.training_config.negative_samples
-        )
-        # Proximity weights bound once; batches slice them on the hot path.
-        self._subgraph_pool: SubgraphBatch = pool.with_weights(
-            self.objective.edge_weights(pool.centers, pool.positives)
-        )
-        self._sampler = SubgraphSampler(
-            self._subgraph_pool, self.training_config.batch_size, seed=self._rng
-        )
-
-        if isinstance(self._perturbation_spec, PerturbationStrategy):
-            self.perturbation = self._perturbation_spec
-        else:
-            # the noise gets its own child stream: spawning draws nothing
-            # from the parent, so init, pool and sampler streams are as if
-            # the noise did not exist, and the noise ring may run ahead
-            self.perturbation = get_perturbation(
-                self._perturbation_spec,
-                clipping_threshold=self.privacy_config.clipping_threshold,
-                noise_multiplier=self.privacy_config.noise_multiplier,
-                seed=self._rng.spawn(1)[0],
-            )
-
         self.accountant = RdpAccountant(
             noise_multiplier=self.privacy_config.noise_multiplier,
             sampling_rate=self._sampler.sampling_rate,
         )
-
-        hooks = [
+        hooks: list[EngineHook] = [
             RdpAccountingHook(
                 self.accountant, self.privacy_config.epsilon, self.privacy_config.delta
             )
         ]
         if self.iterate_averaging:
             hooks.append(IterateAveragingHook())
-        self.engine = TrainingEngine(
-            model=self.model,
-            optimizer=self.optimizer,
-            objective=self.objective,
-            sampler=self._sampler,
-            update_rule=PerturbedUpdate(
-                self.perturbation, gradient_normalization=self.gradient_normalization
-            ),
-            hooks=hooks,
+        update = PerturbedUpdate(
+            self.perturbation, gradient_normalization=self.gradient_normalization
         )
+        return update, hooks
 
-    def _hogwild_update_rule(self, rng):
-        # Each worker must draw its own Gaussian noise: forked children would
-        # otherwise share the parent strategy's COW generator state and emit
-        # identical perturbations.  Rebuild the strategy from its calibration
-        # on a child of the worker's stream.
-        if isinstance(self._perturbation_spec, PerturbationStrategy):
-            strategy = self._perturbation_spec
-            name = strategy.name
-            clipping, sigma = strategy.clipping_threshold, strategy.noise_multiplier
+    def _new_perturbation(self, rng) -> PerturbationStrategy:
+        """A strategy with the configured calibration, drawing from a child of ``rng``.
+
+        Spawning draws nothing from ``rng``, so the init, pool and sampler
+        streams are as if the noise did not exist, and the noise ring may
+        run ahead.  Hogwild workers each build their own: forked children
+        would otherwise share one strategy's copy-on-write generator state
+        and emit identical perturbations.
+        """
+        spec = self._perturbation_spec
+        if isinstance(spec, PerturbationStrategy):
+            name, clipping, sigma = spec.name, spec.clipping_threshold, spec.noise_multiplier
         else:
-            name = self._perturbation_spec
+            name = spec
             clipping = self.privacy_config.clipping_threshold
             sigma = self.privacy_config.noise_multiplier
-        perturbation = get_perturbation(
-            name,
-            clipping_threshold=clipping,
-            noise_multiplier=sigma,
-            seed=rng.spawn(1)[0],
-        )
-        return PerturbedUpdate(
-            perturbation, gradient_normalization=self.gradient_normalization
+        return get_perturbation(
+            name, clipping_threshold=clipping, noise_multiplier=sigma, seed=rng.spawn(1)[0]
         )
 
-    def _run_engine(self, epochs: int | None) -> FitResult:
-        epochs = int(epochs) if epochs is not None else self.training_config.epochs
-        if epochs <= 0:
-            raise TrainingError(f"epochs must be positive, got {epochs}")
+    def _hogwild_update_rule(self, rng) -> PerturbedUpdate:
+        return PerturbedUpdate(
+            self._new_perturbation(rng), gradient_normalization=self.gradient_normalization
+        )
+
+    def _admit(self, epochs: int) -> int:
+        """Cap the epochs by the ledger and, for hogwild, by the budget."""
         ledger = self._active_ledger
-        ledger_capped = False
         if ledger is not None:
             # Durable budget gate: the in-process accountant starts at zero,
             # so prior refits recorded in the ledger must bound this run.
@@ -329,46 +247,23 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
                     epochs,
                 )
                 epochs = admissible
-                ledger_capped = True
-        if getattr(self, "_active_workers", 1) > 1:
-            result = self._run_private_hogwild(epochs)
-        else:
-            result = self.engine.run(epochs)
-        spent = self.accountant.get_privacy_spent(self.privacy_config.delta)
-        if ledger is not None:
-            ledger.record_accountant(
-                self.graph,
-                self.accountant,
-                method=self._spec.name if self._spec is not None else type(self).__name__,
-                delta=self.privacy_config.delta,
-                target_epsilon=self.privacy_config.epsilon,
+        if self._active_workers > 1:
+            # The serial path gates per step (RdpAccountingHook); workers
+            # can't share that gate cheaply, so the equivalent budget is
+            # fixed up front: max_steps is exactly the count the serial gate
+            # admits, and the accountant then composes the per-shard counts.
+            epochs = min(
+                epochs,
+                self.accountant.max_steps(
+                    self.privacy_config.epsilon, self.privacy_config.delta
+                )
+                - self.accountant.steps,
             )
-        self._embeddings = result.embeddings
-        self._context_embeddings = result.context_embeddings
-        return FitResult(
-            losses=result.losses,
-            epochs_run=result.epochs_run,
-            stopped_early=result.stopped_early or ledger_capped,
-            privacy_spent=spent,
-        )
+        return max(0, epochs)
 
-    def _run_private_hogwild(self, epochs: int) -> EngineResult:
-        """Run the budget-gated step stream across the hogwild pool.
-
-        The serial path gates per step (``RdpAccountingHook``); workers can't
-        share that gate cheaply, so the equivalent budget is fixed up front:
-        ``max_steps`` is exactly the count the serial gate admits, and the
-        accountant then composes the actual per-shard counts.
-        """
-        remaining = max(
-            0,
-            self.accountant.max_steps(
-                self.privacy_config.epsilon, self.privacy_config.delta
-            )
-            - self.accountant.steps,
-        )
-        total = min(int(epochs), remaining)
-        if total == 0:
+    def _run_hogwild(self, total_steps: int) -> EngineResult:
+        """Run the budget-capped step stream across the hogwild pool."""
+        if total_steps == 0:  # not even one step fits the budget
             embeddings = self.model.embeddings()
             context = self.model.w_out.copy()
             self.model.release()
@@ -377,14 +272,9 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
                 context_embeddings=context,
                 losses=[],
                 epochs_run=0,
-                stopped_early=True,
             )
         try:
-            result = self._run_hogwild(
-                total,
-                iterate_averaging=self.iterate_averaging,
-                stopped_early=total < int(epochs),
-            )
+            result = self._run_pool(total_steps, iterate_averaging=self.iterate_averaging)
         except HogwildDegradedError as exc:
             # Every incarnation — including the lost ones — already released
             # its noise; charge the conservative counts before the failure
@@ -392,25 +282,27 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
             # attached.  Over-counting is privacy-safe; under-counting never.
             if exc.charged_steps:
                 self.accountant.step_shards(exc.charged_steps)
-                ledger = self._active_ledger
-                if ledger is not None:
-                    ledger.record_accountant(
-                        self.graph,
-                        self.accountant,
-                        method=self._spec.name
-                        if self._spec is not None
-                        else type(self).__name__,
-                        delta=self.privacy_config.delta,
-                        target_epsilon=self.privacy_config.epsilon,
-                    )
+                self._record_ledger()
             raise
-        run = self.last_hogwild_run
-        self.accountant.step_shards(
-            run.accountant_steps
-            if run is not None
-            else [report.steps for report in self.last_worker_reports]
-        )
+        self.accountant.step_shards(self.last_hogwild_run.accountant_steps)
         return result
+
+    def _account(self) -> PrivacySpent:
+        spent = self.accountant.get_privacy_spent(self.privacy_config.delta)
+        self._record_ledger()
+        return spent
+
+    def _record_ledger(self) -> None:
+        """Make the accountant's charge durable in this fit's ledger, if any."""
+        ledger = self._active_ledger
+        if ledger is not None:
+            ledger.record_accountant(
+                self.graph,
+                self.accountant,
+                method=self._spec.name if self._spec is not None else type(self).__name__,
+                delta=self.privacy_config.delta,
+                target_epsilon=self.privacy_config.epsilon,
+            )
 
     # ------------------------------------------------------------------ #
     def max_private_epochs(self) -> int:

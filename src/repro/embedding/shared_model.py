@@ -175,11 +175,6 @@ class SharedSkipGramModel(SkipGramModel):
         """``True`` once :meth:`release` ran (matrices are private again)."""
         return self._released
 
-    @property
-    def is_owner(self) -> bool:
-        """``True`` in the process that created (and must unlink) the blocks."""
-        return self._owner
-
     def release(self) -> None:
         """Copy the matrices to private memory, close and (owner) unlink.
 

@@ -66,14 +66,6 @@ class SkipGramModel:
         self.w_out = rng.uniform(-scale, scale, size=shape).astype(self.dtype, copy=False)
 
     # ------------------------------------------------------------------ #
-    def center_vector(self, node: int) -> np.ndarray:
-        """Return the centre (input) vector of ``node`` — a view, not a copy."""
-        return self.w_in[int(node)]
-
-    def context_vector(self, node: int) -> np.ndarray:
-        """Return the context (output) vector of ``node`` — a view, not a copy."""
-        return self.w_out[int(node)]
-
     def score(self, center: int, context: int) -> float:
         """Inner product ``v_i · v_j`` between a centre and a context vector."""
         return float(self.w_in[int(center)] @ self.w_out[int(context)])

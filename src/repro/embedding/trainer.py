@@ -6,9 +6,10 @@ optimises the same structure-preference objective (Eq. 5) over the same
 edge-subgraph batches, but applies the exact (un-clipped, un-noised) batch
 gradient.
 
-The epoch loop itself lives in :class:`~repro.engine.TrainingEngine`; this
-class is a thin configuration of it — vectorized batch gradients applied
-with the exact scatter update rule, plus a loss-logging hook.
+The epoch loop itself lives in :class:`~repro.engine.TrainingEngine`, and
+the set-up and run shared with SE-PrivGEmb in :class:`SkipGramTrainerBase`;
+this class only picks the negative sampler, the exact scatter update rule
+and a loss-logging hook.
 
 Since the estimator redesign the trainer follows the
 :class:`~repro.models.Embedder` protocol: configure it with a proximity
@@ -20,18 +21,20 @@ measure, then ``fit(graph)``::
 
 from __future__ import annotations
 
-from dataclasses import replace as _dc_replace
+import abc
 
 import numpy as np
 
 from ..config import TrainingConfig
 from ..engine import (
     DirectSparseUpdate,
+    EngineHook,
     EngineResult,
     HogwildRun,
     LossLoggingHook,
     SubgraphBatch,
     TrainingEngine,
+    UpdateRule,
     WorkerReport,
     resolve_compute_dtype,
     run_hogwild,
@@ -47,6 +50,7 @@ from ..graph.sampling import (
     generate_disjoint_subgraph_arrays,
 )
 from ..models.base import Embedder, FitResult
+from ..privacy.accountant import PrivacySpent
 from ..proximity.base import ProximityMatrix, ProximityMeasure
 from ..proximity.cache import resolve_cache_policy
 from ..utils import mp as _mp
@@ -63,49 +67,91 @@ _LOGGER = get_logger("embedding.trainer")
 
 
 class SkipGramTrainerBase(Embedder):
-    """Estimator plumbing shared by the SE-GEmb / SE-PrivGEmb trainers.
+    """Everything SE-GEmb and SE-PrivGEmb share: one setup-and-run path.
 
-    Both trainers configure the same engine around a proximity-driven
-    skip-gram model; everything that is not specific to the private update
-    path lives here once: proximity resolution (with the per-fit override),
-    the fit skeleton, the set-up guard, and the Algorithm-1 accessors.
-    Subclasses provide ``_setup(graph, rng, proximity=None)`` and
-    ``_run_engine(epochs)``.
+    The two trainers optimise the same Eq. 5 objective over the same
+    Algorithm-1 subgraph set with the same Theorem-3 negative sampler; only
+    Algorithm 2's clip → noise → account step differs.  So the constructor
+    state, the registry hook, the engine set-up (model → negative sampler →
+    pool → batch sampler → engine, in that RNG order), the run (epochs,
+    serial or hogwild, fitted state) and the Algorithm-1 accessors live
+    here once.  A subclass supplies its engine parts through
+    :meth:`_engine_parts` and :meth:`_hogwild_update_rule`; the private
+    trainer also hooks the budget into :meth:`_admit`, :meth:`_run_hogwild`
+    and :meth:`_account`.
     """
 
     proximity: ProximityMeasure | ProximityMatrix
-    graph: Graph | None
-    engine: TrainingEngine | None
-    proximity_matrix: ProximityMatrix | None
-    _proximity_cache: object
-    _seed: object
     #: both skip-gram trainers can seed matrices from a prior artifact
     _supports_warm_start = True
-    #: hogwild worker count requested at construction (1 = serial path)
-    workers: int = 1
     #: have hogwild workers report tracemalloc evidence (tests/benchmarks)
     trace_hogwild_memory: bool = False
     #: per-worker reports of the most recent hogwild fit
     last_worker_reports: "list[WorkerReport] | None" = None
-    #: opt-in crash supervision for the hogwild pool (checkpoints + restarts);
-    #: ``None`` keeps the historical all-or-nothing failure semantics
-    hogwild_resilience: "SupervisorPolicy | None" = None
     #: full :class:`~repro.engine.hogwild.HogwildRun` of the most recent
     #: hogwild fit (conservative ``charged_steps``, restart count)
     last_hogwild_run: "HogwildRun | None" = None
 
-    @staticmethod
-    def _validate_workers(workers: int) -> int:
-        workers = int(workers)
-        if workers < 1:
-            raise TrainingError(f"workers must be >= 1, got {workers}")
-        return workers
+    def __init__(
+        self,
+        proximity: ProximityMeasure | ProximityMatrix | None,
+        training_config: TrainingConfig | None,
+        seed: int | np.random.Generator | None,
+        proximity_cache,
+        compute_dtype,
+        workers: int,
+        hogwild_resilience: SupervisorPolicy | None,
+    ) -> None:
+        super().__init__()
+        if proximity is None:
+            raise TrainingError(
+                f"{type(self).__name__} requires a proximity measure or matrix"
+            )
+        self.proximity = proximity
+        self.training_config = training_config or TrainingConfig()
+        self._seed = seed
+        self._proximity_cache = proximity_cache
+        self.compute_dtype = resolve_compute_dtype(compute_dtype)
+        self.workers = int(workers)
+        if self.workers < 1:
+            raise TrainingError(f"workers must be >= 1, got {self.workers}")
+        #: opt-in crash supervision for the hogwild pool (checkpoints +
+        #: restarts); ``None`` keeps the all-or-nothing failure semantics
+        self.hogwild_resilience = hogwild_resilience
+        self.graph: Graph | None = None
+        self.engine: TrainingEngine | None = None
+        self.proximity_matrix: ProximityMatrix | None = None
 
-    def _resolve_active_workers(self) -> int:
-        """Fit-time worker count: the configured knob, fork-gated once."""
-        if self.workers <= 1:
-            return 1
-        return _mp.resolve_fork_workers(self.workers, "hogwild training")
+    @classmethod
+    def from_method_spec(
+        cls,
+        spec,
+        *,
+        training=None,
+        privacy=None,
+        perturbation=None,
+        proximity=None,
+        proximity_cache="default",
+        seed=None,
+        **kwargs,
+    ) -> "SkipGramTrainerBase":
+        # the training config is both constructors' second parameter
+        model = cls(
+            proximity,
+            training,
+            seed=seed,
+            proximity_cache=proximity_cache,
+            **cls._privacy_options(privacy, perturbation),
+            **kwargs,
+        )
+        model._spec = spec
+        return model
+
+    @classmethod
+    def _privacy_options(cls, privacy, perturbation) -> dict:
+        """Constructor options a registry build derives from its DP settings."""
+        del privacy, perturbation  # a non-private method accepts them unused
+        return {}
 
     def _make_model(self, graph: Graph) -> SkipGramModel:
         """Build the model — shared-memory backed when hogwild will run.
@@ -152,8 +198,6 @@ class SkipGramTrainerBase(Embedder):
         }
 
     def _fit_rng(self) -> np.random.Generator:
-        # training_config is the protocol-wide name (SEGEmbTrainer aliases
-        # its `config` attribute onto it)
         return ensure_rng(
             self._seed if self._seed is not None else self.training_config.seed
         )
@@ -198,13 +242,100 @@ class SkipGramTrainerBase(Embedder):
         return options
 
     # ------------------------------------------------------------------ #
+    # set-up and run
+    # ------------------------------------------------------------------ #
+    def _setup(
+        self,
+        graph: Graph,
+        rng: np.random.Generator,
+        proximity: ProximityMatrix | None = None,
+    ) -> None:
+        """Build model, samplers and engine for ``graph`` (consumes ``rng``).
+
+        The stream order is pinned: model initialisation, then the negative
+        sampler's alias table, the subgraph pool, the batch sampler, and
+        last whatever :meth:`_engine_parts` draws (the private noise spawns
+        its own child stream, which reads nothing from ``rng``).
+        """
+        if graph.num_edges == 0:
+            raise TrainingError("cannot train on a graph with no edges")
+        self.graph = graph
+        self._rng = rng
+        self._active_workers = (
+            1 if self.workers <= 1
+            else _mp.resolve_fork_workers(self.workers, "hogwild training")
+        )
+        self.proximity_matrix = self._resolve_proximity_matrix(graph, proximity)
+        self.objective = StructurePreferenceObjective(self.proximity_matrix)
+
+        self.model = self._make_model(graph)
+        self.optimizer = SGDOptimizer(self.training_config.learning_rate)
+        pool = generate_disjoint_subgraph_arrays(
+            graph, self._negative_sampler(graph), self.training_config.negative_samples
+        )
+        # Bind the proximity weights once; every batch then slices them
+        # instead of re-reading the proximity matrix per example per step.
+        self._subgraph_pool: SubgraphBatch = pool.with_weights(
+            self.objective.edge_weights(pool.centers, pool.positives)
+        )
+        self._sampler = SubgraphSampler(
+            self._subgraph_pool, self.training_config.batch_size, seed=self._rng
+        )
+        update_rule, hooks = self._engine_parts()
+        self.engine = TrainingEngine(
+            model=self.model,
+            optimizer=self.optimizer,
+            objective=self.objective,
+            sampler=self._sampler,
+            update_rule=update_rule,
+            hooks=hooks,
+        )
+
+    def _negative_sampler(self, graph: Graph):
+        """The Theorem-3 sampler: candidates uniform, mass min(P)/Σ_j p_ij."""
+        return ProximityNegativeSampler.from_proximity(
+            graph, self.proximity_matrix, seed=self._rng
+        )
+
+    @abc.abstractmethod
+    def _engine_parts(self) -> tuple[UpdateRule, list[EngineHook]]:
+        """The serial engine's update rule and hooks (runs last in set-up)."""
+
+    @abc.abstractmethod
+    def _hogwild_update_rule(self, rng: np.random.Generator) -> UpdateRule:
+        """One hogwild worker's update rule, seeded from its own stream."""
+
+    def _run_engine(self, epochs: int | None) -> FitResult:
+        """Run the (already set up) engine and install the fitted state."""
+        requested = int(epochs) if epochs is not None else self.training_config.epochs
+        if requested <= 0:
+            raise TrainingError(f"epochs must be positive, got {requested}")
+        epochs = self._admit(requested)
+        if self._active_workers > 1:
+            result = self._run_hogwild(epochs)
+        else:
+            result = self.engine.run(epochs)
+        spent = self._account()
+        self._embeddings = result.embeddings
+        self._context_embeddings = result.context_embeddings
+        return FitResult(
+            losses=result.losses,
+            epochs_run=result.epochs_run,
+            stopped_early=result.stopped_early or epochs < requested,
+            privacy_spent=spent,
+        )
+
+    def _admit(self, epochs: int) -> int:
+        """How many of the requested epochs this fit may run."""
+        return epochs
+
+    def _account(self) -> PrivacySpent | None:
+        """The privacy the finished run spent (``None``: not private)."""
+        return None
+
+    # ------------------------------------------------------------------ #
     # hogwild execution (workers > 1)
     # ------------------------------------------------------------------ #
-    def _hogwild_update_rule(self, rng: np.random.Generator):
-        """The per-worker update rule; the private trainer overrides this."""
-        del rng  # the exact scatter update draws no randomness
-        return DirectSparseUpdate()
-
     def _hogwild_engine(self, rng: np.random.Generator) -> TrainingEngine:
         """Build one worker's private engine over the shared model.
 
@@ -225,12 +356,11 @@ class SkipGramTrainerBase(Embedder):
             hooks=(),
         )
 
-    def _run_hogwild(
-        self,
-        total_steps: int,
-        iterate_averaging: bool = False,
-        stopped_early: bool = False,
-    ) -> EngineResult:
+    def _run_hogwild(self, total_steps: int) -> EngineResult:
+        """Shard ``total_steps`` over the hogwild pool."""
+        return self._run_pool(total_steps)
+
+    def _run_pool(self, total_steps: int, iterate_averaging: bool = False) -> EngineResult:
         """Shard ``total_steps`` over the hogwild pool and release the blocks.
 
         The shared-memory segments are unlinked in the ``finally`` — also
@@ -252,10 +382,7 @@ class SkipGramTrainerBase(Embedder):
             self.model.release()
         self.last_worker_reports = run.reports
         self.last_hogwild_run = run
-        result = run.result
-        if stopped_early:
-            result = _dc_replace(result, stopped_early=True)
-        return result
+        return run.result
 
     def _require_setup(self) -> None:
         if self.engine is None:
@@ -290,7 +417,7 @@ class SEGEmbTrainer(SkipGramTrainerBase):
         time, honouring ``proximity_cache``) or an already-computed
         :class:`ProximityMatrix`.
     config:
-        Training hyper-parameters.
+        Training hyper-parameters, kept as :attr:`training_config`.
     negative_sampling:
         ``"proximity"`` (default) uses the Theorem-3 sampler — the same one
         SE-PrivGEmb uses, making this trainer its exact non-private
@@ -338,123 +465,35 @@ class SEGEmbTrainer(SkipGramTrainerBase):
         workers: int = 1,
         hogwild_resilience: SupervisorPolicy | None = None,
     ) -> None:
-        super().__init__()
-        if proximity is None:
-            raise TrainingError("SEGEmbTrainer requires a proximity measure or matrix")
+        super().__init__(
+            proximity, config, seed, proximity_cache, compute_dtype, workers,
+            hogwild_resilience,
+        )
         if negative_sampling not in {"proximity", "unigram"}:
             raise TrainingError(
                 f"negative_sampling must be 'proximity' or 'unigram', got {negative_sampling!r}"
             )
-        self.proximity = proximity
-        self.config = config or TrainingConfig()
         self.negative_sampling = negative_sampling
-        self._seed = seed
-        self._proximity_cache = proximity_cache
-        self.compute_dtype = resolve_compute_dtype(compute_dtype)
-        self.workers = self._validate_workers(workers)
-        self.hogwild_resilience = hogwild_resilience
-        self.graph: Graph | None = None
-        self.engine: TrainingEngine | None = None
-        self.proximity_matrix: ProximityMatrix | None = None
-
-    # ------------------------------------------------------------------ #
-    @property
-    def training_config(self) -> TrainingConfig:
-        """Alias of :attr:`config` (the protocol-wide attribute name)."""
-        return self.config
 
     def _build_options(self) -> dict:
         return {**super()._build_options(), "negative_sampling": self.negative_sampling}
 
-    @classmethod
-    def from_method_spec(
-        cls,
-        spec,
-        *,
-        training=None,
-        privacy=None,  # non-private method, accepted for protocol uniformity
-        perturbation=None,
-        proximity=None,
-        proximity_cache="default",
-        seed=None,
-        **kwargs,
-    ) -> "SEGEmbTrainer":
-        model = cls(
-            proximity=proximity,
-            config=training,
-            seed=seed,
-            proximity_cache=proximity_cache,
-            **kwargs,
-        )
-        model._spec = spec
-        return model
+    def _negative_sampler(self, graph: Graph):
+        if self.negative_sampling == "unigram":
+            return UnigramNegativeSampler(graph, seed=self._rng)
+        return super()._negative_sampler(graph)
 
-    # ------------------------------------------------------------------ #
-    def _setup(
-        self,
-        graph: Graph,
-        rng: np.random.Generator,
-        proximity: ProximityMatrix | None = None,
-    ) -> None:
-        """Build model, samplers and engine for ``graph`` (consumes ``rng``)."""
-        if graph.num_edges == 0:
-            raise TrainingError("cannot train on a graph with no edges")
-        self.graph = graph
-        self._rng = rng
-        self._active_workers = self._resolve_active_workers()
-        self.proximity_matrix = self._resolve_proximity_matrix(graph, proximity)
-        self.objective = StructurePreferenceObjective(self.proximity_matrix)
+    def _engine_parts(self) -> tuple[UpdateRule, list[EngineHook]]:
+        return DirectSparseUpdate(), [LossLoggingHook(_LOGGER)]
 
-        self.model = self._make_model(graph)
-        self.optimizer = SGDOptimizer(self.config.learning_rate)
-
-        if self.negative_sampling == "proximity":
-            negative_sampler = ProximityNegativeSampler.from_proximity(
-                graph, self.proximity_matrix, seed=self._rng
-            )
-        else:
-            negative_sampler = UnigramNegativeSampler(graph, seed=self._rng)
-        pool = generate_disjoint_subgraph_arrays(
-            graph, negative_sampler, self.config.negative_samples
-        )
-        # Bind the proximity weights once; every batch then slices them
-        # instead of re-reading the proximity matrix per example per step.
-        self._subgraph_pool: SubgraphBatch = pool.with_weights(
-            self.objective.edge_weights(pool.centers, pool.positives)
-        )
-        self._sampler = SubgraphSampler(
-            self._subgraph_pool, self.config.batch_size, seed=self._rng
-        )
-        self.engine = TrainingEngine(
-            model=self.model,
-            optimizer=self.optimizer,
-            objective=self.objective,
-            sampler=self._sampler,
-            update_rule=DirectSparseUpdate(),
-            hooks=(LossLoggingHook(_LOGGER),),
-        )
-
-    def _run_engine(self, epochs: int | None) -> FitResult:
-        """Run the (already set up) engine and install the fitted state."""
-        epochs = int(epochs) if epochs is not None else self.config.epochs
-        if epochs <= 0:
-            raise TrainingError(f"epochs must be positive, got {epochs}")
-        if getattr(self, "_active_workers", 1) > 1:
-            result = self._run_hogwild(epochs)
-        else:
-            result = self.engine.run(epochs)
-        self._embeddings = result.embeddings
-        self._context_embeddings = result.context_embeddings
-        return FitResult(
-            losses=result.losses,
-            epochs_run=result.epochs_run,
-            stopped_early=result.stopped_early,
-        )
+    def _hogwild_update_rule(self, rng: np.random.Generator) -> UpdateRule:
+        del rng  # the exact scatter update draws no randomness
+        return DirectSparseUpdate()
 
     def __repr__(self) -> str:
         proximity = getattr(self.proximity, "name", None) or type(self.proximity).__name__
         return (
             f"SEGEmbTrainer(proximity={proximity!r}, "
             f"negative_sampling={self.negative_sampling!r}, "
-            f"embedding_dim={self.config.embedding_dim})"
+            f"embedding_dim={self.training_config.embedding_dim})"
         )

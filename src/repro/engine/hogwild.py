@@ -512,12 +512,16 @@ class _ShardState:
 def _merge_run(
     model,
     reports: list[WorkerReport],
-    accumulator: "_SharedAccumulator | None",
+    accumulator: "_SharedAccumulator | _IterateSumHook | None",
     iterate_averaging: bool,
     charged: list[int],
     restarts: int,
 ) -> HogwildRun:
-    """Fold worker reports + the shared pages into one :class:`HogwildRun`."""
+    """Fold worker reports + the shared pages into one :class:`HogwildRun`.
+
+    ``accumulator`` holds the pooled iterate sums: the shared blocks of a
+    forked pool, or the one in-process shard's own averaging hook.
+    """
     total_run = sum(report.steps for report in reports)
     averaged = sum(report.averaged_steps for report in reports)
     if iterate_averaging and accumulator is not None and averaged > 0:
@@ -616,26 +620,8 @@ def run_hogwild(
             iterate_averaging,
             trace_memory,
         )
-        reports = [report]
-        if averager is not None and averager.steps > 0:
-            embeddings = (averager.sum_w_in / averager.steps).astype(
-                model.w_in.dtype, copy=False
-            )
-            context = (averager.sum_w_out / averager.steps).astype(
-                model.w_out.dtype, copy=False
-            )
-        else:
-            embeddings, context = model.embeddings(), model.w_out.copy()
-        return HogwildRun(
-            result=EngineResult(
-                embeddings=embeddings,
-                context_embeddings=context,
-                losses=list(report.losses),
-                epochs_run=report.steps,
-                profile=report.profile,
-            ),
-            reports=reports,
-            charged_steps=[report.steps],
+        return _merge_run(
+            model, [report], averager, iterate_averaging, [report.steps], 0
         )
 
     policy = supervision if supervision is not None else SupervisorPolicy(

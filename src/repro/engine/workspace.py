@@ -105,20 +105,25 @@ class _SegmentScratch:
         self.dup_positions = np.empty(slots, dtype=np.int64)
         self.dup_segments = np.empty(slots, dtype=np.int64)
         self.count_ints = np.empty(slots, dtype=np.int64)
-        self.dup_values = np.empty((slots, dim), dtype=dtype)
         self.sums = np.empty((slots, dim), dtype=dtype)
         self.counts = np.empty(slots, dtype=dtype)
         self.unique_rows = np.empty(slots, dtype=np.int64)
-        #: float64 regardless of the compute dtype — DP noise is calibrated
-        #: and drawn in full precision, then added into the compute buffers.
-        self.noise = np.empty((slots, dim), dtype=np.float64)
+        # One block serves the three value scratches, whose lifetimes never
+        # overlap within a step: duplicate slots during ``reduce``, then the
+        # noise staged into ``sums``, then the gathered parameter rows of
+        # the descent.
+        block = np.empty((slots, dim), dtype=dtype)
+        self.dup_values = block
         #: compute-dtype staging for the noise: a cross-dtype ufunc would
         #: allocate casting buffers, np.copyto into this one does not
-        self.noise_cast = (
-            self.noise if dtype == np.dtype(np.float64)
-            else np.empty((slots, dim), dtype=dtype)
+        self.noise_cast = block
+        self.gather = block
+        #: float64 regardless of the compute dtype — DP noise is calibrated
+        #: and drawn in full precision, then added into the compute buffers.
+        self.noise = (
+            block if dtype == np.dtype(np.float64)
+            else np.empty((slots, dim), dtype=np.float64)
         )
-        self.gather = np.empty((slots, dim), dtype=dtype)
         self.arange = np.arange(slots, dtype=np.int64)
 
     @zero_alloc

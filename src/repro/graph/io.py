@@ -8,7 +8,6 @@ own graphs into the library.
 from __future__ import annotations
 
 from pathlib import Path
-from collections.abc import Iterable
 
 from ..exceptions import GraphError
 from .graph import Graph
@@ -64,7 +63,3 @@ def write_edge_list(graph: Graph, path: str | Path, header: bool = True) -> None
     lines.extend(f"{int(u)} {int(v)}" for u, v in graph.edges)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-
-def _edges_as_tuples(edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Normalise an iterable of edge pairs to a list of int tuples."""
-    return [(int(u), int(v)) for u, v in edges]

@@ -100,6 +100,28 @@ class TestStepWorkspace:
         # DP noise buffers stay float64 regardless of the compute dtype
         assert ws.context_scratch.noise.dtype == np.dtype(np.float64)
 
+    @pytest.mark.parametrize(
+        ("dtype", "budget_mib"), [("float64", 8.25), ("float32", 6.25)]
+    )
+    def test_workspace_size_is_pinned(self, dtype, budget_mib):
+        # B=1024, k=5, r=32: one (slots, r) block per segment scratch serves
+        # the duplicate values, the noise staging and the descent gather
+        # (7.94 MiB float64, 6.06 MiB float32); a separate block for each
+        # use costs 11.45 / 7.81 MiB
+        tracemalloc.start()
+        try:
+            ws = StepWorkspace(
+                batch_size=1024, num_negatives=5, embedding_dim=32,
+                num_nodes=20000, dtype=dtype,
+            )
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert size < budget_mib * 2**20, f"workspace holds {size / 2**20:.2f} MiB"
+        for scratch in (ws.center_scratch, ws.context_scratch):
+            assert scratch.gather is scratch.dup_values is scratch.noise_cast
+            assert (scratch.noise is scratch.gather) == (dtype == "float64")
+
     def test_rejects_bad_dtype_and_geometry(self):
         with pytest.raises(ConfigurationError, match="compute_dtype"):
             StepWorkspace(batch_size=4, num_negatives=2, embedding_dim=3,

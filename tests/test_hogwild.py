@@ -24,7 +24,7 @@ from repro.embedding import (
     SkipGramModel,
 )
 from repro.embedding.shared_model import SHARED_SEGMENT_PREFIX
-from repro.engine import StepProfile, plan_shards, run_hogwild
+from repro.engine import IterateAveragingHook, StepProfile, plan_shards, run_hogwild
 from repro.exceptions import PrivacyError, TrainingError
 from repro.graph import generators
 from repro.privacy import RdpAccountant
@@ -272,6 +272,49 @@ class TestWorkersOne:
     def test_invalid_workers_rejected(self):
         with pytest.raises(TrainingError):
             SEGEmbTrainer(proximity=get_proximity("degree"), config=TRAIN, workers=0)
+
+
+class TestSingleShard:
+    def test_inline_averaged_run_equals_serial_engine(self):
+        # one shard runs in-process, without a pool: its result must be the
+        # serial engine's, built by the same factory from the shard's seed
+        graph = _graph()
+
+        def private_setup():
+            trainer = SEPrivGEmbTrainer(
+                proximity=get_proximity("degree"),
+                training_config=TRAIN,
+                privacy_config=PRIVACY,
+                seed=5,
+            )
+            trainer._setup(graph, np.random.default_rng(5))
+            return trainer
+
+        pooled = private_setup()
+        run = run_hogwild(
+            model=pooled.model,
+            engine_factory=pooled._hogwild_engine,
+            total_steps=12,
+            workers=1,
+            seed=7,
+            iterate_averaging=True,
+        )
+
+        serial = private_setup()
+        shard_seed = np.random.SeedSequence(7).spawn(1)[0]
+        engine = serial._hogwild_engine(np.random.default_rng(shard_seed))
+        engine.hooks = (IterateAveragingHook(),)
+        expected = engine.run(12)
+
+        assert np.array_equal(run.result.embeddings, expected.embeddings)
+        assert np.array_equal(
+            run.result.context_embeddings, expected.context_embeddings
+        )
+        assert not np.array_equal(run.result.embeddings, pooled.model.w_in)
+        assert run.result.losses == expected.losses
+        assert run.result.epochs_run == 12
+        assert run.charged_steps == [12]
+        assert run.reports[0].averaged_steps == 12
 
 
 @FORK_ONLY

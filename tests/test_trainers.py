@@ -222,3 +222,38 @@ class TestSEPrivGEmbTrainer:
         )
         trainer.fit(small_graph, epochs=3)
         assert trainer.embeddings_.shape == (small_graph.num_nodes, 8)
+
+
+class TestCounterparts:
+    def test_same_rng_gives_same_model_pool_and_batches(
+        self, small_graph, fast_training_config, fast_privacy_config
+    ):
+        # SE-GEmb with the Theorem-3 sampler is SE-PrivGEmb minus Algorithm
+        # 2's clip/noise/account step: the same stream must build the same
+        # model, subgraph pool and batches, the noise coming from a spawned
+        # child that reads nothing from the shared stream
+        public = SEGEmbTrainer(
+            DegreeProximity(), config=fast_training_config, negative_sampling="proximity"
+        )
+        private = SEPrivGEmbTrainer(
+            DegreeProximity(),
+            training_config=fast_training_config,
+            privacy_config=fast_privacy_config,
+        )
+        streams = []
+        for trainer in (public, private):
+            rng = np.random.default_rng(21)
+            trainer._setup(small_graph, rng)
+            streams.append(rng)
+
+        np.testing.assert_array_equal(public.model.w_in, private.model.w_in)
+        np.testing.assert_array_equal(public.model.w_out, private.model.w_out)
+        for field in ("centers", "contexts", "weights"):
+            np.testing.assert_array_equal(
+                getattr(public._subgraph_pool, field),
+                getattr(private._subgraph_pool, field),
+            )
+        np.testing.assert_array_equal(
+            public._sampler.sample_indices(), private._sampler.sample_indices()
+        )
+        assert streams[0].bit_generator.state == streams[1].bit_generator.state
