@@ -2,8 +2,9 @@
 
 Measures private and non-private training steps/sec on a ~2k-node generator
 graph and asserts the engine's batched path is at least 5x faster than the
-per-example reference loop (the seed implementation, reproduced here with
-the same objective / perturbation primitives it used).
+per-example reference loop (the seed implementation, written out here: one
+Python-level proximity lookup and Eq. 7 / Eq. 8 gradient per example, then
+the same row scatter the seed descended with).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.graph.sampling import SubgraphSampler, UnigramNegativeSampler, genera
 from repro.engine import DirectSparseUpdate, PerturbedUpdate, TrainingEngine
 from repro.privacy.mechanisms import clip_gradient
 from repro.proximity import DegreeProximity
+from repro.utils.math import log_sigmoid, sigmoid
 
 BENCH_CONFIG = TrainingConfig(
     embedding_dim=64, batch_size=1024, learning_rate=0.1, negative_samples=5, epochs=1
@@ -55,19 +57,44 @@ def _fresh_model_sampler(graph, pool, seed=0):
 
 
 class _LegacySampler:
-    """The seed's batch source: index into a prebuilt dataclass list.
+    """The seed's batch source: index into a prebuilt per-example list.
 
-    ``SubgraphSampler.sample_batch`` now materialises fresh dataclasses per
-    call; the seed indexed a list built once, so the baseline must too or
-    the measured speedup would be inflated by compat-shim overhead.
+    Each entry is one Algorithm-1 record ``(center, positive, negatives)``,
+    built once like the seed's list, so sampling costs the seed's
+    ``B`` list lookups per step.
     """
 
     def __init__(self, pool, batch_size, seed):
-        self._subgraphs = pool.to_subgraphs()
+        self._subgraphs = [
+            (int(center), int(contexts[0]), contexts[1:].copy())
+            for center, contexts in zip(pool.centers, pool.contexts, strict=True)
+        ]
         self._sampler = SubgraphSampler(pool, batch_size, seed=seed)
 
     def sample_batch(self):
         return [self._subgraphs[int(i)] for i in self._sampler.sample_indices()]
+
+
+def _example_gradients(model, objective, subgraph):
+    """The seed's per-example step: scalar ``p_ij`` lookup, then Eq. 7 / Eq. 8.
+
+    Returns ``(center, center_gradient, context_nodes, context_gradients,
+    loss)`` with the seed's arithmetic, loss included.
+    """
+    center, positive, negatives = subgraph
+    proximity = objective.proximity
+    scale = 1.0 / proximity.max_value
+    weight = max(proximity.pair_value(center, positive) * scale, objective.weight_floor)
+    context_nodes = np.concatenate(([positive], negatives)).astype(np.int64)
+    center_vec = model.w_in[center]
+    context_vecs = model.w_out[context_nodes]
+    scores = context_vecs @ center_vec
+    indicators = np.zeros_like(scores)
+    indicators[0] = 1.0  # the first context node is the positive v_j
+    errors = weight * (sigmoid(scores) - indicators)
+    loss = -weight * float(log_sigmoid(scores[0]))
+    loss -= weight * float(np.sum(log_sigmoid(-scores[1:])))
+    return center, errors @ context_vecs, context_nodes, np.outer(errors, center_vec), loss
 
 
 def _time_steps(step, count, repeats=3):
@@ -86,23 +113,25 @@ def _time_steps(step, count, repeats=3):
     return best
 
 
-def _legacy_nonprivate_step(model, optimizer, objective, sampler):
+def _legacy_nonprivate_step(model, rate, objective, sampler):
     batch = sampler.sample_batch()
     centers, center_grads, context_rows, context_grads = [], [], [], []
     for subgraph in batch:
-        grads = objective.example_gradients(model.w_in, model.w_out, subgraph)
-        centers.append(grads.center)
-        center_grads.append(grads.center_gradient)
-        context_rows.append(grads.context_nodes)
-        context_grads.append(grads.context_gradients)
-    optimizer.descend_rows(
-        model.w_in, np.asarray(centers, dtype=np.int64), np.vstack(center_grads)
+        center, center_grad, context_nodes, context_grad, _ = _example_gradients(
+            model, objective, subgraph
+        )
+        centers.append(center)
+        center_grads.append(center_grad)
+        context_rows.append(context_nodes)
+        context_grads.append(context_grad)
+    # the seed's duplicate-safe row scatter
+    np.subtract.at(
+        model.w_in, np.asarray(centers, dtype=np.int64), rate * np.vstack(center_grads)
     )
-    optimizer.descend_rows(model.w_out, np.concatenate(context_rows), np.vstack(context_grads))
-    optimizer.step_epoch()
+    np.subtract.at(model.w_out, np.concatenate(context_rows), rate * np.vstack(context_grads))
 
 
-def _legacy_private_step(model, optimizer, objective, sampler, perturbation):
+def _legacy_private_step(model, rate, objective, sampler, perturbation):
     """The seed's private step: clip, sum and noise one example at a time."""
     batch = sampler.sample_batch()
     threshold = perturbation.clipping_threshold
@@ -110,16 +139,17 @@ def _legacy_private_step(model, optimizer, objective, sampler, perturbation):
     sums = (np.zeros_like(model.w_in), np.zeros_like(model.w_out))
     counts = (np.zeros(model.num_nodes), np.zeros(model.num_nodes))
     for subgraph in batch:
-        grads = objective.example_gradients(model.w_in, model.w_out, subgraph)
-        sums[0][grads.center] += clip_gradient(grads.center_gradient, threshold)
-        counts[0][grads.center] += 1
-        np.add.at(sums[1], grads.context_nodes, clip_gradient(grads.context_gradients, threshold))
-        np.add.at(counts[1], grads.context_nodes, 1)
+        center, center_grad, context_nodes, context_grad, _ = _example_gradients(
+            model, objective, subgraph
+        )
+        sums[0][center] += clip_gradient(center_grad, threshold)
+        counts[0][center] += 1
+        np.add.at(sums[1], context_nodes, clip_gradient(context_grad, threshold))
+        np.add.at(counts[1], context_nodes, 1)
     for parameters, summed, touched in zip((model.w_in, model.w_out), sums, counts, strict=True):
         rows = np.flatnonzero(touched)
         summed[rows] += perturbation.noise.draw((rows.size, model.embedding_dim), std)
-        optimizer.descend(parameters, summed / np.maximum(touched, 1.0)[:, None])
-    optimizer.step_epoch()
+        parameters -= rate * (summed / np.maximum(touched, 1.0)[:, None])
 
 
 def _report(label, engine_spp, legacy_spp):
@@ -148,9 +178,9 @@ def test_engine_throughput_nonprivate(benchmark, bench_setup):
 
     model = SkipGramModel(graph.num_nodes, BENCH_CONFIG.embedding_dim, seed=0)
     sampler = _LegacySampler(pool, BENCH_CONFIG.batch_size, seed=0)
-    optimizer = SGDOptimizer(BENCH_CONFIG.learning_rate)
+    rate = BENCH_CONFIG.learning_rate
     legacy_spp = _time_steps(
-        lambda: _legacy_nonprivate_step(model, optimizer, objective, sampler), LEGACY_STEPS
+        lambda: _legacy_nonprivate_step(model, rate, objective, sampler), LEGACY_STEPS
     )
 
     speedup = _report("SE-GEmb (non-private)", engine_spp, legacy_spp)
@@ -176,10 +206,10 @@ def test_engine_throughput_private(benchmark, bench_setup):
 
     model = SkipGramModel(graph.num_nodes, BENCH_CONFIG.embedding_dim, seed=0)
     sampler = _LegacySampler(pool, BENCH_CONFIG.batch_size, seed=0)
-    optimizer = SGDOptimizer(BENCH_CONFIG.learning_rate)
+    rate = BENCH_CONFIG.learning_rate
     legacy = perturbation()
     legacy_spp = _time_steps(
-        lambda: _legacy_private_step(model, optimizer, objective, sampler, legacy), LEGACY_STEPS
+        lambda: _legacy_private_step(model, rate, objective, sampler, legacy), LEGACY_STEPS
     )
 
     speedup = _report("SE-PrivGEmb (private)", engine_spp, legacy_spp)

@@ -27,7 +27,7 @@ from .exceptions import (
     TrainingError,
     EvaluationError,
 )
-from .graph import Graph, load_dataset, available_datasets, RandomWalker
+from .graph import Graph, load_dataset, available_datasets
 from .proximity import (
     DeepWalkProximity,
     DegreeProximity,
@@ -41,7 +41,7 @@ from .proximity import (
     get_proximity,
     available_proximities,
 )
-from .privacy import RdpAccountant, MomentsAccountant, GaussianMechanism, PrivacyLedger
+from .privacy import RdpAccountant, MomentsAccountant, PrivacyLedger
 from .streaming import EdgeDelta, apply_delta, DeltaPlanner, InvalidationPlan
 from .engine import (
     BatchGradients,
@@ -95,7 +95,6 @@ __all__ = [
     "Graph",
     "load_dataset",
     "available_datasets",
-    "RandomWalker",
     "DeepWalkProximity",
     "DegreeProximity",
     "CommonNeighborsProximity",
@@ -109,7 +108,6 @@ __all__ = [
     "available_proximities",
     "RdpAccountant",
     "MomentsAccountant",
-    "GaussianMechanism",
     "PrivacyLedger",
     "EdgeDelta",
     "apply_delta",

@@ -2,12 +2,7 @@
 
 from .skipgram import SkipGramModel
 from .shared_model import SharedModelHandle, SharedSkipGramModel
-from .objectives import (
-    StructurePreferenceObjective,
-    pair_loss,
-    pair_gradients,
-    PairGradients,
-)
+from .objectives import StructurePreferenceObjective
 from .optimizer import SGDOptimizer
 from .perturbation import (
     PerturbationStrategy,
@@ -23,9 +18,6 @@ __all__ = [
     "SharedSkipGramModel",
     "SharedModelHandle",
     "StructurePreferenceObjective",
-    "pair_loss",
-    "pair_gradients",
-    "PairGradients",
     "SGDOptimizer",
     "PerturbationStrategy",
     "NaivePerturbation",

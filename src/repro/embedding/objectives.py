@@ -18,110 +18,20 @@ what the non-zero perturbation strategy exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from collections.abc import Sequence
-
 import numpy as np
 
 from ..analysis.markers import zero_alloc
 from ..engine.batch import BatchGradients, SubgraphBatch
 from ..exceptions import TrainingError
-from ..graph.sampling import EdgeSubgraph
 from ..proximity.base import ProximityMatrix
-from ..utils.math import log_sigmoid, sigmoid
 
-__all__ = [
-    "PairGradients",
-    "pair_loss",
-    "pair_gradients",
-    "StructurePreferenceObjective",
-]
+__all__ = ["StructurePreferenceObjective"]
 
 # Mirrors the exp() clamp inside utils.math.sigmoid: at |score| = 35 the
 # sigmoid saturates to within 1e-15 of {0, 1}, so clamping the workspace
-# score buffer in place is numerically indistinguishable from the
-# per-example pair_gradients while keeping every exp() finite in float32.
+# score buffer in place is numerically indistinguishable from that
+# sigmoid while keeping every exp() finite in float32.
 _SCORE_CLAMP = 35.0
-
-
-@dataclass
-class PairGradients:
-    """Sparse gradients of one training example (one edge subgraph).
-
-    Attributes
-    ----------
-    center:
-        The centre node index whose ``W_in`` row has a non-zero gradient.
-    center_gradient:
-        Gradient with respect to ``W_in[center]`` (shape ``(r,)``).
-    context_nodes:
-        The ``k + 1`` context node indices (positive first) whose ``W_out``
-        rows have non-zero gradients.
-    context_gradients:
-        Gradient rows aligned with ``context_nodes`` (shape ``(k + 1, r)``).
-    loss:
-        The scalar loss value of this example.
-    """
-
-    center: int
-    center_gradient: np.ndarray
-    context_nodes: np.ndarray
-    context_gradients: np.ndarray
-    loss: float
-
-
-def pair_loss(
-    w_in: np.ndarray,
-    w_out: np.ndarray,
-    subgraph: EdgeSubgraph,
-    weight: float,
-) -> float:
-    """Loss of a single edge subgraph under the structure-preference objective."""
-    center_vec = w_in[subgraph.center]
-    positive_score = float(w_out[subgraph.positive] @ center_vec)
-    negative_scores = w_out[subgraph.negatives] @ center_vec
-    loss = -weight * float(log_sigmoid(positive_score))
-    loss -= weight * float(np.sum(log_sigmoid(-negative_scores)))
-    return loss
-
-
-def pair_gradients(
-    w_in: np.ndarray,
-    w_out: np.ndarray,
-    subgraph: EdgeSubgraph,
-    weight: float,
-) -> PairGradients:
-    """Gradients (Eq. 7 / Eq. 8) of a single edge subgraph.
-
-    The returned gradients are of the *loss* (to be subtracted, scaled by the
-    learning rate, during descent).
-    """
-    if weight < 0:
-        raise TrainingError(f"proximity weight must be non-negative, got {weight}")
-    center = int(subgraph.center)
-    context_nodes = subgraph.all_context_nodes()
-    center_vec = w_in[center]
-    context_vecs = w_out[context_nodes]
-
-    scores = context_vecs @ center_vec
-    probabilities = sigmoid(scores)
-    indicators = np.zeros_like(probabilities)
-    indicators[0] = 1.0  # the first context node is the positive v_j
-    errors = weight * (probabilities - indicators)
-
-    center_gradient = errors @ context_vecs
-    context_gradients = np.outer(errors, center_vec)
-
-    loss = -weight * float(log_sigmoid(scores[0]))
-    loss -= weight * float(np.sum(log_sigmoid(-scores[1:])))
-
-    return PairGradients(
-        center=center,
-        center_gradient=center_gradient,
-        context_nodes=context_nodes,
-        context_gradients=context_gradients,
-        loss=loss,
-    )
 
 
 class StructurePreferenceObjective:
@@ -167,22 +77,10 @@ class StructurePreferenceObjective:
         peak = proximity.max_value
         self._weight_scale = 1.0 / peak if (self.normalize_weights and peak > 0) else 1.0
 
-    def edge_weight(self, center: int, positive: int) -> float:
-        """Return the (optionally rescaled) ``p_ij`` for an observed edge."""
-        value = self.proximity.pair_value(center, positive) * self._weight_scale
-        return max(value, self.weight_floor)
-
     def edge_weights(self, centers: np.ndarray, positives: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`edge_weight` for parallel centre/positive arrays."""
+        """The (optionally rescaled) ``p_ij`` of each observed edge ``(centers, positives)``."""
         values = self.proximity.pair_values(centers, positives) * self._weight_scale
         return np.maximum(values, self.weight_floor)
-
-    def example_gradients(
-        self, w_in: np.ndarray, w_out: np.ndarray, subgraph: EdgeSubgraph
-    ) -> PairGradients:
-        """Gradients of one edge subgraph with its proximity weight applied."""
-        weight = self.edge_weight(subgraph.center, subgraph.positive)
-        return pair_gradients(w_in, w_out, subgraph, weight)
 
     # ---------------------------------------------------------------- #
     # Vectorized batch path (the engine's hot path)
@@ -193,10 +91,10 @@ class StructurePreferenceObjective:
     ) -> BatchGradients:
         """Eq. (7) / Eq. (8) gradients of a whole batch in one vectorized pass.
 
-        Numerically equivalent to calling :meth:`example_gradients` per
-        subgraph — one contraction computes all ``B × (1+k)`` scores
-        instead of ``B`` Python-level matvecs — up to floating-point
-        evaluation order.  The per-example losses fall out of the same
+        One contraction computes all ``B × (1+k)`` scores instead of ``B``
+        Python-level matvecs; the result equals the per-example Eq. (7) /
+        Eq. (8) up to floating-point evaluation order.  The per-example
+        losses fall out of the same
         scores and ride along on the returned :class:`BatchGradients`, so
         callers never pay a second loss pass.
 
@@ -255,32 +153,6 @@ class StructurePreferenceObjective:
         np.einsum("bk,bkr->br", errors, ws.context_vecs, out=ws.center_gradients)
         np.multiply(ws.errors_col, ws.center_vecs_mid, out=ws.context_gradients)
         return ws.gradients
-
-    def batch_loss(
-        self,
-        w_in: np.ndarray,
-        w_out: np.ndarray,
-        batch: SubgraphBatch | Sequence[EdgeSubgraph],
-    ) -> float:
-        """Mean Eq. (5) loss over a batch of edge subgraphs (vectorized).
-
-        Prefer reading :attr:`BatchGradients.mean_loss` when gradients are
-        being computed anyway — the scores are shared, so calling both would
-        pay for the same sigmoids twice.
-        """
-        if not isinstance(batch, SubgraphBatch):
-            if len(batch) == 0:
-                raise TrainingError("batch must not be empty")
-            batch = SubgraphBatch.from_subgraphs(batch)
-        weights = batch.weights
-        if weights is None:
-            weights = self.edge_weights(batch.centers, batch.positives)
-        elif np.any(weights < 0):
-            raise TrainingError("proximity weights must be non-negative")
-        scores = np.einsum("bkr,br->bk", w_out[batch.contexts], w_in[batch.centers])
-        positive_ll = log_sigmoid(scores[:, 0])
-        negative_ll = np.sum(log_sigmoid(-scores[:, 1:]), axis=1)
-        return float(np.mean(-weights * (positive_ll + negative_ll)))
 
     def __repr__(self) -> str:
         return (

@@ -80,16 +80,6 @@ class SkipGramModel:
         """Return a copy of the published embedding matrix ``W_in``."""
         return self.w_in.copy()
 
-    def apply_update(self, w_in_delta: np.ndarray, w_out_delta: np.ndarray) -> None:
-        """Add dense deltas to both matrices (used by the trainers)."""
-        if w_in_delta.shape != self.w_in.shape or w_out_delta.shape != self.w_out.shape:
-            raise ConfigurationError(
-                "update shapes do not match the model: "
-                f"{w_in_delta.shape} / {w_out_delta.shape} vs {self.w_in.shape}"
-            )
-        self.w_in += w_in_delta
-        self.w_out += w_out_delta
-
     def copy(self) -> "SkipGramModel":
         """Return a deep copy of the model (used to snapshot non-private baselines)."""
         clone = SkipGramModel(

@@ -43,7 +43,6 @@ from ..exceptions import TrainingError
 from ..robustness.checkpoint import SupervisorPolicy
 from ..graph import Graph
 from ..graph.sampling import (
-    EdgeSubgraph,
     ProximityNegativeSampler,
     SubgraphSampler,
     UnigramNegativeSampler,
@@ -395,16 +394,6 @@ class SkipGramTrainerBase(Embedder):
         """The subsampling rate ``γ = B / |GS|``."""
         self._require_setup()
         return self._sampler.sampling_rate
-
-    @property
-    def subgraphs(self) -> list[EdgeSubgraph]:
-        """The Algorithm-1 subgraph set as per-example dataclasses.
-
-        A fresh copy built from the pool arrays on each access; mutating
-        it has no effect on training.
-        """
-        self._require_setup()
-        return self._subgraph_pool.to_subgraphs()
 
 
 class SEGEmbTrainer(SkipGramTrainerBase):

@@ -1,36 +1,23 @@
 """Array-level batch containers for the vectorized training engine.
 
-The per-example :class:`~repro.graph.sampling.EdgeSubgraph` dataclass is a
-faithful rendition of one Algorithm-1 record, but iterating a Python list of
-them is what kept the seed trainers slow: every SGD step paid ``B`` Python
-function calls, ``B`` small matmuls and ``B`` dataclass allocations.  The
-engine instead moves whole batches as struct-of-arrays:
+Algorithm-1 examples move through the engine as struct-of-arrays, one
+whole batch at a time:
 
 * :class:`SubgraphBatch` — ``B`` edge subgraphs as three aligned arrays:
-  centres ``[B]``, contexts ``[B, 1+k]`` (positive node first, matching
-  ``EdgeSubgraph.all_context_nodes``) and optional proximity weights ``[B]``.
+  centres ``[B]``, contexts ``[B, 1+k]`` (positive node first, then the
+  ``k`` negatives) and optional proximity weights ``[B]``.
 * :class:`BatchGradients` — the sparse gradients of a whole batch: one
   ``W_in`` row per example and ``1+k`` ``W_out`` rows per example, plus the
   per-example losses so the loss never has to be recomputed from scores.
-
-Both containers keep ``EdgeSubgraph`` round-trips (:meth:`SubgraphBatch.
-from_subgraphs` / :meth:`SubgraphBatch.to_subgraphs`) so list-based callers
-keep working; the arrays are the hot path, the dataclasses the view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..exceptions import TrainingError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..embedding.objectives import PairGradients
-    from ..graph.sampling import EdgeSubgraph
 
 __all__ = ["SubgraphBatch", "BatchGradients"]
 
@@ -153,51 +140,12 @@ class SubgraphBatch:
         """Return a copy of this batch with proximity weights attached."""
         return SubgraphBatch(centers=self.centers, contexts=self.contexts, weights=weights)
 
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_subgraphs(
-        cls,
-        subgraphs: Sequence["EdgeSubgraph"],
-        weights: np.ndarray | None = None,
-    ) -> "SubgraphBatch":
-        """Pack a list of :class:`EdgeSubgraph` records into arrays."""
-        if len(subgraphs) == 0:
-            raise TrainingError("cannot build a SubgraphBatch from zero subgraphs")
-        num_negatives = {int(np.asarray(sub.negatives).shape[0]) for sub in subgraphs}
-        if len(num_negatives) != 1:
-            raise TrainingError(
-                f"all subgraphs must share one negative count, got {sorted(num_negatives)}"
-            )
-        k = num_negatives.pop()
-        if k < 1:
-            raise TrainingError(f"subgraphs must have >= 1 negative, got {k}")
-        centers = np.fromiter((int(sub.center) for sub in subgraphs), dtype=np.int64)
-        contexts = np.empty((len(subgraphs), 1 + k), dtype=np.int64)
-        for row, sub in enumerate(subgraphs):
-            contexts[row, 0] = int(sub.positive)
-            contexts[row, 1:] = sub.negatives
-        return cls(centers=centers, contexts=contexts, weights=weights)
-
-    def to_subgraphs(self) -> list["EdgeSubgraph"]:
-        """Materialise the compatibility view: one :class:`EdgeSubgraph` per row."""
-        from ..graph.sampling import EdgeSubgraph
-
-        return [
-            EdgeSubgraph(
-                center=int(self.centers[row]),
-                positive=int(self.contexts[row, 0]),
-                negatives=self.contexts[row, 1:].copy(),
-            )
-            for row in range(len(self))
-        ]
-
 
 @dataclass(frozen=True)
 class BatchGradients:
     """Sparse structure-preference gradients of a whole batch (Eq. 7 / Eq. 8).
 
-    Mirrors ``B`` :class:`~repro.embedding.objectives.PairGradients` records
-    in array form.  The per-example ``losses`` ride along for free — they are
+    The per-example ``losses`` ride along for free — they are
     computed from the same sigmoid scores as the gradients, so trainers never
     need a second loss pass over the batch.
     """
@@ -220,18 +168,3 @@ class BatchGradients:
     def mean_loss(self) -> float:
         """Mean per-example loss of the batch — no extra forward pass needed."""
         return float(np.mean(self.losses))
-
-    def to_pair_gradients(self) -> list["PairGradients"]:
-        """Compatibility view: unpack into per-example ``PairGradients``."""
-        from ..embedding.objectives import PairGradients
-
-        return [
-            PairGradients(
-                center=int(self.centers[row]),
-                center_gradient=self.center_gradients[row].copy(),
-                context_nodes=self.context_nodes[row].copy(),
-                context_gradients=self.context_gradients[row].copy(),
-                loss=float(self.losses[row]),
-            )
-            for row in range(len(self))
-        ]

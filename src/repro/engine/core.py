@@ -15,7 +15,7 @@ that :meth:`TrainingEngine.run` allocates from the model's and the
 sampler's geometry and drops when the run ends.
 
 The engine is deliberately duck-typed: it needs a model with ``w_in`` /
-``w_out`` / ``embeddings()``, an optimizer with ``descend*`` /
+``w_out`` / ``embeddings()``, an optimizer with ``descend_unique_rows`` /
 ``step_epoch``, an objective with ``batch_gradients`` and a sampler with
 ``batch_size`` / ``pool`` / ``sample_batch_arrays`` — it imports nothing
 from the embedding package, so the embedding layer can depend on the
@@ -68,7 +68,7 @@ class TrainingEngine:
     model:
         The skip-gram model holding ``w_in`` and ``w_out``.
     optimizer:
-        SGD optimizer applying the updates (and learning-rate decay).
+        SGD optimizer applying the updates.
     objective:
         Objective exposing ``batch_gradients(w_in, w_out, batch, workspace=)``.
     sampler:

@@ -8,7 +8,7 @@ finished cell in ``runs/`` so a killed sweep resumes without recomputation.
 
 from .configs import ExperimentSettings, PAPER_EPSILONS, PAPER_METHODS
 from .orchestrator import RunSpec, SweepReport, execute
-from .results import ExperimentResult, ResultTable
+from .results import ResultTable
 from .runner import embed_with_method, evaluate_structural_equivalence, evaluate_link_prediction
 from .store import RunStore
 from .tables import (
@@ -32,7 +32,6 @@ __all__ = [
     "ExperimentSettings",
     "PAPER_EPSILONS",
     "PAPER_METHODS",
-    "ExperimentResult",
     "ResultTable",
     "RunSpec",
     "RunStore",

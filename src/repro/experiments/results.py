@@ -9,25 +9,10 @@ original tables side by side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping
 from typing import Any
 
-__all__ = ["ExperimentResult", "ResultTable"]
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    """A single measured cell: a metric value with its repetition spread."""
-
-    metric: str
-    mean: float
-    std: float
-    repeats: int
-    context: Mapping[str, Any] = field(default_factory=dict)
-
-    def __str__(self) -> str:
-        return f"{self.metric}={self.mean:.4f}±{self.std:.4f} (n={self.repeats})"
+__all__ = ["ResultTable"]
 
 
 class ResultTable:

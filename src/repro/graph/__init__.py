@@ -1,4 +1,4 @@
-"""Graph substrate: in-memory graphs, generators, datasets, walks, sampling."""
+"""Graph substrate: in-memory graphs, generators, datasets, sampling."""
 
 from .graph import Graph
 from .generators import (
@@ -11,10 +11,7 @@ from .generators import (
 )
 from .datasets import DatasetInfo, available_datasets, load_dataset
 from .io import read_edge_list, write_edge_list
-from .random_walk import RandomWalker
 from .sampling import (
-    EdgeSubgraph,
-    generate_disjoint_subgraphs,
     generate_disjoint_subgraph_arrays,
     SubgraphSampler,
     UnigramNegativeSampler,
@@ -35,9 +32,6 @@ __all__ = [
     "load_dataset",
     "read_edge_list",
     "write_edge_list",
-    "RandomWalker",
-    "EdgeSubgraph",
-    "generate_disjoint_subgraphs",
     "generate_disjoint_subgraph_arrays",
     "SubgraphSampler",
     "UnigramNegativeSampler",

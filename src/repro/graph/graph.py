@@ -8,15 +8,14 @@ The paper's algorithms only ever need three views of a graph:
   matrix-based proximities).
 
 :class:`Graph` provides all three with O(1) edge membership tests and a
-sparse CSR adjacency.  Nodes are integers ``0 .. n-1``; helper constructors
-relabel arbitrary hashable node identifiers.
+sparse CSR adjacency.  Nodes are integers ``0 .. n-1``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import warnings
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -157,24 +156,6 @@ class Graph:
                 raise GraphError("cannot infer num_nodes from an empty edge list")
             num_nodes = int(max(max(u, v) for u, v in edges)) + 1
         return cls(num_nodes, edges, name=name)
-
-    @classmethod
-    def from_adjacency(cls, adjacency: np.ndarray | sparse.spmatrix, name: str = "graph") -> "Graph":
-        """Build a graph from a (dense or sparse) symmetric 0/1 adjacency matrix."""
-        adj = sparse.csr_matrix(adjacency)
-        if adj.shape[0] != adj.shape[1]:
-            raise GraphError(f"adjacency matrix must be square, got shape {adj.shape}")
-        coo = sparse.triu(adj, k=1).tocoo()
-        edges = list(zip(coo.row.tolist(), coo.col.tolist(), strict=True))
-        return cls(adj.shape[0], edges, name=name)
-
-    @classmethod
-    def from_networkx(cls, nx_graph, name: str | None = None) -> "Graph":
-        """Convert a :class:`networkx.Graph`, relabelling nodes to ``0..n-1``."""
-        nodes = sorted(nx_graph.nodes())
-        index: Mapping[object, int] = {node: i for i, node in enumerate(nodes)}
-        edges = [(index[u], index[v]) for u, v in nx_graph.edges() if u != v]
-        return cls(len(nodes), edges, name=name or "networkx-graph")
 
     # ------------------------------------------------------------------ #
     # basic properties

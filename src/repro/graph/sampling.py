@@ -17,9 +17,6 @@ Two negative-node distributions are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from collections.abc import Sequence
-
 import numpy as np
 
 from ..engine.batch import SubgraphBatch
@@ -28,36 +25,11 @@ from ..utils.rng import ensure_rng
 from .graph import Graph
 
 __all__ = [
-    "EdgeSubgraph",
-    "generate_disjoint_subgraphs",
     "generate_disjoint_subgraph_arrays",
     "SubgraphSampler",
     "UnigramNegativeSampler",
     "ProximityNegativeSampler",
 ]
-
-
-@dataclass(frozen=True)
-class EdgeSubgraph:
-    """One record produced by Algorithm 1.
-
-    Attributes
-    ----------
-    center:
-        The centre node ``v_i`` of the positive edge.
-    positive:
-        The context node ``v_j`` of the positive edge.
-    negatives:
-        Array of ``k`` negative nodes ``v_n`` with ``(center, v_n) ∉ E``.
-    """
-
-    center: int
-    positive: int
-    negatives: np.ndarray
-
-    def all_context_nodes(self) -> np.ndarray:
-        """Return ``[positive, *negatives]`` — the k+1 output rows touched."""
-        return np.concatenate(([self.positive], self.negatives)).astype(np.int64)
 
 
 class _NegativeSamplerBase:
@@ -222,9 +194,8 @@ class ProximityNegativeSampler(_NegativeSamplerBase):
     proximity mass.  Normalised over candidate nodes this yields a uniform
     distribution whose *scale* (relative to the positive term) is what drives
     the optimum in Eq. (10); for sampling purposes we draw candidates
-    uniformly but expose :meth:`negative_weight` so the trainer can weight
-    the negative part of the loss by ``k · min(P)`` exactly as Eq. (13)
-    requires.
+    uniformly and keep ``row_sums`` and ``min_positive_proximity``, whose
+    ratio is that per-centre mass.
     """
 
     def __init__(
@@ -271,89 +242,37 @@ class ProximityNegativeSampler(_NegativeSamplerBase):
             seed=seed,
         )
 
-    def negative_probability(self, center: int) -> float:
-        """Return ``min(P) / Σ_j p_ij`` for the given centre node.
-
-        This is the (unnormalised) probability mass Theorem 3 assigns to each
-        negative candidate of ``center``; it must lie in ``(0, 1)`` for the
-        theorem's premise to hold.
-        """
-        row_sum = float(self.row_sums[int(center)])
-        if row_sum <= 0:
-            return 0.0
-        return self.min_positive_proximity / row_sum
-
 
 def generate_disjoint_subgraph_arrays(
     graph: Graph,
     negative_sampler: _NegativeSamplerBase,
     num_negatives: int,
-    both_directions: bool = False,
 ) -> SubgraphBatch:
     """Algorithm 1 in array form: the whole subgraph set ``GS`` as one batch.
 
-    This is the engine's hot-path representation — centres ``[|GS|]`` and
-    contexts ``[|GS|, 1+k]`` (positive first) — produced with exactly the
-    same negative draws (same RNG stream) as the per-example
-    :func:`generate_disjoint_subgraphs`.
+    One example per edge ``(v_i, v_j)``: centres ``[|GS|]`` are the ``v_i``
+    and contexts ``[|GS|, 1+k]`` hold the positive ``v_j`` first, then the
+    ``k`` negatives drawn by ``negative_sampler.sample_negatives_bulk``.
 
     Parameters
     ----------
     graph:
         The training graph.
     negative_sampler:
-        Any sampler exposing ``sample_negatives(center, count)``; samplers
-        that also provide ``sample_negatives_bulk(centers, count)`` (all
-        built-in ones do) take the vectorised path.
+        A negative sampler (:class:`UnigramNegativeSampler` or
+        :class:`ProximityNegativeSampler`).
     num_negatives:
         ``k``, the number of negative samples per edge.
-    both_directions:
-        If ``True``, each undirected edge produces two subgraph rows (one
-        per direction).  The paper's Algorithm 1 uses one per edge (default).
     """
     if num_negatives < 1:
         raise GraphError(f"num_negatives must be >= 1, got {num_negatives}")
     if graph.num_edges == 0:
         raise GraphError("cannot build subgraphs for a graph with no edges")
-    count = graph.num_edges * (2 if both_directions else 1)
-    centers = np.empty(count, dtype=np.int64)
-    positives = np.empty(count, dtype=np.int64)
-    if both_directions:
-        # preserve the row layout of the per-edge loop: u→v then v→u
-        centers[0::2] = graph.edges[:, 0]
-        positives[0::2] = graph.edges[:, 1]
-        centers[1::2] = graph.edges[:, 1]
-        positives[1::2] = graph.edges[:, 0]
-    else:
-        centers[:] = graph.edges[:, 0]
-        positives[:] = graph.edges[:, 1]
-    contexts = np.empty((count, 1 + num_negatives), dtype=np.int64)
-    contexts[:, 0] = positives
-    if hasattr(negative_sampler, "sample_negatives_bulk"):
-        contexts[:, 1:] = negative_sampler.sample_negatives_bulk(centers, num_negatives)
-    else:
-        # duck-typed custom samplers only promise sample_negatives(center, k)
-        for row, center in enumerate(centers):
-            contexts[row, 1:] = negative_sampler.sample_negatives(
-                int(center), num_negatives
-            )
+    centers = graph.edges[:, 0].astype(np.int64)
+    contexts = np.empty((graph.num_edges, 1 + num_negatives), dtype=np.int64)
+    contexts[:, 0] = graph.edges[:, 1]
+    contexts[:, 1:] = negative_sampler.sample_negatives_bulk(centers, num_negatives)
     return SubgraphBatch(centers=centers, contexts=contexts)
-
-
-def generate_disjoint_subgraphs(
-    graph: Graph,
-    negative_sampler: _NegativeSamplerBase,
-    num_negatives: int,
-    both_directions: bool = False,
-) -> list[EdgeSubgraph]:
-    """Algorithm 1: build one :class:`EdgeSubgraph` per edge.
-
-    Compatibility wrapper over :func:`generate_disjoint_subgraph_arrays`;
-    the dataclass list is a view of the same arrays (identical RNG stream).
-    """
-    return generate_disjoint_subgraph_arrays(
-        graph, negative_sampler, num_negatives, both_directions=both_directions
-    ).to_subgraphs()
 
 
 class SubgraphSampler:
@@ -368,25 +287,15 @@ class SubgraphSampler:
     generator's ``bit_generator.state`` is the sampler's whole state — a
     hogwild checkpoint that saves it resumes the exact index stream.
     :meth:`sample_batch_arrays` gathers a batch into the engine's
-    workspace; :meth:`sample_batch` is the per-example dataclass view of
-    the same draw.
+    workspace.
     """
 
     def __init__(
         self,
-        subgraphs: Sequence[EdgeSubgraph] | SubgraphBatch,
+        pool: SubgraphBatch,
         batch_size: int,
         seed: int | np.random.Generator | None = None,
     ) -> None:
-        if isinstance(subgraphs, SubgraphBatch):
-            pool = subgraphs
-        else:
-            subgraphs = list(subgraphs)
-            if not subgraphs:
-                raise GraphError("subgraphs must not be empty")
-            pool = SubgraphBatch.from_subgraphs(subgraphs)
-        if len(pool) == 0:
-            raise GraphError("subgraphs must not be empty")
         if batch_size < 1:
             raise GraphError(f"batch_size must be >= 1, got {batch_size}")
         self.pool = pool
@@ -423,10 +332,6 @@ class SubgraphSampler:
         """
         pool = self._pool_for_dtype(workspace.dtype)
         return pool.take(self.sample_indices(), out=workspace.batch)
-
-    def sample_batch(self) -> list[EdgeSubgraph]:
-        """Sample ``batch_size`` subgraphs uniformly without replacement."""
-        return self.pool.take(self.sample_indices()).to_subgraphs()
 
     def __len__(self) -> int:
         return len(self.pool)

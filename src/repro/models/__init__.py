@@ -29,7 +29,6 @@ from .registry import (
     MethodSpec,
     available_methods,
     get_method,
-    method_aliases,
     register,
 )
 
@@ -42,7 +41,6 @@ __all__ = [
     "available_methods",
     "get_method",
     "load_artifact",
-    "method_aliases",
     "peek_artifact",
     "register",
     "save_artifact",

@@ -45,7 +45,6 @@ __all__ = [
     "MethodSpec",
     "available_methods",
     "get_method",
-    "method_aliases",
     "register",
 ]
 
@@ -246,11 +245,6 @@ def register(
 def available_methods() -> tuple[str, ...]:
     """Registered method names, in registration (paper) order."""
     return tuple(_REGISTRY)
-
-
-def method_aliases() -> dict[str, str]:
-    """Alias → canonical-name mapping (a copy)."""
-    return dict(_ALIASES)
 
 
 def get_method(name: str) -> MethodSpec:

@@ -1,17 +1,11 @@
 """Minimal neural-network substrate (pure numpy) used by the DP baselines."""
 
-from .layers import DenseLayer, Activation, Sequential
-from .losses import binary_cross_entropy, binary_cross_entropy_grad, mse, mse_grad
+from .layers import DenseLayer, Activation
 from .gcn import normalized_adjacency, GCNLayer, GCNEncoder
 
 __all__ = [
     "DenseLayer",
     "Activation",
-    "Sequential",
-    "binary_cross_entropy",
-    "binary_cross_entropy_grad",
-    "mse",
-    "mse_grad",
     "normalized_adjacency",
     "GCNLayer",
     "GCNEncoder",

@@ -2,7 +2,7 @@
 
 PyTorch is not available in this environment, so the DP baselines
 (DPGGAN, DPGVAE, GAP, ProGAP) are built on this small substrate: dense
-layers, element-wise activations, and a sequential container.  Each module
+layers and element-wise activations.  Each module
 implements ``forward`` and ``backward`` explicitly; ``backward`` receives
 the gradient of the loss with respect to the module's output and returns
 the gradient with respect to its input while accumulating parameter
@@ -20,7 +20,7 @@ from ..exceptions import ConfigurationError
 from ..utils.math import sigmoid
 from ..utils.rng import ensure_rng
 
-__all__ = ["DenseLayer", "Activation", "Sequential"]
+__all__ = ["DenseLayer", "Activation"]
 
 
 class DenseLayer:
@@ -133,48 +133,3 @@ class Activation:
 
     def apply_gradients(self, learning_rate: float) -> None:
         """No-op (activations have no parameters)."""
-
-
-class Sequential:
-    """A chain of modules applied in order."""
-
-    def __init__(self, *modules: object) -> None:
-        if not modules:
-            raise ConfigurationError("Sequential needs at least one module")
-        self.modules = list(modules)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Forward through every module in order."""
-        for module in self.modules:
-            x = module.forward(x)  # type: ignore[attr-defined]
-        return x
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Backward through every module in reverse order."""
-        for module in reversed(self.modules):
-            grad_output = module.backward(grad_output)  # type: ignore[attr-defined]
-        return grad_output
-
-    def zero_grad(self) -> None:
-        """Reset gradients of all modules."""
-        for module in self.modules:
-            module.zero_grad()  # type: ignore[attr-defined]
-
-    def parameters(self) -> list[np.ndarray]:
-        """All trainable parameters in module order."""
-        params: list[np.ndarray] = []
-        for module in self.modules:
-            params.extend(module.parameters())  # type: ignore[attr-defined]
-        return params
-
-    def gradients(self) -> list[np.ndarray]:
-        """All gradients aligned with :meth:`parameters`."""
-        grads: list[np.ndarray] = []
-        for module in self.modules:
-            grads.extend(module.gradients())  # type: ignore[attr-defined]
-        return grads
-
-    def apply_gradients(self, learning_rate: float) -> None:
-        """SGD step on every module."""
-        for module in self.modules:
-            module.apply_gradients(learning_rate)  # type: ignore[attr-defined]

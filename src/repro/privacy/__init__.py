@@ -1,6 +1,6 @@
 """Differential-privacy machinery: mechanisms, RDP accounting, amplification."""
 
-from .mechanisms import GaussianMechanism, clip_gradient, clip_rows
+from .mechanisms import clip_gradient, clip_rows
 from .rdp import (
     gaussian_rdp,
     rdp_to_dp,
@@ -19,7 +19,6 @@ from .sensitivity import (
 )
 
 __all__ = [
-    "GaussianMechanism",
     "clip_gradient",
     "clip_rows",
     "gaussian_rdp",

@@ -1,9 +1,4 @@
-"""Noise mechanisms and gradient clipping.
-
-The Gaussian mechanism adds ``N(0, σ² S_f² I)`` noise to a function with
-ℓ2-sensitivity ``S_f``; under RDP it satisfies ``(α, α S_f² / (2σ²))``-RDP
-for every ``α > 1`` (Corollary 3 of Mironov 2017, restated in Section II-B
-of the paper).
+"""Gradient clipping.
 
 Clipping follows DPSGD (Eq. 3): each per-example gradient is scaled to ℓ2
 norm at most ``C``.
@@ -14,9 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import PrivacyError
-from ..utils.rng import ensure_rng
 
-__all__ = ["GaussianMechanism", "clip_gradient", "clip_rows"]
+__all__ = ["clip_gradient", "clip_rows"]
 
 
 def clip_gradient(gradient: np.ndarray, threshold: float) -> np.ndarray:
@@ -41,83 +35,3 @@ def clip_rows(matrix: np.ndarray, threshold: float) -> np.ndarray:
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     scales = np.maximum(1.0, norms / threshold)
     return matrix / scales
-
-
-class GaussianMechanism:
-    """Add calibrated Gaussian noise to vectors or matrices.
-
-    Parameters
-    ----------
-    noise_multiplier:
-        The multiplier ``σ``; the actual noise standard deviation applied to
-        an output with sensitivity ``S`` is ``σ · S``.
-    sensitivity:
-        The ℓ2 sensitivity ``S_f`` of the protected quantity.
-    seed:
-        Seed or generator for the noise draws.
-    """
-
-    def __init__(
-        self,
-        noise_multiplier: float,
-        sensitivity: float = 1.0,
-        seed: int | np.random.Generator | None = None,
-    ) -> None:
-        if noise_multiplier <= 0:
-            raise PrivacyError(f"noise_multiplier must be positive, got {noise_multiplier}")
-        if sensitivity <= 0:
-            raise PrivacyError(f"sensitivity must be positive, got {sensitivity}")
-        self.noise_multiplier = float(noise_multiplier)
-        self.sensitivity = float(sensitivity)
-        self._rng = ensure_rng(seed)
-
-    @property
-    def noise_std(self) -> float:
-        """The standard deviation ``σ · S_f`` of the injected noise."""
-        return self.noise_multiplier * self.sensitivity
-
-    def add_noise(self, values: np.ndarray) -> np.ndarray:
-        """Return ``values + N(0, (σ S_f)² I)`` with the same shape as ``values``."""
-        values = np.asarray(values, dtype=float)
-        noise = self._rng.normal(0.0, self.noise_std, size=values.shape)
-        return values + noise
-
-    def add_noise_to_rows(self, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Add noise only to the listed rows of a 2-D array (Eq. 9's Ñ operator).
-
-        This is the "perturb non-zero vectors" mechanism: gradients of
-        skip-gram are zero outside the rows touched by the batch, and noise
-        is injected only into those rows.  Rows may repeat; each unique row
-        receives exactly one noise draw.
-        """
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2:
-            raise PrivacyError(
-                f"add_noise_to_rows expects a 2-D array, got shape {values.shape}"
-            )
-        unique_rows = np.unique(np.asarray(rows, dtype=np.int64))
-        if unique_rows.size and (unique_rows.min() < 0 or unique_rows.max() >= values.shape[0]):
-            raise PrivacyError("row index outside the matrix")
-        noisy = values.copy()
-        if unique_rows.size:
-            noise = self._rng.normal(
-                0.0, self.noise_std, size=(unique_rows.size, values.shape[1])
-            )
-            noisy[unique_rows] += noise
-        return noisy
-
-    def rdp_epsilon(self, alpha: float) -> float:
-        """Per-application RDP cost: ``ε(α) = α S_f² / (2 σ² S_f²) = α / (2σ²)``.
-
-        Note the sensitivity cancels because the noise std already scales
-        with it; this is the standard Gaussian-mechanism RDP curve.
-        """
-        if alpha <= 1:
-            raise PrivacyError(f"alpha must be > 1, got {alpha}")
-        return alpha / (2.0 * self.noise_multiplier**2)
-
-    def __repr__(self) -> str:
-        return (
-            f"GaussianMechanism(noise_multiplier={self.noise_multiplier}, "
-            f"sensitivity={self.sensitivity})"
-        )

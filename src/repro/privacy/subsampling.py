@@ -58,7 +58,12 @@ def _subsampled_rdp_integer(
     else:
         inf_term_sq = min(2.0, expm1(eps_infinity) ** 2)
 
-    second_order = min(4.0 * expm1(eps2), exp(eps2) * inf_term_sq)
+    try:
+        second_order = min(4.0 * expm1(eps2), exp(eps2) * inf_term_sq)
+    except OverflowError:
+        # e^{ε(2)} exceeds a double (σ of a few hundredths): the bound is
+        # vacuous, and subsampled_rdp falls back to the unamplified ε(α)
+        return inf
     log_terms = []
     if second_order > 0:
         log_terms.append(2.0 * log(gamma) + _log_comb(alpha, 2) + log(second_order))

@@ -29,7 +29,6 @@ from .second_order import AdamicAdarProximity, ResourceAllocationProximity
 __all__ = [
     "available_proximities",
     "get_proximity",
-    "register_proximity",
     "compute_proximity",
 ]
 
@@ -63,11 +62,6 @@ def get_proximity(name: str, **kwargs: Any) -> ProximityMeasure:
             f"unknown proximity {name!r}; available: {', '.join(available_proximities())}"
         )
     return _REGISTRY[key](**kwargs)
-
-
-def register_proximity(name: str, factory: Callable[..., ProximityMeasure]) -> None:
-    """Register a custom proximity measure under ``name`` (overwrites existing)."""
-    _REGISTRY[name.strip().lower()] = factory
 
 
 def compute_proximity(

@@ -1,4 +1,4 @@
-"""Small shared utilities: RNG handling, stable math, CSR lookups, timing."""
+"""Small shared utilities: RNG handling, stable math, CSR lookups, run statistics."""
 
 from .rng import ensure_rng, spawn_rngs
 from .mp import fork_available, resolve_fork_workers, serial_fallback
@@ -12,9 +12,8 @@ from .math import (
     pairwise_euclidean,
 )
 from .sparse import csr_entry_keys, csr_lookup
-from .timer import Timer
 from .logging import get_logger
-from .stats import RunningStats, summarize_runs
+from .stats import summarize_runs
 
 __all__ = [
     "csr_entry_keys",
@@ -31,8 +30,6 @@ __all__ = [
     "clip_norm",
     "row_l2_norms",
     "pairwise_euclidean",
-    "Timer",
     "get_logger",
-    "RunningStats",
     "summarize_runs",
 ]

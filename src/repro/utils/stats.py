@@ -2,61 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
-__all__ = ["RunningStats", "RunSummary", "summarize_runs"]
-
-
-class RunningStats:
-    """Welford online mean / variance accumulator.
-
-    The experiment runner repeats each configuration several times and
-    reports ``mean ± SD`` exactly as the paper's tables do.  This class
-    accumulates observations one at a time without storing them all.
-    """
-
-    def __init__(self) -> None:
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def update(self, value: float) -> None:
-        """Add one observation."""
-        self._count += 1
-        delta = value - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (value - self._mean)
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Add many observations."""
-        for value in values:
-            self.update(float(value))
-
-    @property
-    def count(self) -> int:
-        """Number of observations seen so far."""
-        return self._count
-
-    @property
-    def mean(self) -> float:
-        """Sample mean (0.0 when empty)."""
-        return self._mean if self._count else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (0.0 with fewer than two observations)."""
-        if self._count < 2:
-            return 0.0
-        return self._m2 / (self._count - 1)
-
-    @property
-    def std(self) -> float:
-        """Unbiased sample standard deviation."""
-        return math.sqrt(self.variance)
+__all__ = ["RunSummary", "summarize_runs"]
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from objective_oracle import ExampleGradients
 
-from repro.embedding.objectives import PairGradients
 from repro.embedding.perturbation import PerturbationStrategy
 from repro.engine import BatchGradients, PerturbedGradients, StepWorkspace
 from repro.exceptions import TrainingError
@@ -43,7 +43,7 @@ class DensePerturbed:
 
 def perturb(
     strategy: PerturbationStrategy,
-    example_gradients: list[PairGradients],
+    example_gradients: list[ExampleGradients],
     num_nodes: int,
     embedding_dim: int,
 ) -> DensePerturbed:
@@ -104,7 +104,7 @@ def densify(perturbed: PerturbedGradients, num_nodes: int) -> DensePerturbed:
 
 
 def load_gradients(
-    workspace: StepWorkspace, example_gradients: list[PairGradients]
+    workspace: StepWorkspace, example_gradients: list[ExampleGradients]
 ) -> BatchGradients:
     """Copy per-example gradients into the workspace's gradient buffers."""
     for row, example in enumerate(example_gradients):
@@ -117,7 +117,7 @@ def load_gradients(
 
 
 def workspace_for(
-    example_gradients: list[PairGradients], num_nodes: int, dtype=np.float64
+    example_gradients: list[ExampleGradients], num_nodes: int, dtype=np.float64
 ) -> StepWorkspace:
     """A workspace shaped for ``example_gradients`` over ``num_nodes`` rows."""
     first = example_gradients[0]

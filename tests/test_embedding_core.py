@@ -4,37 +4,33 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from objective_oracle import example_gradients, example_loss
 from perturbation_oracle import densify, load_gradients, workspace_for
 
-from repro import ConfigurationError, SkipGramModel, TrainingError
-from repro.embedding.objectives import (
-    StructurePreferenceObjective,
-    pair_gradients,
-    pair_loss,
-)
+from repro import ConfigurationError, SkipGramModel, SubgraphBatch, TrainingError
+from repro.embedding.objectives import StructurePreferenceObjective
 from repro.embedding.optimizer import SGDOptimizer
 from repro.embedding.perturbation import (
     NaivePerturbation,
     NonZeroPerturbation,
     get_perturbation,
 )
-from repro.engine import PerturbedUpdate
-from repro.graph.sampling import EdgeSubgraph
-from repro.proximity import DeepWalkProximity
+from repro.engine import PerturbedUpdate, StepWorkspace
+from repro.proximity import DeepWalkProximity, ProximityMatrix
 from repro.utils.math import log_sigmoid, sigmoid
 
 
-def _numerical_center_gradient(w_in, w_out, subgraph, weight, eps=1e-6):
-    """Finite-difference gradient of the pair loss w.r.t. the centre vector."""
-    grad = np.zeros_like(w_in[subgraph.center])
+def _numerical_center_gradient(w_in, w_out, center, contexts, weight, eps=1e-6):
+    """Finite-difference gradient of one example's loss w.r.t. the centre vector."""
+    grad = np.zeros_like(w_in[center])
     for i in range(grad.size):
         w_plus = w_in.copy()
-        w_plus[subgraph.center, i] += eps
+        w_plus[center, i] += eps
         w_minus = w_in.copy()
-        w_minus[subgraph.center, i] -= eps
+        w_minus[center, i] -= eps
         grad[i] = (
-            pair_loss(w_plus, w_out, subgraph, weight)
-            - pair_loss(w_minus, w_out, subgraph, weight)
+            example_loss(w_plus, w_out, center, contexts, weight)
+            - example_loss(w_minus, w_out, center, contexts, weight)
         ) / (2 * eps)
     return grad
 
@@ -71,11 +67,6 @@ class TestSkipGramModel:
         clone.w_in[:] = 9.0
         assert not np.allclose(model.w_in, 9.0)
 
-    def test_apply_update_shape_check(self):
-        model = SkipGramModel(4, 2, seed=0)
-        with pytest.raises(ConfigurationError):
-            model.apply_update(np.zeros((3, 2)), np.zeros((4, 2)))
-
     def test_rejects_bad_construction(self):
         with pytest.raises(ConfigurationError):
             SkipGramModel(0, 4)
@@ -85,67 +76,74 @@ class TestSkipGramModel:
             SkipGramModel(4, 2, init_scale=0.0)
 
 
+_CONTEXTS = np.array([2, 4, 6])  # centre 1: positive 2, negatives 4 and 6
+
+
 class TestPairGradients:
+    """The batch pass on a one-example batch against Eq. (5), (7) and (8)."""
+
     def _setup(self, rng):
         w_in = rng.normal(0, 0.3, size=(8, 5))
         w_out = rng.normal(0, 0.3, size=(8, 5))
-        sub = EdgeSubgraph(center=1, positive=2, negatives=np.array([4, 6]))
-        return w_in, w_out, sub
+        return w_in, w_out
+
+    def _gradients(self, w_in, w_out, weight):
+        objective = StructurePreferenceObjective(ProximityMatrix(np.ones((8, 8))))
+        batch = SubgraphBatch(
+            centers=np.array([1]), contexts=_CONTEXTS[None, :],
+            weights=np.array([weight]),
+        )
+        ws = StepWorkspace(batch_size=1, num_negatives=2, embedding_dim=5, num_nodes=8)
+        return objective.batch_gradients(w_in, w_out, batch, workspace=ws)
 
     def test_loss_matches_equation_5(self, rng):
-        w_in, w_out, sub = self._setup(rng)
+        w_in, w_out = self._setup(rng)
         weight = 0.7
         pos = float(w_out[2] @ w_in[1])
         negs = w_out[[4, 6]] @ w_in[1]
         expected = -weight * float(log_sigmoid(pos)) - weight * float(
             np.sum(log_sigmoid(-negs))
         )
-        assert pair_loss(w_in, w_out, sub, weight) == pytest.approx(expected)
+        assert self._gradients(w_in, w_out, weight).losses[0] == pytest.approx(expected)
+        assert example_loss(w_in, w_out, 1, _CONTEXTS, weight) == pytest.approx(expected)
 
     def test_center_gradient_matches_numerical(self, rng):
-        w_in, w_out, sub = self._setup(rng)
+        w_in, w_out = self._setup(rng)
         weight = 1.3
-        grads = pair_gradients(w_in, w_out, sub, weight)
-        numeric = _numerical_center_gradient(w_in, w_out, sub, weight)
-        np.testing.assert_allclose(grads.center_gradient, numeric, atol=1e-5)
+        grads = self._gradients(w_in, w_out, weight)
+        numeric = _numerical_center_gradient(w_in, w_out, 1, _CONTEXTS, weight)
+        np.testing.assert_allclose(grads.center_gradients[0], numeric, atol=1e-5)
 
     def test_context_gradient_matches_equation_8(self, rng):
-        w_in, w_out, sub = self._setup(rng)
+        w_in, w_out = self._setup(rng)
         weight = 0.9
-        grads = pair_gradients(w_in, w_out, sub, weight)
+        grads = self._gradients(w_in, w_out, weight)
         # Eq. (8): p_ij (σ(v_n·v_i) - 1[v_n positive]) v_i for each context row.
-        for row, node in enumerate(grads.context_nodes):
+        for row, node in enumerate(grads.context_nodes[0]):
             score = float(w_out[node] @ w_in[1])
             indicator = 1.0 if row == 0 else 0.0
             expected = weight * (sigmoid(score) - indicator) * w_in[1]
-            np.testing.assert_allclose(grads.context_gradients[row], expected, atol=1e-10)
+            np.testing.assert_allclose(grads.context_gradients[0, row], expected, atol=1e-10)
 
     def test_gradient_sparsity_structure(self, rng):
-        w_in, w_out, sub = self._setup(rng)
-        grads = pair_gradients(w_in, w_out, sub, 1.0)
-        assert grads.center == 1
-        np.testing.assert_array_equal(grads.context_nodes, [2, 4, 6])
-        assert grads.context_gradients.shape == (3, 5)
+        w_in, w_out = self._setup(rng)
+        grads = self._gradients(w_in, w_out, 1.0)
+        assert grads.centers[0] == 1
+        np.testing.assert_array_equal(grads.context_nodes[0], [2, 4, 6])
+        assert grads.context_gradients[0].shape == (3, 5)
 
     def test_zero_weight_gives_zero_gradient(self, rng):
-        w_in, w_out, sub = self._setup(rng)
-        grads = pair_gradients(w_in, w_out, sub, 0.0)
-        np.testing.assert_allclose(grads.center_gradient, 0.0)
+        w_in, w_out = self._setup(rng)
+        grads = self._gradients(w_in, w_out, 0.0)
+        np.testing.assert_allclose(grads.center_gradients, 0.0)
         np.testing.assert_allclose(grads.context_gradients, 0.0)
-
-    def test_negative_weight_rejected(self, rng):
-        w_in, w_out, sub = self._setup(rng)
-        with pytest.raises(TrainingError):
-            pair_gradients(w_in, w_out, sub, -1.0)
 
 
 class TestStructurePreferenceObjective:
     def test_edge_weight_normalised_to_unit_peak(self, small_graph):
         proximity = DeepWalkProximity(window_size=3).compute(small_graph)
         objective = StructurePreferenceObjective(proximity)
-        weights = [
-            objective.edge_weight(int(u), int(v)) for u, v in small_graph.edges
-        ]
+        weights = objective.edge_weights(small_graph.edges[:, 0], small_graph.edges[:, 1])
         assert max(weights) <= 1.0 + 1e-9
         assert min(weights) > 0
 
@@ -153,58 +151,33 @@ class TestStructurePreferenceObjective:
         proximity = DeepWalkProximity(window_size=3).compute(small_graph)
         objective = StructurePreferenceObjective(proximity, normalize_weights=False)
         u, v = (int(x) for x in small_graph.edges[0])
-        assert objective.edge_weight(u, v) == pytest.approx(
+        assert objective.edge_weights(np.array([u]), np.array([v]))[0] == pytest.approx(
             max(proximity.pair_value(u, v), objective.weight_floor)
         )
 
     def test_optimal_inner_product_scale_invariant(self, small_graph):
         """Theorem 3: rescaling P does not change the optimum of Eq. (10)."""
         proximity = DeepWalkProximity(window_size=3).compute(small_graph)
-        from repro.proximity import ProximityMatrix
-
         scaled = ProximityMatrix(proximity.matrix * 7.5, name="scaled")
         u, v = (int(x) for x in small_graph.edges[0])
         assert proximity.theoretical_optimal_inner_product(u, v, 5) == pytest.approx(
             scaled.theoretical_optimal_inner_product(u, v, 5)
         )
 
-    def test_batch_loss_requires_nonempty_batch(self, small_graph):
-        proximity = DeepWalkProximity(window_size=3).compute(small_graph)
-        objective = StructurePreferenceObjective(proximity)
-        with pytest.raises(TrainingError):
-            objective.batch_loss(np.zeros((3, 2)), np.zeros((3, 2)), [])
-
 
 class TestSGDOptimizer:
     def test_descend_moves_against_gradient(self):
         opt = SGDOptimizer(learning_rate=0.5)
-        params = np.array([[1.0, 1.0]])
-        opt.descend(params, np.array([[2.0, -2.0]]))
-        np.testing.assert_allclose(params, [[0.0, 2.0]])
-
-    def test_descend_rows_accumulates_duplicates(self):
-        opt = SGDOptimizer(learning_rate=1.0)
-        params = np.zeros((3, 2))
-        rows = np.array([1, 1, 2])
-        grads = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        opt.descend_rows(params, rows, grads)
-        np.testing.assert_allclose(params[1], [-2.0, 0.0])
-        np.testing.assert_allclose(params[2], [0.0, -1.0])
-
-    def test_decay_schedule(self):
-        opt = SGDOptimizer(learning_rate=1.0, decay=1.0)
-        assert opt.current_rate == pytest.approx(1.0)
-        opt.step_epoch()
-        assert opt.current_rate == pytest.approx(0.5)
+        params = np.array([[1.0, 1.0], [3.0, 3.0]])
+        opt.descend_unique_rows(params, np.array([0]), np.array([[2.0, -2.0]]))
+        np.testing.assert_allclose(params, [[0.0, 2.0], [3.0, 3.0]])
 
     def test_rejects_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
             SGDOptimizer(0.0)
-        with pytest.raises(ConfigurationError):
-            SGDOptimizer(0.1, decay=-1.0)
         opt = SGDOptimizer(0.1)
         with pytest.raises(ConfigurationError):
-            opt.descend(np.zeros((2, 2)), np.zeros((3, 2)))
+            opt.descend_unique_rows(np.zeros((2, 2)), np.array([0]), np.zeros((2, 2)))
 
 
 def _perturb(strategy, grads, num_nodes=10):
@@ -215,22 +188,16 @@ def _perturb(strategy, grads, num_nodes=10):
 
 class TestPerturbationStrategies:
     def _example_gradients(self, rng, num_nodes=10, dim=4, count=6):
-        grads = []
-        for i in range(count):
-            sub = EdgeSubgraph(
-                center=i % num_nodes,
-                positive=(i + 1) % num_nodes,
-                negatives=np.array([(i + 2) % num_nodes, (i + 3) % num_nodes]),
+        return [
+            example_gradients(
+                rng.normal(0, 0.5, (num_nodes, dim)),
+                rng.normal(0, 0.5, (num_nodes, dim)),
+                i % num_nodes,
+                [(i + 1) % num_nodes, (i + 2) % num_nodes, (i + 3) % num_nodes],
+                1.0,
             )
-            grads.append(
-                pair_gradients(
-                    rng.normal(0, 0.5, (num_nodes, dim)),
-                    rng.normal(0, 0.5, (num_nodes, dim)),
-                    sub,
-                    1.0,
-                )
-            )
-        return grads
+            for i in range(count)
+        ]
 
     def test_sensitivity_values(self):
         naive = NaivePerturbation(clipping_threshold=2.0, noise_multiplier=5.0, seed=0)

@@ -2,7 +2,7 @@
 
 The headline guarantee: the engine's workspace step (``batch_gradients`` +
 ``perturb_batch`` + ``TrainingEngine``) is *numerically equivalent* to a
-per-example loop (``pair_gradients`` + the oracle ``perturb``) — same
+per-example loop (the oracles ``example_gradients`` + ``perturb``) — same
 weights, same clipping, same noise draws given the same seed — to within
 1e-10.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from objective_oracle import batch_examples, example_gradients, split
 from perturbation_oracle import densify, perturb
 
 from repro import (
@@ -22,7 +23,7 @@ from repro import (
     TrainingError,
 )
 from repro.embedding import SkipGramModel, SGDOptimizer, get_perturbation
-from repro.embedding.objectives import StructurePreferenceObjective, pair_gradients
+from repro.embedding.objectives import StructurePreferenceObjective
 from repro.engine import (
     DirectSparseUpdate,
     EngineHook,
@@ -31,7 +32,6 @@ from repro.engine import (
     TrainingEngine,
 )
 from repro.graph.sampling import (
-    EdgeSubgraph,
     ProximityNegativeSampler,
     SubgraphSampler,
     UnigramNegativeSampler,
@@ -63,20 +63,14 @@ def _whole_pool_gradients(graph, objective, pool, w_in, w_out):
 
 
 class TestSubgraphBatch:
-    def test_roundtrip_through_subgraphs(self, small_graph):
-        _, pool = _objective_and_pool(small_graph)
-        rebuilt = SubgraphBatch.from_subgraphs(pool.to_subgraphs())
-        np.testing.assert_array_equal(rebuilt.centers, pool.centers)
-        np.testing.assert_array_equal(rebuilt.contexts, pool.contexts)
-        assert len(pool) == small_graph.num_edges
-        assert pool.num_negatives == 4
-
     def test_layout_matches_all_context_nodes(self, small_graph):
         _, pool = _objective_and_pool(small_graph)
-        for row, sub in enumerate(pool.to_subgraphs()):
-            np.testing.assert_array_equal(pool.contexts[row], sub.all_context_nodes())
-            assert pool.centers[row] == sub.center
-            assert pool.positives[row] == sub.positive
+        assert len(pool) == small_graph.num_edges
+        assert pool.num_negatives == 4
+        np.testing.assert_array_equal(pool.centers, small_graph.edges[:, 0])
+        np.testing.assert_array_equal(pool.positives, small_graph.edges[:, 1])
+        np.testing.assert_array_equal(pool.contexts[:, 0], pool.positives)
+        np.testing.assert_array_equal(pool.contexts[:, 1:], pool.negatives)
 
     def test_take_slices_all_fields(self, small_graph):
         _, pool = _objective_and_pool(small_graph)
@@ -100,33 +94,9 @@ class TestSubgraphBatch:
             SubgraphBatch(
                 centers=np.zeros(2), contexts=np.zeros((2, 3)), weights=np.zeros(3)
             )
-        with pytest.raises(TrainingError):
-            SubgraphBatch.from_subgraphs([])
-
-    def test_mixed_negative_counts_rejected(self):
-        subs = [
-            EdgeSubgraph(center=0, positive=1, negatives=np.array([2, 3])),
-            EdgeSubgraph(center=1, positive=2, negatives=np.array([3])),
-        ]
-        with pytest.raises(TrainingError):
-            SubgraphBatch.from_subgraphs(subs)
 
 
 class TestBatchedSampler:
-    def test_array_and_list_batches_share_the_rng_stream(self, small_graph):
-        objective, pool = _objective_and_pool(small_graph)
-        pool = pool.with_weights(objective.edge_weights(pool.centers, pool.positives))
-        a = SubgraphSampler(pool, batch_size=8, seed=42)
-        b = SubgraphSampler(pool.to_subgraphs(), batch_size=8, seed=42)
-        ws = StepWorkspace(batch_size=8, num_negatives=pool.num_negatives,
-                           embedding_dim=4, num_nodes=small_graph.num_nodes)
-        arrays = a.sample_batch_arrays(ws)
-        listed = b.sample_batch()
-        assert len(listed) == len(arrays)
-        for row, sub in enumerate(listed):
-            assert sub.center == arrays.centers[row]
-            np.testing.assert_array_equal(sub.all_context_nodes(), arrays.contexts[row])
-
     def test_weights_ride_along(self, small_graph):
         objective, pool = _objective_and_pool(small_graph)
         pool = pool.with_weights(objective.edge_weights(pool.centers, pool.positives))
@@ -146,8 +116,9 @@ class TestBatchGradientEquivalence:
     def test_edge_weights_match_scalar_path(self, small_graph):
         objective, pool = _objective_and_pool(small_graph)
         vectorized = objective.edge_weights(pool.centers, pool.positives)
+        scale = 1.0 / objective.proximity.max_value
         scalar = [
-            objective.edge_weight(int(c), int(p))
+            max(objective.proximity.pair_value(int(c), int(p)) * scale, objective.weight_floor)
             for c, p in zip(pool.centers, pool.positives, strict=True)
         ]
         np.testing.assert_allclose(vectorized, scalar, atol=ATOL)
@@ -158,10 +129,12 @@ class TestBatchGradientEquivalence:
         w_out = rng.normal(size=(small_graph.num_nodes, 8))
 
         batch, _ = _whole_pool_gradients(small_graph, objective, pool, w_in, w_out)
+        weights = objective.edge_weights(pool.centers, pool.positives)
 
-        for row, sub in enumerate(pool.to_subgraphs()):
-            weight = objective.edge_weight(sub.center, sub.positive)
-            reference = pair_gradients(w_in, w_out, sub, weight)
+        for row in range(len(pool)):
+            reference = example_gradients(
+                w_in, w_out, pool.centers[row], pool.contexts[row], weights[row]
+            )
             assert batch.centers[row] == reference.center
             np.testing.assert_allclose(
                 batch.center_gradients[row], reference.center_gradient, atol=ATOL
@@ -177,13 +150,9 @@ class TestBatchGradientEquivalence:
         w_in = rng.normal(size=(small_graph.num_nodes, 8))
         w_out = rng.normal(size=(small_graph.num_nodes, 8))
         grads, _ = _whole_pool_gradients(small_graph, objective, pool, w_in, w_out)
-        assert objective.batch_loss(w_in, w_out, pool) == pytest.approx(
-            grads.mean_loss, abs=ATOL
-        )
-        # The list-of-dataclasses view goes down the same vectorized path.
-        assert objective.batch_loss(w_in, w_out, pool.to_subgraphs()) == pytest.approx(
-            grads.mean_loss, abs=ATOL
-        )
+        weighted = pool.with_weights(objective.edge_weights(pool.centers, pool.positives))
+        oracle_mean = np.mean([example.loss for example in batch_examples(w_in, w_out, weighted)])
+        assert grads.mean_loss == pytest.approx(oracle_mean, abs=ATOL)
 
 
 class TestPerturbationEquivalence:
@@ -201,7 +170,7 @@ class TestPerturbationEquivalence:
         # copies: perturb_batch clips the workspace buffers in place
         reference = perturb(
             loop,
-            batch_grads.to_pair_gradients(),
+            split(batch_grads),
             num_nodes=small_graph.num_nodes,
             embedding_dim=8,
         )
@@ -215,13 +184,11 @@ class TestPerturbationEquivalence:
         assert batched.mean_loss == pytest.approx(reference.mean_loss, abs=ATOL)
 
 
-def _legacy_nonprivate_train(graph, config, seed, epochs):
-    """Replica of the seed SE-GEmb trainer: per-example loop, same RNG order."""
-    rng = ensure_rng(seed)
+def _legacy_setup(graph, config, rng):
+    """Model, objective, weighted pool and sampler in the trainers' RNG order."""
     proximity = DegreeProximity().compute(graph)
     objective = StructurePreferenceObjective(proximity)
     model = SkipGramModel(graph.num_nodes, config.embedding_dim, seed=rng)
-    optimizer = SGDOptimizer(config.learning_rate)
     negative_sampler = ProximityNegativeSampler(
         graph,
         proximity_row_sums=proximity.row_sums,
@@ -229,42 +196,33 @@ def _legacy_nonprivate_train(graph, config, seed, epochs):
         seed=rng,
     )
     pool = generate_disjoint_subgraph_arrays(graph, negative_sampler, config.negative_samples)
-    sampler = SubgraphSampler(pool, config.batch_size, seed=rng)
+    pool = pool.with_weights(objective.edge_weights(pool.centers, pool.positives))
+    return model, pool, SubgraphSampler(pool, config.batch_size, seed=rng)
 
+
+def _legacy_nonprivate_train(graph, config, seed, epochs):
+    """Replica of the seed SE-GEmb trainer: per-example loop, same RNG order."""
+    rng = ensure_rng(seed)
+    model, pool, sampler = _legacy_setup(graph, config, rng)
+    rate = config.learning_rate
     for _ in range(epochs):
-        batch = sampler.sample_batch()
-        centers, center_grads, context_rows, context_grads = [], [], [], []
-        for subgraph in batch:
-            grads = objective.example_gradients(model.w_in, model.w_out, subgraph)
-            centers.append(grads.center)
-            center_grads.append(grads.center_gradient)
-            context_rows.append(grads.context_nodes)
-            context_grads.append(grads.context_gradients)
-        optimizer.descend_rows(
-            model.w_in, np.asarray(centers, dtype=np.int64), np.vstack(center_grads)
+        examples = batch_examples(model.w_in, model.w_out, pool.take(sampler.sample_indices()))
+        centers = np.array([example.center for example in examples], dtype=np.int64)
+        np.subtract.at(
+            model.w_in, centers, rate * np.vstack([e.center_gradient for e in examples])
         )
-        optimizer.descend_rows(
-            model.w_out, np.concatenate(context_rows), np.vstack(context_grads)
+        np.subtract.at(
+            model.w_out,
+            np.concatenate([example.context_nodes for example in examples]),
+            rate * np.vstack([example.context_gradients for example in examples]),
         )
-        optimizer.step_epoch()
     return model
 
 
 def _legacy_private_train(graph, training, privacy, seed, epochs):
     """Replica of the SE-PrivGEmb trainer (Algorithm 2), same RNG streams."""
     rng = ensure_rng(seed)
-    proximity = DegreeProximity().compute(graph)
-    objective = StructurePreferenceObjective(proximity)
-    model = SkipGramModel(graph.num_nodes, training.embedding_dim, seed=rng)
-    optimizer = SGDOptimizer(training.learning_rate)
-    negative_sampler = ProximityNegativeSampler(
-        graph,
-        proximity_row_sums=proximity.row_sums,
-        min_positive_proximity=max(proximity.min_positive, 1e-12),
-        seed=rng,
-    )
-    pool = generate_disjoint_subgraph_arrays(graph, negative_sampler, training.negative_samples)
-    sampler = SubgraphSampler(pool, training.batch_size, seed=rng)
+    model, pool, sampler = _legacy_setup(graph, training, rng)
     # the noise draws from its own child stream, spawned without consuming
     # any draw of the shared generator
     perturbation = get_perturbation(
@@ -282,22 +240,16 @@ def _legacy_private_train(graph, training, privacy, seed, epochs):
     for _ in range(epochs):
         if accountant.would_exceed(privacy.epsilon, privacy.delta):
             break
-        batch = sampler.sample_batch()
-        example_gradients = [
-            objective.example_gradients(model.w_in, model.w_out, subgraph)
-            for subgraph in batch
-        ]
         perturbed = perturb(
             perturbation,
-            example_gradients,
+            batch_examples(model.w_in, model.w_out, pool.take(sampler.sample_indices())),
             num_nodes=model.num_nodes,
             embedding_dim=model.embedding_dim,
         )
         w_in_grad, w_out_grad = perturbed.averaged_by_row_counts()
-        optimizer.descend(model.w_in, w_in_grad)
-        optimizer.descend(model.w_out, w_out_grad)
+        model.w_in -= training.learning_rate * w_in_grad
+        model.w_out -= training.learning_rate * w_out_grad
         accountant.step()
-        optimizer.step_epoch()
         steps += 1
         if averaged_w_in is None:
             averaged_w_in = model.w_in.copy()

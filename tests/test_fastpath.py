@@ -606,14 +606,14 @@ class TestOptimizerDtypeGuard:
         optimizer = SGDOptimizer(0.1)
         params = np.zeros((3, 2), dtype=np.float32)
         with pytest.raises(ConfigurationError, match="float64.*float32"):
-            optimizer.descend(params, np.ones((3, 2), dtype=np.float64))
+            optimizer.descend_unique_rows(
+                params, np.arange(3), np.ones((3, 2), dtype=np.float64)
+            )
 
     def test_descend_rows_and_unique_rows_reject_mismatch(self):
         optimizer = SGDOptimizer(0.1)
         params64 = np.zeros((5, 2))
         rows = np.array([0, 1])
-        with pytest.raises(ConfigurationError, match="float32.*float64"):
-            optimizer.descend_rows(params64, rows, np.ones((2, 2), dtype=np.float32))
         with pytest.raises(ConfigurationError, match="float32.*float64"):
             optimizer.descend_unique_rows(
                 params64, rows, np.ones((2, 2), dtype=np.float32)
@@ -622,19 +622,11 @@ class TestOptimizerDtypeGuard:
     def test_integer_gradients_still_cast_losslessly(self):
         optimizer = SGDOptimizer(0.5)
         params = np.zeros((2, 2))
-        optimizer.descend(params, np.array([[2, 0], [0, 2]]))
+        optimizer.descend_unique_rows(params, np.arange(2), np.array([[2, 0], [0, 2]]))
         np.testing.assert_allclose(params, [[-1.0, 0.0], [0.0, -1.0]])
 
     def test_scratch_descents_match_plain(self):
         optimizer = SGDOptimizer(0.2)
-        params_a = np.arange(12, dtype=np.float64).reshape(6, 2)
-        params_b = params_a.copy()
-        rows = np.array([0, 3, 3, 5])
-        grads = np.random.default_rng(0).standard_normal((4, 2))
-        optimizer.descend_rows(params_a, rows, grads)
-        optimizer.descend_rows(params_b, rows, grads, scratch=np.empty((4, 2)))
-        np.testing.assert_array_equal(params_a, params_b)
-
         params_a = np.arange(12, dtype=np.float64).reshape(6, 2)
         params_b = params_a.copy()
         unique_rows = np.array([1, 4])

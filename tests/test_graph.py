@@ -44,18 +44,6 @@ class TestConstruction:
         g = Graph.from_edge_list([], num_nodes=5)
         assert g.num_edges == 0
 
-    def test_from_adjacency_round_trip(self, triangle_graph):
-        dense = triangle_graph.adjacency_matrix(dense=True)
-        rebuilt = Graph.from_adjacency(dense)
-        assert rebuilt == triangle_graph
-
-    def test_from_networkx(self):
-        nx = pytest.importorskip("networkx")
-        nx_graph = nx.karate_club_graph()
-        g = Graph.from_networkx(nx_graph)
-        assert g.num_nodes == nx_graph.number_of_nodes()
-        assert g.num_edges == nx_graph.number_of_edges()
-
 
 class TestAccessors:
     def test_degrees(self, triangle_graph):

@@ -1,4 +1,4 @@
-"""Tests for the numpy NN substrate (layers, losses, GCN)."""
+"""Tests for the numpy NN substrate (layers, GCN)."""
 
 from __future__ import annotations
 
@@ -11,11 +11,6 @@ from repro.nn import (
     DenseLayer,
     GCNEncoder,
     GCNLayer,
-    Sequential,
-    binary_cross_entropy,
-    binary_cross_entropy_grad,
-    mse,
-    mse_grad,
     normalized_adjacency,
 )
 
@@ -115,57 +110,6 @@ class TestActivation:
     def test_unknown_activation_raises(self):
         with pytest.raises(ConfigurationError):
             Activation("swish")
-
-
-class TestSequential:
-    def test_forward_backward_chain(self, rng):
-        model = Sequential(DenseLayer(4, 8, seed=0), Activation("tanh"), DenseLayer(8, 1, seed=1))
-        x = rng.normal(size=(3, 4))
-        out = model.forward(x)
-        assert out.shape == (3, 1)
-        grad_in = model.backward(np.ones_like(out))
-        assert grad_in.shape == x.shape
-        assert len(model.parameters()) == 4
-        assert len(model.gradients()) == 4
-
-    def test_training_reduces_loss(self, rng):
-        model = Sequential(DenseLayer(2, 8, seed=0), Activation("tanh"), DenseLayer(8, 1, seed=1))
-        x = rng.normal(size=(32, 2))
-        y = x[:, :1] * 0.8 - x[:, 1:] * 0.3
-        first_loss = None
-        for _ in range(300):
-            model.zero_grad()
-            out = model.forward(x)
-            loss = mse(out, y)
-            if first_loss is None:
-                first_loss = loss
-            model.backward(mse_grad(out, y))
-            model.apply_gradients(0.05)
-        assert mse(model.forward(x), y) < first_loss * 0.5
-
-    def test_empty_sequential_raises(self):
-        with pytest.raises(ConfigurationError):
-            Sequential()
-
-
-class TestLosses:
-    def test_bce_known_value(self):
-        preds = np.array([0.9, 0.1])
-        targets = np.array([1.0, 0.0])
-        expected = -np.mean([np.log(0.9), np.log(0.9)])
-        assert binary_cross_entropy(preds, targets) == pytest.approx(expected)
-
-    def test_bce_grad_matches_numerical(self, rng):
-        preds = rng.uniform(0.05, 0.95, size=6)
-        targets = (rng.random(6) > 0.5).astype(float)
-        numeric = numerical_gradient(lambda p: binary_cross_entropy(p, targets), preds.copy())
-        np.testing.assert_allclose(binary_cross_entropy_grad(preds, targets), numeric, atol=1e-5)
-
-    def test_mse_grad_matches_numerical(self, rng):
-        preds = rng.normal(size=5)
-        targets = rng.normal(size=5)
-        numeric = numerical_gradient(lambda p: mse(p, targets), preds.copy())
-        np.testing.assert_allclose(mse_grad(preds, targets), numeric, atol=1e-6)
 
 
 class TestGCN:

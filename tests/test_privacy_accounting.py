@@ -169,6 +169,17 @@ class TestRdpAccountant:
         d2 = acc.delta_after(50, target_epsilon=1.0)
         assert d1 <= d2
 
+    def test_tiny_noise_gives_a_huge_epsilon_not_an_overflow(self):
+        # at σ = 0.01, e^{ε(2)} = e^{10^4} does not fit in a double
+        tiny = RdpAccountant(noise_multiplier=0.01, sampling_rate=0.4)
+        tiny.step(10)
+        epsilon = tiny.get_privacy_spent(1e-5).epsilon
+        assert not np.isnan(epsilon)
+        small = RdpAccountant(noise_multiplier=0.1, sampling_rate=0.4)
+        small.step(10)
+        assert epsilon > small.get_privacy_spent(1e-5).epsilon
+        assert tiny.max_steps(3.5, 1e-5) == 0
+
     def test_invalid_construction(self):
         with pytest.raises(PrivacyError):
             RdpAccountant(0.0, 0.1)

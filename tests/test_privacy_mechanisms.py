@@ -1,4 +1,4 @@
-"""Tests for clipping, the Gaussian mechanism and sensitivity helpers."""
+"""Tests for clipping and sensitivity helpers."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro import Graph, PrivacyError
 from repro.privacy import (
-    GaussianMechanism,
     batch_gradient_sensitivity,
     clip_gradient,
     clip_rows,
@@ -46,40 +45,6 @@ class TestClipping:
     def test_clip_rows_rejects_1d(self):
         with pytest.raises(PrivacyError):
             clip_rows(np.ones(5), 1.0)
-
-
-class TestGaussianMechanism:
-    def test_noise_statistics(self):
-        mech = GaussianMechanism(noise_multiplier=2.0, sensitivity=3.0, seed=0)
-        assert mech.noise_std == pytest.approx(6.0)
-        values = np.zeros(20000)
-        noisy = mech.add_noise(values)
-        assert noisy.std() == pytest.approx(6.0, rel=0.05)
-        assert abs(noisy.mean()) < 0.2
-
-    def test_add_noise_to_rows_only_touches_selected(self):
-        mech = GaussianMechanism(noise_multiplier=1.0, seed=0)
-        matrix = np.zeros((5, 3))
-        noisy = mech.add_noise_to_rows(matrix, np.array([1, 3, 3]))
-        touched = np.any(noisy != 0, axis=1)
-        np.testing.assert_array_equal(touched, [False, True, False, True, False])
-
-    def test_add_noise_to_rows_rejects_out_of_range(self):
-        mech = GaussianMechanism(noise_multiplier=1.0, seed=0)
-        with pytest.raises(PrivacyError):
-            mech.add_noise_to_rows(np.zeros((3, 2)), np.array([5]))
-
-    def test_rdp_epsilon_formula(self):
-        mech = GaussianMechanism(noise_multiplier=5.0, seed=0)
-        assert mech.rdp_epsilon(2.0) == pytest.approx(2.0 / 50.0)
-        with pytest.raises(PrivacyError):
-            mech.rdp_epsilon(1.0)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(PrivacyError):
-            GaussianMechanism(noise_multiplier=0.0)
-        with pytest.raises(PrivacyError):
-            GaussianMechanism(noise_multiplier=1.0, sensitivity=0.0)
 
 
 class TestSensitivityHelpers:

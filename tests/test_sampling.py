@@ -5,13 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Graph, GraphError
+from repro import Graph, GraphError, SubgraphBatch, TrainingError
 from repro.graph.sampling import (
-    EdgeSubgraph,
     ProximityNegativeSampler,
     SubgraphSampler,
     UnigramNegativeSampler,
-    generate_disjoint_subgraphs,
+    generate_disjoint_subgraph_arrays,
 )
 from repro.proximity import DeepWalkProximity
 
@@ -62,10 +61,10 @@ class TestProximityNegativeSampler:
             seed=0,
         )
         node = 0
-        expected = proximity.min_positive / proximity.row_sums[node]
-        assert sampler.negative_probability(node) == pytest.approx(expected)
+        mass = sampler.min_positive_proximity / sampler.row_sums[node]
+        assert mass == pytest.approx(proximity.min_positive / proximity.row_sums[node])
         # Theorem 3 requires the mass to be a valid probability.
-        assert 0.0 < sampler.negative_probability(node) < 1.0
+        assert 0.0 < mass < 1.0
 
     def test_samples_avoid_neighbors(self, small_graph):
         proximity = DeepWalkProximity(window_size=2).compute(small_graph)
@@ -106,31 +105,10 @@ class TestBulkNegativeSampling:
         sampler = UnigramNegativeSampler(small_graph, seed=0)
         assert sampler.sample_negatives_bulk(np.array([0, 1]), 0).shape == (2, 0)
 
-    def test_duck_typed_sampler_without_bulk_method_still_works(self, small_graph):
-        class ScalarOnlySampler:
-            """The documented minimal contract: sample_negatives(center, k)."""
-
-            def __init__(self):
-                self._rng = np.random.default_rng(0)
-
-            def sample_negatives(self, center, count):
-                out = []
-                while len(out) < count:
-                    candidate = int(self._rng.integers(0, small_graph.num_nodes))
-                    if candidate != center and not small_graph.has_edge(center, candidate):
-                        out.append(candidate)
-                return np.asarray(out, dtype=np.int64)
-
-        from repro.graph.sampling import generate_disjoint_subgraph_arrays
-
-        batch = generate_disjoint_subgraph_arrays(small_graph, ScalarOnlySampler(), 3)
-        assert len(batch) == small_graph.num_edges
-        assert batch.contexts.shape == (small_graph.num_edges, 4)
-
     def test_from_proximity_reads_theorem3_quantities(self, small_graph):
         proximity = DeepWalkProximity(window_size=2).compute(small_graph)
         sampler = ProximityNegativeSampler.from_proximity(small_graph, proximity, seed=0)
-        assert sampler.negative_probability(0) == pytest.approx(
+        assert sampler.min_positive_proximity / sampler.row_sums[0] == pytest.approx(
             proximity.negative_sampling_mass(0)
         )
 
@@ -138,38 +116,35 @@ class TestBulkNegativeSampling:
 class TestGenerateDisjointSubgraphs:
     def test_one_subgraph_per_edge(self, small_graph):
         sampler = UnigramNegativeSampler(small_graph, seed=0)
-        subgraphs = generate_disjoint_subgraphs(small_graph, sampler, num_negatives=4)
-        assert len(subgraphs) == small_graph.num_edges
-        for sub in subgraphs:
-            assert small_graph.has_edge(sub.center, sub.positive)
-            assert sub.negatives.shape == (4,)
-            for neg in sub.negatives:
-                assert not small_graph.has_edge(sub.center, int(neg))
-
-    def test_both_directions_doubles_count(self, small_graph):
-        sampler = UnigramNegativeSampler(small_graph, seed=0)
-        subgraphs = generate_disjoint_subgraphs(
-            small_graph, sampler, num_negatives=2, both_directions=True
-        )
-        assert len(subgraphs) == 2 * small_graph.num_edges
+        pool = generate_disjoint_subgraph_arrays(small_graph, sampler, num_negatives=4)
+        assert len(pool) == small_graph.num_edges
+        assert pool.negatives.shape == (small_graph.num_edges, 4)
+        for center, positive, negatives in zip(
+            pool.centers, pool.positives, pool.negatives, strict=True
+        ):
+            assert small_graph.has_edge(int(center), int(positive))
+            for neg in negatives:
+                assert not small_graph.has_edge(int(center), int(neg))
 
     def test_all_context_nodes_layout(self):
-        sub = EdgeSubgraph(center=0, positive=1, negatives=np.array([2, 3]))
-        np.testing.assert_array_equal(sub.all_context_nodes(), [1, 2, 3])
+        batch = SubgraphBatch(centers=np.array([0]), contexts=np.array([[1, 2, 3]]))
+        np.testing.assert_array_equal(batch.positives, [1])
+        np.testing.assert_array_equal(batch.negatives, [[2, 3]])
+        assert batch.num_negatives == 2
 
     def test_rejects_bad_k_and_empty_graph(self, small_graph):
         sampler = UnigramNegativeSampler(small_graph, seed=0)
         with pytest.raises(GraphError):
-            generate_disjoint_subgraphs(small_graph, sampler, num_negatives=0)
+            generate_disjoint_subgraph_arrays(small_graph, sampler, num_negatives=0)
         empty = Graph(3, [])
         with pytest.raises(GraphError):
-            generate_disjoint_subgraphs(empty, UnigramNegativeSampler(empty, seed=0), 2)
+            generate_disjoint_subgraph_arrays(empty, UnigramNegativeSampler(empty, seed=0), 2)
 
 
 class TestSubgraphSampler:
     def _subgraphs(self, graph, k=3):
         sampler = UnigramNegativeSampler(graph, seed=0)
-        return generate_disjoint_subgraphs(graph, sampler, num_negatives=k)
+        return generate_disjoint_subgraph_arrays(graph, sampler, num_negatives=k)
 
     def test_sampling_rate(self, small_graph):
         subgraphs = self._subgraphs(small_graph)
@@ -180,10 +155,9 @@ class TestSubgraphSampler:
     def test_batch_without_replacement(self, small_graph):
         subgraphs = self._subgraphs(small_graph)
         sampler = SubgraphSampler(subgraphs, batch_size=20, seed=0)
-        batch = sampler.sample_batch()
-        assert len(batch) == 20
-        ids = [id(sub) for sub in batch]
-        assert len(set(ids)) == 20
+        indices = sampler.sample_indices()
+        assert len(indices) == 20
+        assert len(set(indices.tolist())) == 20
 
     def test_batch_larger_than_population_is_capped(self, path_graph):
         subgraphs = self._subgraphs(path_graph, k=1)
@@ -192,8 +166,8 @@ class TestSubgraphSampler:
         assert sampler.sampling_rate == pytest.approx(1.0)
 
     def test_rejects_empty_subgraphs_or_bad_batch(self, small_graph):
-        with pytest.raises(GraphError):
-            SubgraphSampler([], batch_size=4)
+        with pytest.raises(TrainingError):  # an empty pool cannot be built
+            SubgraphBatch(centers=np.zeros(0), contexts=np.zeros((0, 4)))
         subgraphs = self._subgraphs(small_graph)
         with pytest.raises(GraphError):
             SubgraphSampler(subgraphs, batch_size=0)

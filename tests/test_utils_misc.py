@@ -1,17 +1,15 @@
-"""Tests for RNG handling, statistics accumulators, timers and logging helpers."""
+"""Tests for RNG handling, run statistics and logging helpers."""
 
 from __future__ import annotations
 
 import logging
-import time
 
 import numpy as np
 import pytest
 
 from repro.utils.logging import get_logger
 from repro.utils.rng import ensure_rng, repeat_streams, spawn_rngs
-from repro.utils.stats import RunningStats, summarize_runs
-from repro.utils.timer import Timer
+from repro.utils.stats import summarize_runs
 
 
 class TestEnsureRng:
@@ -84,28 +82,6 @@ class TestSpawnRngs:
             spawn_rngs(0, -1)
 
 
-class TestRunningStats:
-    def test_mean_and_std_match_numpy(self, rng):
-        values = rng.normal(3.0, 2.0, size=50)
-        stats = RunningStats()
-        stats.extend(values)
-        assert stats.count == 50
-        assert stats.mean == pytest.approx(float(values.mean()), rel=1e-9)
-        assert stats.std == pytest.approx(float(values.std(ddof=1)), rel=1e-9)
-
-    def test_empty_stats_are_zero(self):
-        stats = RunningStats()
-        assert stats.count == 0
-        assert stats.mean == 0.0
-        assert stats.std == 0.0
-
-    def test_single_observation_has_zero_variance(self):
-        stats = RunningStats()
-        stats.update(4.2)
-        assert stats.mean == pytest.approx(4.2)
-        assert stats.variance == 0.0
-
-
 class TestSummarizeRuns:
     def test_mean_std_and_count(self):
         summary = summarize_runs([1.0, 2.0, 3.0])
@@ -123,25 +99,6 @@ class TestSummarizeRuns:
 
     def test_str_formats_like_paper_cells(self):
         assert str(summarize_runs([0.45, 0.45])) == "0.4500±0.0000"
-
-
-class TestTimer:
-    def test_context_manager_measures_elapsed(self):
-        with Timer() as t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.005
-
-    def test_start_stop(self):
-        t = Timer()
-        t.start()
-        time.sleep(0.005)
-        elapsed = t.stop()
-        assert elapsed > 0.0
-        assert t.elapsed == elapsed
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
 
 
 class TestGetLogger:
