@@ -9,6 +9,9 @@ memory-mapped servable, and queried through :class:`QueryEngine`:
   against the same queries issued one at a time.  The batched scan must
   amortise the corpus pass by at least
   ``REPRO_BENCH_MIN_SERVING_SPEEDUP`` (default 5.0; locally ~10-20x).
+  The gated speedup is the median over interleaved batched/single pairs
+  whose first arm alternates, so a slow stretch of the machine lands on
+  both arms of a pair rather than on one arm.
   A :class:`QueryProfiler` rides along so the artifact records where each
   path spends its per-query time (gather / matmul / partition).
 * **micro-batching server** — the same request stream issued as
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import statistics
 import time
 import tracemalloc
 
@@ -50,8 +54,8 @@ MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SERVING_SPEEDUP", "5.0"))
 DIM = 64
 BATCH = 64
 K = 10
-ROUNDS = 3
-QUERY_ROWS = 512  # queries timed per round
+PAIRS = 5  # interleaved batched/single timing pairs
+QUERY_ROWS = 512  # queries timed per arm of a pair
 
 
 @pytest.fixture(scope="module")
@@ -70,17 +74,29 @@ def servable(tmp_path_factory):
         yield opened
 
 
-def _best_queries_per_sec(engine, batches):
-    for batch in batches[:2]:  # warm-up: norms cache, BLAS threads
-        engine.top_k(batch, K)
-    best = float("inf")
-    total = sum(batch.size for batch in batches)
-    for _ in range(ROUNDS):
-        start = time.perf_counter()
-        for batch in batches:
+def _paired_queries_per_sec(batched, single):
+    """Median queries/sec of each arm and the median per-pair speedup.
+
+    ``batched`` and ``single`` are ``(engine, batches)`` arms over the same
+    ``QUERY_ROWS`` queries.  They run in ``PAIRS`` back-to-back pairs,
+    alternating which arm goes first; within a pair both arms see the same
+    machine speed.
+    """
+    arms = (batched, single)
+    for engine, batches in arms:
+        for batch in batches[:2]:  # warm-up: norms cache, BLAS threads
             engine.top_k(batch, K)
-        best = min(best, time.perf_counter() - start)
-    return total / best
+    seconds: tuple[list[float], list[float]] = ([], [])
+    for pair in range(PAIRS):
+        for arm in (0, 1) if pair % 2 == 0 else (1, 0):
+            engine, batches = arms[arm]
+            start = time.perf_counter()
+            for batch in batches:
+                engine.top_k(batch, K)
+            seconds[arm].append(time.perf_counter() - start)
+    speedup = statistics.median(s / b for b, s in zip(*seconds, strict=True))
+    batched_qps, single_qps = (QUERY_ROWS / statistics.median(arm) for arm in seconds)
+    return batched_qps, single_qps, speedup
 
 
 def _phase_means(profiler):
@@ -95,19 +111,14 @@ def test_batched_topk_speedup(bench_artifact, servable):
     batched_engine = servable.query_engine(
         max_batch=BATCH, max_k=K, profiler=batched_profiler
     )
-    batched_qps = _best_queries_per_sec(
-        batched_engine, [nodes[i:i + BATCH] for i in range(0, QUERY_ROWS, BATCH)]
-    )
-
     single_profiler = QueryProfiler()
     single_engine = servable.query_engine(
         max_batch=1, max_k=K, profiler=single_profiler
     )
-    single_qps = _best_queries_per_sec(
-        single_engine, [nodes[i:i + 1] for i in range(QUERY_ROWS)]
+    batched_qps, single_qps, speedup = _paired_queries_per_sec(
+        (batched_engine, [nodes[i:i + BATCH] for i in range(0, QUERY_ROWS, BATCH)]),
+        (single_engine, [nodes[i:i + 1] for i in range(QUERY_ROWS)]),
     )
-
-    speedup = batched_qps / single_qps
     print()
     print(
         f"top-{K} throughput on the {servable.num_nodes}-node servable "
@@ -115,7 +126,7 @@ def test_batched_topk_speedup(bench_artifact, servable):
     )
     print(f"  single-query  : {single_qps:10.1f} queries/sec")
     print(f"  batched       : {batched_qps:10.1f} queries/sec")
-    print(f"  speedup       : {speedup:10.2f}x")
+    print(f"  speedup       : {speedup:10.2f}x (median of {PAIRS} pairs)")
     bench_artifact(
         "serving_topk",
         {
@@ -124,6 +135,7 @@ def test_batched_topk_speedup(bench_artifact, servable):
             "k": K,
             "batch": BATCH,
             "query_rows": QUERY_ROWS,
+            "pairs": PAIRS,
             "single_queries_per_sec": single_qps,
             "batched_queries_per_sec": batched_qps,
             "speedup": speedup,

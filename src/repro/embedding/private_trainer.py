@@ -7,9 +7,14 @@ Training loop, per epoch:
 2. compute the structure-preference gradients (Eq. 7 / Eq. 8),
 3. clip per example, aggregate, perturb with the chosen strategy
    (non-zero Eq. 9 by default, naive Eq. 6 for the ablation), average,
-4. descend on ``W_in`` and ``W_out``,
-5. update the RDP accountant with sampling rate ``γ = B / |GS|`` and stop
-   when the (ε, δ) budget would be exceeded (lines 8-10).
+4. descend on ``W_in`` and ``W_out``.
+
+Algorithm 2's stop rule (lines 8-10: stop when the (ε, δ) budget would be
+exceeded) is applied before the run: the step count is capped at
+:meth:`~repro.privacy.accountant.RdpAccountant.max_steps` for sampling rate
+``γ = B / |GS|`` (DP-SGD likewise fixes its step count from the
+accountant up front), and the accountant is charged for the steps that
+ran.
 
 The published output is the pair ``(W_in, W_out)``; by post-processing
 (Theorem 2) any downstream task computed from them retains the same
@@ -18,9 +23,9 @@ node-level DP guarantee.
 The loop itself is :class:`~repro.engine.TrainingEngine`, and the set-up
 and run shared with SE-GEmb live in
 :class:`~repro.embedding.trainer.SkipGramTrainerBase`; this class adds only
-what Algorithm 2 adds — the clip→noise→average update rule, the RDP
-accounting and iterate-averaging hooks, the ledger and the budget-capped
-hogwild run.
+what Algorithm 2 adds — the clip→noise→average update rule, the
+iterate-averaging hook, the up-front budget gate, the RDP accounting and
+the ledger.
 
 Since the estimator redesign the trainer follows the
 :class:`~repro.models.Embedder` protocol: configure, then ``fit(graph)``::
@@ -34,14 +39,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import PrivacyConfig, TrainingConfig
-from ..engine import (
-    EngineHook,
-    EngineResult,
-    IterateAveragingHook,
-    PerturbedUpdate,
-    RdpAccountingHook,
-)
-from ..exceptions import HogwildDegradedError, TrainingError
+from ..engine import EngineHook, IterateAveragingHook, PerturbedUpdate, TrainingEngine
+from ..exceptions import TrainingError
+from ..graph import Graph
 from ..privacy.accountant import PrivacySpent, RdpAccountant
 from ..proximity.base import ProximityMatrix, ProximityMeasure
 from ..robustness.checkpoint import SupervisorPolicy
@@ -52,6 +52,21 @@ from .trainer import SkipGramTrainerBase
 __all__ = ["SEPrivGEmbTrainer"]
 
 _LOGGER = get_logger("embedding.private_trainer")
+
+
+class _ChargeEachStep(EngineHook):
+    """Charge the fit's accountant for each private step as it is taken.
+
+    This composes only; the budget gate is :meth:`SEPrivGEmbTrainer._admit`,
+    which fixed the step count before the run.  Charging at release keeps
+    the in-process spend complete even when a run raises midway.
+    """
+
+    def __init__(self, accountant: RdpAccountant) -> None:
+        self.accountant = accountant
+
+    def after_step(self, engine: TrainingEngine, epoch: int, loss: float) -> None:
+        self.accountant.step()
 
 
 class SEPrivGEmbTrainer(SkipGramTrainerBase):
@@ -103,17 +118,18 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
         and gradient arithmetic.  The RDP accountant, sensitivities and
         noise calibration always stay float64.
     workers:
-        ``1`` (default) trains serially.  ``> 1`` shards the private step stream over that
+        ``1`` (default) trains serially, as the one-worker case of the
+        hogwild recipe.  ``> 1`` shards the private step stream over that
         many forked hogwild workers updating a shared-memory model
-        (:mod:`repro.engine.hogwild`).  Privacy is composed honestly
-        across the shards: the budgeted step count is fixed up front via
-        :meth:`~repro.privacy.accountant.RdpAccountant.max_steps` (the
-        same count the serial gate admits), every worker draws its own
-        float64 noise from a spawned stream, and the accountant composes
-        the per-shard counts with
-        :meth:`~repro.privacy.accountant.RdpAccountant.step_shards` —
-        RDP composition is linear in steps at fixed γ, so the reported
-        (ε, δ) equals the serial accountant's exactly.  Falls back to
+        (:mod:`repro.engine.hogwild`); each worker builds its engine with
+        the same builder as a serial fit.  Privacy is composed the same
+        way for any worker count: the budgeted step count is fixed up
+        front via :meth:`~repro.privacy.accountant.RdpAccountant.max_steps`,
+        every worker draws its own float64 noise from a spawned stream,
+        and the accountant composes the per-shard counts with
+        :meth:`~repro.privacy.accountant.RdpAccountant.step_shards` once
+        the run ends — RDP composition is linear in steps at fixed γ, so
+        the reported (ε, δ) is the serial run's exactly.  Falls back to
         serial with a warning where ``fork`` is unavailable.
     """
 
@@ -177,56 +193,57 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
         }
 
     # ------------------------------------------------------------------ #
-    def _engine_parts(self) -> tuple[PerturbedUpdate, list[EngineHook]]:
-        """The perturbed update rule, then the accountant and its hooks."""
-        spec = self._perturbation_spec
-        self.perturbation = (
-            spec if isinstance(spec, PerturbationStrategy)
-            else self._new_perturbation(self._rng)
-        )
+    def _setup(
+        self, graph: Graph, rng: np.random.Generator, proximity: ProximityMatrix | None = None
+    ) -> None:
+        super()._setup(graph, rng, proximity=proximity)
+        self.perturbation = self.engine.update_rule.perturbation
         self.accountant = RdpAccountant(
             noise_multiplier=self.privacy_config.noise_multiplier,
             sampling_rate=self._sampler.sampling_rate,
         )
-        hooks: list[EngineHook] = [
-            RdpAccountingHook(
-                self.accountant, self.privacy_config.epsilon, self.privacy_config.delta
-            )
-        ]
-        if self.iterate_averaging:
-            hooks.append(IterateAveragingHook())
-        update = PerturbedUpdate(
-            self.perturbation, gradient_normalization=self.gradient_normalization
-        )
-        return update, hooks
+        # the fit's own engine charges as it runs; a hogwild pool's shards
+        # are composed when the pool ends (see _run_engine)
+        self.engine.hooks += (_ChargeEachStep(self.accountant),)
 
-    def _new_perturbation(self, rng) -> PerturbationStrategy:
-        """A strategy with the configured calibration, drawing from a child of ``rng``.
+    def _build_engine(self, rng: np.random.Generator) -> TrainingEngine:
+        engine = super()._build_engine(rng)
+        if self.iterate_averaging:
+            engine.hooks += (IterateAveragingHook(),)
+        return engine
+
+    def _update_rule(self, rng: np.random.Generator) -> PerturbedUpdate:
+        """Clip → noise → average, with noise from a child of ``rng``.
 
         Spawning draws nothing from ``rng``, so the init, pool and sampler
         streams are as if the noise did not exist, and the noise ring may
-        run ahead.  Hogwild workers each build their own: forked children
-        would otherwise share one strategy's copy-on-write generator state
-        and emit identical perturbations.
+        run ahead.  A pre-constructed strategy serves the fit's own engine
+        as-is; hogwild workers each get a copy with its calibration, since
+        forked children would otherwise share one strategy's copy-on-write
+        generator state and emit identical perturbations.
         """
         spec = self._perturbation_spec
         if isinstance(spec, PerturbationStrategy):
+            if rng is self._rng:
+                return PerturbedUpdate(spec, gradient_normalization=self.gradient_normalization)
             name, clipping, sigma = spec.name, spec.clipping_threshold, spec.noise_multiplier
         else:
             name = spec
             clipping = self.privacy_config.clipping_threshold
             sigma = self.privacy_config.noise_multiplier
-        return get_perturbation(
+        perturbation = get_perturbation(
             name, clipping_threshold=clipping, noise_multiplier=sigma, seed=rng.spawn(1)[0]
         )
-
-    def _hogwild_update_rule(self, rng) -> PerturbedUpdate:
-        return PerturbedUpdate(
-            self._new_perturbation(rng), gradient_normalization=self.gradient_normalization
-        )
+        return PerturbedUpdate(perturbation, gradient_normalization=self.gradient_normalization)
 
     def _admit(self, epochs: int) -> int:
-        """Cap the epochs by the ledger and, for hogwild, by the budget."""
+        """Cap the epochs by the ledger, then by the (ε, δ) budget.
+
+        This is Algorithm 2's stop rule for serial and hogwild runs alike:
+        ``max_steps`` is the largest step count whose ε stays within the
+        target, so the run takes exactly the steps a per-step gate would
+        admit, and the accountant composes them once the run ends.
+        """
         ledger = self._active_ledger
         if ledger is not None:
             # Durable budget gate: the in-process accountant starts at zero,
@@ -247,53 +264,15 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
                     epochs,
                 )
                 epochs = admissible
-        if self._active_workers > 1:
-            # The serial path gates per step (RdpAccountingHook); workers
-            # can't share that gate cheaply, so the equivalent budget is
-            # fixed up front: max_steps is exactly the count the serial gate
-            # admits, and the accountant then composes the per-shard counts.
-            epochs = min(
-                epochs,
-                self.accountant.max_steps(
-                    self.privacy_config.epsilon, self.privacy_config.delta
-                )
-                - self.accountant.steps,
-            )
-        return max(0, epochs)
+        budget = (
+            self.accountant.max_steps(self.privacy_config.epsilon, self.privacy_config.delta)
+            - self.accountant.steps
+        )
+        return max(0, min(epochs, budget))
 
-    def _run_hogwild(self, total_steps: int) -> EngineResult:
-        """Run the budget-capped step stream across the hogwild pool."""
-        if total_steps == 0:  # not even one step fits the budget
-            embeddings = self.model.embeddings()
-            context = self.model.w_out.copy()
-            self.model.release()
-            return EngineResult(
-                embeddings=embeddings,
-                context_embeddings=context,
-                losses=[],
-                epochs_run=0,
-            )
-        try:
-            result = self._run_pool(total_steps, iterate_averaging=self.iterate_averaging)
-        except HogwildDegradedError as exc:
-            # Every incarnation — including the lost ones — already released
-            # its noise; charge the conservative counts before the failure
-            # propagates, and make the charge durable if a ledger is
-            # attached.  Over-counting is privacy-safe; under-counting never.
-            if exc.charged_steps:
-                self.accountant.step_shards(exc.charged_steps)
-                self._record_ledger()
-            raise
-        self.accountant.step_shards(self.last_hogwild_run.accountant_steps)
-        return result
-
-    def _account(self) -> PrivacySpent:
-        spent = self.accountant.get_privacy_spent(self.privacy_config.delta)
-        self._record_ledger()
-        return spent
-
-    def _record_ledger(self) -> None:
-        """Make the accountant's charge durable in this fit's ledger, if any."""
+    def _account(self, charged: list[int]) -> PrivacySpent:
+        """Compose the shard counts, make the charge durable, report the spend."""
+        self.accountant.step_shards(charged)
         ledger = self._active_ledger
         if ledger is not None:
             ledger.record_accountant(
@@ -303,6 +282,7 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
                 delta=self.privacy_config.delta,
                 target_epsilon=self.privacy_config.epsilon,
             )
+        return self.accountant.get_privacy_spent(self.privacy_config.delta)
 
     # ------------------------------------------------------------------ #
     def max_private_epochs(self) -> int:

@@ -66,15 +66,8 @@ class SkipGramModel:
         self.w_out = rng.uniform(-scale, scale, size=shape).astype(self.dtype, copy=False)
 
     # ------------------------------------------------------------------ #
-    def score(self, center: int, context: int) -> float:
-        """Inner product ``v_i · v_j`` between a centre and a context vector."""
-        return float(self.w_in[int(center)] @ self.w_out[int(context)])
-
-    def scores(self, centers: np.ndarray, contexts: np.ndarray) -> np.ndarray:
-        """Vectorised inner products for parallel centre/context index arrays."""
-        centers = np.asarray(centers, dtype=np.int64)
-        contexts = np.asarray(contexts, dtype=np.int64)
-        return np.einsum("ij,ij->i", self.w_in[centers], self.w_out[contexts])
+    def release(self) -> None:
+        """Nothing to release: a plain model's matrices are private memory."""
 
     def embeddings(self) -> np.ndarray:
         """Return a copy of the published embedding matrix ``W_in``."""

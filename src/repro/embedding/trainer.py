@@ -8,8 +8,8 @@ gradient.
 
 The epoch loop itself lives in :class:`~repro.engine.TrainingEngine`, and
 the set-up and run shared with SE-PrivGEmb in :class:`SkipGramTrainerBase`;
-this class only picks the negative sampler, the exact scatter update rule
-and a loss-logging hook.
+this class only picks the negative sampler and the exact scatter update
+rule.
 
 Since the estimator redesign the trainer follows the
 :class:`~repro.models.Embedder` protocol: configure it with a proximity
@@ -28,7 +28,6 @@ import numpy as np
 from ..config import TrainingConfig
 from ..engine import (
     DirectSparseUpdate,
-    EngineHook,
     EngineResult,
     HogwildRun,
     LossLoggingHook,
@@ -39,7 +38,7 @@ from ..engine import (
     resolve_compute_dtype,
     run_hogwild,
 )
-from ..exceptions import TrainingError
+from ..exceptions import HogwildDegradedError, TrainingError
 from ..robustness.checkpoint import SupervisorPolicy
 from ..graph import Graph
 from ..graph.sampling import (
@@ -71,13 +70,14 @@ class SkipGramTrainerBase(Embedder):
     The two trainers optimise the same Eq. 5 objective over the same
     Algorithm-1 subgraph set with the same Theorem-3 negative sampler; only
     Algorithm 2's clip → noise → account step differs.  So the constructor
-    state, the registry hook, the engine set-up (model → negative sampler →
-    pool → batch sampler → engine, in that RNG order), the run (epochs,
+    state, the registry hook, the set-up (model → negative sampler → pool
+    → engine, in that RNG order), the one engine builder, the run (epochs,
     serial or hogwild, fitted state) and the Algorithm-1 accessors live
-    here once.  A subclass supplies its engine parts through
-    :meth:`_engine_parts` and :meth:`_hogwild_update_rule`; the private
-    trainer also hooks the budget into :meth:`_admit`, :meth:`_run_hogwild`
-    and :meth:`_account`.
+    here once.  A serial fit is the one-worker case of the hogwild recipe:
+    both build their engines with :meth:`_build_engine`.  A subclass
+    supplies its :meth:`_update_rule`; the private trainer also adds the
+    averaging hook and hooks the budget into :meth:`_admit` and
+    :meth:`_account`.
     """
 
     proximity: ProximityMeasure | ProximityMatrix
@@ -252,9 +252,8 @@ class SkipGramTrainerBase(Embedder):
         """Build model, samplers and engine for ``graph`` (consumes ``rng``).
 
         The stream order is pinned: model initialisation, then the negative
-        sampler's alias table, the subgraph pool, the batch sampler, and
-        last whatever :meth:`_engine_parts` draws (the private noise spawns
-        its own child stream, which reads nothing from ``rng``).
+        sampler's alias table, the subgraph pool, and last the engine
+        :meth:`_build_engine` builds from ``rng``.
         """
         if graph.num_edges == 0:
             raise TrainingError("cannot train on a graph with no edges")
@@ -268,7 +267,6 @@ class SkipGramTrainerBase(Embedder):
         self.objective = StructurePreferenceObjective(self.proximity_matrix)
 
         self.model = self._make_model(graph)
-        self.optimizer = SGDOptimizer(self.training_config.learning_rate)
         pool = generate_disjoint_subgraph_arrays(
             graph, self._negative_sampler(graph), self.training_config.negative_samples
         )
@@ -277,18 +275,9 @@ class SkipGramTrainerBase(Embedder):
         self._subgraph_pool: SubgraphBatch = pool.with_weights(
             self.objective.edge_weights(pool.centers, pool.positives)
         )
-        self._sampler = SubgraphSampler(
-            self._subgraph_pool, self.training_config.batch_size, seed=self._rng
-        )
-        update_rule, hooks = self._engine_parts()
-        self.engine = TrainingEngine(
-            model=self.model,
-            optimizer=self.optimizer,
-            objective=self.objective,
-            sampler=self._sampler,
-            update_rule=update_rule,
-            hooks=hooks,
-        )
+        self.engine = self._build_engine(rng)
+        self.optimizer = self.engine.optimizer
+        self._sampler = self.engine.sampler
 
     def _negative_sampler(self, graph: Graph):
         """The Theorem-3 sampler: candidates uniform, mass min(P)/Σ_j p_ij."""
@@ -296,13 +285,32 @@ class SkipGramTrainerBase(Embedder):
             graph, self.proximity_matrix, seed=self._rng
         )
 
-    @abc.abstractmethod
-    def _engine_parts(self) -> tuple[UpdateRule, list[EngineHook]]:
-        """The serial engine's update rule and hooks (runs last in set-up)."""
+    def _build_engine(self, rng: np.random.Generator) -> TrainingEngine:
+        """Build one engine over the set-up model, seeded from ``rng``.
+
+        The serial fit calls it with the fit's generator; every hogwild
+        worker calls it *inside* its fork with its own spawned stream, where
+        everything heavy (subgraph pool, proximity weights, the shared
+        model) is inherited zero-copy.  The batch sampler takes ``rng``
+        first, then :meth:`_update_rule` (the private noise spawns its own
+        child stream, which reads nothing from ``rng``).  Each engine
+        allocates its own step workspace per run.
+        """
+        sampler = SubgraphSampler(
+            self._subgraph_pool, self.training_config.batch_size, seed=rng
+        )
+        return TrainingEngine(
+            model=self.model,
+            optimizer=SGDOptimizer(self.training_config.learning_rate),
+            objective=self.objective,
+            sampler=sampler,
+            update_rule=self._update_rule(rng),
+            hooks=(LossLoggingHook(_LOGGER),),
+        )
 
     @abc.abstractmethod
-    def _hogwild_update_rule(self, rng: np.random.Generator) -> UpdateRule:
-        """One hogwild worker's update rule, seeded from its own stream."""
+    def _update_rule(self, rng: np.random.Generator) -> UpdateRule:
+        """How one engine's gradients hit the parameters, seeded from ``rng``."""
 
     def _run_engine(self, epochs: int | None) -> FitResult:
         """Run the (already set up) engine and install the fitted state."""
@@ -310,17 +318,25 @@ class SkipGramTrainerBase(Embedder):
         if requested <= 0:
             raise TrainingError(f"epochs must be positive, got {requested}")
         epochs = self._admit(requested)
-        if self._active_workers > 1:
-            result = self._run_hogwild(epochs)
+        charged: list[int] = []  # the fit's own engine charges each step as it runs
+        if epochs == 0:  # not even one step fits the budget
+            self.model.release()
+            result = EngineResult(
+                embeddings=self.model.embeddings(),
+                context_embeddings=self.model.w_out.copy(),
+            )
+        elif self._active_workers > 1:
+            run = self._run_hogwild(epochs)
+            result, charged = run.result, run.accountant_steps
         else:
             result = self.engine.run(epochs)
-        spent = self._account()
+        spent = self._account(charged)
         self._embeddings = result.embeddings
         self._context_embeddings = result.context_embeddings
         return FitResult(
             losses=result.losses,
             epochs_run=result.epochs_run,
-            stopped_early=result.stopped_early or epochs < requested,
+            stopped_early=epochs < requested,
             privacy_spent=spent,
         )
 
@@ -328,38 +344,14 @@ class SkipGramTrainerBase(Embedder):
         """How many of the requested epochs this fit may run."""
         return epochs
 
-    def _account(self) -> PrivacySpent | None:
-        """The privacy the finished run spent (``None``: not private)."""
+    def _account(self, charged: list[int]) -> PrivacySpent | None:
+        """Compose a hogwild run's per-shard step counts; return what the fit spent.
+
+        ``None`` means not private.
+        """
         return None
 
-    # ------------------------------------------------------------------ #
-    # hogwild execution (workers > 1)
-    # ------------------------------------------------------------------ #
-    def _hogwild_engine(self, rng: np.random.Generator) -> TrainingEngine:
-        """Build one worker's private engine over the shared model.
-
-        Runs *inside* the forked worker: everything heavy (subgraph pool,
-        proximity weights, the shared model) is inherited zero-copy; only
-        the sampler, optimizer and update rule are worker-private, each
-        seeded from the worker's spawned stream.  Each worker's engine
-        allocates its own step workspace per run, like the serial engine.
-        """
-        return TrainingEngine(
-            model=self.model,
-            optimizer=SGDOptimizer(self.training_config.learning_rate),
-            objective=self.objective,
-            sampler=SubgraphSampler(
-                self._subgraph_pool, self.training_config.batch_size, seed=rng
-            ),
-            update_rule=self._hogwild_update_rule(rng),
-            hooks=(),
-        )
-
-    def _run_hogwild(self, total_steps: int) -> EngineResult:
-        """Shard ``total_steps`` over the hogwild pool."""
-        return self._run_pool(total_steps)
-
-    def _run_pool(self, total_steps: int, iterate_averaging: bool = False) -> EngineResult:
+    def _run_hogwild(self, total_steps: int) -> HogwildRun:
         """Shard ``total_steps`` over the hogwild pool and release the blocks.
 
         The shared-memory segments are unlinked in the ``finally`` — also
@@ -369,19 +361,24 @@ class SkipGramTrainerBase(Embedder):
         try:
             run = run_hogwild(
                 model=self.model,
-                engine_factory=self._hogwild_engine,
+                engine_factory=self._build_engine,
                 total_steps=total_steps,
                 workers=self._active_workers,
                 seed=self._rng,
-                iterate_averaging=iterate_averaging,
                 trace_memory=self.trace_hogwild_memory,
                 supervision=self.hogwild_resilience,
             )
+        except HogwildDegradedError as exc:
+            # Every incarnation, the lost ones included, already released
+            # its noise: charge the conservative counts before the failure
+            # propagates.  Over-counting is privacy-safe; under-counting never.
+            self._account(exc.charged_steps)
+            raise
         finally:
             self.model.release()
         self.last_worker_reports = run.reports
         self.last_hogwild_run = run
-        return run.result
+        return run
 
     def _require_setup(self) -> None:
         if self.engine is None:
@@ -426,10 +423,12 @@ class SEGEmbTrainer(SkipGramTrainerBase):
         matrices and all gradient arithmetic; privacy-relevant math (noise
         draws, sensitivities, the accountant) always stays float64.
     workers:
-        ``1`` (default) trains serially.  ``> 1`` backs the model with shared memory and
+        ``1`` (default) trains serially, as the one-worker case of the
+        hogwild recipe.  ``> 1`` backs the model with shared memory and
         shards the step stream over that many forked hogwild workers
-        (:mod:`repro.engine.hogwild`); each worker runs its own
-        zero-allocation workspace and a spawned RNG stream.  Multi-worker
+        (:mod:`repro.engine.hogwild`); each worker builds its engine with
+        the same builder as a serial fit, over its own zero-allocation
+        workspace and a spawned RNG stream.  Multi-worker
         results are reproducible in distribution only (racy lock-free
         updates).  Falls back to serial with a warning where ``fork`` is
         unavailable.
@@ -472,10 +471,7 @@ class SEGEmbTrainer(SkipGramTrainerBase):
             return UnigramNegativeSampler(graph, seed=self._rng)
         return super()._negative_sampler(graph)
 
-    def _engine_parts(self) -> tuple[UpdateRule, list[EngineHook]]:
-        return DirectSparseUpdate(), [LossLoggingHook(_LOGGER)]
-
-    def _hogwild_update_rule(self, rng: np.random.Generator) -> UpdateRule:
+    def _update_rule(self, rng: np.random.Generator) -> UpdateRule:
         del rng  # the exact scatter update draws no randomness
         return DirectSparseUpdate()
 

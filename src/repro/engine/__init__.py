@@ -14,12 +14,7 @@ where a step's wall time goes (sample / gradients / perturb / descend).
 
 from .batch import BatchGradients, SubgraphBatch
 from .core import EngineResult, TrainingEngine
-from .hooks import (
-    EngineHook,
-    IterateAveragingHook,
-    LossLoggingHook,
-    RdpAccountingHook,
-)
+from .hooks import EngineHook, IterateAveragingHook, LossLoggingHook
 from .hogwild import HogwildRun, WorkerReport, plan_shards, run_hogwild
 from .profiler import StepProfile, StepProfiler
 from .updates import DirectSparseUpdate, PerturbedUpdate, UpdateRule
@@ -32,7 +27,6 @@ __all__ = [
     "TrainingEngine",
     "EngineHook",
     "LossLoggingHook",
-    "RdpAccountingHook",
     "IterateAveragingHook",
     "StepProfile",
     "StepProfiler",

@@ -56,7 +56,6 @@ class EngineResult:
     context_embeddings: np.ndarray
     losses: list[float] = field(default_factory=list)
     epochs_run: int = 0
-    stopped_early: bool = False
     profile: "StepProfile | None" = None
 
 
@@ -77,9 +76,8 @@ class TrainingEngine:
     update_rule:
         How gradients hit the parameters (exact vs private).
     hooks:
-        Ordered :class:`EngineHook` instances; ``before_step`` hooks can
-        stop training (privacy budget), ``on_train_end`` hooks can replace
-        the published matrices (iterate averaging).
+        Ordered :class:`EngineHook` instances; ``on_train_end`` hooks can
+        replace the published matrices (iterate averaging).
     """
 
     def __init__(
@@ -126,7 +124,7 @@ class TrainingEngine:
         return gradients.mean_loss
 
     def run(self, epochs: int) -> EngineResult:
-        """Run up to ``epochs`` steps (hooks may stop earlier) and return the result."""
+        """Run exactly ``epochs`` steps and return the result."""
         epochs = int(epochs)
         if epochs <= 0:
             raise TrainingError(f"epochs must be positive, got {epochs}")
@@ -139,15 +137,13 @@ class TrainingEngine:
         self.update_rule.profiler = self.profiler
 
         losses: list[float] = []
-        stopped_early = False
         self.workspace = StepWorkspace.for_training(self.model, self.sampler)
         self.update_rule.workspace = self.workspace
         try:
             with self.update_rule.running():
                 for epoch in range(epochs):
-                    if not all(hook.before_step(self, epoch) for hook in self.hooks):
-                        stopped_early = True
-                        break
+                    for hook in self.hooks:
+                        hook.before_step(self, epoch)
                     loss = self.step(epoch)
                     losses.append(loss)
                     for hook in self.hooks:
@@ -162,7 +158,6 @@ class TrainingEngine:
             context_embeddings=self.model.w_out.copy(),
             losses=losses,
             epochs_run=len(losses),
-            stopped_early=stopped_early,
         )
         for hook in self.hooks:
             result = hook.on_train_end(self, result)

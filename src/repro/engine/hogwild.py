@@ -82,7 +82,7 @@ from ..robustness.faults import FaultPlan, get_active_plan
 from ..utils import mp as _mp
 from ..utils.logging import get_logger
 from .core import EngineResult, TrainingEngine
-from .hooks import EngineHook
+from .hooks import EngineHook, IterateAveragingHook
 from .profiler import StepProfile, StepProfiler
 
 __all__ = ["HogwildRun", "WorkerReport", "plan_shards", "run_hogwild"]
@@ -160,30 +160,6 @@ class HogwildRun:
         return self.shard_steps
 
 
-class _IterateSumHook(EngineHook):
-    """Accumulate post-step iterates in float64, across *multiple* runs.
-
-    Unlike :class:`~repro.engine.hooks.IterateAveragingHook` it neither
-    resets on ``on_train_start`` (a traced worker runs the engine twice)
-    nor replaces the result — the parent pools the raw sums from all
-    workers and divides by the pooled step count once.
-    """
-
-    def __init__(self) -> None:
-        self.sum_w_in: np.ndarray | None = None
-        self.sum_w_out: np.ndarray | None = None
-        self.steps = 0
-
-    def after_step(self, engine: "TrainingEngine", epoch: int, loss: float) -> None:
-        self.steps += 1
-        if self.sum_w_in is None:
-            self.sum_w_in = engine.model.w_in.astype(np.float64, copy=True)
-            self.sum_w_out = engine.model.w_out.astype(np.float64, copy=True)
-        else:
-            self.sum_w_in += engine.model.w_in
-            self.sum_w_out += engine.model.w_out
-
-
 class _FaultHook(EngineHook):
     """Cross the ``hogwild.worker.step`` fault point before every step.
 
@@ -200,7 +176,7 @@ class _FaultHook(EngineHook):
         self._incarnation = incarnation
         self._next_step = offset
 
-    def before_step(self, engine: "TrainingEngine", epoch: int) -> bool:
+    def before_step(self, engine: "TrainingEngine", epoch: int) -> None:
         self._plan.hit(
             "hogwild.worker.step",
             shard=self._shard,
@@ -208,7 +184,6 @@ class _FaultHook(EngineHook):
             incarnation=self._incarnation,
         )
         self._next_step += 1
-        return True
 
 
 class _CheckpointHook(EngineHook):
@@ -273,11 +248,14 @@ def _release_blocks(
 class _SharedAccumulator:
     """Two shared float64 blocks pooling the workers' iterate sums.
 
-    Workers add their local sums under ``lock`` once at shard end (two
-    adds per worker per run, not per step), the parent divides by the
-    total accumulated step count.  The parent creates, owns and unlinks
-    the blocks; a pid-guarded ``weakref.finalize`` backstop releases them
-    at garbage collection if :meth:`destroy` was never reached.
+    Workers add their :class:`~repro.engine.hooks.IterateAveragingHook`
+    sums under ``lock`` once at shard end (two adds per worker per run,
+    not per step), the parent divides by the total accumulated step count.
+    Fresh shared memory reads as zeros and its pages are only backed once
+    written, so a pool whose engines do not average pays nothing for the
+    blocks.  The parent creates, owns and unlinks them; a pid-guarded
+    ``weakref.finalize`` backstop releases them at garbage collection if
+    :meth:`destroy` was never reached.
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:
@@ -288,8 +266,6 @@ class _SharedAccumulator:
         )
         self.sum_w_in = np.ndarray(shape, dtype=np.float64, buffer=self._blocks[0].buf)
         self.sum_w_out = np.ndarray(shape, dtype=np.float64, buffer=self._blocks[1].buf)
-        self.sum_w_in[:] = 0.0
-        self.sum_w_out[:] = 0.0
         self._owner_pid = os.getpid()
         # backstop if run_hogwild never reaches its finally (or a caller
         # abandons the accumulator): unlink at GC so no segment can outlive
@@ -325,25 +301,33 @@ def _seed_sequence(
 
 
 class _TraceMemoryHook(EngineHook):
-    """Sample tracemalloc's current size at every step boundary.
+    """Measure a shard's steady-state allocation growth with tracemalloc.
 
-    The reported growth is last-sample minus first-sample: it covers the
-    steady-state step loop only, excluding both run-entry allocations and
-    the engine's end-of-run result snapshot (two ``|V| x d`` copies — a
-    constant handover cost, not per-step leak surface).
+    The hook starts tracemalloc after the first ``_TRACE_WARMUP_STEPS``
+    steps and then samples its current size at every step boundary; the
+    caller stops it when the run ends.  The reported growth is last-sample
+    minus first-sample: it covers the steady-state step loop only,
+    excluding both run-entry allocations and the engine's end-of-run
+    result snapshot (two ``|V| x d`` copies — a constant handover cost,
+    not per-step leak surface).
     """
 
     def __init__(self) -> None:
-        self.first: int | None = None
-        self.last: int | None = None
+        self.steps = 0
+        self.first = 0
+        self.last = 0
         self.samples = 0
 
     def after_step(self, engine: TrainingEngine, epoch: int, loss: float) -> None:
-        current = tracemalloc.get_traced_memory()[0]
-        if self.first is None:
-            self.first = current
-        self.last = current
-        self.samples += 1
+        self.steps += 1
+        if self.steps == _TRACE_WARMUP_STEPS:
+            tracemalloc.start()
+        elif self.steps > _TRACE_WARMUP_STEPS:
+            current = tracemalloc.get_traced_memory()[0]
+            if self.samples == 0:
+                self.first = current
+            self.last = current
+            self.samples += 1
 
 
 @dataclass
@@ -368,21 +352,23 @@ def _run_shard(
     engine_factory: Callable[[np.random.Generator], TrainingEngine],
     seed: np.random.SeedSequence,
     task: _ShardTask,
-    iterate_averaging: bool,
     trace_memory: bool,
-) -> tuple[WorkerReport, _IterateSumHook | None]:
-    """Run one shard incarnation in the current process; pool and inline share it."""
+) -> tuple[WorkerReport, IterateAveragingHook | None]:
+    """Run one shard incarnation in the current process; pool and inline share it.
+
+    Returns the report and the engine's iterate averager, if it has one.
+    """
     rng = np.random.default_rng(seed)
     if task.rng_state is not None:
         # continue the checkpointed sampler stream; streams spawned from
         # ``rng`` (the perturbation noise) still come from the fresh seed
         rng.bit_generator.state = task.rng_state
     engine = engine_factory(rng)
+    averager = next(
+        (hook for hook in engine.hooks if isinstance(hook, IterateAveragingHook)), None
+    )
     profiler = StepProfiler()
-    averager = _IterateSumHook() if iterate_averaging else None
     extra_hooks: list[EngineHook] = [profiler]
-    if averager is not None:
-        extra_hooks.append(averager)
     plan = get_active_plan()
     if plan is not None:  # the single opt-in branch; no hook on the default path
         extra_hooks.append(_FaultHook(plan, task.shard, task.incarnation, task.resume_at))
@@ -392,40 +378,24 @@ def _run_shard(
                 CheckpointStore(task.checkpoint_dir), task, rng, task.checkpoint_every
             )
         )
+    tracer = _TraceMemoryHook() if trace_memory else None
+    if tracer is not None:
+        extra_hooks.append(tracer)
     engine.hooks = tuple(engine.hooks) + tuple(extra_hooks)
 
-    steps = task.target - task.resume_at
-    losses: list[float] = []
-    profiles: list[StepProfile] = []
-    traced_bytes = -1
-    traced_steps = 0
-    measured = steps
-    tracer: _TraceMemoryHook | None = None
-    if trace_memory and steps > _TRACE_WARMUP_STEPS:
-        result = engine.run(_TRACE_WARMUP_STEPS)
-        losses.extend(result.losses)
-        profiles.append(profiler.last_profile)
-        measured = steps - _TRACE_WARMUP_STEPS
-        tracer = _TraceMemoryHook()
-        engine.hooks = tuple(engine.hooks) + (tracer,)
-        tracemalloc.start()
-    result = engine.run(measured)
-    if tracer is not None:
-        tracemalloc.stop()
-        if tracer.samples > 1:
-            traced_bytes = tracer.last - tracer.first
-            traced_steps = tracer.samples - 1
-    losses.extend(result.losses)
-    profiles.append(profiler.last_profile)
-    profile = StepProfile.merge([p for p in profiles if p is not None])
-    profile.workers = 1  # a traced shard merges its own warmup+measured runs
+    try:
+        result = engine.run(task.target - task.resume_at)
+    finally:
+        if tracer is not None:
+            tracemalloc.stop()
+    traced = tracer is not None and tracer.samples > 1
     report = WorkerReport(
         shard=task.shard,
-        steps=task.resume_at + len(losses),
-        losses=list(task.base_losses) + losses,
-        profile=profile,
-        traced_bytes=traced_bytes,
-        traced_steps=traced_steps,
+        steps=task.resume_at + result.epochs_run,
+        losses=list(task.base_losses) + result.losses,
+        profile=profiler.last_profile,
+        traced_bytes=tracer.last - tracer.first if traced else -1,
+        traced_steps=tracer.samples - 1 if traced else 0,
         pid=os.getpid(),
         incarnation=task.incarnation,
         averaged_steps=averager.steps if averager is not None else 0,
@@ -433,22 +403,11 @@ def _run_shard(
     return report, averager
 
 
-def _worker_entry(
-    engine_factory,
-    seed,
-    task,
-    iterate_averaging,
-    trace_memory,
-    accumulator,
-    lock,
-    conn,
-) -> None:
+def _worker_entry(engine_factory, seed, task, trace_memory, accumulator, lock, conn) -> None:
     """Forked worker body: run the shard, pool iterate sums, report back."""
     try:
-        report, averager = _run_shard(
-            engine_factory, seed, task, iterate_averaging, trace_memory
-        )
-        if averager is not None and averager.steps > 0:
+        report, averager = _run_shard(engine_factory, seed, task, trace_memory)
+        if averager is not None:
             with lock:
                 accumulator.add(averager.sum_w_in, averager.sum_w_out)
         conn.send(("ok", report))
@@ -512,19 +471,20 @@ class _ShardState:
 def _merge_run(
     model,
     reports: list[WorkerReport],
-    accumulator: "_SharedAccumulator | _IterateSumHook | None",
-    iterate_averaging: bool,
+    accumulator: "_SharedAccumulator | IterateAveragingHook | None",
     charged: list[int],
     restarts: int,
 ) -> HogwildRun:
     """Fold worker reports + the shared pages into one :class:`HogwildRun`.
 
     ``accumulator`` holds the pooled iterate sums: the shared blocks of a
-    forked pool, or the one in-process shard's own averaging hook.
+    forked pool, or the one in-process shard's own averaging hook.  The
+    result averages them when any shard averaged, and publishes the final
+    iterates otherwise.
     """
     total_run = sum(report.steps for report in reports)
     averaged = sum(report.averaged_steps for report in reports)
-    if iterate_averaging and accumulator is not None and averaged > 0:
+    if averaged > 0:
         embeddings = (accumulator.sum_w_in / averaged).astype(
             model.w_in.dtype, copy=False
         )
@@ -552,7 +512,6 @@ def run_hogwild(
     total_steps: int,
     workers: int,
     seed: int | np.random.SeedSequence | np.random.Generator | None = None,
-    iterate_averaging: bool = False,
     trace_memory: bool = False,
     supervision: SupervisorPolicy | None = None,
 ) -> HogwildRun:
@@ -568,7 +527,10 @@ def run_hogwild(
         Callable building a fresh :class:`TrainingEngine` over ``model``
         from a worker-private generator.  It runs *inside* the forked
         worker, so it may close over arbitrarily large parent state
-        (subgraph pools, objectives) at zero copy cost.
+        (subgraph pools, objectives) at zero copy cost.  When the engine
+        carries an :class:`~repro.engine.hooks.IterateAveragingHook`, the
+        shards' iterate sums are pooled and the result publishes their
+        global average instead of the final iterates.
     total_steps:
         Combined number of steps across all shards.  The privacy-relevant
         count is the run's :attr:`HogwildRun.accountant_steps` — equal to
@@ -579,9 +541,6 @@ def run_hogwild(
         when ``fork`` is unavailable.
     seed:
         Root of the per-shard streams (``SeedSequence.spawn`` children).
-    iterate_averaging:
-        Pool Polyak–Ruppert iterate sums across the workers and publish
-        the global average instead of the final iterates.
     trace_memory:
         Have every worker measure its steady-state allocation growth with
         ``tracemalloc`` (reported per worker, not enabled in the parent).
@@ -614,24 +573,16 @@ def run_hogwild(
     if len(shards) == 1:
         # fork unavailable or a single-step run: same machinery, no pool
         report, averager = _run_shard(
-            engine_factory,
-            seeds[0],
-            _ShardTask(shard=0, target=shards[0]),
-            iterate_averaging,
-            trace_memory,
+            engine_factory, seeds[0], _ShardTask(shard=0, target=shards[0]), trace_memory
         )
-        return _merge_run(
-            model, [report], averager, iterate_averaging, [report.steps], 0
-        )
+        return _merge_run(model, [report], averager, [report.steps], 0)
 
     policy = supervision if supervision is not None else SupervisorPolicy(
         max_restarts=0, checkpoint_every=0, worker_timeout=None
     )
     ctx = get_context("fork")
     lock = ctx.Lock()
-    accumulator = (
-        _SharedAccumulator(model.w_in.shape) if iterate_averaging else None
-    )
+    accumulator = _SharedAccumulator(model.w_in.shape)
     # restart seeds come from siblings of the shard seeds (see module doc)
     restart_roots = root.spawn(len(shards))
     states = [
@@ -678,7 +629,6 @@ def run_hogwild(
                 engine_factory,
                 launch_seed,
                 task,
-                iterate_averaging,
                 trace_memory,
                 accumulator,
                 lock,
@@ -818,10 +768,7 @@ def run_hogwild(
             recovered_ids = [state.shard for state in done]
             lost_ids = [state.shard for state in lost]
             partial = (
-                _merge_run(
-                    model, reports, accumulator, iterate_averaging,
-                    charged, restarts_total,
-                )
+                _merge_run(model, reports, accumulator, charged, restarts_total)
                 if reports
                 else None
             )
@@ -838,9 +785,7 @@ def run_hogwild(
                 partial=partial,
             )
 
-        run = _merge_run(
-            model, reports, accumulator, iterate_averaging, charged, restarts_total
-        )
+        run = _merge_run(model, reports, accumulator, charged, restarts_total)
         _LOGGER.debug(
             "hogwild run: %d steps over %d workers, %d restarts (%s)",
             run.result.epochs_run,
@@ -855,7 +800,6 @@ def run_hogwild(
             if process is not None and process.is_alive():  # pragma: no cover
                 process.terminate()
                 process.join()
-        if accumulator is not None:
-            accumulator.destroy()
+        accumulator.destroy()
         if temp_ckpt_dir is not None:
             shutil.rmtree(temp_ckpt_dir, ignore_errors=True)

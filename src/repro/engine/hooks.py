@@ -5,19 +5,22 @@ accounting with early stop, Polyak–Ruppert iterate averaging) directly into
 two divergent copies of the epoch loop.  The engine runs ONE loop and gives
 every behaviour a hook:
 
-* :meth:`EngineHook.before_step` — runs before the batch is sampled; return
-  ``False`` to stop training (this is how the privacy budget gates Algorithm
-  2, lines 8–10, *before* any more randomness is consumed).
+* :meth:`EngineHook.before_step` — runs before the batch is sampled.
 * :meth:`EngineHook.after_step` — runs after the parameter update of each
-  step (accountant bookkeeping, iterate accumulation, logging).
+  step (accountant charging, iterate accumulation, logging).
 * :meth:`EngineHook.on_train_end` — may replace the published result
   (iterate averaging swaps in the averaged matrices; averaging is
   post-processing of the noised updates, so it is privacy-free).
+
+A run always takes the steps it is given: Algorithm 2's (ε, δ) stop rule
+is applied before the run, by capping the step count at
+:meth:`~repro.privacy.accountant.RdpAccountant.max_steps`.
 """
 
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -30,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "EngineHook",
     "LossLoggingHook",
-    "RdpAccountingHook",
     "IterateAveragingHook",
 ]
 
@@ -43,9 +45,8 @@ class EngineHook:
     def on_train_start(self, engine: "TrainingEngine") -> None:
         """Called once before the first step of a :meth:`TrainingEngine.run`."""
 
-    def before_step(self, engine: "TrainingEngine", epoch: int) -> bool:
-        """Called before each step; return ``False`` to stop training early."""
-        return True
+    def before_step(self, engine: "TrainingEngine", epoch: int) -> None:
+        """Called before each step samples its batch."""
 
     def after_step(self, engine: "TrainingEngine", epoch: int, loss: float) -> None:
         """Called after the parameter update of each step."""
@@ -70,69 +71,42 @@ class LossLoggingHook(EngineHook):
             self._logger.debug("%s epoch %d/%d loss=%.5f", self.label, epoch + 1, total, loss)
 
 
-class RdpAccountingHook(EngineHook):
-    """Algorithm 2's privacy gate: stop before the (ε, δ) budget is exceeded.
-
-    ``before_step`` runs *before* the engine samples a batch, so a stopped
-    run consumes exactly the same RNG stream as the seed trainer, which also
-    checked the budget first.
-    """
-
-    def __init__(self, accountant, epsilon: float, delta: float) -> None:
-        self.accountant = accountant
-        self.epsilon = float(epsilon)
-        self.delta = float(delta)
-
-    def before_step(self, engine: "TrainingEngine", epoch: int) -> bool:
-        if self.accountant.would_exceed(self.epsilon, self.delta):
-            _LOGGER.debug(
-                "stopping at epoch %d: privacy budget ε=%.3f would be exceeded",
-                epoch,
-                self.epsilon,
-            )
-            return False
-        return True
-
-    def after_step(self, engine: "TrainingEngine", epoch: int, loss: float) -> None:
-        self.accountant.step()
-
-
 class IterateAveragingHook(EngineHook):
     """Polyak–Ruppert output averaging over all completed steps.
 
     Post-processing of the noised iterates (Theorem 2): publishing the mean
     of the ``W`` iterates costs no additional privacy and damps the noise
-    accumulated by later private steps.
+    accumulated by later private steps.  The running sums are float64
+    whatever the model dtype, and they stay readable after the run
+    (``sum_w_in``, ``sum_w_out``, ``steps``): a hogwild shard adds them to
+    the pool's sums, which are divided once by the pooled step count.
     """
 
     def __init__(self) -> None:
-        self._sum_w_in: np.ndarray | None = None
-        self._sum_w_out: np.ndarray | None = None
-        self._steps = 0
+        self.sum_w_in: np.ndarray | None = None
+        self.sum_w_out: np.ndarray | None = None
+        self.steps = 0
 
     def on_train_start(self, engine: "TrainingEngine") -> None:
-        self._sum_w_in = None
-        self._sum_w_out = None
-        self._steps = 0
+        self.sum_w_in = None
+        self.sum_w_out = None
+        self.steps = 0
 
     def after_step(self, engine: "TrainingEngine", epoch: int, loss: float) -> None:
-        self._steps += 1
-        if self._sum_w_in is None:
-            self._sum_w_in = engine.model.w_in.copy()
-            self._sum_w_out = engine.model.w_out.copy()
+        self.steps += 1
+        if self.sum_w_in is None:
+            self.sum_w_in = engine.model.w_in.astype(np.float64)
+            self.sum_w_out = engine.model.w_out.astype(np.float64)
         else:
-            self._sum_w_in += engine.model.w_in
-            self._sum_w_out += engine.model.w_out
+            self.sum_w_in += engine.model.w_in
+            self.sum_w_out += engine.model.w_out
 
     def on_train_end(
         self, engine: "TrainingEngine", result: "EngineResult"
     ) -> "EngineResult":
-        if self._steps == 0 or self._sum_w_in is None or self._sum_w_out is None:
-            return result
-        from dataclasses import replace
-
+        dtype = engine.model.w_in.dtype
         return replace(
             result,
-            embeddings=self._sum_w_in / self._steps,
-            context_embeddings=self._sum_w_out / self._steps,
+            embeddings=(self.sum_w_in / self.steps).astype(dtype, copy=False),
+            context_embeddings=(self.sum_w_out / self.steps).astype(dtype, copy=False),
         )

@@ -108,14 +108,6 @@ class _NegativeSamplerBase:
             u < self._alias_accept[columns], columns, self._alias_index[columns]
         )
 
-    def sample_negatives(self, center: int, count: int) -> np.ndarray:
-        """Sample ``count`` nodes that are not neighbours of ``center`` (nor itself).
-
-        Falls back to uniform sampling over valid nodes if rejection sampling
-        fails (e.g. near-complete graphs).
-        """
-        return self.sample_negatives_bulk(np.array([center], dtype=np.int64), count)[0]
-
     def sample_negatives_bulk(self, centers: np.ndarray, count: int) -> np.ndarray:
         """Sample ``count`` negatives for every centre in one vectorised pass.
 

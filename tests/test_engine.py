@@ -26,7 +26,6 @@ from repro.embedding import SkipGramModel, SGDOptimizer, get_perturbation
 from repro.embedding.objectives import StructurePreferenceObjective
 from repro.engine import (
     DirectSparseUpdate,
-    EngineHook,
     LossLoggingHook,
     StepWorkspace,
     TrainingEngine,
@@ -286,14 +285,6 @@ class TestEngineTrainerEquivalence:
         np.testing.assert_allclose(trainer.context_embeddings_, legacy_w_out, atol=ATOL)
 
 
-class _StopAfter(EngineHook):
-    def __init__(self, steps):
-        self.steps = steps
-
-    def before_step(self, engine, epoch):
-        return epoch < self.steps
-
-
 class TestTrainingEngine:
     def _engine(self, graph, config, hooks=()):
         objective, pool = _objective_and_pool(graph, k=config.negative_samples)
@@ -314,17 +305,10 @@ class TestTrainingEngine:
         result = engine.run(4)
         assert result.epochs_run == 4
         assert len(result.losses) == 4
-        assert not result.stopped_early
         assert np.all(np.isfinite(result.embeddings))
         # Published matrices are copies, not views of the live model.
         result.embeddings[:] = 0.0
         assert not np.allclose(engine.model.w_in, 0.0)
-
-    def test_hook_stops_training(self, small_graph, fast_training_config):
-        engine = self._engine(small_graph, fast_training_config, hooks=(_StopAfter(2),))
-        result = engine.run(10)
-        assert result.epochs_run == 2
-        assert result.stopped_early
 
     def test_rejects_nonpositive_epochs(self, small_graph, fast_training_config):
         engine = self._engine(small_graph, fast_training_config)

@@ -542,10 +542,10 @@ class TestAliasSampler:
 
         graph = Graph(6, edges)
         sampler = UnigramNegativeSampler(graph, seed=0)
-        negatives = sampler.sample_negatives(0, 5)
+        negatives = sampler.sample_negatives_bulk(np.array([0]), 5)[0]
         assert set(negatives.tolist()) == {5}
         with pytest.raises(GraphError, match="every other node"):
-            sampler.sample_negatives(1, 2)
+            sampler.sample_negatives_bulk(np.array([1]), 2)
 
 
 # --------------------------------------------------------------------- #

@@ -24,7 +24,7 @@ from repro.embedding import (
     SkipGramModel,
 )
 from repro.embedding.shared_model import SHARED_SEGMENT_PREFIX
-from repro.engine import IterateAveragingHook, StepProfile, plan_shards, run_hogwild
+from repro.engine import StepProfile, plan_shards, run_hogwild
 from repro.exceptions import PrivacyError, TrainingError
 from repro.graph import generators
 from repro.privacy import RdpAccountant
@@ -277,44 +277,45 @@ class TestWorkersOne:
 class TestSingleShard:
     def test_inline_averaged_run_equals_serial_engine(self):
         # one shard runs in-process, without a pool: its result must be the
-        # serial engine's, built by the same factory from the shard's seed
+        # serial engine's, built by the same builder from the shard's seed
         graph = _graph()
 
-        def private_setup():
+        def private_setup(compute_dtype):
             trainer = SEPrivGEmbTrainer(
                 proximity=get_proximity("degree"),
                 training_config=TRAIN,
                 privacy_config=PRIVACY,
                 seed=5,
+                compute_dtype=compute_dtype,
             )
             trainer._setup(graph, np.random.default_rng(5))
             return trainer
 
-        pooled = private_setup()
-        run = run_hogwild(
-            model=pooled.model,
-            engine_factory=pooled._hogwild_engine,
-            total_steps=12,
-            workers=1,
-            seed=7,
-            iterate_averaging=True,
-        )
+        for compute_dtype in ("float64",):
+            pooled = private_setup(compute_dtype)
+            run = run_hogwild(
+                model=pooled.model,
+                engine_factory=pooled._build_engine,
+                total_steps=12,
+                workers=1,
+                seed=7,
+            )
 
-        serial = private_setup()
-        shard_seed = np.random.SeedSequence(7).spawn(1)[0]
-        engine = serial._hogwild_engine(np.random.default_rng(shard_seed))
-        engine.hooks = (IterateAveragingHook(),)
-        expected = engine.run(12)
+            serial = private_setup(compute_dtype)
+            shard_seed = np.random.SeedSequence(7).spawn(1)[0]
+            engine = serial._build_engine(np.random.default_rng(shard_seed))
+            expected = engine.run(12)
 
-        assert np.array_equal(run.result.embeddings, expected.embeddings)
-        assert np.array_equal(
-            run.result.context_embeddings, expected.context_embeddings
-        )
-        assert not np.array_equal(run.result.embeddings, pooled.model.w_in)
-        assert run.result.losses == expected.losses
-        assert run.result.epochs_run == 12
-        assert run.charged_steps == [12]
-        assert run.reports[0].averaged_steps == 12
+            assert run.result.embeddings.dtype == np.dtype(compute_dtype)
+            assert np.array_equal(run.result.embeddings, expected.embeddings)
+            assert np.array_equal(
+                run.result.context_embeddings, expected.context_embeddings
+            )
+            assert not np.array_equal(run.result.embeddings, pooled.model.w_in)
+            assert run.result.losses == expected.losses
+            assert run.result.epochs_run == 12
+            assert run.charged_steps == [12]
+            assert run.reports[0].averaged_steps == 12
 
 
 @FORK_ONLY
@@ -388,30 +389,39 @@ class TestHogwildTraining:
 
     def test_private_budget_truncation_matches_serial(self):
         graph = _graph()
-        tight = PrivacyConfig(
-            epsilon=0.8, delta=1e-5, noise_multiplier=1.0, clipping_threshold=1.0
-        )
-        serial = SEPrivGEmbTrainer(
-            proximity=get_proximity("degree"),
-            training_config=TRAIN,
-            privacy_config=tight,
-            seed=5,
-        )
-        serial.fit(graph)
-        hogwild = SEPrivGEmbTrainer(
-            proximity=get_proximity("degree"),
-            training_config=TRAIN,
-            privacy_config=tight,
-            seed=5,
-            workers=2,
-        )
-        hogwild.fit(graph)
-        assert hogwild.result_.stopped_early == serial.result_.stopped_early
-        assert (
-            hogwild.result_.privacy_spent.epsilon
-            == serial.result_.privacy_spent.epsilon
-        )
-        assert hogwild.result_.privacy_spent.epsilon <= tight.epsilon
+        # a budget that admits 15 of the 40 requested steps, and one that
+        # admits none
+        for epsilon, sigma in ((1.0, 2.0), (0.8, 1.0)):
+            tight = PrivacyConfig(
+                epsilon=epsilon, delta=1e-5, noise_multiplier=sigma, clipping_threshold=1.0
+            )
+            serial = SEPrivGEmbTrainer(
+                proximity=get_proximity("degree"),
+                training_config=TRAIN,
+                privacy_config=tight,
+                seed=5,
+            )
+            serial.fit(graph)
+            hogwild = SEPrivGEmbTrainer(
+                proximity=get_proximity("degree"),
+                training_config=TRAIN,
+                privacy_config=tight,
+                seed=5,
+                workers=2,
+            )
+            hogwild.fit(graph)
+            budget = serial.accountant.max_steps(tight.epsilon, tight.delta)
+            assert budget < TRAIN.epochs
+            assert serial.result_.epochs_run == budget
+            assert hogwild.result_.epochs_run == budget
+            assert serial.result_.stopped_early and hogwild.result_.stopped_early
+            assert (
+                hogwild.result_.privacy_spent.epsilon
+                == serial.result_.privacy_spent.epsilon
+            )
+            assert serial.result_.privacy_spent.epsilon <= tight.epsilon
+            assert hogwild.result_.privacy_spent.epsilon <= tight.epsilon
+            assert not _shm_segments()
 
     def test_merged_profile_reports_worker_count(self):
         graph = _graph()

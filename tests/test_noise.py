@@ -447,10 +447,13 @@ class TestHogwildRestartStreams:
     def _streams(graph, tmp_path, monkeypatch, checkpoint_every):
         tmp_path.mkdir(exist_ok=True)
         log = tmp_path / "streams.jsonl"
-        original = SEPrivGEmbTrainer._hogwild_update_rule
+        original = SEPrivGEmbTrainer._update_rule
+        parent = os.getpid()
 
         def recording_rule(self, rng):
             rule = original(self, rng)
+            if os.getpid() == parent:  # the fit's own engine, not a worker's
+                return rule
             noise = rule.perturbation.noise._rng
             record = {  # the next draws of each stream, taken from copies
                 "sampler": copy.deepcopy(rng).standard_normal(8).tolist(),
@@ -460,7 +463,7 @@ class TestHogwildRestartStreams:
                 handle.write(json.dumps(record) + "\n")
             return rule
 
-        monkeypatch.setattr(SEPrivGEmbTrainer, "_hogwild_update_rule", recording_rule)
+        monkeypatch.setattr(SEPrivGEmbTrainer, "_update_rule", recording_rule)
         policy = SupervisorPolicy(
             max_restarts=1,
             checkpoint_every=checkpoint_every,

@@ -19,7 +19,7 @@ class TestUnigramNegativeSampler:
     def test_negatives_are_never_neighbors(self, small_graph):
         sampler = UnigramNegativeSampler(small_graph, seed=0)
         for node in range(0, small_graph.num_nodes, 7):
-            negatives = sampler.sample_negatives(node, 5)
+            negatives = sampler.sample_negatives_bulk(np.array([node]), 5)[0]
             assert negatives.shape == (5,)
             neighbor_set = set(small_graph.neighbors(node).tolist())
             for neg in negatives:
@@ -32,7 +32,7 @@ class TestUnigramNegativeSampler:
         sampler = UnigramNegativeSampler(star_graph, power=1.0, seed=0)
         counts = np.zeros(star_graph.num_nodes)
         for _ in range(300):
-            negatives = sampler.sample_negatives(1, 1)
+            negatives = sampler.sample_negatives_bulk(np.array([1]), 1)[0]
             counts[negatives[0]] += 1
         # node 0 (centre) is a neighbour of node 1, so it can never appear;
         # remaining mass is spread over the other leaves roughly uniformly.
@@ -43,12 +43,12 @@ class TestUnigramNegativeSampler:
         complete = Graph(3, [(0, 1), (0, 2), (1, 2)])
         sampler = UnigramNegativeSampler(complete, seed=0)
         with pytest.raises(GraphError):
-            sampler.sample_negatives(0, 1)
+            sampler.sample_negatives_bulk(np.array([0]), 1)
 
     def test_rejects_negative_count(self, small_graph):
         sampler = UnigramNegativeSampler(small_graph, seed=0)
         with pytest.raises(GraphError):
-            sampler.sample_negatives(0, -1)
+            sampler.sample_negatives_bulk(np.array([0]), -1)
 
 
 class TestProximityNegativeSampler:
@@ -71,7 +71,7 @@ class TestProximityNegativeSampler:
         sampler = ProximityNegativeSampler(
             small_graph, proximity.row_sums, proximity.min_positive, seed=1
         )
-        negatives = sampler.sample_negatives(3, 10)
+        negatives = sampler.sample_negatives_bulk(np.array([3]), 10)[0]
         neighbor_set = set(small_graph.neighbors(3).tolist())
         assert all(int(n) not in neighbor_set for n in negatives)
 
