@@ -278,6 +278,7 @@ class TestSingleShard:
     def test_inline_averaged_run_equals_serial_engine(self):
         # one shard runs in-process, without a pool: its result must be the
         # serial engine's, built by the same builder from the shard's seed
+        # (float32 too: both average in float64)
         graph = _graph()
 
         def private_setup(compute_dtype):
@@ -291,7 +292,7 @@ class TestSingleShard:
             trainer._setup(graph, np.random.default_rng(5))
             return trainer
 
-        for compute_dtype in ("float64",):
+        for compute_dtype in ("float64", "float32"):
             pooled = private_setup(compute_dtype)
             run = run_hogwild(
                 model=pooled.model,
