@@ -12,7 +12,7 @@ from .dpgvae import DPGVAE
 from .gap import GAP
 from .progap import ProGAP
 
-__all__ = ["available_baselines", "get_baseline", "register_baseline"]
+__all__ = ["available_baselines", "get_baseline"]
 
 _REGISTRY: dict[str, Callable[..., BaselineEmbedder]] = {
     DPGGAN.name: DPGGAN,
@@ -35,8 +35,3 @@ def get_baseline(name: str, **kwargs: Any) -> BaselineEmbedder:
             f"unknown baseline {name!r}; available: {', '.join(available_baselines())}"
         )
     return _REGISTRY[key](**kwargs)
-
-
-def register_baseline(name: str, factory: Callable[..., BaselineEmbedder]) -> None:
-    """Register a custom baseline under ``name`` (overwrites existing)."""
-    _REGISTRY[name.strip().lower()] = factory

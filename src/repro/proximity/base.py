@@ -375,13 +375,24 @@ def _hash_code_object(code, digest) -> None:
             digest.update(repr(const).encode())
 
 
-def _strip_diagonal(matrix: _sp.spmatrix) -> _sp.csr_matrix:
-    """Drop the diagonal of a sparse matrix without densifying (no warnings)."""
+def _strip_diagonal(
+    matrix: _sp.spmatrix, rows: np.ndarray | None = None
+) -> _sp.csr_matrix:
+    """Drop the diagonal of a sparse matrix without densifying (no warnings).
+
+    With ``rows`` the matrix is that row block of a square matrix, whose
+    diagonal entries are ``(k, rows[k])``.
+    """
     coo = matrix.tocoo()
-    keep = coo.row != coo.col
+    keep = coo.row != coo.col if rows is None else rows[coo.row] != coo.col
     return _sp.csr_matrix(
         (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=coo.shape
     )
+
+
+def _row_block(matrix: _sp.csr_matrix, rows: np.ndarray | None) -> _sp.csr_matrix:
+    """``matrix`` itself, or its block of ``rows`` when rows are given."""
+    return matrix if rows is None else matrix[rows]
 
 
 class ProximityMeasure(abc.ABC):
@@ -392,6 +403,17 @@ class ProximityMeasure(abc.ABC):
     :meth:`compute_sparse_matrix` and set :attr:`supports_sparse` — the two
     paths must agree to 1e-10, the discipline ``tests/test_proximity_sparse``
     pins for every registered measure.
+
+    A *local* measure — one where an edge flip on ``(u, v)`` can only change
+    rows within a bounded graph distance of ``u`` and ``v`` — also overrides
+    :meth:`locality_radius` (that distance), :meth:`reused_row_scale` when
+    the unchanged rows still move by a global factor, and makes its
+    :meth:`compute_sparse_matrix` honour ``rows`` by running the same kernel
+    on that row block.  The streaming planner then recomputes only the rows
+    a delta can reach (:meth:`compute_rows`) and reuses the rest.  A
+    subclass that changes an inherited local formula must revisit all
+    three; the defaults declare the measure global (every delta forces a
+    full recompute).
     """
 
     #: registry key; subclasses override.
@@ -411,13 +433,52 @@ class ProximityMeasure(abc.ABC):
     def compute_matrix(self, graph: Graph) -> np.ndarray:
         """Return the raw dense proximity matrix for ``graph``."""
 
-    def compute_sparse_matrix(self, graph: Graph) -> _sp.csr_matrix:
+    def compute_sparse_matrix(
+        self, graph: Graph, rows: np.ndarray | None = None
+    ) -> _sp.csr_matrix:
         """Return the raw proximity matrix in CSR form.
 
-        The default densifies through :meth:`compute_matrix` — correct for
-        every measure, scalable only for those that override it.
+        With ``rows`` (a sorted node-id array) return only those rows, shape
+        ``(len(rows), n)``, bit-identical to the same rows of the full
+        matrix.  The default densifies through :meth:`compute_matrix` —
+        correct for every measure, scalable only for those that override it.
         """
-        return _sp.csr_matrix(np.asarray(self.compute_matrix(graph), dtype=float))
+        matrix = _sp.csr_matrix(np.asarray(self.compute_matrix(graph), dtype=float))
+        return _row_block(matrix, rows)
+
+    def locality_radius(self) -> int | None:
+        """Graph distance from an edge flip beyond which no row changes.
+
+        ``None`` (the default) declares the measure global: every row may
+        couple to every edge, so a delta forces a full recompute.
+        """
+        return None
+
+    def reused_row_scale(self, old: Graph, new: Graph) -> float:
+        """Factor by which rows beyond :meth:`locality_radius` change from
+        ``old`` to ``new`` (a global normaliser such as a peak or a volume).
+
+        ``1.0`` (the default) reuses them verbatim; a non-finite or
+        non-positive value forces a full recompute.
+        """
+        return 1.0
+
+    def compute_rows(self, graph: Graph, rows: np.ndarray) -> _sp.csr_matrix:
+        """Rows ``rows`` (sorted node ids) of ``compute(graph, sparse=True)``.
+
+        Returns a ``(len(rows), n)`` CSR block with the diagonal zeroed, as
+        :meth:`compute` zeroes it; only local measures support it.
+        """
+        if self.locality_radius() is None:
+            raise ProximityError(f"{type(self).__name__} is global: it has no row kernel")
+        matrix = self.compute_sparse_matrix(graph, rows).tocsr()
+        expected = (rows.shape[0], graph.num_nodes)
+        if matrix.shape != expected:
+            raise ProximityError(
+                f"{type(self).__name__}.compute_sparse_matrix returned shape "
+                f"{matrix.shape} for {rows.shape[0]} rows, expected {expected}"
+            )
+        return _strip_diagonal(matrix, rows)
 
     def resolve_backend(self, sparse: bool | None = None) -> bool:
         """Resolve a ``sparse`` request to the backend :meth:`compute` will use.

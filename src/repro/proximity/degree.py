@@ -15,9 +15,13 @@ import numpy as np
 from scipy import sparse as _sp
 
 from ..graph import Graph
-from .base import ProximityMeasure
+from .base import ProximityMeasure, _row_block
 
 __all__ = ["DegreeProximity"]
+
+
+def _peak(degrees: np.ndarray) -> float:
+    return float(degrees.max()) if degrees.size else 0.0
 
 
 class DegreeProximity(ProximityMeasure):
@@ -43,7 +47,7 @@ class DegreeProximity(ProximityMeasure):
 
     def compute_matrix(self, graph: Graph) -> np.ndarray:
         degrees = graph.degrees().astype(float)
-        peak = float(degrees.max()) if degrees.size else 0.0
+        peak = _peak(degrees)
         if peak <= 0:
             return np.zeros((graph.num_nodes, graph.num_nodes))
         scores = np.sqrt(np.outer(degrees, degrees)) / peak
@@ -52,17 +56,33 @@ class DegreeProximity(ProximityMeasure):
             scores = scores * adjacency
         return scores
 
-    def compute_sparse_matrix(self, graph: Graph) -> _sp.csr_matrix:
+    def compute_sparse_matrix(
+        self, graph: Graph, rows: np.ndarray | None = None
+    ) -> _sp.csr_matrix:
         if not self.connected_only:
-            return super().compute_sparse_matrix(graph)
+            return super().compute_sparse_matrix(graph, rows)
         degrees = graph.degrees().astype(float)
-        peak = float(degrees.max()) if degrees.size else 0.0
+        peak = _peak(degrees)
         n = graph.num_nodes
+        shape = (n if rows is None else rows.shape[0], n)
         if peak <= 0:
-            return _sp.csr_matrix((n, n))
-        adjacency = self._sparse_adjacency(graph).tocoo()
-        data = np.sqrt(degrees[adjacency.row] * degrees[adjacency.col]) / peak
-        return _sp.csr_matrix((data, (adjacency.row, adjacency.col)), shape=(n, n))
+            return _sp.csr_matrix(shape)
+        adjacency = _row_block(self._sparse_adjacency(graph), rows).tocoo()
+        centers = adjacency.row if rows is None else rows[adjacency.row]
+        data = np.sqrt(degrees[centers] * degrees[adjacency.col]) / peak
+        return _sp.csr_matrix((data, (adjacency.row, adjacency.col)), shape=shape)
+
+    def locality_radius(self) -> int | None:
+        # an edge flip changes the endpoints' rows and, through their
+        # degrees, their neighbours' rows; the all-pairs variant is global
+        return 1 if self.connected_only else None
+
+    def reused_row_scale(self, old: Graph, new: Graph) -> float:
+        # every entry divides by the peak degree
+        peak_old, peak_new = _peak(old.degrees()), _peak(new.degrees())
+        if peak_old <= 0 or peak_new <= 0:
+            return float("nan")  # empty graph on either side: recompute
+        return peak_old / peak_new
 
     def __repr__(self) -> str:
         return f"DegreeProximity(connected_only={self.connected_only})"

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse as _sp
 
 from ..graph import Graph
-from .base import ProximityMeasure
+from .base import ProximityMeasure, _row_block
 
 __all__ = [
     "CommonNeighborsProximity",
@@ -34,9 +34,15 @@ class CommonNeighborsProximity(ProximityMeasure):
         adjacency = self._dense_adjacency(graph)
         return adjacency @ adjacency
 
-    def compute_sparse_matrix(self, graph: Graph) -> _sp.csr_matrix:
+    def compute_sparse_matrix(
+        self, graph: Graph, rows: np.ndarray | None = None
+    ) -> _sp.csr_matrix:
         adjacency = self._sparse_adjacency(graph)
-        return (adjacency @ adjacency).tocsr()
+        return (_row_block(adjacency, rows) @ adjacency).tocsr()
+
+    def locality_radius(self) -> int:
+        # row i reads only the neighbour lists of i's neighbours
+        return 1
 
 
 class PreferentialAttachmentProximity(ProximityMeasure):
@@ -68,15 +74,23 @@ class JaccardProximity(ProximityMeasure):
             jaccard = np.where(union > 0, intersection / union, 0.0)
         return jaccard
 
-    def compute_sparse_matrix(self, graph: Graph) -> _sp.csr_matrix:
+    def compute_sparse_matrix(
+        self, graph: Graph, rows: np.ndarray | None = None
+    ) -> _sp.csr_matrix:
         # The Jaccard score is non-zero exactly where the intersection count
         # is, so only the stored entries of A @ A ever need a union size.
         adjacency = self._sparse_adjacency(graph)
-        intersection = (adjacency @ adjacency).tocoo()
+        intersection = (_row_block(adjacency, rows) @ adjacency).tocoo()
         degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-        union = degrees[intersection.row] + degrees[intersection.col] - intersection.data
+        centers = intersection.row if rows is None else rows[intersection.row]
+        union = degrees[centers] + degrees[intersection.col] - intersection.data
         with np.errstate(divide="ignore", invalid="ignore"):
             data = np.where(union > 0, intersection.data / union, 0.0)
         return _sp.csr_matrix(
             (data, (intersection.row, intersection.col)), shape=intersection.shape
         )
+
+    def locality_radius(self) -> int:
+        # an endpoint's degree sits in the union denominator of every row
+        # that shares a neighbour with it, two hops out
+        return 2

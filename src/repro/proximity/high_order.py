@@ -283,12 +283,18 @@ class DeepWalkProximity(ProximityMeasure):
         np.maximum(proximity, 0.0, out=proximity)
         return proximity
 
-    def compute_sparse_matrix(self, graph: Graph) -> _sp.csr_matrix:
+    def compute_sparse_matrix(
+        self, graph: Graph, rows: np.ndarray | None = None
+    ) -> _sp.csr_matrix:
         adjacency = self._sparse_adjacency(graph)
         transition, degrees, inv_degrees = _transition_and_inv_degrees(adjacency)
 
         n = adjacency.shape[0]
-        power = transition.copy()
+        # a row of (M @ T) is (row of M) @ T and truncation is elementwise,
+        # so starting the recursion from the rows of T tracks the same rows
+        # of the full powers exactly
+        power = transition.copy() if rows is None else transition[rows]
+        cells = n * power.shape[0]
         accumulated = self._truncate(power).copy()
         fill_warned = False
         for _ in range(self.window_size - 1):
@@ -298,15 +304,15 @@ class DeepWalkProximity(ProximityMeasure):
                 not fill_warned
                 and self.truncation_threshold <= 0
                 and n >= 4096  # below this, a filled matrix is a few MB of noise
-                and accumulated.nnz > 0.5 * n * n
+                and accumulated.nnz > 0.5 * cells
             ):
                 # exact powers on a small-world graph fill toward n² —
                 # correct, but then CSR costs *more* than dense storage
                 _LOGGER.warning(
-                    "exact DeepWalk CSR powers filled to %.0f%% of n^2 on %d "
-                    "nodes; set truncation_threshold > 0 to bound memory on "
-                    "large graphs",
-                    100.0 * accumulated.nnz / (n * n),
+                    "exact DeepWalk CSR powers filled to %.0f%% of their "
+                    "cells on %d nodes; set truncation_threshold > 0 to bound "
+                    "memory on large graphs",
+                    100.0 * accumulated.nnz / cells,
                     n,
                 )
                 fill_warned = True
@@ -315,6 +321,19 @@ class DeepWalkProximity(ProximityMeasure):
         if self.use_volume_scaling:
             proximity = proximity * float(degrees.sum())
         return _clamp_nonnegative(proximity)
+
+    def locality_radius(self) -> int:
+        # a T-step walk from row i reads transition rows within distance
+        # T-1, and an edge flip changes its endpoints' transition rows
+        return self.window_size
+
+    def reused_row_scale(self, old: Graph, new: Graph) -> float:
+        if not self.use_volume_scaling:
+            return 1.0
+        vol_old, vol_new = float(old.degrees().sum()), float(new.degrees().sum())
+        if vol_old <= 0 or vol_new <= 0:
+            return float("nan")
+        return vol_new / vol_old
 
     def _truncate(self, power: _sp.csr_matrix) -> _sp.csr_matrix:
         """Drop walk probabilities below the threshold to bound fill-in."""

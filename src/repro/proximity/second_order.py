@@ -12,7 +12,7 @@ import numpy as np
 from scipy import sparse as _sp
 
 from ..graph import Graph
-from .base import ProximityMeasure
+from .base import ProximityMeasure, _row_block
 
 __all__ = ["AdamicAdarProximity", "ResourceAllocationProximity"]
 
@@ -30,11 +30,18 @@ class _DegreeWeightedTwoHop(ProximityMeasure):
         weights = self._weights(adjacency.sum(axis=1))
         return (adjacency * weights[None, :]) @ adjacency
 
-    def compute_sparse_matrix(self, graph: Graph) -> _sp.csr_matrix:
+    def compute_sparse_matrix(
+        self, graph: Graph, rows: np.ndarray | None = None
+    ) -> _sp.csr_matrix:
         adjacency = self._sparse_adjacency(graph)
         degrees = np.asarray(adjacency.sum(axis=1)).ravel()
         weights = self._weights(degrees)
-        return (adjacency @ _sp.diags(weights) @ adjacency).tocsr()
+        return (_row_block(adjacency, rows) @ _sp.diags(weights) @ adjacency).tocsr()
+
+    def locality_radius(self) -> int:
+        # an endpoint's degree enters only through the weight of a common
+        # neighbour, which is adjacent to the row's node
+        return 1
 
 
 class AdamicAdarProximity(_DegreeWeightedTwoHop):

@@ -6,10 +6,11 @@ graph.  The real question is economic: which **rows** of the old matrix are
 still byte-valid for the new graph, so a refresh can splice them instead of
 recomputing everything?
 
-The answer is a per-measure *locality rule*.  For an edge flip on ``(u, v)``
+The answer is each measure's *locality*.  For an edge flip on ``(u, v)``
 a proximity entry ``(i, j)`` can only change if the computation of row ``i``
-reads something that changed — and for truncated/windowed measures that
-reach is a bounded graph distance from the touched endpoints:
+reads something that changed — and for local measures that reach is a
+bounded graph distance from the touched endpoints, which the measure
+declares itself through :meth:`~repro.proximity.base.ProximityMeasure.locality_radius`:
 
 ================================  =======================================
 measure                           locality
@@ -21,7 +22,7 @@ Jaccard                           radius 2 (endpoint degree sits in the
                                   union denominator of two-hop rows)
 degree (connected_only)           radius 1, plus a global rescale by
                                   ``peak_old / peak_new``
-truncated DeepWalk                radius ``window_size`` (a T-step walk
+DeepWalk                          radius ``window_size`` (a T-step walk
                                   reads transition rows within distance
                                   T-1), plus a volume rescale
 preferential attachment / Katz /  global — every row couples to every
@@ -29,51 +30,36 @@ personalized PageRank             edge (dense product / matrix inverse /
                                   linear solve); always a full recompute
 ================================  =======================================
 
+Splicing needs the CSR backend, so a measure whose default backend is
+dense (exact DeepWalk, ``truncation_threshold=0``) plans a full recompute
+unless CSR is requested.
+
 Affected rows are the union of the radius-``r`` BFS balls around the
 delta's touched nodes in **both** the old and the new graph (a deleted
 edge shrinks reach in the new graph but the old rows were computed with
-it), plus any newly added nodes.  Everything else is reused verbatim
-(possibly scaled), and :meth:`DeltaPlanner.refresh` splices reused and
-recomputed row blocks into a matrix that matches a from-scratch
-``measure.compute`` to floating-point roundoff (the row computers replay
-the exact sparse kernels row-restricted, so agreement is ~1 ulp).
+it), plus any newly added nodes.  Everything else is reused verbatim, or
+scaled by the measure's ``reused_row_scale``, and
+:meth:`DeltaPlanner.refresh` splices reused rows and the measure's
+``compute_rows`` block — the same sparse kernel run on the affected rows
+only — into a matrix that matches a from-scratch ``measure.compute`` to
+floating-point roundoff (only the rescale of reused rows can differ, by
+~1 ulp).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse as _sp
 
-from ..exceptions import GraphError, ProximityError
+from ..exceptions import GraphError
 from ..graph import Graph
 from ..proximity.base import ProximityMatrix, ProximityMeasure
 from ..proximity.cache import ProximityCache
-from ..proximity.degree import DegreeProximity
-from ..proximity.first_order import (
-    CommonNeighborsProximity,
-    JaccardProximity,
-    PreferentialAttachmentProximity,
-)
-from ..proximity.high_order import (
-    DeepWalkProximity,
-    KatzProximity,
-    PersonalizedPageRankProximity,
-    _clamp_nonnegative,
-    _transition_and_inv_degrees,
-)
-from ..proximity.second_order import AdamicAdarProximity, ResourceAllocationProximity
 from .delta import EdgeDelta, apply_delta
 
-__all__ = [
-    "InvalidationPlan",
-    "RefreshResult",
-    "DeltaPlanner",
-    "LocalityRule",
-    "register_locality",
-]
+__all__ = ["InvalidationPlan", "RefreshResult", "DeltaPlanner"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,189 +114,6 @@ class RefreshResult:
     plan: InvalidationPlan
     #: "cache" (new graph already cached), "splice" (rows reused), or "full"
     source: str
-
-
-# ---------------------------------------------------------------------- #
-# locality rules
-# ---------------------------------------------------------------------- #
-RowComputer = Callable[[ProximityMeasure, Graph, np.ndarray], _sp.csr_matrix]
-
-
-@dataclass(frozen=True)
-class LocalityRule:
-    """Per-measure-type locality: radius, reused-row rescale, row kernel.
-
-    ``radius(measure)`` returns the BFS-ball radius, or ``None`` when the
-    measure is global for this configuration (forces a full recompute).
-    ``row_scale(measure, old_graph, new_graph)`` returns the multiplier for
-    reused rows — return ``nan`` to force a full recompute (e.g. a
-    normaliser hit zero).  ``compute_rows(measure, new_graph, rows)``
-    replays the measure's sparse kernel restricted to ``rows`` and must
-    match the corresponding rows of ``measure.compute`` to roundoff
-    (diagonal stripping is applied by the planner afterwards).
-    """
-
-    radius: Callable[[ProximityMeasure], int | None]
-    compute_rows: RowComputer | None = None
-    row_scale: Callable[[ProximityMeasure, Graph, Graph], float] = field(
-        default=lambda measure, old, new: 1.0
-    )
-
-
-_LOCALITY: dict[type, LocalityRule] = {}
-
-
-def register_locality(measure_type: type, rule: LocalityRule) -> None:
-    """Register (or override) the locality rule for a measure type.
-
-    Registration is by exact type — a subclass with different math must
-    register its own rule or it conservatively gets a full recompute.
-    """
-    if not isinstance(rule, LocalityRule):
-        raise ProximityError(f"expected a LocalityRule, got {type(rule).__name__}")
-    _LOCALITY[measure_type] = rule
-
-
-def _degrees(graph: Graph) -> np.ndarray:
-    return graph.degrees().astype(float)
-
-
-def _strip_row_diagonal(matrix: _sp.csr_matrix, rows: np.ndarray) -> _sp.csr_matrix:
-    """Drop entries ``(k, rows[k])`` — the diagonal of the full matrix
-    restricted to this row block (mirrors ``compute``'s ``_strip_diagonal``)."""
-    coo = matrix.tocoo()
-    keep = coo.col != rows[coo.row]
-    return _sp.csr_matrix(
-        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=matrix.shape
-    )
-
-
-def _common_neighbors_rows(
-    measure: ProximityMeasure, graph: Graph, rows: np.ndarray
-) -> _sp.csr_matrix:
-    adjacency = measure._sparse_adjacency(graph)
-    return (adjacency[rows] @ adjacency).tocsr()
-
-
-def _jaccard_rows(
-    measure: ProximityMeasure, graph: Graph, rows: np.ndarray
-) -> _sp.csr_matrix:
-    adjacency = measure._sparse_adjacency(graph)
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-    intersection = (adjacency[rows] @ adjacency).tocoo()
-    union = degrees[rows[intersection.row]] + degrees[intersection.col] - intersection.data
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.where(union > 0, intersection.data / union, 0.0)
-    return _sp.csr_matrix(
-        (data, (intersection.row, intersection.col)),
-        shape=(rows.shape[0], graph.num_nodes),
-    )
-
-
-def _two_hop_rows(
-    measure: ProximityMeasure, graph: Graph, rows: np.ndarray
-) -> _sp.csr_matrix:
-    adjacency = measure._sparse_adjacency(graph)
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-    weights = measure._weights(degrees)  # type: ignore[attr-defined]
-    return (adjacency[rows] @ _sp.diags(weights) @ adjacency).tocsr()
-
-
-def _degree_rows(
-    measure: ProximityMeasure, graph: Graph, rows: np.ndarray
-) -> _sp.csr_matrix:
-    degrees = _degrees(graph)
-    peak = float(degrees.max()) if degrees.size else 0.0
-    shape = (rows.shape[0], graph.num_nodes)
-    if peak <= 0:
-        return _sp.csr_matrix(shape)
-    coo = measure._sparse_adjacency(graph)[rows].tocoo()
-    data = np.sqrt(degrees[rows[coo.row]] * degrees[coo.col]) / peak
-    return _sp.csr_matrix((data, (coo.row, coo.col)), shape=shape)
-
-
-def _deepwalk_rows(
-    measure: ProximityMeasure, graph: Graph, rows: np.ndarray
-) -> _sp.csr_matrix:
-    # row-restricted replay of DeepWalkProximity.compute_sparse_matrix: a
-    # row of (M @ T) is (row of M) @ T and truncation is elementwise, so
-    # the recursion R_{t+1} = truncate(R_t @ T) tracks the full power's
-    # rows exactly
-    adjacency = measure._sparse_adjacency(graph)
-    transition, degrees, inv_degrees = _transition_and_inv_degrees(adjacency)
-    power = transition[rows].tocsr()
-    accumulated = measure._truncate(power).copy()  # type: ignore[attr-defined]
-    for _ in range(measure.window_size - 1):  # type: ignore[attr-defined]
-        power = measure._truncate((power @ transition).tocsr())  # type: ignore[attr-defined]
-        accumulated = (accumulated + power).tocsr()
-    accumulated = accumulated / measure.window_size  # type: ignore[attr-defined]
-    proximity = accumulated @ _sp.diags(inv_degrees)
-    if measure.use_volume_scaling:  # type: ignore[attr-defined]
-        proximity = proximity * float(degrees.sum())
-    return _clamp_nonnegative(proximity)
-
-
-def _degree_scale(measure: ProximityMeasure, old: Graph, new: Graph) -> float:
-    old_degrees, new_degrees = _degrees(old), _degrees(new)
-    peak_old = float(old_degrees.max()) if old_degrees.size else 0.0
-    peak_new = float(new_degrees.max()) if new_degrees.size else 0.0
-    if peak_old <= 0 or peak_new <= 0:
-        return float("nan")  # empty graph on either side: recompute
-    return peak_old / peak_new
-
-
-def _deepwalk_scale(measure: ProximityMeasure, old: Graph, new: Graph) -> float:
-    if not measure.use_volume_scaling:  # type: ignore[attr-defined]
-        return 1.0
-    vol_old = float(_degrees(old).sum())
-    vol_new = float(_degrees(new).sum())
-    if vol_old <= 0 or vol_new <= 0:
-        return float("nan")
-    return vol_new / vol_old
-
-
-def _deepwalk_radius(measure: ProximityMeasure) -> int | None:
-    if not measure.resolve_backend(True):
-        return None  # untruncated DeepWalk resolves dense; no row locality
-    return int(measure.window_size)  # type: ignore[attr-defined]
-
-
-register_locality(
-    CommonNeighborsProximity,
-    LocalityRule(radius=lambda m: 1, compute_rows=_common_neighbors_rows),
-)
-register_locality(
-    JaccardProximity,
-    LocalityRule(radius=lambda m: 2, compute_rows=_jaccard_rows),
-)
-register_locality(
-    AdamicAdarProximity,
-    LocalityRule(radius=lambda m: 1, compute_rows=_two_hop_rows),
-)
-register_locality(
-    ResourceAllocationProximity,
-    LocalityRule(radius=lambda m: 1, compute_rows=_two_hop_rows),
-)
-register_locality(
-    DegreeProximity,
-    LocalityRule(
-        radius=lambda m: 1 if m.connected_only else None,  # type: ignore[attr-defined]
-        compute_rows=_degree_rows,
-        row_scale=_degree_scale,
-    ),
-)
-register_locality(
-    DeepWalkProximity,
-    LocalityRule(
-        radius=_deepwalk_radius, compute_rows=_deepwalk_rows, row_scale=_deepwalk_scale
-    ),
-)
-# Global measures: every row couples to every edge.  Registering them
-# explicitly (rather than leaving them unregistered) distinguishes "known
-# global" from "unknown measure" in the plan's reason string.
-register_locality(PreferentialAttachmentProximity, LocalityRule(radius=lambda m: None))
-register_locality(KatzProximity, LocalityRule(radius=lambda m: None))
-register_locality(PersonalizedPageRankProximity, LocalityRule(radius=lambda m: None))
 
 
 # ---------------------------------------------------------------------- #
@@ -486,15 +289,12 @@ class DeltaPlanner:
                 radius=0,
                 reason="empty delta: every row survives",
             )
-        rule = _LOCALITY.get(type(measure))
-        if rule is None:
-            return full(f"no locality rule registered for {type(measure).__name__}")
-        radius = rule.radius(measure)
-        if radius is None or rule.compute_rows is None:
-            return full("measure couples every row to every edge (global)", radius)
+        radius = measure.locality_radius()
+        if radius is None:
+            return full("measure couples every row to every edge (global)")
         if backend != "sparse":
             return full("row splicing requires the CSR backend", radius)
-        scale = rule.row_scale(measure, graph, new_graph)
+        scale = measure.reused_row_scale(graph, new_graph)
         if not np.isfinite(scale) or scale <= 0:
             return full("reused-row rescale is undefined for this transition", radius)
         rows = _affected_rows(graph, new_graph, delta, radius)
@@ -521,21 +321,13 @@ class DeltaPlanner:
         old_matrix: ProximityMatrix,
         plan: InvalidationPlan,
     ) -> ProximityMatrix:
-        rule = _LOCALITY[type(measure)]
-        assert rule.compute_rows is not None  # guaranteed by plan.scope == "rows"
         n_new = new_graph.num_nodes
         rows = plan.affected_rows
         mask = np.zeros(n_new, dtype=bool)
         mask[rows] = True
         reused_rows = np.nonzero(~mask)[0]  # all < old node count by construction
 
-        fresh = rule.compute_rows(measure, new_graph, rows)
-        if fresh.shape != (rows.shape[0], n_new):
-            raise ProximityError(
-                f"row computer for {type(measure).__name__} returned shape "
-                f"{fresh.shape}, expected {(rows.shape[0], n_new)}"
-            )
-        fresh = _strip_row_diagonal(fresh.tocsr(), rows)
+        fresh = measure.compute_rows(new_graph, rows)
 
         old_csr = old_matrix.sparse_matrix
         reused = old_csr[reused_rows]

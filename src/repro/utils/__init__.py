@@ -1,6 +1,6 @@
 """Small shared utilities: RNG handling, stable math, CSR lookups, run statistics."""
 
-from .rng import ensure_rng, spawn_rngs
+from .rng import ensure_rng
 from .mp import fork_available, resolve_fork_workers, serial_fallback
 from .math import (
     sigmoid,
@@ -19,7 +19,6 @@ __all__ = [
     "csr_entry_keys",
     "csr_lookup",
     "ensure_rng",
-    "spawn_rngs",
     "fork_available",
     "resolve_fork_workers",
     "serial_fallback",

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..exceptions import ConfigurationError
 
-__all__ = ["ensure_rng", "spawn_rngs", "repeat_streams"]
+__all__ = ["ensure_rng", "repeat_streams"]
 
 #: types accepted wherever the library takes a ``seed`` parameter
 _SEED_TYPES = "an int, a numpy.random.Generator, a numpy.random.SeedSequence, or None"
@@ -83,16 +83,3 @@ def repeat_streams(
         _reject_bad_seed(seed)
     children = base.spawn(repeats + 1)
     return children[:repeats], children[repeats]
-
-
-def spawn_rngs(seed: int | np.random.Generator | None, count: int) -> list[np.random.Generator]:
-    """Create ``count`` independent generators derived from ``seed``.
-
-    Useful when an experiment repeats a stochastic run several times and
-    wants each repetition to be independently seeded but reproducible.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    base = ensure_rng(seed)
-    seeds = base.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]

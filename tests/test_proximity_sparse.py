@@ -364,3 +364,27 @@ class TestSparseComputePath:
         assert spectral_radius(cliques.adjacency_matrix()) == pytest.approx(3.0, rel=1e-9)
         with pytest.raises(ProximityError):
             KatzProximity(beta=0.34).compute(cliques, sparse=True)  # 0.34 > 1/3
+
+
+#: measures that declare no locality: a delta recomputes them in full
+GLOBAL_MEASURES = {"katz", "ppr", "preferential_attachment"}
+
+
+class TestRowKernels:
+    """``compute_rows`` runs a local measure's sparse kernel on a row block."""
+
+    @pytest.mark.parametrize("graph_name", ["small_graph", "medium_graph"])
+    @pytest.mark.parametrize("name", sorted(MEASURE_PARAMS))
+    def test_compute_rows_equals_rows_of_full_matrix(self, name, graph_name, request):
+        graph = request.getfixturevalue(graph_name)
+        measure = _measure(name)
+        rows = np.arange(1, graph.num_nodes, 3)
+        if measure.locality_radius() is None:
+            assert name in GLOBAL_MEASURES
+            with pytest.raises(ProximityError):
+                measure.compute_rows(graph, rows)
+            return
+        block = measure.compute_rows(graph, rows)
+        expected = measure.compute(graph, sparse=True).sparse_matrix[rows]
+        assert block.shape == (rows.shape[0], graph.num_nodes)
+        assert (block != expected).nnz == 0  # bit-identical, diagonal included

@@ -61,6 +61,28 @@ def churn_delta(base_graph: Graph) -> EdgeDelta:
     return EdgeDelta(inserts=inserts, deletes=deletes, num_nodes=162)
 
 
+@pytest.fixture(scope="module")
+def growth_graph() -> Graph:
+    return watts_strogatz_graph(400, 4, 0.05, seed=31)
+
+
+@pytest.fixture(scope="module")
+def growth_delta(growth_graph: Graph) -> EdgeDelta:
+    """A light churn plus a new hub: node 401 joins with 8 edges and becomes
+    the peak degree, so degree and DeepWalk rescale their reused rows."""
+    rng = np.random.default_rng(5)
+    edges = growth_graph.edges
+    deletes = edges[rng.choice(edges.shape[0], size=3, replace=False)]
+    existing = {(int(u), int(v)) for u, v in edges.tolist()}
+    inserts = []
+    while len(inserts) < 3:
+        u, v = sorted(rng.integers(0, growth_graph.num_nodes, size=2).tolist())
+        if u != v and (u, v) not in existing and (u, v) not in inserts:
+            inserts.append((u, v))
+    inserts += [(0, 400)] + [(u, 401) for u in (10, 50, 90, 130, 170, 210, 250, 400)]
+    return EdgeDelta(inserts=inserts, deletes=deletes, num_nodes=402)
+
+
 class TestEdgeDelta:
     def test_canonicalisation_collapses_mirrors_and_duplicates(self):
         delta = EdgeDelta(inserts=[(2, 1), (1, 2), (4, 3)])
@@ -173,33 +195,49 @@ class TestWithExtraEdges:
 class TestDeltaPlanner:
     @pytest.mark.parametrize("name", available_proximities())
     def test_refresh_matches_scratch_for_every_measure(
-        self, name, base_graph, churn_delta
+        self, name, base_graph, churn_delta, growth_graph, growth_delta
     ):
+        # the global measures always plan a full recompute; on the churn
+        # input DeepWalk's radius-5 ball also covers all 162 rows, while the
+        # growth input makes every local measure splice, rescales included
+        global_measures = {"katz", "ppr", "preferential_attachment"}
+        inputs = [
+            (base_graph, churn_delta, global_measures | {"deepwalk"}),
+            (growth_graph, growth_delta, global_measures),
+        ]
         measure = get_proximity(name)
-        new_graph = apply_delta(base_graph, churn_delta)
+        for graph, delta, full_scope in inputs:
+            new_graph = apply_delta(graph, delta)
+            old = measure.compute(graph, sparse=True)
+            result = DeltaPlanner().refresh(
+                graph, delta, measure, new_graph=new_graph, sparse=True, old_matrix=old
+            )
+            assert result.plan.scope == ("full" if name in full_scope else "rows")
+            scratch = measure.compute(new_graph, sparse=True)
+            assert result.matrix.is_sparse == scratch.is_sparse
+            if scratch.is_sparse:
+                diff = result.matrix.sparse_matrix - scratch.sparse_matrix
+                error = np.abs(diff.toarray()).max() if diff.nnz else 0.0
+            else:
+                error = np.abs(result.matrix.matrix - scratch.matrix).max()
+            assert error <= 1e-10
+            if result.plan.scope == "rows":
+                assert result.source == "splice"
+                assert result.plan.num_reused > 0
+            else:
+                assert result.source == "full"
+
+    def test_growth_rescales_reused_rows(self, growth_graph, growth_delta):
+        # node 401 becomes the peak degree (5 -> 8) and the volume grows
         planner = DeltaPlanner()
-        old = measure.compute(base_graph, sparse=True)
-        result = planner.refresh(
-            base_graph,
-            churn_delta,
-            measure,
-            new_graph=new_graph,
-            sparse=True,
-            old_matrix=old,
+        degree = planner.plan(growth_graph, growth_delta, get_proximity("degree"))
+        assert degree.row_scale == pytest.approx(5 / 8)
+        deepwalk = planner.plan(
+            growth_graph, growth_delta, get_proximity("deepwalk"), sparse=True
         )
-        scratch = measure.compute(new_graph, sparse=True)
-        assert result.matrix.is_sparse == scratch.is_sparse
-        if scratch.is_sparse:
-            diff = (result.matrix.sparse_matrix - scratch.sparse_matrix)
-            error = np.abs(diff.toarray()).max() if diff.nnz else 0.0
-        else:
-            error = np.abs(result.matrix.matrix - scratch.matrix).max()
-        assert error <= 1e-10
-        if result.plan.scope == "rows":
-            assert result.source == "splice"
-            assert result.plan.num_reused > 0
-        else:
-            assert result.source == "full"
+        assert deepwalk.scope == "rows"
+        assert deepwalk.radius == 5
+        assert deepwalk.row_scale == pytest.approx(1.011, abs=1e-3)
 
     def test_global_measures_plan_full(self, base_graph, churn_delta):
         planner = DeltaPlanner()

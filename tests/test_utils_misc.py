@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.utils.logging import get_logger
-from repro.utils.rng import ensure_rng, repeat_streams, spawn_rngs
+from repro.utils.rng import ensure_rng, repeat_streams
 from repro.utils.stats import summarize_runs
 
 
@@ -62,24 +62,6 @@ class TestRepeatStreams:
     def test_rejects_non_positive_repeats(self):
         with pytest.raises(ValueError):
             repeat_streams(0, 0)
-
-
-class TestSpawnRngs:
-    def test_count_and_independence(self):
-        rngs = spawn_rngs(7, 3)
-        assert len(rngs) == 3
-        draws = [r.random(4).tolist() for r in rngs]
-        assert draws[0] != draws[1]
-        assert draws[1] != draws[2]
-
-    def test_deterministic_given_seed(self):
-        a = [r.random(3).tolist() for r in spawn_rngs(5, 2)]
-        b = [r.random(3).tolist() for r in spawn_rngs(5, 2)]
-        assert a == b
-
-    def test_rejects_negative_count(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
 
 
 class TestSummarizeRuns:
