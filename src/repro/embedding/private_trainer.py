@@ -200,11 +200,18 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
         self.perturbation = self.engine.update_rule.perturbation
         self.accountant = RdpAccountant(
             noise_multiplier=self.privacy_config.noise_multiplier,
-            sampling_rate=self._sampler.sampling_rate,
+            sampling_rate=self._sampling_rate,
         )
         # the fit's own engine charges as it runs; a hogwild pool's shards
         # are composed when the pool ends (see _run_engine)
         self.engine.hooks += (_ChargeEachStep(self.accountant),)
+
+    def _release_training_state(self) -> None:
+        super()._release_training_state()
+        if self.perturbation is not None and self.perturbation is not self._perturbation_spec:
+            # the fit built this strategy: no later fit reads its noise ring,
+            # while a caller's own strategy keeps its stream across fits
+            self.perturbation.noise = None
 
     def _build_engine(self, rng: np.random.Generator) -> TrainingEngine:
         engine = super()._build_engine(rng)
@@ -255,7 +262,7 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
                 self.privacy_config.epsilon,
                 self.privacy_config.delta,
                 noise_multiplier=self.privacy_config.noise_multiplier,
-                sampling_rate=self._sampler.sampling_rate,
+                sampling_rate=self._sampling_rate,
             )
             if epochs > admissible:
                 _LOGGER.info(

@@ -120,6 +120,8 @@ class SkipGramTrainerBase(Embedder):
         self.graph: Graph | None = None
         self.engine: TrainingEngine | None = None
         self.proximity_matrix: ProximityMatrix | None = None
+        #: γ = B / |GS| of the last set-up subgraph set; outlives the fit
+        self._sampling_rate: float | None = None
 
     @classmethod
     def from_method_spec(
@@ -228,8 +230,11 @@ class SkipGramTrainerBase(Embedder):
         proximity: ProximityMatrix | None = None,
         epochs: int | None = None,
     ):
-        self._setup(graph, rng, proximity=proximity)
-        return self._run_engine(epochs)
+        try:
+            self._setup(graph, rng, proximity=proximity)
+            return self._run_engine(epochs)
+        finally:
+            self._release_training_state()
 
     def _build_options(self) -> dict:
         """Record the knobs both trainers share for artifacts."""
@@ -276,8 +281,8 @@ class SkipGramTrainerBase(Embedder):
             self.objective.edge_weights(pool.centers, pool.positives)
         )
         self.engine = self._build_engine(rng)
-        self.optimizer = self.engine.optimizer
         self._sampler = self.engine.sampler
+        self._sampling_rate = self._sampler.sampling_rate
 
     def _negative_sampler(self, graph: Graph):
         """The Theorem-3 sampler: candidates uniform, mass min(P)/Σ_j p_ij."""
@@ -313,7 +318,11 @@ class SkipGramTrainerBase(Embedder):
         """How one engine's gradients hit the parameters, seeded from ``rng``."""
 
     def _run_engine(self, epochs: int | None) -> FitResult:
-        """Run the (already set up) engine and install the fitted state."""
+        """Run the (already set up) engine and install the fitted state.
+
+        ``_fit`` then releases the training state, so the zero-step path
+        publishes the model's own matrices without a copy.
+        """
         requested = int(epochs) if epochs is not None else self.training_config.epochs
         if requested <= 0:
             raise TrainingError(f"epochs must be positive, got {requested}")
@@ -322,8 +331,7 @@ class SkipGramTrainerBase(Embedder):
         if epochs == 0:  # not even one step fits the budget
             self.model.release()
             result = EngineResult(
-                embeddings=self.model.embeddings(),
-                context_embeddings=self.model.w_out.copy(),
+                embeddings=self.model.w_in, context_embeddings=self.model.w_out
             )
         elif self._active_workers > 1:
             run = self._run_hogwild(epochs)
@@ -339,6 +347,15 @@ class SkipGramTrainerBase(Embedder):
             stopped_early=epochs < requested,
             privacy_spent=spent,
         )
+
+    def _release_training_state(self) -> None:
+        """Drop what only training reads; keep what the fit publishes.
+
+        The engine takes its sampler, update rule and hooks (iterate sums
+        included) with it.  A fitted estimator holds its published
+        matrices, its privacy record and the recorded γ.
+        """
+        self.engine = self.model = self._sampler = self._subgraph_pool = None
 
     def _admit(self, epochs: int) -> int:
         """How many of the requested epochs this fit may run."""
@@ -381,7 +398,7 @@ class SkipGramTrainerBase(Embedder):
         return run
 
     def _require_setup(self) -> None:
-        if self.engine is None:
+        if self._sampling_rate is None:
             raise TrainingError(
                 f"{type(self).__name__} has no graph yet; call fit(graph) first"
             )
@@ -390,7 +407,7 @@ class SkipGramTrainerBase(Embedder):
     def sampling_rate(self) -> float:
         """The subsampling rate ``γ = B / |GS|``."""
         self._require_setup()
-        return self._sampler.sampling_rate
+        return self._sampling_rate
 
 
 class SEGEmbTrainer(SkipGramTrainerBase):

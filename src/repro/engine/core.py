@@ -46,8 +46,10 @@ __all__ = ["EngineResult", "TrainingEngine"]
 class EngineResult:
     """Raw output of one :meth:`TrainingEngine.run` call.
 
-    ``embeddings`` / ``context_embeddings`` default to the final iterates;
-    hooks (e.g. iterate averaging) may replace them in ``on_train_end``.
+    ``embeddings`` / ``context_embeddings`` default to copies of the final
+    iterates.  ``on_train_end`` hooks see the live ``w_in`` / ``w_out`` and
+    may replace them (iterate averaging); the run copies whichever of the
+    two no hook replaced.
     ``profile`` is filled by a :class:`~repro.engine.profiler.StepProfiler`
     hook when one is installed, ``None`` otherwise.
     """
@@ -153,14 +155,21 @@ class TrainingEngine:
             # the buffers live for one run: a fitted estimator keeps none
             self.workspace = self.update_rule.workspace = None
 
+        model = self.model
         result = EngineResult(
-            embeddings=self.model.embeddings(),
-            context_embeddings=self.model.w_out.copy(),
+            embeddings=model.w_in,
+            context_embeddings=model.w_out,
             losses=losses,
             epochs_run=len(losses),
         )
         for hook in self.hooks:
             result = hook.on_train_end(self, result)
+        # snapshot only the live iterates no hook replaced: an averaged fit
+        # never allocates a copy it would throw away
+        if result.embeddings is model.w_in:
+            result.embeddings = model.embeddings()
+        if result.context_embeddings is model.w_out:
+            result.context_embeddings = model.w_out.copy()
         self.update_rule.profiler = None
         return result
 

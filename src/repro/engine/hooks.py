@@ -54,7 +54,11 @@ class EngineHook:
     def on_train_end(
         self, engine: "TrainingEngine", result: "EngineResult"
     ) -> "EngineResult":
-        """Called once after the loop; may return a modified result."""
+        """Called once after the loop; may return a modified result.
+
+        ``result`` still holds the model's live ``w_in`` / ``w_out``: a hook
+        replaces them, it never writes into them.
+        """
         return result
 
 

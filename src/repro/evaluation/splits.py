@@ -93,14 +93,10 @@ def make_link_prediction_split(
     test_positive = edges[test_idx]
     train_positive = edges[train_idx]
 
-    training_graph = graph.subgraph_without_edges(
-        [(int(u), int(v)) for u, v in test_positive], name=f"{graph.name}-train"
-    )
+    training_graph = graph.subgraph_without_edges(test_positive, name=f"{graph.name}-train")
 
     test_negative = graph.non_edges_sample(len(test_positive), rng)
-    train_negative = graph.non_edges_sample(
-        len(train_positive), rng, exclude=[(int(u), int(v)) for u, v in test_negative]
-    )
+    train_negative = graph.non_edges_sample(len(train_positive), rng, exclude=test_negative)
 
     training_degrees = training_graph.degrees()
     test_endpoints = np.unique(test_positive)

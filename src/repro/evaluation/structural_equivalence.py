@@ -12,6 +12,8 @@ Pearson correlation, over node pairs, of
 
 For large graphs evaluating every pair is quadratic; ``max_pairs`` caps the
 number of (uniformly sampled) pairs, which leaves the estimate unbiased.
+Sampled pairs read their adjacency distances off the sparse adjacency, so
+the dense ``n × n`` matrix is only built when every pair is scored.
 """
 
 from __future__ import annotations
@@ -58,17 +60,16 @@ def structural_equivalence_score(
         raise EvaluationError("structural equivalence needs at least 3 nodes")
 
     total_pairs = n * (n - 1) // 2
-    adjacency = np.asarray(graph.adjacency_matrix(dense=True), dtype=float)
-
     if max_pairs is not None and total_pairs > max_pairs:
         rng = ensure_rng(seed)
         i = rng.integers(0, n, size=max_pairs)
         j = rng.integers(0, n, size=max_pairs)
         keep = i != j
         i, j = i[keep], j[keep]
-        adjacency_dist = np.linalg.norm(adjacency[i] - adjacency[j], axis=1)
+        adjacency_dist = _adjacency_distances(graph, i, j)
         embedding_dist = np.linalg.norm(embeddings[i] - embeddings[j], axis=1)
     else:
+        adjacency = np.asarray(graph.adjacency_matrix(dense=True), dtype=float)
         iu, ju = np.triu_indices(n, k=1)
         adjacency_dist = pairwise_euclidean(adjacency)[iu, ju]
         embedding_dist = pairwise_euclidean(embeddings)[iu, ju]
@@ -77,3 +78,16 @@ def structural_equivalence_score(
     # corresponds to *small* embedding distance, i.e. a positive correlation
     # between the two distance vectors.
     return pearson_correlation(adjacency_dist, embedding_dist)
+
+
+def _adjacency_distances(graph: Graph, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """``||A_i - A_j||`` per pair, from the sparse adjacency.
+
+    Rows of an unweighted adjacency are 0/1, so the squared distance is the
+    integer ``d_i + d_j - 2|N(i) ∩ N(j)|``: exact in float64, and its square
+    root is bit-identical to the norm of the dense row difference.
+    """
+    adjacency = graph.adjacency_matrix()
+    common = np.asarray(adjacency[i].multiply(adjacency[j]).sum(axis=1)).ravel()
+    degrees = graph.degrees()
+    return np.sqrt(degrees[i] + degrees[j] - 2.0 * common)

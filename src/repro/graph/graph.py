@@ -287,21 +287,8 @@ class Graph:
         Used by the link-prediction split, which hides 10% of edges from the
         training graph.
         """
-        n_nodes = self._num_nodes
-        removed_set = {
-            key
-            for u, v in removed
-            for key in ((min(int(u), int(v)), max(int(u), int(v))),)
-            if 0 <= key[0] and key[1] < n_nodes
-        }
-        if not removed_set or not self.num_edges:
-            kept = self._edges
-        else:
-            removed_arr = np.array(sorted(removed_set), dtype=np.int64).reshape(-1, 2)
-            n = np.int64(self._num_nodes)
-            keys = self._edges[:, 0] * n + self._edges[:, 1]
-            removed_keys = removed_arr[:, 0] * n + removed_arr[:, 1]
-            kept = self._edges[~np.isin(keys, removed_keys)]
+        keys = self._edges[:, 0] * np.int64(self._num_nodes) + self._edges[:, 1]
+        kept = self._edges[~np.isin(keys, self._pair_keys(removed))]
         return Graph(self._num_nodes, kept, name=name or f"{self._name}-pruned")
 
     def with_extra_edges(self, added: Iterable[tuple[int, int]], name: str | None = None) -> "Graph":
@@ -381,18 +368,15 @@ class Graph:
         n = self._num_nodes
         # degenerate excludes (self-pairs, out-of-range pairs) can never be
         # drawn: drop them here so they neither reduce the capacity check
-        # nor alias a valid pair in the exact-complement key encoding
-        exclude_set: set[tuple[int, int]] = set()
-        if exclude is not None:
-            exclude_set = {
-                key
-                for u, v in exclude
-                for key in ((min(int(u), int(v)), max(int(u), int(v))),)
-                if 0 <= key[0] < key[1] < n
-            }
+        # nor alias a valid pair in the ``lo * n + hi`` key encoding
+        excluded = np.unique(
+            self._pair_keys(exclude if exclude is not None else (), distinct=True)
+        )
         total_pairs = n * (n - 1) // 2
         # excludes that are already edges cannot be drawn either
-        excluded_non_edges = sum(1 for key in exclude_set if not self.has_edge(*key))
+        excluded_non_edges = int(
+            np.count_nonzero(~self.has_edges_bulk(excluded // n, excluded % n))
+        )
         available = total_pairs - self.num_edges - excluded_non_edges
         if available < count:
             raise GraphError(
@@ -403,10 +387,9 @@ class Graph:
             return np.empty((0, 2), dtype=np.int64)
         # dense regime: most draws would hit edges — enumerate exactly
         if self.density >= 0.5 or available <= 4 * count:
-            return self._non_edges_exact(count, rng, exclude_set)
+            return self._non_edges_exact(count, rng, excluded)
 
-        found: list[tuple[int, int]] = []
-        found_keys: set[tuple[int, int]] = set()
+        found = np.empty(0, dtype=np.int64)
         attempts = 0
         max_attempts = max(1, count) * max(1, max_attempts_factor)
         while len(found) < count and attempts < max_attempts:
@@ -417,35 +400,44 @@ class Graph:
             lo = np.minimum(u, v)
             hi = np.maximum(u, v)
             keep = (lo != hi) & ~self.has_edges_bulk(lo, hi)
-            for a, b in zip(lo[keep].tolist(), hi[keep].tolist(), strict=True):
-                key = (a, b)
-                if key in exclude_set or key in found_keys:
-                    continue
-                found_keys.add(key)
-                found.append(key)
-                if len(found) == count:
-                    break
+            keys = lo[keep] * n + hi[keep]
+            keys = keys[~np.isin(keys, excluded) & ~np.isin(keys, found)]
+            # first occurrence of each key, in draw order
+            first = np.sort(np.unique(keys, return_index=True)[1])
+            found = np.concatenate([found, keys[first[: count - len(found)]]])
         if len(found) < count:
             # the budget ran out but enough non-edges exist (checked above):
             # fall back to the exact complement instead of spuriously failing
-            return self._non_edges_exact(count, rng, exclude_set)
-        return np.array(found, dtype=np.int64).reshape(-1, 2)
+            return self._non_edges_exact(count, rng, excluded)
+        return np.stack([found // n, found % n], axis=1)
+
+    def _pair_keys(
+        self, pairs: Iterable[tuple[int, int]], distinct: bool = False
+    ) -> np.ndarray:
+        """``lo * n + hi`` keys of the in-range ``pairs``, in input order.
+
+        Pairs with an endpoint outside ``[0, n)`` are dropped, and so are
+        self-pairs when ``distinct``.
+        """
+        arr = np.asarray(
+            pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64
+        ).reshape(-1, 2)
+        lo = np.minimum(arr[:, 0], arr[:, 1])
+        hi = np.maximum(arr[:, 0], arr[:, 1])
+        valid = (lo >= 0) & (hi < self._num_nodes)
+        if distinct:
+            valid &= lo < hi
+        return lo[valid] * np.int64(self._num_nodes) + hi[valid]
 
     def _non_edges_exact(
-        self,
-        count: int,
-        rng: np.random.Generator,
-        exclude_set: set[tuple[int, int]],
+        self, count: int, rng: np.random.Generator, excluded: np.ndarray
     ) -> np.ndarray:
         """Uniform sample of the explicitly enumerated non-edge complement."""
         n = self._num_nodes
         iu, ju = np.triu_indices(n, k=1)
         adjacency = self.adjacency_matrix()
         keep = np.asarray(adjacency[iu, ju]).ravel() == 0
-        if exclude_set:
-            excluded = np.fromiter(
-                (a * n + b for a, b in exclude_set), dtype=np.int64, count=len(exclude_set)
-            )
+        if excluded.size:
             keep &= ~np.isin(iu * np.int64(n) + ju, excluded)
         candidates = np.stack([iu[keep], ju[keep]], axis=1).astype(np.int64)
         if candidates.shape[0] < count:  # pragma: no cover - guarded by caller

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import split_oracle
 
-from repro import EvaluationError, Graph
+from repro import EvaluationError, Graph, available_datasets, load_dataset
 from repro.evaluation import (
     link_prediction_auc,
     make_link_prediction_split,
@@ -16,6 +18,7 @@ from repro.evaluation import (
     score_edges,
     structural_equivalence_score,
 )
+from repro.evaluation.structural_equivalence import _adjacency_distances
 
 
 class TestPearson:
@@ -142,6 +145,72 @@ class TestLinkPredictionSplit:
         assert split.untrained_test_endpoints >= 0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dataset", available_datasets())
+class TestSplitMatchesLoopOracle:
+    """The array split reads the same draws as the per-pair loops, bit for bit."""
+
+    def test_split(self, dataset, seed):
+        graph = load_dataset(dataset, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            split = make_link_prediction_split(graph, seed=seed)
+        training, *pairs = split_oracle.link_prediction_split(graph, seed)
+        assert split.training_graph == training
+        got = (split.train_positive, split.train_negative,
+               split.test_positive, split.test_negative)
+        for array, expected in zip(got, pairs, strict=True):
+            assert array.dtype == expected.dtype
+            assert array.tobytes() == expected.tobytes()
+
+    def test_non_edges_with_degenerate_excludes(self, dataset, seed):
+        graph = load_dataset(dataset, seed=seed)
+        n = graph.num_nodes
+        rng = np.random.default_rng(seed)
+        exclude = [
+            (3, 3), (0, 0),                       # self-pairs
+            (-1, 2), (n, 1), (5, n + 7),          # out of range
+            *map(tuple, graph.edges[:5].tolist()),  # existing edges
+            *((v, u) for u, v in graph.edges[5:8].tolist()),  # mirrored edges
+            *map(tuple, rng.integers(0, n, size=(40, 2)).tolist()),
+        ]
+        for count, factor in ((n // 2, 200), (n, 1)):  # rejection, budget fallback
+            got = graph.non_edges_sample(
+                count, np.random.default_rng(seed), exclude=exclude,
+                max_attempts_factor=factor,
+            )
+            expected = split_oracle.non_edges_sample(
+                graph, count, np.random.default_rng(seed), exclude=exclude,
+                max_attempts_factor=factor,
+            )
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+
+    def test_subgraph_without_edges(self, dataset, seed):
+        graph = load_dataset(dataset, seed=seed)
+        n = graph.num_nodes
+        removed = [
+            (2, 2), (-3, 1), (0, n), (n + 1, n + 2),
+            *((v, u) for u, v in graph.edges[::7].tolist()),
+            *map(tuple, np.random.default_rng(seed).integers(0, n, size=(30, 2)).tolist()),
+        ]
+        assert graph.subgraph_without_edges(removed) == split_oracle.subgraph_without_edges(
+            graph, removed
+        )
+
+
+def test_exact_complement_branch_matches_loop_oracle():
+    """Dense sampling (available <= 4 * count) enumerates the complement."""
+    graph = load_dataset("smallworld", num_nodes=40, seed=4)
+    exclude = [(0, 0), (1, 50), *map(tuple, graph.edges[:3].tolist()), (0, 20), (20, 0)]
+    count = (40 * 39 // 2 - graph.num_edges) // 3
+    got = graph.non_edges_sample(count, np.random.default_rng(8), exclude=exclude)
+    expected = split_oracle.non_edges_sample(
+        graph, count, np.random.default_rng(8), exclude=exclude
+    )
+    assert got.tobytes() == expected.tobytes()
+
+
 class TestScoreEdges:
     def test_dot_scorer(self):
         emb = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -186,6 +255,42 @@ class TestStructuralEquivalence:
         exact = structural_equivalence_score(medium_graph, embeddings, max_pairs=None)
         sampled = structural_equivalence_score(medium_graph, embeddings, max_pairs=3000, seed=0)
         assert abs(exact - sampled) < 0.1
+
+    @pytest.mark.parametrize("dataset", ["chameleon", "smallworld", "blogcatalog"])
+    def test_sampled_distances_equal_the_dense_formula(self, dataset):
+        graph = load_dataset(dataset)
+        n = graph.num_nodes
+        rng = np.random.default_rng(5)
+        i, j = rng.integers(0, n, size=(2, 5000))
+        adjacency = np.asarray(graph.adjacency_matrix(dense=True), dtype=float)
+        dense = np.linalg.norm(adjacency[i] - adjacency[j], axis=1)
+        assert _adjacency_distances(graph, i, j).tobytes() == dense.tobytes()
+
+        embeddings = rng.normal(size=(n, 8))
+        pairs = np.random.default_rng(3)
+        i, j = pairs.integers(0, n, size=4000), pairs.integers(0, n, size=4000)
+        i, j = i[i != j], j[i != j]
+        expected = pearson_correlation(
+            np.linalg.norm(adjacency[i] - adjacency[j], axis=1),
+            np.linalg.norm(embeddings[i] - embeddings[j], axis=1),
+        )
+        score = structural_equivalence_score(graph, embeddings, max_pairs=4000, seed=3)
+        assert score == expected
+
+    def test_sampled_score_builds_no_dense_adjacency(self):
+        # 5k nodes: the dense float64 adjacency alone is 200 MB, and the
+        # dense rows of 1000 sampled pairs 40 MB each side
+        graph = load_dataset("smallworld", num_nodes=5000, seed=3)
+        embeddings = np.random.default_rng(0).normal(size=(graph.num_nodes, 16))
+        graph.adjacency_matrix()  # the graph's own lazy CSR, built outside the trace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            structural_equivalence_score(graph, embeddings, max_pairs=1000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"sampled StrucEqu peaks at {peak / 2**20:.1f} MiB"
 
     def test_shape_mismatch_raises(self, medium_graph, rng):
         with pytest.raises(EvaluationError):

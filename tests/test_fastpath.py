@@ -12,6 +12,7 @@ tracemalloc allocation pins.
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import tracemalloc
 import types
 
@@ -500,6 +501,90 @@ class TestZeroAllocation:
         peak = _phase_peak(lambda: engine.step())
         # one [B, 1+k, r] float32 block would already be 384 KiB
         assert peak < 256 * 1024, peak
+
+
+FORK_ONLY = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="hogwild workers require the fork start method",
+)
+
+
+def _traced_fit(trainer, graph, proximity):
+    """Fit under tracemalloc; ``(retained, peak)`` as multiples of the published bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trainer.fit(graph, proximity=proximity)
+        peak = tracemalloc.get_traced_memory()[1] - before
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    published = trainer.embeddings_.nbytes + trainer.context_embeddings_.nbytes
+    return retained / published, peak / published
+
+
+class TestFittedStateMemory:
+    """A fitted estimator holds what it publishes, not its training state.
+
+    At 20k nodes x 64 dims in float64 the published pair is 19.5 MiB.  A
+    fit that keeps its engine, model, iterate sums and noise ring retains
+    2.19x (SE-GEmb), 2.60x (private, final iterate or 2-worker hogwild) and
+    3.60x (private, averaged) of that; releasing them leaves 1.00x.  An
+    averaged private fit peaks at 4.60x when the run snapshots final
+    iterates the averaging then discards, and at 3.60x without.
+    """
+
+    RETAINED = 1.25
+    AVERAGED_PEAK = 4.0
+    CONFIG = TrainingConfig(
+        embedding_dim=64, batch_size=256, negative_samples=5, epochs=3, seed=0
+    )
+
+    @pytest.fixture(scope="class")
+    def big_graph(self):
+        graph = load_dataset("smallworld", num_nodes=20_000, seed=3)
+        proximity = DegreeProximity().compute(graph)
+        # build the graph's lazy caches outside the measured fits
+        SEGEmbTrainer(DegreeProximity(), config=self.CONFIG, seed=0).fit(
+            graph, proximity=proximity
+        )
+        return graph, proximity
+
+    def _private(self, **kwargs):
+        return SEPrivGEmbTrainer(
+            DegreeProximity(), training_config=self.CONFIG, privacy_config=PRIVACY,
+            seed=0, **kwargs,
+        )
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(
+                lambda test: SEGEmbTrainer(DegreeProximity(), config=test.CONFIG, seed=0),
+                id="se_gemb",
+            ),
+            pytest.param(lambda test: test._private(), id="se_privgemb-averaged"),
+            pytest.param(
+                lambda test: test._private(iterate_averaging=False), id="se_privgemb-final"
+            ),
+            pytest.param(
+                lambda test: test._private(workers=2), id="se_privgemb-hogwild",
+                marks=FORK_ONLY,
+            ),
+        ],
+    )
+    def test_fit_retains_only_the_published_matrices(self, big_graph, build):
+        trainer = build(self)
+        retained, _ = _traced_fit(trainer, *big_graph)
+        assert retained <= self.RETAINED, f"a fitted trainer retains {retained:.2f}x"
+        assert trainer.engine is None and trainer.model is None
+        assert trainer.sampling_rate > 0  # the recorded γ outlives the fit
+
+    def test_averaged_fit_peak_has_no_discarded_snapshot(self, big_graph):
+        _, peak = _traced_fit(self._private(), *big_graph)
+        assert peak < self.AVERAGED_PEAK, f"an averaged private fit peaks at {peak:.2f}x"
 
 
 # --------------------------------------------------------------------- #

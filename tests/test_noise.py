@@ -261,7 +261,7 @@ class TestFits:
         def build():
             strategy = get_perturbation("nonzero", 1.0, 2.0, seed=77)
             strategy.noise = small_ring(77, block_size=64)
-            return SEPrivGEmbTrainer(
+            trainer = SEPrivGEmbTrainer(
                 proximity=DegreeProximity(),
                 training_config=TRAIN,
                 privacy_config=PRIVACY,
@@ -269,6 +269,8 @@ class TestFits:
                 iterate_averaging=False,
                 seed=3,
             )
+            trainer._setup(graph, np.random.default_rng(3))
+            return trainer
 
         reads: list[np.ndarray] = []
         original = NoiseRing.fill
@@ -278,12 +280,44 @@ class TestFits:
             reads.append(result.ravel().copy())
             return result
 
-        whole = build().fit(graph, epochs=5)
+        whole = build()
+        assert whole.engine.run(5).epochs_run == 5
         monkeypatch.setattr(NoiseRing, "fill", recording_fill)
-        split = build().fit(graph, epochs=3)
+        split = build()
+        assert split.engine.run(3).epochs_run == 3
         assert split.engine.run(2).epochs_run == 2
         assert split.model.w_in.tobytes() == whole.model.w_in.tobytes()
         assert split.model.w_out.tobytes() == whole.model.w_out.tobytes()
+        drawn = np.concatenate(reads)
+        assert np.array_equal(drawn, _inline(77, drawn.size) * STD)
+
+    def test_a_fit_releases_only_the_ring_it_built(self, graph, monkeypatch, small_ring):
+        built = SEPrivGEmbTrainer(
+            proximity=DegreeProximity(), training_config=TRAIN,
+            privacy_config=PRIVACY, seed=3,
+        ).fit(graph)
+        assert built.perturbation.name == "nonzero"
+        assert built.perturbation.noise is None
+
+        strategy = get_perturbation("nonzero", 1.0, 2.0, seed=77)
+        strategy.noise = ring = small_ring(77, block_size=64)
+        reads: list[np.ndarray] = []
+        original = NoiseRing.fill
+
+        def recording_fill(self, out, std):
+            result = original(self, out, std)
+            reads.append(result.ravel().copy())
+            return result
+
+        monkeypatch.setattr(NoiseRing, "fill", recording_fill)
+        trainer = SEPrivGEmbTrainer(
+            proximity=DegreeProximity(), training_config=TRAIN,
+            privacy_config=PRIVACY, perturbation=strategy, seed=3,
+        )
+        trainer.fit(graph, epochs=3)
+        trainer.fit(graph, epochs=2)
+        # a caller's strategy keeps its ring: the second fit continues its stream
+        assert strategy.noise is ring
         drawn = np.concatenate(reads)
         assert np.array_equal(drawn, _inline(77, drawn.size) * STD)
 
