@@ -17,6 +17,13 @@ memory-mapped servable, and queried through :class:`QueryEngine`:
 * **micro-batching server** — the same request stream issued as
   concurrent single-node awaits through :class:`BatchingServer`; the
   artifact records how many engine calls the coalescing window saved.
+* **server front-end cost** — µs per request of the server's own
+  bookkeeping: 64 closed-loop clients against an engine that answers
+  instantly, with the failure guards on (deadline, queue bound, circuit
+  breaker, set as the end-to-end benchmark sets them) and off.  The gated
+  ratio is the median over interleaved on/off pairs whose first arm
+  alternates; guards on may cost at most ``MAX_GUARD_COST`` times guards
+  off, so a per-request queue scan or per-request timer fails it.
 * **zero-copy pin** — opening a ~50 MB synthetic servable and serving
   100 queries from it must allocate less than 5% of the payload
   (tracemalloc-enforced): the engine works through its preallocated
@@ -24,7 +31,8 @@ memory-mapped servable, and queried through :class:`QueryEngine`:
 
 ``REPRO_SERVING_BENCH_NODES`` scales the graph (default 20000); CI smoke
 runs a reduced node count with the same assertions.  Headline numbers are
-written to ``BENCH_serving_*.json``.
+written to ``BENCH_serving_*.json``; both server benchmarks record into
+``BENCH_serving_server.json``.
 """
 
 from __future__ import annotations
@@ -46,8 +54,11 @@ from repro.serving import (
     QueryEngine,
     QueryProfiler,
     ServableModel,
+    TopKResult,
     write_servable,
 )
+
+from conftest import write_bench_artifact
 
 BENCH_NODES = int(os.environ.get("REPRO_SERVING_BENCH_NODES", "20000"))
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SERVING_SPEEDUP", "5.0"))
@@ -56,6 +67,12 @@ BATCH = 64
 K = 10
 PAIRS = 5  # interleaved batched/single timing pairs
 QUERY_ROWS = 512  # queries timed per arm of a pair
+CLIENTS = 64  # closed-loop clients of the front-end cost bench
+FRONT_END_REQUESTS = 4096  # requests timed per arm of a front-end pair
+FRONT_END_PAIRS = 7
+#: guards as the end-to-end benchmark's serve loop sets them
+GUARDS = {"request_timeout": 5.0, "max_pending": 4 * CLIENTS, "breaker_threshold": 5}
+MAX_GUARD_COST = 2.0
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +89,15 @@ def servable(tmp_path_factory):
     model.export_servable(path)
     with ServableModel.open(path) as opened:
         yield opened
+
+
+@pytest.fixture(scope="module")
+def server_artifact():
+    """The record both server benchmarks write as ``BENCH_serving_server.json``."""
+    record: dict = {}
+    yield record
+    if record:
+        write_bench_artifact("serving_server", record)
 
 
 def _paired_queries_per_sec(batched, single):
@@ -147,7 +173,7 @@ def test_batched_topk_speedup(bench_artifact, servable):
     assert speedup >= MIN_SPEEDUP
 
 
-def test_batching_server_coalesces(bench_artifact, servable):
+def test_batching_server_coalesces(server_artifact, servable):
     engine = servable.query_engine(max_batch=BATCH, max_k=K)
     requests = 256
     rng = np.random.default_rng(5)
@@ -168,8 +194,7 @@ def test_batching_server_coalesces(bench_artifact, servable):
         f"{elapsed * 1e3:.1f} ms ({qps:.0f} req/sec), "
         f"{stats.batches} engine calls, mean batch {stats.mean_batch_size:.1f}"
     )
-    bench_artifact(
-        "serving_server",
+    server_artifact.update(
         {
             "nodes": servable.num_nodes,
             "requests": requests,
@@ -181,6 +206,72 @@ def test_batching_server_coalesces(bench_artifact, servable):
     # coalescing must actually batch: far fewer engine calls than requests
     assert stats.batches < requests / 2
     assert stats.coalesced_requests > 0
+
+
+class _InstantEngine:
+    """Answers every batch from preallocated rows, so only the server costs."""
+
+    max_batch = BATCH
+
+    def __init__(self):
+        self._ids = np.zeros((BATCH, K), dtype=np.int64)
+        self._scores = np.zeros((BATCH, K), dtype=np.float32)
+
+    def top_k(self, nodes, k, *, metric, exclude_self):
+        rows = len(nodes)
+        return TopKResult(ids=self._ids[:rows], scores=self._scores[:rows])
+
+
+def _front_end_us_per_request(guards: dict) -> float:
+    """Wall µs per request of a closed loop through a server over the stub."""
+
+    async def closed_loop():
+        issued = 0
+        async with BatchingServer(
+            _InstantEngine(), max_delay=0.002, default_k=K, **guards
+        ) as server:
+
+            async def client():
+                nonlocal issued
+                while issued < FRONT_END_REQUESTS:
+                    issued += 1
+                    await server.top_k(issued)
+
+            start = time.perf_counter()
+            await asyncio.gather(*(client() for _ in range(CLIENTS)))
+            return time.perf_counter() - start
+
+    return asyncio.run(closed_loop()) / FRONT_END_REQUESTS * 1e6
+
+
+def test_server_front_end_cost(server_artifact):
+    arms = (GUARDS, {})
+    for guards in arms:  # warm-up: executor thread, first-call costs
+        _front_end_us_per_request(guards)
+    micros: tuple[list[float], list[float]] = ([], [])
+    for pair in range(FRONT_END_PAIRS):
+        for arm in (0, 1) if pair % 2 == 0 else (1, 0):
+            micros[arm].append(_front_end_us_per_request(arms[arm]))
+    ratio = statistics.median(on / off for on, off in zip(*micros, strict=True))
+    guarded_us, bare_us = (statistics.median(arm) for arm in micros)
+    print()
+    print(
+        f"server front end, {CLIENTS} closed-loop clients over an instant engine: "
+        f"{guarded_us:.1f} µs/request with guards, {bare_us:.1f} without, "
+        f"ratio {ratio:.2f} (median of {FRONT_END_PAIRS} pairs)"
+    )
+    server_artifact["front_end"] = {
+        "clients": CLIENTS,
+        "requests_per_arm": FRONT_END_REQUESTS,
+        "pairs": FRONT_END_PAIRS,
+        "guards": GUARDS,
+        "guarded_us_per_request": guarded_us,
+        "bare_us_per_request": bare_us,
+        "guard_cost_ratio": ratio,
+        "ceiling": MAX_GUARD_COST,
+        "nproc": os.cpu_count(),
+    }
+    assert ratio <= MAX_GUARD_COST
 
 
 def test_serving_is_zero_copy(bench_artifact, tmp_path):

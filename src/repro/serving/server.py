@@ -19,34 +19,43 @@ serves one homogeneous batch.  The engine (and its preallocated
 workspace) is owned by the server's single flush loop; never share one
 engine between a running server and direct callers.
 
-Failure envelope (PR 10).  A production front end must bound every bad
-outcome, so the server carries three opt-in guards, each a typed error:
+Failure envelope.  A production front end must bound every bad outcome,
+so the server carries three opt-in guards, each a typed error:
 
 * **deadlines** — ``request_timeout`` (or a per-call ``timeout=``) bounds
-  how long one request may wait end-to-end; an expired waiter raises
-  :class:`~repro.exceptions.ServerTimeoutError` and is dropped from any
-  batch still being assembled (its row is never computed);
+  how long one request may wait end-to-end.  Each request carries its
+  absolute deadline, and one loop timer per server is armed at the
+  earliest deadline of any live (queued or in-flight) request.  When it
+  fires it fails every due request with
+  :class:`~repro.exceptions.ServerTimeoutError` and re-arms; the flush
+  loop skips done futures, so an expired row is never computed;
 * **backpressure** — ``max_pending`` bounds the queue; requests beyond it
   fast-fail with :class:`~repro.exceptions.ServerOverloadedError` instead
-  of growing an unbounded backlog;
+  of growing an unbounded backlog.  Only a queue whose length reaches the
+  bound is counted, after dropping its expired or cancelled entries;
 * **circuit breaker** — ``breaker_threshold`` consecutive engine failures
   open the breaker: new requests fast-fail with
   :class:`~repro.exceptions.CircuitOpenError` until ``breaker_reset``
   seconds pass, after which the breaker half-opens and the next batch
   probes the engine (success closes it, failure re-opens it).
 
+Admission is O(1) with every guard on; the timer scans the live requests
+only when it fires (see DESIGN.md, "Deadlines: one timer per server").
+
 ``stop(drain_timeout=...)`` bounds shutdown: waiters that cannot be
 served in time receive :class:`~repro.exceptions.ServerClosedError`
-rather than hanging forever.  All guards default to off — the unhardened
-behaviour is bit-identical to the previous server.
+rather than hanging forever, and the deadline timer is cancelled.  All
+guards default to off.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -75,7 +84,6 @@ class ServerStats:
     #: requests that shared their engine call with at least one other
     coalesced_requests: int = 0
     max_batch_size: int = 0
-    batch_sizes: list[int] = field(default_factory=list)
     #: requests whose deadline expired before their batch was served
     timeouts: int = 0
     #: requests fast-failed because the pending queue was full
@@ -254,8 +262,12 @@ class BatchingServer:
         self._breaker = _CircuitBreaker(
             self.breaker_threshold, self.breaker_reset, self.stats
         )
+        #: queued requests: ``(node, k, metric, deadline, limit, future)``
         self._pending: deque = deque()
-        self._in_flight: list[asyncio.Future] = []
+        #: the requests of the batch the engine is computing
+        self._in_flight: list[tuple] = []
+        #: the one deadline timer, armed at the earliest live deadline
+        self._timer: asyncio.TimerHandle | None = None
         self._wakeup: asyncio.Event | None = None
         self._task: asyncio.Task | None = None
         self._closing = False
@@ -305,6 +317,9 @@ class BatchingServer:
                         pass
                     self._abandon_waiters()
         finally:
+            if self._timer is not None:
+                self._timer.cancel()
+                self._timer = None
             self._task = None
             self._wakeup = None
 
@@ -313,16 +328,12 @@ class BatchingServer:
         exc = ServerClosedError(
             "server stopped before the request could be served"
         )
-        for future in list(self._in_flight):
+        for *_, future in chain(self._in_flight, self._pending):
             if not future.done():
                 future.set_exception(exc)
                 self.stats.abandoned += 1
         self._in_flight = []
-        while self._pending:
-            *_, future = self._pending.popleft()
-            if not future.done():
-                future.set_exception(exc)
-                self.stats.abandoned += 1
+        self._pending.clear()
 
     async def __aenter__(self) -> "BatchingServer":
         return await self.start()
@@ -353,34 +364,58 @@ class BatchingServer:
                 "circuit breaker is open after repeated engine failures; "
                 f"retry after {self.breaker_reset}s"
             )
-        if self.max_pending is not None:
-            backlog = sum(1 for *_, f in self._pending if not f.done())
-            if backlog >= self.max_pending:
+        if self.max_pending is not None and len(self._pending) >= self.max_pending:
+            # the queue may still hold requests that expired or were
+            # cancelled while queued: drop them before refusing anyone
+            self._pending = deque(item for item in self._pending if not item[-1].done())
+            if len(self._pending) >= self.max_pending:
                 self.stats.rejected_overload += 1
                 raise ServerOverloadedError(
-                    f"pending queue is full ({backlog} waiting >= "
+                    f"pending queue is full ({len(self._pending)} waiting >= "
                     f"max_pending={self.max_pending}); retry later"
                 )
         request_k = self.default_k if k is None else int(k)
         request_metric = self.metric if metric is None else metric
-        future = asyncio.get_running_loop().create_future()
-        self._pending.append((int(node), request_k, request_metric, future))
-        self._wakeup.set()
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
         limit = self.request_timeout if timeout is _UNSET else timeout
         if limit is None:
-            ids, scores = await future
-            return ids, scores
-        try:
-            # wait_for cancels the future on expiry, which is exactly the
-            # removal protocol: the flush loop skips done futures, so the
-            # expired waiter's row is never computed nor delivered
-            ids, scores = await asyncio.wait_for(future, limit)
-        except asyncio.TimeoutError:
-            self.stats.timeouts += 1
-            raise ServerTimeoutError(
-                f"top_k deadline of {limit}s expired before the batch was served"
-            ) from None
-        return ids, scores
+            deadline = math.inf
+        else:
+            deadline = loop.time() + limit
+            if self._timer is None or deadline < self._timer.when():
+                self._arm(loop, deadline)
+        self._pending.append(
+            (int(node), request_k, request_metric, deadline, limit, future)
+        )
+        self._wakeup.set()
+        return await future
+
+    def _arm(self, loop: asyncio.AbstractEventLoop, deadline: float) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = loop.call_at(deadline, self._expire_due)
+
+    def _expire_due(self) -> None:
+        """Timer callback: fail every live request that is due, re-arm."""
+        loop = asyncio.get_running_loop()
+        # the loop may run a timer a clock tick early; everything due by the
+        # time it was armed for has expired
+        now = max(loop.time(), self._timer.when())
+        self._timer = None
+        earliest = math.inf
+        for _, _, _, deadline, limit, future in chain(self._in_flight, self._pending):
+            if future.done():
+                continue
+            if deadline <= now:
+                future.set_exception(ServerTimeoutError(
+                    f"top_k deadline of {limit}s expired before the batch was served"
+                ))
+                self.stats.timeouts += 1
+            elif deadline < earliest:
+                earliest = deadline
+        if earliest < math.inf:
+            self._arm(loop, earliest)
 
     # ------------------------------------------------------------------ #
     # the flush loop
@@ -414,7 +449,7 @@ class BatchingServer:
         head: tuple[int, str] | None = None
         while self._pending and len(batch) < self.max_batch:
             item = self._pending.popleft()
-            if item[3].done():  # deadline expired while queued — drop the row
+            if item[-1].done():  # deadline expired while queued — drop the row
                 continue
             if head is None:
                 head = (item[1], item[2])
@@ -429,7 +464,7 @@ class BatchingServer:
         head_k, head_metric = head
 
         nodes = np.array([node for node, *_ in batch], dtype=np.int64)
-        self._in_flight = [future for *_, future in batch]
+        self._in_flight = batch
         try:
             result = await loop.run_in_executor(
                 None,
@@ -455,7 +490,6 @@ class BatchingServer:
         self._breaker.record_success()
         self.stats.requests += len(batch)
         self.stats.batches += 1
-        self.stats.batch_sizes.append(len(batch))
         self.stats.max_batch_size = max(self.stats.max_batch_size, len(batch))
         if len(batch) > 1:
             self.stats.coalesced_requests += len(batch)

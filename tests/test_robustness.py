@@ -12,6 +12,8 @@ a real kill-mid-append subprocess drill via ``REPRO_FAULTS``.
 from __future__ import annotations
 
 import asyncio
+import gc
+import logging
 import multiprocessing
 import os
 import subprocess
@@ -638,6 +640,19 @@ class TestSupervisedHogwild:
 # --------------------------------------------------------------------- #
 # hardened batching server
 # --------------------------------------------------------------------- #
+class _RowCountingEngine:
+    """Delegates to a :class:`QueryEngine`, recording every node it is asked."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.max_batch = engine.max_batch
+        self.rows: list[int] = []
+
+    def top_k(self, nodes, k, **options):
+        self.rows.extend(int(node) for node in nodes)
+        return self.engine.top_k(nodes, k, **options)
+
+
 class TestServerRobustness:
     def test_deadline_expires_then_service_resumes(self, engine):
         async def scenario():
@@ -659,6 +674,116 @@ class TestServerRobustness:
         stats = asyncio.run(scenario())
         assert stats.timeouts == 1
         assert stats.health()["timeouts"] == 1
+
+    def test_short_deadline_behind_long_ones_expires_on_time(self, engine):
+        counting = _RowCountingEngine(engine)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            async with BatchingServer(counting, max_delay=0.001) as server:
+                plan = FaultPlan(
+                    [FaultRule("serving.engine.query", "stall", delay=0.4)]
+                )
+                with plan:
+                    long_ones = [
+                        asyncio.ensure_future(server.top_k(node, k=2, timeout=5.0))
+                        for node in (1, 2)
+                    ]
+                    await asyncio.sleep(0.02)  # nodes 1 and 2 stall in flight
+                    long_ones.append(
+                        asyncio.ensure_future(server.top_k(3, k=2, timeout=5.0))
+                    )
+                    await asyncio.sleep(0)  # node 3 is queued
+                    start = loop.time()
+                    with pytest.raises(ServerTimeoutError):
+                        await server.top_k(4, k=2, timeout=0.05)
+                    waited = loop.time() - start
+                    answers = await asyncio.gather(*long_ones)
+                return waited, answers, server.stats
+
+        waited, answers, stats = asyncio.run(scenario())
+        # the stall lasts 0.4 s: only a timer re-armed for the shorter
+        # deadline fails the request this early
+        assert waited < 0.05 + 0.15
+        assert [len(ids) for ids, _ in answers] == [2, 2, 2]
+        assert counting.rows == [1, 2, 3]  # the expired row was never computed
+        assert stats.timeouts == 1
+
+    def test_expired_request_skips_engine_and_frees_its_slot(self, engine):
+        counting = _RowCountingEngine(engine)
+
+        async def scenario():
+            server = BatchingServer(counting, max_delay=0.001, max_pending=2)
+            async with server:
+                plan = FaultPlan(
+                    [FaultRule("serving.engine.query", "stall", delay=0.3)]
+                )
+                with plan:
+                    first = asyncio.ensure_future(server.top_k(1, k=2, timeout=5.0))
+                    await asyncio.sleep(0.02)  # node 1 stalls in flight
+                    doomed = [
+                        asyncio.ensure_future(server.top_k(node, k=2, timeout=0.05))
+                        for node in (2, 3)
+                    ]
+                    await asyncio.sleep(0)  # nodes 2 and 3 fill the queue
+                    with pytest.raises(ServerOverloadedError):
+                        await server.top_k(4, k=2)
+                    await asyncio.sleep(0.1)  # both queued deadlines expire
+                    # expired requests hold no slot: this one is admitted
+                    late = asyncio.ensure_future(server.top_k(5, k=2, timeout=5.0))
+                    answers = await asyncio.gather(first, late)
+                outcomes = await asyncio.gather(*doomed, return_exceptions=True)
+            return answers, outcomes, server.stats
+
+        answers, outcomes, stats = asyncio.run(scenario())
+        assert [len(ids) for ids, _ in answers] == [2, 2]
+        assert all(isinstance(outcome, ServerTimeoutError) for outcome in outcomes)
+        assert counting.rows == [1, 5]  # the expired rows were never computed
+        assert stats.timeouts == 2
+        assert stats.rejected_overload == 1
+        assert stats.requests == 2
+
+    def test_stop_cancels_the_deadline_timer(self, engine, caplog):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            server = BatchingServer(engine, max_delay=0.001, request_timeout=0.1)
+            stopped = False
+            late_calls = []
+            call_at = loop.call_at
+
+            def tracking_call_at(when, callback, *args, **kwargs):
+                def tracked(*callback_args):
+                    if stopped and getattr(callback, "__self__", None) is server:
+                        late_calls.append(callback)
+                    callback(*callback_args)
+
+                return call_at(when, tracked, *args, **kwargs)
+
+            loop.call_at = tracking_call_at
+            await server.start()
+            plan = FaultPlan(
+                [FaultRule("serving.engine.query", "stall", delay=0.3, times=-1)]
+            )
+            with plan:
+                waiters = [
+                    asyncio.ensure_future(server.top_k(node, k=2)) for node in (1, 2)
+                ]
+                await asyncio.sleep(0.02)  # both are in flight, stalled
+                await server.stop(drain_timeout=0.02)
+                stopped = True
+                await asyncio.sleep(0.15)  # past every request's deadline
+            outcomes = await asyncio.gather(*waiters, return_exceptions=True)
+            return outcomes, late_calls, server.stats
+
+        gc.collect()  # futures an earlier test left behind report elsewhere
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            outcomes, late_calls, stats = asyncio.run(scenario())
+            gc.collect()
+        assert all(isinstance(outcome, ServerClosedError) for outcome in outcomes)
+        assert late_calls == []
+        assert stats.timeouts == 0
+        assert stats.abandoned == 2
+        assert not [r for r in caplog.records if "never retrieved" in r.getMessage()]
 
     def test_overload_fast_fails(self, engine):
         async def scenario():
