@@ -8,7 +8,8 @@ memory-mapped servable, and queried through :class:`QueryEngine`:
 * **batched vs single** — queries/sec of ``top_k`` over 64-row batches
   against the same queries issued one at a time.  The batched scan must
   amortise the corpus pass by at least
-  ``REPRO_BENCH_MIN_SERVING_SPEEDUP`` (default 5.0; locally ~10-20x).
+  ``REPRO_BENCH_MIN_SERVING_SPEEDUP`` (default 5.0; locally ~8x at 20k
+  nodes, ~6-7x at 8k).
   The gated speedup is the median over interleaved batched/single pairs
   whose first arm alternates, so a slow stretch of the machine lands on
   both arms of a pair rather than on one arm.
@@ -26,8 +27,11 @@ memory-mapped servable, and queried through :class:`QueryEngine`:
   off, so a per-request queue scan or per-request timer fails it.
 * **zero-copy pin** — opening a ~50 MB synthetic servable and serving
   100 queries from it must allocate less than 5% of the payload
-  (tracemalloc-enforced): the engine works through its preallocated
-  workspace over the memory map and never materialises the matrix.
+  (tracemalloc-enforced): a float32 servable is the engine's serving
+  corpus as mapped, so every block is scored in place from the map
+  through the preallocated workspace and the matrix is never
+  materialised.  (A float64 servable would cost ``|V| · r · 4`` bytes of
+  heap per engine, its one float32 cast.)
 
 ``REPRO_SERVING_BENCH_NODES`` scales the graph (default 20000); CI smoke
 runs a reduced node count with the same assertions.  Headline numbers are
@@ -110,7 +114,7 @@ def _paired_queries_per_sec(batched, single):
     """
     arms = (batched, single)
     for engine, batches in arms:
-        for batch in batches[:2]:  # warm-up: norms cache, BLAS threads
+        for batch in batches[:2]:  # warm-up: BLAS threads, allocator
             engine.top_k(batch, K)
     seconds: tuple[list[float], list[float]] = ([], [])
     for pair in range(PAIRS):

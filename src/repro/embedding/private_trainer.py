@@ -98,14 +98,18 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
     gradient_normalization:
         ``"per_row"`` (default) divides each row of the noisy summed gradient
         by the number of batch examples that touched it; ``"batch"`` divides
-        by the batch size ``B``, which is the literal Eq. (9).  The two are
-        identical up to a constant rescaling of the learning rate (each row
-        is touched by roughly one example per batch), and the rescaling is
-        post-processing of the noised sum, so the privacy guarantee is
-        unchanged; ``"per_row"`` simply keeps the effective per-row step at
-        the configured ``η`` instead of ``η / B``, which is what makes the
-        scaled-down experiments in this reproduction converge within the
-        small epoch budgets the privacy accountant allows.
+        by the batch size ``B``, which is the literal Eq. (9).  They differ
+        by a *per-row* factor ``B / touches``, not by a constant rescaling
+        of the learning rate: a row is touched by several examples of a
+        batch, and how many varies by row and by step (in a default private
+        fit the most-touched row collects a median of 6 and at most 12
+        examples per step), so no single ``η`` turns one rule into the
+        other.  Either division is post-processing of the noised sum, so
+        the privacy guarantee is unchanged; ``"per_row"`` keeps the
+        effective per-row step at the configured ``η`` instead of ``η / B``,
+        which is what makes the scaled-down experiments in this
+        reproduction converge within the small epoch budgets the privacy
+        accountant allows.
     seed:
         Master seed for initialisation, sampling and noise; overridable per
         fit with ``fit(graph, rng=...)``.

@@ -517,7 +517,7 @@ class Embedder(abc.ABC):
         """Query this fitted model in-process, without refitting or exporting.
 
         Returns a :class:`repro.serving.QueryEngine` over the in-memory
-        embedding matrices — the same engine :meth:`ServableModel.open`
+        embedding matrix — the same engine :meth:`ServableModel.open`
         builds over memory-mapped sidecars, so a loaded estimator
         (``Embedder.load(...).as_servable()``) serves identically to an
         exported one.  Raises :class:`~repro.exceptions.ArtifactError` if
@@ -527,12 +527,7 @@ class Embedder(abc.ABC):
         self._check_spec_current()
         from ..serving.engine import QueryEngine
 
-        context = self._context_embeddings
-        return QueryEngine(
-            np.asarray(self._embeddings),
-            context_embeddings=np.asarray(context) if context is not None else None,
-            **engine_kwargs,
-        )
+        return QueryEngine(np.asarray(self._embeddings), **engine_kwargs)
 
     def export_servable(self, path: str | Path, *, overwrite: bool = False) -> Path:
         """Export this fitted model as a memory-mappable servable directory.

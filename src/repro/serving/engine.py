@@ -3,11 +3,13 @@
 The serving counterpart of the training fast path: where
 :class:`~repro.engine.workspace.StepWorkspace` preallocates every per-step
 training array, :class:`QueryWorkspace` preallocates every per-query array —
-the gather staging block, the float32 query block, the candidate-block
-staging buffer, the score block and the survivor mask — so a steady
-stream of ``top_k`` calls performs no array-sized allocations proportional
-to the corpus.  The scan is *blocked*: candidates are scored
-``block_rows`` at a time through one ``matmul`` into a reused score
+the float32 query block, the score block and the survivor mask — so a
+steady stream of ``top_k`` calls performs no array-sized allocations
+proportional to the corpus.  Every query is served in float32 from one
+corpus prepared when the engine is built: a float32 matrix (such as a
+mapped servable) is used as handed in, any other float matrix is cast
+once.  The scan is *blocked*: candidates are scored ``block_rows`` at a
+time through one ``matmul`` on a slice of that corpus into a reused score
 buffer, so a 1M × 128 corpus never materializes more than a fixed-size
 score block regardless of the batch size.
 
@@ -26,8 +28,6 @@ running threshold (the k-th best of the first 512 columns, then the worst
 score of the running top-k).  ``>=`` passes every candidate whose key
 could enter, so the answer is bit for bit that of a full-block partition.
 NaN never passes: it ranks after every other score, by ascending id.
-``compute_dtype="float64"`` selects a chunked reference path (stable
-lexsort merge, same ranking contract) used to pin float32 score parity.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analysis.markers import zero_alloc
-from ..engine.workspace import resolve_compute_dtype
 from ..exceptions import ConfigurationError
 from ..robustness.faults import maybe_hit
 
@@ -172,50 +171,38 @@ class QueryWorkspace:
     Mirrors :class:`~repro.engine.workspace.StepWorkspace`: buffers are
     sized by the engine geometry (``max_batch`` queries × ``block_rows``
     candidates × ``max_k`` results) and reused by every ``top_k`` /
-    ``score_links`` call.  Float32 geometry adds the survivor mask, the
-    threshold buffers and the running top-k keys of the pruned ranking
-    path; the float64 reference path only needs the staging and score
-    blocks.
+    ``score_links`` call.  Vectors and scores are float32, beside the
+    uint64 keys and the bool mask of the pruned ranking.  Candidate rows
+    are never staged: the engine's float32 corpus is read in place.
     """
 
-    def __init__(self, *, max_batch: int, max_k: int, block_rows: int, dim: int,
-                 source_dtype, dtype=np.float32) -> None:
+    def __init__(self, *, max_batch: int, max_k: int, block_rows: int, dim: int) -> None:
         self.max_batch = int(max_batch)
         self.max_k = int(max_k)
         self.block_rows = int(block_rows)
         self.dim = int(dim)
-        self.dtype = resolve_compute_dtype(dtype)
         B, K, W, d = self.max_batch, self.max_k, self.block_rows, self.dim
 
-        # ---- query gather + cast staging ----
-        self.gather = np.zeros((B, d), dtype=source_dtype)
-        self.queries = np.zeros((B, d), dtype=self.dtype)
-        self.query_norms = np.ones((B, 1), dtype=self.dtype)
+        # ---- query gather ----
+        self.queries = np.zeros((B, d), dtype=np.float32)
+        self.query_norms = np.ones((B, 1), dtype=np.float32)
 
-        # ---- blocked candidate scan ----
-        # zero-initialised: the tail of the last (partial) block is still
-        # fed through the matmul, so stale bits must at least be finite
-        self.block = _staggered_zeros((W, d), self.dtype, 0)
-        self.scores = _staggered_zeros((B, W), self.dtype, 1)
-
-        if self.dtype == np.dtype(np.float32):
-            # ---- threshold-pruned ranking buffers (float32 fast path only) ----
-            self.mask = _staggered_zeros((B, W), np.bool_, 2)
-            self.seed = np.empty((B, min(W, _SEED_COLUMNS)), dtype=np.float32)
-            self.threshold = np.empty(B, dtype=np.float32)
-            self.top = np.empty((B, K), dtype=np.uint64)
+        # ---- blocked candidate scan + threshold-pruned ranking ----
+        self.scores = _staggered_zeros((B, W), np.float32, 1)
+        self.mask = _staggered_zeros((B, W), np.bool_, 2)
+        self.seed = np.empty((B, min(W, _SEED_COLUMNS)), dtype=np.float32)
+        self.threshold = np.empty(B, dtype=np.float32)
+        self.top = np.empty((B, K), dtype=np.uint64)
 
         # ---- link-scoring buffers ----
-        self.link_left_raw = np.zeros((B, d), dtype=source_dtype)
-        self.link_right_raw = np.zeros((B, d), dtype=source_dtype)
-        self.link_left = np.zeros((B, d), dtype=self.dtype)
-        self.link_right = np.zeros((B, d), dtype=self.dtype)
-        self.link_scores = np.zeros(B, dtype=self.dtype)
+        self.link_left = np.zeros((B, d), dtype=np.float32)
+        self.link_right = np.zeros((B, d), dtype=np.float32)
+        self.link_scores = np.zeros(B, dtype=np.float32)
 
     def __repr__(self) -> str:
         return (
             f"QueryWorkspace(max_batch={self.max_batch}, max_k={self.max_k}, "
-            f"block_rows={self.block_rows}, dim={self.dim}, dtype={self.dtype.name})"
+            f"block_rows={self.block_rows}, dim={self.dim})"
         )
 
 
@@ -225,11 +212,12 @@ class QueryEngine:
     Parameters
     ----------
     embeddings:
-        ``|V| × r`` matrix — an in-memory array or the ``np.memmap`` a
-        :class:`~repro.serving.store.ServableModel` hands out (the engine
-        never copies it; blocks are staged through the workspace).
-    context_embeddings:
-        Optional ``W_out`` matrix, kept for completeness (same shape).
+        ``|V| × r`` float matrix — an in-memory array or the ``np.memmap``
+        a :class:`~repro.serving.store.ServableModel` hands out.  Queries
+        are served in float32 from one corpus prepared here: a float32
+        matrix is used as handed in (a mapped servable stays zero-copy),
+        any other float matrix is cast once, at ``|V| · r · 4`` bytes of
+        heap.
     max_batch:
         Most queries scored per internal scan; longer batches are served
         in ``max_batch`` slices through the same workspace.
@@ -240,18 +228,14 @@ class QueryEngine:
         Candidate rows scored per matmul block.  Bounds peak memory at
         ``O(max_batch × block_rows)`` independent of ``|V|``.  Defaults to
         ``min(|V|, 8192)``.
-    compute_dtype:
-        ``"float32"`` (default, packed-key fast path) or ``"float64"``
-        (chunked reference path with identical tie-break semantics).
     profiler:
         Optional :class:`~repro.serving.profiler.QueryProfiler`; when
         installed, ``top_k`` records gather / matmul / partition phase
         wall time (one ``is None`` branch otherwise).
     """
 
-    def __init__(self, embeddings, *, context_embeddings=None, max_batch: int = 64,
-                 max_k: int | None = None, block_rows: int | None = None,
-                 compute_dtype="float32", profiler=None) -> None:
+    def __init__(self, embeddings, *, max_batch: int = 64, max_k: int | None = None,
+                 block_rows: int | None = None, profiler=None) -> None:
         if not hasattr(embeddings, "ndim") or embeddings.ndim != 2:
             raise ConfigurationError(
                 "QueryEngine expects a 2-D embedding matrix, got "
@@ -269,15 +253,8 @@ class QueryEngine:
                 "packed ranking keys address at most 2**32 - 2 nodes; "
                 f"got {n} rows"
             )
-        if context_embeddings is not None and context_embeddings.shape != embeddings.shape:
-            raise ConfigurationError(
-                f"context embeddings shape {context_embeddings.shape} does not match "
-                f"embeddings {embeddings.shape}"
-            )
         if max_batch < 1:
             raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
-        self._emb = embeddings
-        self._context = context_embeddings
         self.num_nodes = int(n)
         self.embedding_dim = int(dim)
         self.max_batch = int(max_batch)
@@ -288,39 +265,26 @@ class QueryEngine:
         self.block_rows = int(block_rows) if block_rows is not None else min(self.num_nodes, 8192)
         if self.block_rows < 1:
             raise ConfigurationError(f"block_rows must be >= 1, got {self.block_rows}")
-        self.compute_dtype = resolve_compute_dtype(compute_dtype)
         self.profiler = profiler
-        self._norms: np.ndarray | None = None
+        self._corpus = np.asarray(embeddings, dtype=np.float32)
+        # clamped row L2 norms for cosine, from the float32 rows themselves
+        self._row_norms = np.einsum("ij,ij->i", self._corpus, self._corpus)
+        np.sqrt(self._row_norms, out=self._row_norms)
+        np.maximum(self._row_norms, np.float32(_NORM_FLOOR), out=self._row_norms)
         self.workspace = QueryWorkspace(
             max_batch=self.max_batch, max_k=self.max_k, block_rows=self.block_rows,
-            dim=self.embedding_dim, source_dtype=self._emb.dtype, dtype=self.compute_dtype,
+            dim=self.embedding_dim,
         )
 
     # ------------------------------------------------------------------ #
     @property
     def embeddings(self) -> np.ndarray:
-        """The served matrix (zero-copy view of whatever was handed in)."""
-        return self._emb
+        """The float32 matrix every query is served from.
 
-    def _ensure_norms(self) -> np.ndarray:
-        """Precompute (once) the clamped row L2 norms in the compute dtype.
-
-        Computed blockwise through the staging buffer so the scan never
-        materializes more than one candidate block, even on a memmapped
-        million-row matrix.
+        It is the matrix handed in when that was float32 (no copy), and
+        its one float32 cast otherwise.
         """
-        if self._norms is None:
-            norms = np.empty(self.num_nodes, dtype=self.compute_dtype)
-            block = self.workspace.block
-            for start in range(0, self.num_nodes, self.block_rows):
-                stop = min(start + self.block_rows, self.num_nodes)
-                nb = stop - start
-                np.copyto(block[:nb], self._emb[start:stop], casting="same_kind")
-                np.einsum("ij,ij->i", block[:nb], block[:nb], out=norms[start:stop])
-            np.sqrt(norms, out=norms)
-            np.maximum(norms, self.compute_dtype.type(_NORM_FLOOR), out=norms)
-            self._norms = norms
-        return self._norms
+        return self._corpus
 
     def _validate_nodes(self, nodes, *, name: str = "nodes") -> np.ndarray:
         nodes = np.asarray(nodes, dtype=np.int64)
@@ -357,7 +321,7 @@ class QueryEngine:
         if k_eff == 0 or nodes.size == 0:
             return TopKResult(
                 ids=np.empty((nodes.size, k_eff), dtype=np.int64),
-                scores=np.empty((nodes.size, k_eff), dtype=self.compute_dtype),
+                scores=np.empty((nodes.size, k_eff), dtype=np.float32),
             )
         if k_eff > self.max_k:
             raise ConfigurationError(
@@ -367,10 +331,7 @@ class QueryEngine:
         chunks = []
         for start in range(0, nodes.size, self.max_batch):
             batch = nodes[start:start + self.max_batch]
-            if self.compute_dtype == np.dtype(np.float32):
-                chunks.append(self._topk_batch_f32(batch, k_eff, metric, exclude_self))
-            else:
-                chunks.append(self._topk_batch_f64(batch, k_eff, metric, exclude_self))
+            chunks.append(self._topk_batch(batch, k_eff, metric, exclude_self))
         if self.profiler is not None:
             self.profiler.add_queries(nodes.size)
         if len(chunks) == 1:
@@ -381,17 +342,17 @@ class QueryEngine:
         return TopKResult(ids=ids, scores=scores)
 
     # ------------------------------------------------------------------ #
-    def _topk_batch_f32(self, nodes: np.ndarray, k: int, metric: str,
-                        exclude_self: bool) -> tuple[np.ndarray, np.ndarray]:
+    def _topk_batch(self, nodes: np.ndarray, k: int, metric: str,
+                    exclude_self: bool) -> tuple[np.ndarray, np.ndarray]:
+        corpus = self._corpus
         ws = self.workspace
         prof = self.profiler
         B = nodes.size
         W = self.block_rows
 
         tick = time.perf_counter() if prof is not None else 0.0
-        norms = self._ensure_norms() if metric == "cosine" else None
-        np.take(self._emb, nodes, axis=0, out=ws.gather[:B])
-        np.copyto(ws.queries[:B], ws.gather[:B], casting="same_kind")
+        norms = self._row_norms if metric == "cosine" else None
+        np.take(corpus, nodes, axis=0, out=ws.queries[:B])
         if norms is not None:
             np.take(norms, nodes, out=ws.query_norms[:B, 0])
         if prof is not None:
@@ -407,8 +368,7 @@ class QueryEngine:
             nb = stop - start
 
             tick = time.perf_counter() if prof is not None else 0.0
-            np.copyto(ws.block[:nb], self._emb[start:stop], casting="same_kind")
-            np.matmul(ws.queries[:B], ws.block.T, out=ws.scores[:B])
+            np.matmul(ws.queries[:B], corpus[start:stop].T, out=ws.scores[:B, :nb])
             if norms is not None:
                 np.divide(ws.scores[:B, :nb], norms[start:stop], out=ws.scores[:B, :nb])
                 np.divide(ws.scores[:B, :nb], ws.query_norms[:B], out=ws.scores[:B, :nb])
@@ -446,60 +406,6 @@ class QueryEngine:
             prof.record("partition", partition_seconds)
         return ids, scores
 
-    def _topk_batch_f64(self, nodes: np.ndarray, k: int, metric: str,
-                        exclude_self: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Chunked float64 reference ranking (same tie-break contract).
-
-        Blocks are scanned in ascending id order and merged with a *stable*
-        lexsort on (NaN / self class, negated score): every id in the
-        running top list precedes every id of the current block and
-        (inductively) ties within the list are already id-ascending, so
-        stable appearance order equals "descending score, NaN last, ascending
-        id" — the same contract the pruned float32 path keeps.
-        """
-        prof = self.profiler
-        B = nodes.size
-
-        tick = time.perf_counter() if prof is not None else 0.0
-        norms = self._ensure_norms() if metric == "cosine" else None
-        queries = np.asarray(self._emb[nodes], dtype=np.float64)
-        query_norms = norms[nodes][:, None] if norms is not None else None
-        if prof is not None:
-            prof.record("gather", time.perf_counter() - tick)
-
-        matmul_seconds = 0.0
-        partition_seconds = 0.0
-        top_scores = np.empty((B, 0), dtype=np.float64)
-        top_ids = np.empty((B, 0), dtype=np.int64)
-        for start in range(0, self.num_nodes, self.block_rows):
-            stop = min(start + self.block_rows, self.num_nodes)
-
-            tick = time.perf_counter() if prof is not None else 0.0
-            block = np.asarray(self._emb[start:stop], dtype=np.float64)
-            scores = queries @ block.T
-            if norms is not None:
-                scores /= norms[start:stop]
-                scores /= query_norms
-            if prof is not None:
-                now = time.perf_counter()
-                matmul_seconds += now - tick
-                tick = now
-
-            ids = np.broadcast_to(np.arange(start, stop, dtype=np.int64), scores.shape)
-            merged_scores = np.concatenate([top_scores, scores], axis=1)
-            merged_ids = np.concatenate([top_ids, ids], axis=1)
-            # NaN ranks after every score, and the query itself after every NaN
-            last = np.isnan(merged_scores) + 2 * exclude_self * (merged_ids == nodes[:, None])
-            order = np.lexsort((-merged_scores, last), axis=1)[:, :k]
-            top_scores = np.take_along_axis(merged_scores, order, axis=1)
-            top_ids = np.take_along_axis(merged_ids, order, axis=1)
-            if prof is not None:
-                partition_seconds += time.perf_counter() - tick
-        if prof is not None:
-            prof.record("matmul", matmul_seconds)
-            prof.record("partition", partition_seconds)
-        return top_ids, top_scores
-
     # ------------------------------------------------------------------ #
     @zero_alloc
     def score_links(self, u, v, *, raw: bool = False) -> np.ndarray:
@@ -521,14 +427,12 @@ class QueryEngine:
         ws = self.workspace
         # the answer itself is the one legitimate allocation: O(batch), and
         # it must outlive the next call's workspace reuse
-        out = np.empty(u.size, dtype=self.compute_dtype)  # repro-lint: disable=ALLOC001 -- O(batch) result buffer returned to the caller
+        out = np.empty(u.size, dtype=np.float32)  # repro-lint: disable=ALLOC001 -- O(batch) result buffer returned to the caller
         for start in range(0, u.size, self.max_batch):
             stop = min(start + self.max_batch, u.size)
             B = stop - start
-            np.take(self._emb, u[start:stop], axis=0, out=ws.link_left_raw[:B])
-            np.take(self._emb, v[start:stop], axis=0, out=ws.link_right_raw[:B])
-            np.copyto(ws.link_left[:B], ws.link_left_raw[:B], casting="same_kind")
-            np.copyto(ws.link_right[:B], ws.link_right_raw[:B], casting="same_kind")
+            np.take(self._corpus, u[start:stop], axis=0, out=ws.link_left[:B])
+            np.take(self._corpus, v[start:stop], axis=0, out=ws.link_right[:B])
             scores = ws.link_scores[:B]
             np.einsum("ij,ij->i", ws.link_left[:B], ws.link_right[:B], out=scores)
             if not raw:
@@ -536,7 +440,7 @@ class QueryEngine:
                 np.clip(scores, -35.0, 35.0, out=scores)
                 np.negative(scores, out=scores)
                 np.exp(scores, out=scores)
-                np.add(scores, self.compute_dtype.type(1.0), out=scores)
+                np.add(scores, np.float32(1.0), out=scores)
                 np.reciprocal(scores, out=scores)
             out[start:stop] = scores
         return out
@@ -545,5 +449,5 @@ class QueryEngine:
         return (
             f"QueryEngine(num_nodes={self.num_nodes}, dim={self.embedding_dim}, "
             f"max_batch={self.max_batch}, max_k={self.max_k}, "
-            f"block_rows={self.block_rows}, dtype={self.compute_dtype.name})"
+            f"block_rows={self.block_rows})"
         )

@@ -1,9 +1,10 @@
 """Query-phase wall-time profiling for the serving layer.
 
-A ``top_k`` call has three phases — ``gather`` (pull + cast the query
-vectors and their norms), ``matmul`` (stage each candidate block and score
-it) and ``partition`` (pack ranking keys, merge the running top-k, final
-sort + decode).  :class:`QueryProfiler` times them exactly like the
+A ``top_k`` call has three phases — ``gather`` (pull the query rows and
+their norms from the engine's float32 corpus), ``matmul`` (score each
+candidate block of that corpus in place: one sgemm, plus the two divides
+for cosine) and ``partition`` (pack ranking keys, merge the running top-k,
+final sort + decode).  :class:`QueryProfiler` times them exactly like the
 training :class:`~repro.engine.profiler.StepProfiler` times engine steps,
 and publishes the same :class:`~repro.engine.profiler.StepProfile` shape —
 one profile vocabulary for both benchmark surfaces (steps/sec and

@@ -286,11 +286,7 @@ class ServableModel:
     # ------------------------------------------------------------------ #
     def query_engine(self, **engine_kwargs: Any) -> QueryEngine:
         """Build a :class:`QueryEngine` over the mapped embeddings."""
-        return QueryEngine(
-            self.embeddings,
-            context_embeddings=self.context_embeddings,
-            **engine_kwargs,
-        )
+        return QueryEngine(self.embeddings, **engine_kwargs)
 
     def close(self) -> None:
         """Release the memory maps (views handed out become invalid)."""

@@ -173,7 +173,7 @@ class TestServingProperties:
         nodes = np.arange(E.shape[0])
         expected, _ = brute_force_topk(E, nodes, k, metric=metric, exclude_self=exclude_self)
         for dtype in ("float32", "float64"):
-            engine = QueryEngine(E, compute_dtype=dtype, block_rows=block_rows,
+            engine = QueryEngine(E.astype(dtype), block_rows=block_rows,
                                  max_batch=max_batch)
             result = engine.top_k(nodes, k, metric=metric, exclude_self=exclude_self)
             assert np.array_equal(result.ids, expected), dtype

@@ -85,16 +85,14 @@ class TestPackedKeys:
 class TestQueryWorkspaceLayout:
     def test_block_buffers_start_at_distinct_page_offsets(self):
         """2 MiB-multiple buffers must not start in the same cache-line slot of a page."""
-        ws = QueryWorkspace(
-            max_batch=64, max_k=10, block_rows=8192, dim=64, source_dtype=np.float32
-        )
-        buffers = (ws.block, ws.scores, ws.mask)
+        ws = QueryWorkspace(max_batch=64, max_k=10, block_rows=8192, dim=64)
+        buffers = (ws.scores, ws.mask)
         assert ws.scores.nbytes % (2 << 20) == 0  # the aliasing-prone geometry
         offsets = {buffer.ctypes.data % 4096 // 64 for buffer in buffers}
         assert len(offsets) == len(buffers)
         assert all(buffer.ctypes.data % 64 == 0 for buffer in buffers)
         assert all(buffer.flags.writeable and buffer.flags.c_contiguous for buffer in buffers)
-        assert not ws.block.any() and not ws.scores.any()
+        assert not ws.scores.any() and not ws.mask.any()
 
 
 # --------------------------------------------------------------------- #
@@ -126,19 +124,18 @@ class TestQueryEngine:
     def test_float64_reference_path_agrees(self, embeddings):
         nodes = np.arange(40)
         f32 = QueryEngine(embeddings, block_rows=61).top_k(nodes, 11)
-        f64 = QueryEngine(embeddings, block_rows=29, compute_dtype="float64").top_k(
-            nodes, 11
-        )
-        assert np.array_equal(f32.ids, f64.ids)
-        np.testing.assert_allclose(f32.scores, f64.scores, rtol=1e-4)
+        ids, scores = brute_force_topk(embeddings, nodes, 11)
+        assert np.array_equal(f32.ids, ids)
+        np.testing.assert_allclose(f32.scores, scores, rtol=1e-4)
 
     def test_ties_break_by_ascending_id(self):
         # duplicated rows -> exact score ties on every query
         row = np.array([[1.0, 2.0, 3.0]])
-        E = np.repeat(row, 6, axis=0).astype(np.float64)
         for dtype in ("float32", "float64"):
-            result = QueryEngine(E, compute_dtype=dtype, block_rows=2).top_k([3], 5)
+            E = np.repeat(row, 6, axis=0).astype(dtype)
+            result = QueryEngine(E, block_rows=2).top_k([3], 5)
             assert np.array_equal(result.ids[0], [0, 1, 2, 4, 5])
+            assert np.array_equal(brute_force_topk(E, [3], 5)[0][0], [0, 1, 2, 4, 5])
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -149,12 +146,12 @@ class TestQueryEngine:
         # nonzero integer rows keep every finite score exact in float32, and
         # inf * 0 out of the picture
         rng = np.random.default_rng(5)
-        E = rng.choice([-2.0, -1.0, 1.0, 2.0], size=(12, 3))
+        E = rng.choice([-2.0, -1.0, 1.0, 2.0], size=(12, 3)).astype(dtype)
         E[7] = bad
         E[2, 1] = bad
         nodes = np.arange(12)
         k = 11 if exclude_self else 12
-        engine = QueryEngine(E, compute_dtype=dtype, block_rows=5, max_batch=4)
+        engine = QueryEngine(E, block_rows=5, max_batch=4)
         for kk in (3, k):
             result = engine.top_k(nodes, kk, metric=metric, exclude_self=exclude_self)
             ids, scores = brute_force_topk(
@@ -179,6 +176,54 @@ class TestQueryEngine:
         finally:
             tracemalloc.stop()
         assert peak - before < 1 << 20
+
+    def test_float32_input_is_served_in_place(self, embeddings):
+        E = embeddings.astype(np.float32)
+        engine = QueryEngine(E, block_rows=37)
+        assert np.shares_memory(engine.embeddings, E)
+        assert engine.embeddings.dtype == np.float32
+        assert QueryEngine(embeddings).embeddings.dtype == np.float32
+
+    @pytest.mark.parametrize("metric", ["cosine", "dot"])
+    def test_float64_input_serves_as_its_float32_cast(self, embeddings, metric):
+        """One serving dtype: ids and score bits equal those of the float32 cast."""
+        E32 = embeddings.astype(np.float32)
+        nodes = np.arange(0, 211, 3)
+        rng = np.random.default_rng(4)
+        u, v = rng.integers(0, 211, size=(2, 90))
+        for max_batch, block_rows in [(1, 211), (3, 7), (16, 37), (64, 4096), (5, 1)]:
+            wide, narrow = (
+                QueryEngine(E, max_batch=max_batch, block_rows=block_rows, max_k=211)
+                for E in (embeddings, E32)
+            )
+            for exclude_self in (True, False):
+                got = wide.top_k(nodes, 13, metric=metric, exclude_self=exclude_self)
+                want = narrow.top_k(nodes, 13, metric=metric, exclude_self=exclude_self)
+                assert np.array_equal(got.ids, want.ids)
+                assert np.array_equal(got.scores.view(np.uint32), want.scores.view(np.uint32))
+            for raw in (True, False):
+                got, want = (engine.score_links(u, v, raw=raw) for engine in (wide, narrow))
+                assert got.dtype == want.dtype == np.float32
+                assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_corpus_is_prepared_once_at_build(self):
+        rng = np.random.default_rng(2)
+        E = rng.standard_normal((20_000, 64))
+        tracemalloc.start()
+        try:
+            engine = QueryEngine(E, max_batch=64, max_k=10)
+            _, built_peak = tracemalloc.get_traced_memory()
+            corpus = engine.embeddings
+            for call in range(2):  # neither the first call nor the next casts again
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                engine.top_k(rng.integers(0, 20_000, size=64), 10)
+                _, peak = tracemalloc.get_traced_memory()
+                assert peak - before < 1 << 20, call
+        finally:
+            tracemalloc.stop()
+        assert built_peak >= E.size * 4  # the one float32 cast
+        assert engine.embeddings is corpus
 
     def test_k_clamps_to_candidate_count(self, embeddings):
         engine = QueryEngine(embeddings, max_k=211)
