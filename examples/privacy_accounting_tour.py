@@ -6,7 +6,8 @@ Shows, for the paper's default noise multiplier σ = 5 and δ = 1e-5:
   γ = B / |E| (Theorem 4),
 * how many private epochs each target ε admits (Algorithm 2's stop rule),
 * how the Moments-Accountant bound used by the DPGGAN/DPGVAE baselines
-  compares at the same parameters.
+  compares at the same parameters: it is one more per-step RDP curve fed
+  to the same step search.
 
 Run with:
 
@@ -15,8 +16,9 @@ Run with:
 
 from __future__ import annotations
 
-from repro import MomentsAccountant, RdpAccountant, load_dataset
+from repro import RdpAccountant, load_dataset
 from repro.config import TrainingConfig
+from repro.privacy import MOMENTS_ALPHAS, max_steps_within, moments_rdp_curve
 
 
 def main() -> None:
@@ -28,12 +30,12 @@ def main() -> None:
 
     delta = 1e-5
     accountant = RdpAccountant(noise_multiplier=5.0, sampling_rate=sampling_rate)
-    moments = MomentsAccountant(noise_multiplier=5.0, sampling_rate=sampling_rate)
+    moments = moments_rdp_curve(noise_multiplier=5.0, sampling_rate=sampling_rate)
 
     print("target ε   max private epochs (RDP)   max steps (Moments Accountant)")
     for epsilon in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5):
         rdp_steps = accountant.max_steps(epsilon, delta)
-        ma_steps = moments.max_steps(epsilon, delta)
+        ma_steps = max_steps_within(moments, MOMENTS_ALPHAS, epsilon, delta)
         print(f"{epsilon:>8}   {rdp_steps:>24}   {ma_steps:>30}")
 
     print("\nPrivacy actually spent after 200 epochs at γ above:")

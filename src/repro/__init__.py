@@ -41,7 +41,7 @@ from .proximity import (
     get_proximity,
     available_proximities,
 )
-from .privacy import RdpAccountant, MomentsAccountant, PrivacyLedger
+from .privacy import RdpAccountant, PrivacyLedger
 from .streaming import EdgeDelta, apply_delta, DeltaPlanner, InvalidationPlan
 from .engine import (
     BatchGradients,
@@ -107,7 +107,6 @@ __all__ = [
     "get_proximity",
     "available_proximities",
     "RdpAccountant",
-    "MomentsAccountant",
     "PrivacyLedger",
     "EdgeDelta",
     "apply_delta",

@@ -23,7 +23,8 @@ import numpy as np
 from ..graph import Graph
 from ..nn.layers import Activation, DenseLayer
 from ..privacy.mechanisms import clip_gradient
-from ..privacy.moments import MomentsAccountant
+from ..privacy.accountant import max_steps_within
+from ..privacy.rdp import MOMENTS_ALPHAS, moments_rdp_curve
 from ..utils.math import sigmoid, stable_log
 from .base import BaselineEmbedder
 
@@ -54,16 +55,17 @@ class DPGGAN(BaselineEmbedder):
         discriminator_out = DenseLayer(self.hidden_dim, 1, seed=self._rng)
 
         batch_size = min(cfg.batch_size, n)
-        accountant = MomentsAccountant(
-            noise_multiplier=privacy.noise_multiplier,
-            sampling_rate=batch_size / n,
-        )
         # Half the budget pays for the DPSGD discriminator updates, half for
         # privatising the released latent codes (which are per-node
         # parameters updated from each node's own adjacency row).
         training_epsilon = privacy.epsilon / 2.0
         release_epsilon = privacy.epsilon - training_epsilon
-        max_steps = accountant.max_steps(training_epsilon, privacy.delta)
+        max_steps = max_steps_within(
+            moments_rdp_curve(privacy.noise_multiplier, batch_size / n),
+            MOMENTS_ALPHAS,
+            training_epsilon,
+            privacy.delta,
+        )
         steps = min(cfg.epochs, max(1, max_steps))
         learning_rate = cfg.learning_rate * 0.1
 
@@ -115,7 +117,6 @@ class DPGGAN(BaselineEmbedder):
                 for param in layer.parameters():
                     param -= learning_rate * averaged[idx]
                     idx += 1
-            accountant.step()
 
             # ---------------- generator / embedding step ------------------- #
             # The generator update is post-processing of the (private)

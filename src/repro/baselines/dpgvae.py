@@ -9,8 +9,9 @@ reproduction keeps that structure on the numpy NN substrate:
 * reparameterised latent sample ``z = μ + σ ⊙ ε``,
 * decoder: ``σ(z_i · z_j)`` for sampled positive/negative pairs,
 * per-node gradients clipped to ``C``, summed, Gaussian-noised, averaged
-  (DPSGD), with the :class:`~repro.privacy.moments.MomentsAccountant`
-  deciding when the budget is exhausted.
+  (DPSGD), with the Moments Accountant curve
+  (:func:`~repro.privacy.rdp.moments_rdp_curve`) deciding when the budget
+  is exhausted.
 
 The paper observes DPGVAE "converges prematurely when using MA, especially
 when the privacy budget is small" — that behaviour emerges here because the
@@ -24,7 +25,8 @@ import numpy as np
 from ..graph import Graph
 from ..nn.layers import Activation, DenseLayer
 from ..privacy.mechanisms import clip_gradient
-from ..privacy.moments import MomentsAccountant
+from ..privacy.accountant import max_steps_within
+from ..privacy.rdp import MOMENTS_ALPHAS, moments_rdp_curve
 from ..utils.math import sigmoid
 from .base import BaselineEmbedder
 
@@ -54,16 +56,17 @@ class DPGVAE(BaselineEmbedder):
         logvar_layer = DenseLayer(self.hidden_dim, r, seed=self._rng)
 
         batch_size = min(cfg.batch_size, n)
-        accountant = MomentsAccountant(
-            noise_multiplier=privacy.noise_multiplier,
-            sampling_rate=batch_size / n,
-        )
         # Half of the (ε, δ) budget pays for DPSGD training, the other half
         # for privatising the released per-node embeddings (which are a
         # function of each node's raw adjacency row).
         training_epsilon = privacy.epsilon / 2.0
         release_epsilon = privacy.epsilon - training_epsilon
-        max_steps = accountant.max_steps(training_epsilon, privacy.delta)
+        max_steps = max_steps_within(
+            moments_rdp_curve(privacy.noise_multiplier, batch_size / n),
+            MOMENTS_ALPHAS,
+            training_epsilon,
+            privacy.delta,
+        )
         steps = min(cfg.epochs, max(1, max_steps))
         learning_rate = cfg.learning_rate * 0.1  # VAEs need a gentler rate here
 
@@ -126,7 +129,6 @@ class DPGVAE(BaselineEmbedder):
                 for param in params:
                     param -= learning_rate * averaged[idx]
                     idx += 1
-            accountant.step()
 
         hidden = hidden_act.forward(hidden_layer.forward(adjacency))
         embeddings = mean_layer.forward(hidden)

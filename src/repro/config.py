@@ -38,17 +38,12 @@ class PrivacyConfig:
         paper fixes ``σ = 5`` in all experiments.
     clipping_threshold:
         Per-example ℓ2 gradient clipping threshold ``C``.
-    accountant:
-        Which accountant tracks the privacy loss: ``"rdp"`` (default, used
-        by SE-PrivGEmb) or ``"moments"`` (used by the DPGGAN / DPGVAE
-        baselines).
     """
 
     epsilon: float = 3.5
     delta: float = 1e-5
     noise_multiplier: float = 5.0
     clipping_threshold: float = 2.0
-    accountant: str = "rdp"
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
@@ -63,10 +58,6 @@ class PrivacyConfig:
             raise ConfigurationError(
                 f"clipping_threshold must be positive, got {self.clipping_threshold}"
             )
-        if self.accountant not in {"rdp", "moments"}:
-            raise ConfigurationError(
-                f"accountant must be 'rdp' or 'moments', got {self.accountant!r}"
-            )
 
     def with_epsilon(self, epsilon: float) -> "PrivacyConfig":
         """Return a copy of this config with a different target epsilon."""
@@ -79,7 +70,6 @@ class PrivacyConfig:
             "delta": self.delta,
             "noise_multiplier": self.noise_multiplier,
             "clipping_threshold": self.clipping_threshold,
-            "accountant": self.accountant,
         }
 
 

@@ -16,6 +16,7 @@ the returned table as ``table.run_report``.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 from collections.abc import Sequence
 
@@ -140,13 +141,7 @@ def table_clipping(
     settings = settings or ExperimentSettings()
 
     def apply(s: ExperimentSettings, value: float):
-        privacy = s.privacy.__class__(
-            epsilon=s.privacy.epsilon,
-            delta=s.privacy.delta,
-            noise_multiplier=s.privacy.noise_multiplier,
-            clipping_threshold=float(value),
-            accountant=s.privacy.accountant,
-        )
+        privacy = dataclasses.replace(s.privacy, clipping_threshold=float(value))
         return s.training, privacy, "nonzero"
 
     return _sweep(

@@ -467,11 +467,14 @@ class Embedder(abc.ABC):
         training = (
             TrainingConfig(**metadata["training"]) if metadata.get("training") else None
         )
-        privacy = PrivacyConfig(**metadata["privacy"]) if metadata.get("privacy") else None
+        privacy_fields = dict(metadata.get("privacy") or {})
         options = dict(metadata.get("build_options") or {})
-        # older skip-gram artifacts record fast_path=True, the name of the
-        # workspace step that is now the only step: nothing left to replay
+        # older artifacts record fields that no longer choose anything:
+        # fast_path=True names the workspace step that is now the only step,
+        # and accountant="rdp" named the one accountant there is
         options.pop("fast_path", None)
+        privacy_fields.pop("accountant", None)
+        privacy = PrivacyConfig(**privacy_fields) if privacy_fields else None
         model = spec.build(
             training=training,
             privacy=privacy,

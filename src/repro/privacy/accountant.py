@@ -4,6 +4,10 @@ Each private SGD step applies the subsampled Gaussian mechanism with
 sampling rate ``γ = B / |GS|``.  The accountant accumulates the per-step RDP
 curve over an α grid, converts to (ε, δ)-DP after every step, and reports
 when the target budget would be exceeded so training can stop.
+
+:func:`max_steps_within` is the one "largest T with ε(T) ≤ target" search.
+The accountant, the persistent ledger and the DPGGAN / DPGVAE baselines
+each hand it their per-step curve.
 """
 
 from __future__ import annotations
@@ -15,10 +19,51 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..exceptions import PrivacyError
-from .rdp import DEFAULT_ALPHA_GRID, rdp_to_dp
+from .rdp import DEFAULT_ALPHA_GRID, _validate_alphas, rdp_to_dp
 from .subsampling import subsampled_gaussian_rdp_curve
 
-__all__ = ["PrivacySpent", "RdpAccountant"]
+__all__ = ["PrivacySpent", "RdpAccountant", "max_steps_within"]
+
+
+def max_steps_within(
+    per_step_rdp: np.ndarray,
+    alphas: Sequence[float],
+    target_epsilon: float,
+    delta: float,
+    *,
+    spent_rdp: np.ndarray | None = None,
+    limit: int = 1_000_000,
+) -> int:
+    """Largest step count ``T ≤ limit`` whose ε stays at or below the target.
+
+    The ε of ``T`` steps is :func:`rdp_to_dp` of ``spent_rdp + T ·
+    per_step_rdp``, where ``spent_rdp`` is the curve already composed (none
+    by default).  ε grows with ``T``, so the count is found by doubling,
+    then bisection.  Returns 0 when the first step already breaks the
+    target.
+    """
+    if target_epsilon <= 0:
+        raise PrivacyError(f"target_epsilon must be positive, got {target_epsilon}")
+
+    def fits(steps: int) -> bool:
+        curve = steps * per_step_rdp
+        if spent_rdp is not None:
+            curve = spent_rdp + curve
+        return rdp_to_dp(curve, alphas, delta)[0] <= target_epsilon
+
+    if not fits(1):
+        return 0
+    lo, hi = 1, 1
+    while hi < limit and fits(hi):
+        lo, hi = hi, hi * 2
+    hi = min(hi, limit)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 @dataclass(frozen=True)
@@ -62,9 +107,7 @@ class RdpAccountant:
             raise PrivacyError(f"sampling_rate must be in (0, 1], got {sampling_rate}")
         self.noise_multiplier = float(noise_multiplier)
         self.sampling_rate = float(sampling_rate)
-        self.alphas = np.asarray(list(alphas), dtype=float)
-        if np.any(self.alphas <= 1):
-            raise PrivacyError("all alpha orders must be > 1")
+        self.alphas = _validate_alphas(alphas)
         self._per_step_curve = subsampled_gaussian_rdp_curve(
             self.noise_multiplier, self.sampling_rate, self.alphas
         )
@@ -152,7 +195,8 @@ class RdpAccountant:
         This is the ``get privacy spent given the target ε`` operation of
         Algorithm 2 line 9: training stops once this δ exceeds the configured
         failure probability.  Uses the conversion
-        ``δ(α) = exp((α-1)(ε_RDP(α) - ε_target))`` minimised over α.
+        ``δ(α) = exp((α-1)(ε_RDP(α) - ε_target))`` minimised over α, and
+        clamped to 1: a probability bound above 1 certifies nothing more.
         """
         if target_epsilon <= 0:
             raise PrivacyError(f"target_epsilon must be positive, got {target_epsilon}")
@@ -162,26 +206,16 @@ class RdpAccountant:
             return 0.0
         curve = steps * self._per_step_curve
         log_deltas = (self.alphas - 1.0) * (curve - target_epsilon)
-        return float(np.exp(np.min(log_deltas)))
+        return float(np.exp(min(0.0, float(np.min(log_deltas)))))
 
     def max_steps(self, target_epsilon: float, delta: float, limit: int = 1_000_000) -> int:
         """Largest number of steps whose ε stays at or below ``target_epsilon``.
 
-        Uses binary search over the step count; ``limit`` bounds the search.
+        ``limit`` bounds the search (:func:`max_steps_within`).
         """
-        if self.epsilon_after(1, delta) > target_epsilon:
-            return 0
-        lo, hi = 1, 1
-        while hi < limit and self.epsilon_after(hi, delta) <= target_epsilon:
-            lo, hi = hi, hi * 2
-        hi = min(hi, limit)
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.epsilon_after(mid, delta) <= target_epsilon:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        return max_steps_within(
+            self._per_step_curve, self.alphas, target_epsilon, delta, limit=limit
+        )
 
     def would_exceed(self, target_epsilon: float, delta: float) -> bool:
         """Return ``True`` if accounting one more step would exceed the target ε."""

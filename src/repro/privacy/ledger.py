@@ -58,8 +58,8 @@ import numpy as np
 from ..exceptions import LedgerTornError, PrivacyBudgetExhausted, PrivacyError
 from ..robustness.faults import get_active_plan
 from ..utils.fileio import atomic_write_path
-from .accountant import PrivacySpent, RdpAccountant
-from .rdp import DEFAULT_ALPHA_GRID, compose_rdp, rdp_to_dp
+from .accountant import PrivacySpent, RdpAccountant, max_steps_within
+from .rdp import DEFAULT_ALPHA_GRID, _validate_alphas, compose_rdp, rdp_to_dp
 from .subsampling import subsampled_gaussian_rdp_curve
 
 __all__ = [
@@ -142,9 +142,7 @@ class PrivacyLedger:
         repair: bool = False,
     ) -> None:
         self.path = Path(path)
-        self.alphas = np.asarray(list(alphas), dtype=float)
-        if self.alphas.size == 0 or np.any(self.alphas <= 1.0):
-            raise PrivacyError("all alpha orders must be > 1")
+        self.alphas = _validate_alphas(alphas)
         self.repair = bool(repair)
         self._entries: list[dict[str, Any]] = []
         self._loaded_version = LEDGER_VERSION
@@ -554,34 +552,19 @@ class PrivacyLedger:
         sampling_rate: float,
         limit: int = 1_000_000,
     ) -> int:
-        """Largest additional step count that keeps cumulative ε ≤ target."""
-        if target_epsilon <= 0:
-            raise PrivacyError(f"target_epsilon must be positive, got {target_epsilon}")
+        """Largest additional step count that keeps cumulative ε ≤ target.
 
-        def fits(steps: int) -> bool:
-            return (
-                self.epsilon_with(
-                    delta,
-                    noise_multiplier=noise_multiplier,
-                    sampling_rate=sampling_rate,
-                    steps=steps,
-                )
-                <= target_epsilon
-            )
-
-        if not fits(1):
-            return 0
-        lo, hi = 1, 1
-        while hi < limit and fits(hi):
-            lo, hi = hi, hi * 2
-        hi = min(hi, limit)
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if fits(mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        The composed history and the new mechanism's per-step curve are
+        computed once, then handed to :func:`max_steps_within`.
+        """
+        return max_steps_within(
+            subsampled_gaussian_rdp_curve(noise_multiplier, sampling_rate, self.alphas),
+            self.alphas,
+            target_epsilon,
+            delta,
+            spent_rdp=self.total_rdp(),
+            limit=limit,
+        )
 
     def check_admission(
         self,

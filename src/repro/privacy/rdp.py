@@ -4,6 +4,8 @@ This module implements the RDP quantities the paper relies on:
 
 * the Gaussian-mechanism RDP curve ``ε(α) = α S² / (2σ²)``
   (Mironov 2017, Corollary 3),
+* the Moments Accountant bound of the DPGGAN / DPGVAE baselines written as
+  an RDP curve (:func:`moments_rdp_curve`),
 * sequential composition (sum of per-step ε at each α),
 * the RDP → (ε, δ)-DP conversion of Theorem 1:
   ``ε_DP = ε_RDP + log(1/δ) / (α - 1)``, minimised over the α grid,
@@ -21,7 +23,9 @@ from ..exceptions import PrivacyError
 
 __all__ = [
     "DEFAULT_ALPHA_GRID",
+    "MOMENTS_ALPHAS",
     "gaussian_rdp",
+    "moments_rdp_curve",
     "compose_rdp",
     "rdp_to_dp",
     "dp_to_rdp_budget",
@@ -33,6 +37,10 @@ DEFAULT_ALPHA_GRID: tuple[float, ...] = tuple(
      *range(5, 64),
      *(64, 80, 96, 128, 160, 192, 256, 320, 384, 512)]
 )
+
+#: The orders of the Moments Accountant: α = λ + 1 for the moment orders
+#: λ = 1..32 that Abadi et al. (2016) track.
+MOMENTS_ALPHAS: tuple[float, ...] = tuple(float(lam + 1) for lam in range(1, 33))
 
 
 def _validate_alphas(alphas: Sequence[float]) -> np.ndarray:
@@ -62,6 +70,40 @@ def gaussian_rdp(
     # Noise std is σ·S, so ε(α) = α S² / (2 (σ S)²) = α / (2 σ²): the
     # sensitivity cancels once the noise is calibrated to it.
     return arr / (2.0 * noise_multiplier**2)
+
+
+def moments_rdp_curve(
+    noise_multiplier: float,
+    sampling_rate: float,
+    alphas: Sequence[float] = MOMENTS_ALPHAS,
+) -> np.ndarray:
+    """Per-step RDP curve of the Moments Accountant (Abadi et al. 2016).
+
+    DPGGAN and DPGVAE account with the Moments Accountant.  It tracks the
+    log moments of the privacy loss of the sampled Gaussian mechanism, with
+    the widely used closed-form bound
+    ``α(λ) ≤ q² λ (λ + 1) / ((1 - q) σ²)`` at sampling rate ``q`` and noise
+    multiplier ``σ``.  The bound is valid for small ``q`` and ``σ ≥ 1``.
+    Moments add under composition, and the conversion to (ε, δ)-DP is
+    ``ε = min_λ (T α(λ) + log(1/δ)) / λ``.
+
+    That conversion is :func:`rdp_to_dp` at the order ``α = λ + 1`` with
+    ``RDP(α) = α(λ) / λ = q² α / ((1 - q) σ²)``, which is the curve returned
+    here.  At ``q = 1`` there is no subsampling and the curve is the plain
+    Gaussian :func:`gaussian_rdp`.  Evaluate it on :data:`MOMENTS_ALPHAS` to
+    reproduce the accountant the baselines used.  It is not looser than the
+    Theorem-4 curve of :mod:`~repro.privacy.subsampling`: at σ = 5,
+    δ = 1e-5 and ε = 3.5 it admits 818 steps against 147 at q = 0.08, and
+    17 against 11 at q = 0.43.
+    """
+    if noise_multiplier <= 0:
+        raise PrivacyError(f"noise_multiplier must be positive, got {noise_multiplier}")
+    if not 0 < sampling_rate <= 1:
+        raise PrivacyError(f"sampling_rate must be in (0, 1], got {sampling_rate}")
+    if sampling_rate == 1.0:
+        return gaussian_rdp(noise_multiplier, alphas)
+    q = sampling_rate
+    return q**2 * _validate_alphas(alphas) / ((1.0 - q) * noise_multiplier**2)
 
 
 def compose_rdp(curves: Iterable[np.ndarray]) -> np.ndarray:

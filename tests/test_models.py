@@ -319,6 +319,20 @@ class TestArtifacts:
         assert spent.epsilon == model.result_.privacy_spent.epsilon
         assert spent.steps == model.result_.privacy_spent.steps
 
+    def test_artifact_saved_with_the_accountant_field_still_loads(self, graph, tmp_path):
+        model = (
+            get_method("se_privgemb_deg").build(FAST_TRAINING, FAST_PRIVACY, seed=0).fit(graph)
+        )
+        path = model.save(tmp_path / "model.npz")
+        arrays, metadata = load_artifact(path)
+        assert "accountant" not in metadata["privacy"]
+        # what a private artifact saved while PrivacyConfig had the field held
+        metadata["privacy"]["accountant"] = "rdp"
+        save_artifact(path, arrays, metadata)
+        reloaded = Embedder.load(path)
+        assert reloaded.privacy_config == model.privacy_config
+        assert reloaded.embeddings_.tobytes() == model.embeddings_.tobytes()
+
     def test_typed_load_rejects_other_methods(self, graph, tmp_path):
         path = tmp_path / "gap.npz"
         get_method("gap").build(FAST_TRAINING, FAST_PRIVACY, seed=0).fit(graph).save(path)

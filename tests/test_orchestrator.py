@@ -86,7 +86,9 @@ class TestRunSpec:
         This hash is the RunStore key of a fixed cell.  If it changes,
         every previously stored sweep result is (intentionally) orphaned —
         the registry redesign did exactly that once, moving the method
-        field from a plain string to the MethodSpec payload.  Bump the pin
+        field from a plain string to the MethodSpec payload, and dropping
+        the dead ``PrivacyConfig.accountant`` field from the privacy
+        payload did it again.  Bump the pin
         only together with a deliberate, documented invalidation.
         """
         spec = RunSpec(
@@ -100,7 +102,7 @@ class TestRunSpec:
             seed=0,
         )
         assert spec.fingerprint() == (
-            "ccca6ec778dc691ec302520c7c9fae4e73427a9e10a198afab2b4efbe3e5a605"
+            "8cbbd1a24f23b06c71ae28201b732106e086ab9ef80a52b5c73ddf00614961ec"
         )
 
     def test_fingerprint_hashes_the_method_definition_not_the_label(self):

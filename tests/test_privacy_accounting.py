@@ -8,11 +8,14 @@ import pytest
 from repro import PrivacyError
 from repro.privacy import (
     DEFAULT_ALPHA_GRID,
-    MomentsAccountant,
+    MOMENTS_ALPHAS,
+    PrivacyLedger,
     RdpAccountant,
     compose_rdp,
     dp_to_rdp_budget,
     gaussian_rdp,
+    max_steps_within,
+    moments_rdp_curve,
     rdp_to_dp,
     subsampled_rdp,
 )
@@ -169,6 +172,13 @@ class TestRdpAccountant:
         d2 = acc.delta_after(50, target_epsilon=1.0)
         assert d1 <= d2
 
+    def test_delta_after_is_a_probability(self):
+        # unclamped, this δ is 2.4e271, and larger inputs overflow a double
+        acc = RdpAccountant(0.5, 0.5)
+        assert acc.delta_after(1000, 0.5) == 1.0
+        assert acc.delta_after(10**9, 1e-3) == 1.0
+        assert 0.0 < RdpAccountant(5.0, 0.1).delta_after(20, 3.5) < 1.0
+
     def test_tiny_noise_gives_a_huge_epsilon_not_an_overflow(self):
         # at σ = 0.01, e^{ε(2)} = e^{10^4} does not fit in a double
         tiny = RdpAccountant(noise_multiplier=0.01, sampling_rate=0.4)
@@ -186,30 +196,67 @@ class TestRdpAccountant:
         with pytest.raises(PrivacyError):
             RdpAccountant(5.0, 1.5)
 
+    def test_empty_alpha_grid_is_refused_at_construction(self):
+        with pytest.raises(PrivacyError, match="must not be empty"):
+            RdpAccountant(5.0, 0.1, alphas=[])
+        with pytest.raises(PrivacyError, match="> 1"):
+            RdpAccountant(5.0, 0.1, alphas=[1.0, 2.0])
+
+
+def _ma_log_moments(sigma, q):
+    """Abadi et al.'s per-step bound α(λ) at the moment orders λ = 1..32."""
+    lam = np.arange(1, 33, dtype=float)
+    rate = q**2 / ((1 - q) * sigma**2) if q < 1 else 1 / (2 * sigma**2)
+    return lam, lam * (lam + 1) * rate
+
+
+def _ma_epsilon_oracle(sigma, q, steps, delta):
+    """The MA's ε(T) = min_λ (T α(λ) + log 1/δ) / λ, written out."""
+    lam, moments = _ma_log_moments(sigma, q)
+    return float(np.min((steps * moments + np.log(1 / delta)) / lam))
+
+
+def _ma_max_steps_oracle(sigma, q, target, delta, limit=1_000_000):
+    """Solve ε(T) ≤ target per λ in closed form, then step to the exact edge."""
+    lam, moments = _ma_log_moments(sigma, q)
+    solved = np.max(np.floor((lam * target - np.log(1 / delta)) / moments))
+    steps = int(min(limit, max(0.0, solved)))
+    while steps < limit and _ma_epsilon_oracle(sigma, q, steps + 1, delta) <= target:
+        steps += 1
+    while steps > 0 and _ma_epsilon_oracle(sigma, q, steps, delta) > target:
+        steps -= 1
+    return steps
+
+
+def _ma_epsilon(sigma, q, steps, delta):
+    curve = moments_rdp_curve(sigma, q)
+    return rdp_to_dp(steps * curve, MOMENTS_ALPHAS, delta)[0]
+
+
+def _ma_max_steps(sigma, q, target, delta):
+    return max_steps_within(moments_rdp_curve(sigma, q), MOMENTS_ALPHAS, target, delta)
+
 
 class TestMomentsAccountant:
+    """The Moments Accountant of the baselines as an RDP curve."""
+
     def test_epsilon_grows_with_steps(self):
-        acc = MomentsAccountant(noise_multiplier=5.0, sampling_rate=0.05)
-        acc.step(10)
-        e10 = acc.get_epsilon(1e-5)
-        acc.step(90)
-        e100 = acc.get_epsilon(1e-5)
+        e10 = _ma_epsilon(5.0, 0.05, 10, 1e-5)
+        e100 = _ma_epsilon(5.0, 0.05, 100, 1e-5)
         assert 0 < e10 < e100
 
     def test_get_delta_inverse_relation(self):
-        acc = MomentsAccountant(5.0, 0.1)
+        # MA's δ = min_λ exp(T α(λ) − λ ε) is delta_after's conversion at α = λ+1
+        acc = RdpAccountant(5.0, 0.1, alphas=MOMENTS_ALPHAS)
         acc.step(20)
-        eps = acc.get_epsilon(1e-5)
-        assert acc.get_delta(eps) <= 1e-5 * 1.01
+        eps = acc.get_privacy_spent(1e-5).epsilon
+        assert acc.delta_after(20, eps) <= 1e-5 * 1.01
 
     def test_max_steps_positive_and_consistent(self):
-        acc = MomentsAccountant(5.0, 0.05)
-        steps = acc.max_steps(1.0, 1e-5)
-        assert steps >= 0
-        if steps > 0:
-            fresh = MomentsAccountant(5.0, 0.05)
-            fresh.step(steps)
-            assert fresh.get_epsilon(1e-5) <= 1.0
+        steps = _ma_max_steps(5.0, 0.05, 1.0, 1e-5)
+        assert steps > 0
+        assert _ma_epsilon(5.0, 0.05, steps, 1e-5) <= 1.0
+        assert _ma_epsilon(5.0, 0.05, steps + 1, 1e-5) > 1.0
 
     def test_max_steps_shrinks_with_sampling_rate_and_budget(self):
         """Larger sampling rates or smaller budgets certify fewer MA steps.
@@ -217,18 +264,84 @@ class TestMomentsAccountant:
         This is the mechanism behind the paper's observation that the
         DPGGAN/DPGVAE baselines converge prematurely at small budgets.
         """
-        assert MomentsAccountant(5.0, 0.5).max_steps(1.0, 1e-5) <= MomentsAccountant(
-            5.0, 0.05
-        ).max_steps(1.0, 1e-5)
-        assert MomentsAccountant(5.0, 0.2).max_steps(0.5, 1e-5) <= MomentsAccountant(
-            5.0, 0.2
-        ).max_steps(3.5, 1e-5)
+        assert _ma_max_steps(5.0, 0.5, 1.0, 1e-5) <= _ma_max_steps(5.0, 0.05, 1.0, 1e-5)
+        assert _ma_max_steps(5.0, 0.2, 0.5, 1e-5) <= _ma_max_steps(5.0, 0.2, 3.5, 1e-5)
 
     def test_invalid_inputs(self):
         with pytest.raises(PrivacyError):
-            MomentsAccountant(0.0, 0.1)
-        acc = MomentsAccountant(5.0, 0.1)
+            moments_rdp_curve(0.0, 0.1)
         with pytest.raises(PrivacyError):
-            acc.get_epsilon(0.0)
+            moments_rdp_curve(0.0, 1.0)
         with pytest.raises(PrivacyError):
-            acc.get_delta(-1.0)
+            moments_rdp_curve(5.0, 0.0)
+        curve = moments_rdp_curve(5.0, 0.1)
+        with pytest.raises(PrivacyError):
+            max_steps_within(curve, MOMENTS_ALPHAS, 1.0, 0.0)
+        with pytest.raises(PrivacyError):
+            max_steps_within(curve, MOMENTS_ALPHAS, -1.0, 1e-5)
+
+    def test_orders_are_the_moment_orders_plus_one(self):
+        assert MOMENTS_ALPHAS == tuple(float(lam) for lam in range(2, 34))
+        np.testing.assert_array_equal(
+            moments_rdp_curve(5.0, 1.0), gaussian_rdp(5.0, MOMENTS_ALPHAS)
+        )
+
+    @pytest.mark.parametrize("delta", [1e-5, 1e-6])
+    def test_matches_the_written_out_moments_accountant(self, delta):
+        for sigma in (0.5, 0.7, 1.0, 2.0, 5.0, 10.0, 50.0):
+            for q in (0.01, 0.05, 0.1, 0.2, 0.5, 0.9, 1.0):
+                for target in (0.1, 0.5, 1.0, 1.75, 3.5, 10.0):
+                    expected = _ma_max_steps_oracle(sigma, q, target, delta)
+                    assert _ma_max_steps(sigma, q, target, delta) == expected
+                for steps in (1, 7, 100, 2000):
+                    assert _ma_epsilon(sigma, q, steps, delta) == pytest.approx(
+                        _ma_epsilon_oracle(sigma, q, steps, delta), rel=1e-15
+                    )
+
+
+class TestStepSearch:
+    def test_limit_caps_the_search(self):
+        curve = gaussian_rdp(1000.0, DEFAULT_ALPHA_GRID)
+        assert max_steps_within(curve, DEFAULT_ALPHA_GRID, 3.5, 1e-5, limit=37) == 37
+
+    def test_ledger_remaining_steps_after_two_prior_groups(self, tmp_path):
+        ledger = PrivacyLedger(tmp_path / "ledger.jsonl")
+        for sigma, rate, steps in ((5.0, 0.05, 120), (3.0, 0.1, 30)):
+            ledger.record_fit(
+                "fp", method="m", noise_multiplier=sigma, sampling_rate=rate,
+                steps=steps, delta=1e-5, epsilon=0.0,
+            )
+        mechanism = {"noise_multiplier": 4.0, "sampling_rate": 0.08}
+        remaining = ledger.remaining_steps(3.5, 1e-5, **mechanism)
+        assert remaining > 0
+        assert ledger.epsilon_with(1e-5, steps=remaining, **mechanism) <= 3.5
+        assert ledger.epsilon_with(1e-5, steps=remaining + 1, **mechanism) > 3.5
+        assert ledger.check_admission(3.5, 1e-5, **mechanism) == remaining
+
+
+class TestTheorem4Looseness:
+    """Where the Theorem-4 subsampling bound stops amplifying.
+
+    For j ≥ 3 its terms tend to 2γʲC(α,j) as σ grows, so the amplified
+    per-step curve has a floor that does not depend on σ.  Past the σ where
+    that floor meets the unamplified Gaussian α/(2σ²), subsampling buys
+    nothing and ε no longer depends on γ.
+    """
+
+    def test_per_step_curve_floor_at_alpha_8(self):
+        def at(sigma):
+            return subsampled_gaussian_rdp_curve(sigma, 0.042, [8.0])[0]
+
+        # the small-γ rate 2γ²α/σ² would be 1.13e-3 at σ = 5
+        assert at(5.0) == pytest.approx(2.548e-3, rel=1e-3)
+        assert at(10.0) == pytest.approx(1.565e-3, rel=1e-3)
+        # the floor is above the unamplified curve, which the min() returns
+        assert at(1000.0) == 8.0 / (2.0 * 1000.0**2) == 4e-6
+
+    def test_epsilon_at_sigma_40_does_not_depend_on_the_sampling_rate(self):
+        epsilons = [
+            RdpAccountant(40.0, rate).epsilon_after(1000, 1e-5)
+            for rate in (0.084, 0.338, 1.0)
+        ]
+        assert epsilons[0] == epsilons[1] == epsilons[2]
+        assert epsilons[0] == pytest.approx(4.10632, abs=1e-5)
