@@ -4,9 +4,10 @@ The repeat/stream discipline (PR 3/5) pins every stochastic result
 bit-for-bit: trainers and samplers accept a seed-like parameter and
 normalise it with ``ensure_rng`` / ``repeat_streams``.  One call into the
 legacy global-state API (``np.random.seed``, ``np.random.rand``, ...) or
-one unseeded ``np.random.default_rng()`` inside library code silently
-decouples a component from those streams — results stay plausible, tests
-that don't pin the exact draw keep passing, and reproducibility is gone.
+one unseeded ``np.random.default_rng()`` or bit generator (``PCG64()``,
+``MT19937()``, ...) inside library code silently decouples a component
+from those streams — results stay plausible, tests that don't pin the
+exact draw keep passing, and reproducibility is gone.
 """
 
 from __future__ import annotations
@@ -63,10 +64,35 @@ def _is_np_random(node: ast.expr) -> bool:
     )
 
 
-def _is_default_rng(func: ast.expr) -> bool:
+#: constructors that read OS entropy when given no seed (or ``None``)
+_ENTROPY_SEEDED = frozenset(
+    {"default_rng", "PCG64", "PCG64DXSM", "SFC64", "Philox", "MT19937"}
+)
+
+
+def _constructor_name(func: ast.expr) -> str | None:
+    """``default_rng`` / a bit generator called as a bare or dotted name."""
     if isinstance(func, ast.Name):
-        return func.id == "default_rng"
-    return isinstance(func, ast.Attribute) and func.attr == "default_rng"
+        name = func.id
+    elif isinstance(func, ast.Attribute):
+        name = func.attr
+    else:
+        return None
+    return name if name in _ENTROPY_SEEDED else None
+
+
+def _is_unseeded(call: ast.Call) -> bool:
+    """No arguments, or a single ``None`` seed (positional or ``seed=``)."""
+    given = [*call.args, *(kw.value for kw in call.keywords)]
+    if not given:
+        return True
+    by_name = all(kw.arg == "seed" for kw in call.keywords)
+    return (
+        len(given) == 1
+        and by_name
+        and isinstance(given[0], ast.Constant)
+        and given[0].value is None
+    )
 
 
 @register_rule
@@ -103,20 +129,14 @@ class LegacyRandomRule(Rule):
                             f"legacy randomness imported from numpy.random: "
                             f"{alias.name}",
                         )
-            # default_rng() with no entropy: a fresh OS-seeded stream that
-            # no experiment fingerprint can reproduce
-            elif isinstance(node, ast.Call) and _is_default_rng(node.func):
-                unseeded = not node.args and not node.keywords
-                none_seeded = (
-                    len(node.args) == 1
-                    and not node.keywords
-                    and isinstance(node.args[0], ast.Constant)
-                    and node.args[0].value is None
-                )
-                if unseeded or none_seeded:
+            # default_rng() or a bit generator with no entropy: a fresh
+            # OS-seeded stream that no experiment fingerprint can reproduce
+            elif isinstance(node, ast.Call) and _is_unseeded(node):
+                name = _constructor_name(node.func)
+                if name is not None:
                     yield self.finding(
                         context,
                         node,
-                        "unseeded default_rng(): the stream cannot be "
+                        f"unseeded {name}(): the stream cannot be "
                         "reproduced or fingerprinted",
                     )

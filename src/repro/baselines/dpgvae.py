@@ -14,8 +14,10 @@ reproduction keeps that structure on the numpy NN substrate:
   is exhausted.
 
 The paper observes DPGVAE "converges prematurely when using MA, especially
-when the privacy budget is small" — that behaviour emerges here because the
-MA bound allows only a few noisy steps at small ε.
+when the privacy budget is small".  MA is not what stops it here: it is the
+more permissive bound (at σ = 5, γ = 0.042, ε = 3.5 it admits 3,148 steps
+against the Theorem-4 curve's 783).  Training spends half the (ε, δ) budget
+and is capped at ``epochs``; those two make any early stop.
 """
 
 from __future__ import annotations

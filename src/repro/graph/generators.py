@@ -14,9 +14,11 @@ All generators return :class:`repro.graph.Graph` instances, take an explicit
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from ..exceptions import GraphError
+from ..exceptions import ConfigurationError, GraphError
 from ..utils.rng import ensure_rng
 from .graph import Graph
 
@@ -28,6 +30,12 @@ __all__ = [
     "stochastic_block_model_graph",
     "grid_with_rewiring_graph",
 ]
+
+#: numpy's double from a raw PCG64 word ``w`` is ``(w >> 11) * 2**-53``
+_DOUBLE_SCALE = 2.0**-53
+_LOW32 = 0xFFFFFFFF
+#: endpoint draws a rewire event tries before it keeps its edge
+_REWIRE_TRIES = 50
 
 
 def erdos_renyi_graph(
@@ -157,6 +165,16 @@ def watts_strogatz_graph(
 
     Starts from a ring where every node connects to its ``neighbors`` nearest
     nodes (must be even) and rewires each edge with the given probability.
+
+    The edges are visited in the iteration order of the set of ``(lo, hi)``
+    tuples inserted node by node, which is what pins the seeded graphs.  Each
+    draws one ``rng.random()``; below ``rewire_probability`` it then draws
+    ``rng.integers(0, num_nodes)`` up to 50 times for an endpoint ``w`` that
+    makes ``(u, w)`` neither a self-loop, nor a lattice edge, nor an earlier
+    rewired edge, and keeps ``(u, v)`` if none does.  Those draws are decoded
+    from the raw PCG64 stream (:class:`_Pcg64Words`), so the graph and
+    the end state of ``rng`` are what the scalar calls would give, and
+    ``rng`` must run on :class:`numpy.random.PCG64`.
     """
     k = int(neighbors)
     if k % 2 != 0 or k < 2:
@@ -168,26 +186,126 @@ def watts_strogatz_graph(
             f"rewire_probability must be in [0, 1], got {rewire_probability}"
         )
     rng = ensure_rng(seed)
-    edge_set: set[tuple[int, int]] = set()
-    for u in range(num_nodes):
-        for offset in range(1, k // 2 + 1):
-            v = (u + offset) % num_nodes
-            edge_set.add((min(u, v), max(u, v)))
-    edges = list(edge_set)
-    rewired: set[tuple[int, int]] = set()
-    for u, v in edges:
-        if rng.random() < rewire_probability:
-            for _ in range(50):
-                w = int(rng.integers(0, num_nodes))
-                key = (min(u, w), max(u, w))
-                if w != u and key not in rewired and key not in edge_set:
-                    rewired.add(key)
-                    break
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise ConfigurationError(
+            "watts_strogatz_graph replays a PCG64 stream; got a Generator on "
+            f"{type(rng.bit_generator).__name__}"
+        )
+    n, half = int(num_nodes), k // 2
+    lo = np.repeat(np.arange(n, dtype=np.int64), half)
+    hi = (lo + np.tile(np.arange(1, half + 1, dtype=np.int64), n)) % n
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    order = set(zip(lo.tolist(), hi.tolist(), strict=True))
+    edges = np.fromiter(
+        itertools.chain.from_iterable(order), dtype=np.int64, count=2 * len(order)
+    ).reshape(-1, 2)
+    words = _Pcg64Words(rng.bit_generator, below=float(rewire_probability))
+    rows, targets = _rewire(words, edges[:, 0].tolist(), n, half)
+    words.finish()
+    edges[rows, 1] = targets
+    return Graph(n, edges, name=name)
+
+
+class _Pcg64Words:
+    """A PCG64's raw 64-bit words, decoded the way numpy's scalar draws do.
+
+    Words are read ahead, in blocks, from a copy of the caller's bit
+    generator; ``pos`` is the next unread one.  numpy turns a word ``w``
+    into the double ``(w >> 11)·2⁻⁵³``, and ``hits`` lists the positions of
+    the words whose double falls below ``below``.  :meth:`finish` moves the
+    caller's generator past the words read, as the scalar calls would have.
+    """
+
+    def __init__(self, bitgen: np.random.PCG64, below: float) -> None:
+        state = bitgen.state
+        self._bitgen = bitgen
+        self._source = np.random.PCG64(0)
+        self._source.state = state
+        self._has_half = bool(state["has_uint32"])
+        self._half = int(state["uinteger"])
+        self._below = below
+        self.words: list[int] = []
+        self.hits: list[int] = []
+        self.pos = 0
+
+    def more(self, count: int) -> None:
+        """Read ``count`` more words."""
+        block = self._source.random_raw(count)
+        hits = np.flatnonzero((block >> 11) * _DOUBLE_SCALE < self._below)
+        self.hits.extend((hits + len(self.words)).tolist())
+        self.words.extend(block.tolist())
+
+    def integer(self, n: int) -> int:
+        """``Generator.integers(0, n)`` for ``2 <= n <= 2**32``.
+
+        Reads a 32-bit half: the high half buffered by the previous call,
+        else the low half of a fresh word.  Lemire's (2019) multiply-shift
+        maps it to ``x·n >> 32`` and rejects a low product below
+        ``(2³² − n) mod n``.
+        """
+        threshold = (2**32 - n) % n
+        while True:
+            if self._has_half:
+                x, self._has_half = self._half, False
             else:
-                rewired.add((u, v))
-        else:
-            rewired.add((u, v))
-    return Graph(num_nodes, list(rewired), name=name)
+                if self.pos == len(self.words):
+                    self.more(len(self.words) // 2 + 64)
+                word = self.words[self.pos]
+                self.pos += 1
+                x, self._half, self._has_half = word & _LOW32, word >> 32, True
+            product = x * n
+            if product & _LOW32 >= threshold:
+                return product >> 32
+
+    def finish(self) -> None:
+        """Advance the caller's generator by ``pos`` words, half buffer included."""
+        self._bitgen.advance(self.pos)
+        state = self._bitgen.state
+        state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
+        self._bitgen.state = state
+
+
+def _rewire(
+    words: _Pcg64Words, heads: list[int], n: int, half: int
+) -> tuple[list[int], list[int]]:
+    """Walk the Watts–Strogatz rewire events over ``words``.
+
+    ``heads[i]`` is the lower endpoint of the i-th edge in draw order, and
+    ``words`` hits are the doubles below the rewire probability.  An edge
+    without a rewire event costs one word, so the edges between two events
+    are skipped in bulk.  Returns the rewired edges' indices and their new
+    endpoints; ``words.pos`` ends past the last edge's word.
+    """
+    m = len(heads)
+    words.more(m + m // 2 + 64)  # one word per edge, a half per endpoint draw
+    new_keys: set[int] = set()
+    rows: list[int] = []
+    targets: list[int] = []
+    edge = hit = 0
+    while True:
+        while hit < len(words.hits) and words.hits[hit] < words.pos:
+            hit += 1  # that word was read as a bounded int
+        if hit == len(words.hits):
+            if edge + len(words.words) - words.pos >= m:
+                break
+            words.more(m)
+            continue
+        e = edge + words.hits[hit] - words.pos
+        if e >= m:
+            break
+        edge, words.pos = e + 1, words.hits[hit] + 1
+        u = heads[e]
+        for _ in range(_REWIRE_TRIES):
+            w = words.integer(n)
+            key = u * n + w if u < w else w * n + u
+            # ring distance beyond half: no self-loop and no lattice edge
+            if half < abs(w - u) < n - half and key not in new_keys:
+                new_keys.add(key)
+                rows.append(e)
+                targets.append(w)
+                break
+    words.pos += m - edge
+    return rows, targets
 
 
 def powerlaw_cluster_graph(

@@ -119,6 +119,42 @@ class TestRNG001:
         assert "np.random.seed" in messages
         assert "unseeded default_rng" in messages
 
+    def test_fires_on_unseeded_bit_generators(self, tmp_path):
+        report = lint(
+            tmp_path,
+            """
+            import numpy as np
+            from numpy.random import MT19937, Generator
+
+            a = np.random.PCG64()
+            b = np.random.PCG64DXSM(None)
+            c = np.random.SFC64(seed=None)
+            d = np.random.Philox()
+            e = Generator(MT19937())
+            """,
+            rule="RNG001",
+        )
+        assert rule_ids(report) == ["RNG001"] * 5
+        messages = " | ".join(f.message for f in report.findings)
+        for name in ("PCG64", "PCG64DXSM", "SFC64", "Philox", "MT19937"):
+            assert f"unseeded {name}()" in messages
+
+    def test_silent_on_seeded_bit_generators(self, tmp_path):
+        report = lint(
+            tmp_path,
+            """
+            import numpy as np
+
+            def replay(rng, seed):
+                copy = np.random.PCG64(0)
+                copy.state = rng.bit_generator.state
+                keyed = np.random.Philox(key=seed)
+                return copy, keyed, np.random.MT19937(np.random.SeedSequence(seed))
+            """,
+            rule="RNG001",
+        )
+        assert report.findings == []
+
     def test_silent_on_seeded_streams(self, tmp_path):
         report = lint(
             tmp_path,

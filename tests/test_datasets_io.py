@@ -56,6 +56,37 @@ class TestDatasetRegistry:
         assert graph.name == "chameleon"
 
 
+#: content fingerprints of the seeded stand-ins: every registered dataset at
+#: its default size, plus the 20,000-node smallworld graphs the end-to-end
+#: benchmark loads.  Bump an entry only with a stated reason, as with the
+#: ``RunSpec`` fingerprint pin: a change here changes every seeded result
+#: built on that graph.
+DATASET_FINGERPRINTS = {
+    ("arxiv", None, 0): "8c8be3d4f638cccdcea10d0073220911",
+    ("blogcatalog", None, 0): "fdc47ce4b195eeb4c7706202d70967f0",
+    ("chameleon", None, 0): "8cbcf8d5520f409d08933f4a6c0523b9",
+    ("dblp", None, 0): "59d7fe9f36ad3cf2f02f6f0ff3b210f3",
+    ("power", None, 0): "dfa539614e20c07f5054823a9bcaaf69",
+    ("ppi", None, 0): "92a89260b8c4a8d0ef7a65acbc423165",
+    ("smallworld", None, 0): "3899838742109cd70ce86d42ec0c485f",
+    ("smallworld", 20_000, 1): "b03cc2800c551f981742569bac0238ff",
+    ("smallworld", 20_000, 2): "3928dd33393a0975f416c83f31843682",
+}
+
+
+class TestDatasetFingerprintPin:
+    def test_every_registered_dataset_is_pinned(self):
+        pinned = {name for name, num_nodes, _ in DATASET_FINGERPRINTS if num_nodes is None}
+        assert pinned == set(available_datasets())
+
+    @pytest.mark.parametrize(
+        ("name", "num_nodes", "seed"), sorted(DATASET_FINGERPRINTS, key=str)
+    )
+    def test_seeded_graph_content_is_pinned(self, name, num_nodes, seed):
+        graph = load_dataset(name, num_nodes=num_nodes, seed=seed)
+        assert graph.content_fingerprint() == DATASET_FINGERPRINTS[name, num_nodes, seed]
+
+
 class TestEdgeListIO:
     def test_round_trip(self, tmp_path, triangle_graph):
         path = tmp_path / "graph.edgelist"

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import GraphError
+import generator_oracle
+from repro import ConfigurationError, GraphError
 from repro.graph.generators import (
+    _Pcg64Words,
     barabasi_albert_graph,
     erdos_renyi_graph,
     grid_with_rewiring_graph,
@@ -107,6 +109,68 @@ class TestWattsStrogatz:
             watts_strogatz_graph(10, 3, 0.1)
         with pytest.raises(GraphError):
             watts_strogatz_graph(4, 6, 0.1)
+
+
+def _same_as_loop(num_nodes, k, p, seed, *, buffered=False):
+    """Build one graph both ways; True when edges and end states agree."""
+    rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:  # leaves the high 32-bit half of one word in the buffer
+        for rng in rngs:
+            rng.integers(0, 10)
+    got = watts_strogatz_graph(num_nodes, k, p, seed=rngs[0])
+    want = generator_oracle.watts_strogatz_graph(num_nodes, k, p, rngs[1])
+    return (
+        np.array_equal(got.edges, want.edges)
+        and rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    )
+
+
+class TestWattsStrogatzReplay:
+    """The raw-word replay against the per-edge loop it replaced."""
+
+    @pytest.mark.parametrize("num_nodes", [8, 12, 20, 40, 160, 400, 1000, 3000])
+    def test_matches_the_per_edge_loop(self, num_nodes):
+        mismatches = [
+            (k, p, seed, buffered)
+            for k in (4, 6, 8)
+            if k < num_nodes
+            for p in (0.0, 0.05, 0.2, 0.9, 1.0)
+            for seed in range(4)
+            for buffered in (False, True)
+            if not _same_as_loop(num_nodes, k, p, seed, buffered=buffered)
+        ]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_the_loop_on_the_benchmark_graphs(self, seed):
+        assert _same_as_loop(20_000, 6, 0.2, seed)
+
+    def test_matches_the_loop_when_every_try_fails(self):
+        # 24 of the 28 pairs are lattice edges, so at most 4 of the 24 rewire
+        # events find a fresh pair; the rest exhaust 50 tries and keep theirs
+        g = watts_strogatz_graph(8, 6, 1.0, seed=0)
+        lattice = watts_strogatz_graph(8, 6, 0.0, seed=0)
+        kept = {tuple(e) for e in g.edges.tolist()} & {tuple(e) for e in lattice.edges.tolist()}
+        assert len(kept) >= 20
+        assert _same_as_loop(8, 6, 1.0, 0)
+
+    def test_bounded_int_replay_matches_generator_integers(self):
+        n = 2**31 + 1  # rejects about half of all 32-bit values
+        rng = np.random.default_rng(5)
+        bitgen = np.random.PCG64(5)
+        words = _Pcg64Words(bitgen, below=0.0)
+        got = [words.integer(n) for _ in range(2000)]
+        want = [int(rng.integers(0, n)) for _ in range(2000)]
+        assert got == want
+        halves = 2 * words.pos - int(rng.bit_generator.state["has_uint32"])
+        assert 0.4 < (halves - 2000) / halves < 0.6
+        words.finish()
+        assert bitgen.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM])
+    def test_refuses_other_bit_generators(self, bit_generator):
+        with pytest.raises(ConfigurationError, match="PCG64"):
+            watts_strogatz_graph(20, 4, 0.2, seed=np.random.Generator(bit_generator(0)))
 
 
 class TestPowerlawCluster:
