@@ -24,6 +24,10 @@ _DICT_VIEWS = ("items", "keys", "values")
 
 
 def _is_fingerprint_function(name: str) -> bool:
+    # a test that compares fingerprints against pinned values computes no
+    # digest, so its iteration order cannot re-key anything
+    if name.startswith("test_"):
+        return False
     return "fingerprint" in name or name == "group_key"
 
 

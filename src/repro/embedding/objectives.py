@@ -14,6 +14,12 @@ Its gradients (Eq. 7 and Eq. 8) touch only the centre row of ``W_in`` and the
 
 where ``n = 0`` denotes the positive node ``v_j``.  That sparsity is exactly
 what the non-zero perturbation strategy exploits.
+
+The ``W_out`` gradient of one example is rank 1: the ``1+k`` weighted errors
+``p_ij (σ(v_n·v_i) - 1[v_n = v_j])`` times the one centre row ``v_i``.  The
+batch pass returns it in those two factors and never builds the
+``[B, 1+k, r]`` block; clipping takes its norm as ``‖e‖·‖v_i‖`` and the
+segment sums form each row's product only when they gather it.
 """
 
 from __future__ import annotations
@@ -93,10 +99,11 @@ class StructurePreferenceObjective:
 
         One contraction computes all ``B × (1+k)`` scores instead of ``B``
         Python-level matvecs; the result equals the per-example Eq. (7) /
-        Eq. (8) up to floating-point evaluation order.  The per-example
-        losses fall out of the same
-        scores and ride along on the returned :class:`BatchGradients`, so
-        callers never pay a second loss pass.
+        Eq. (8) up to floating-point evaluation order.  Eq. (8) is returned
+        as its rank-1 factors (``context_errors``, ``center_vectors``).  The
+        per-example losses fall out of the same scores and ride along on the
+        returned :class:`BatchGradients`, so callers never pay a second loss
+        pass.
 
         The whole pass runs through the preallocated buffers of
         ``workspace`` (a :class:`~repro.engine.StepWorkspace`) — gathers
@@ -150,8 +157,8 @@ class StructurePreferenceObjective:
         weights_col = ws.weights_col if weights is ws.weights else weights[:, None]
         np.multiply(errors, weights_col, out=errors)
 
+        # the W_out gradient stays factored: errors ⊗ center_vecs (Eq. 8)
         np.einsum("bk,bkr->br", errors, ws.context_vecs, out=ws.center_gradients)
-        np.multiply(ws.errors_col, ws.center_vecs_mid, out=ws.context_gradients)
         return ws.gradients
 
     def __repr__(self) -> str:

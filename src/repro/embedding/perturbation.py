@@ -13,14 +13,16 @@ in the sensitivity that calibrates it:
 * :class:`NonZeroPerturbation` — the paper's noise-tolerance mechanism.
   Skip-gram gradients are sparse (one ``W_in`` row and ``k+1`` ``W_out``
   rows per example), so noise is injected only into the rows that are
-  actually non-zero, calibrated with sensitivity ``C`` (one clipped example
-  per touched row in the worst case).
+  actually non-zero, calibrated with sensitivity ``C``.  That calibration
+  assumes one clipped example per touched row, which sampled batches do
+  not meet (see the class docstring).
 
 The contrast between the two is the ablation of Table VI.
 
 Both run on the engine's :class:`~repro.engine.StepWorkspace`: clipping
-mutates the workspace gradient buffers in place, and the result is the
-one :class:`~repro.engine.PerturbedGradients` type — noisy summed rows
+mutates the workspace gradient buffers in place, both strategies sum the
+clipped rows through the workspace's segment scratch, and the result is
+the one :class:`~repro.engine.PerturbedGradients` type — noisy summed rows
 plus per-row touch counts, averaged afterwards by the update rule.
 """
 
@@ -98,10 +100,10 @@ class PerturbationStrategy(abc.ABC):
         """
         ws = workspace
         batch_size = len(batch_gradients)
-        if batch_gradients.context_gradients.shape != ws.context_gradients.shape:
+        if batch_gradients.context_errors.shape != ws.errors.shape:
             raise TrainingError(
-                f"batch gradients shape {batch_gradients.context_gradients.shape} "
-                f"does not match the workspace geometry {ws.context_gradients.shape}"
+                f"batch gradients shape {batch_gradients.context_errors.shape} "
+                f"does not match the workspace geometry {ws.errors.shape}"
             )
         self._clip_batch(batch_gradients, ws)
         std = self.noise_multiplier * self.sensitivity(batch_size)
@@ -109,20 +111,24 @@ class PerturbationStrategy(abc.ABC):
         result = ws.perturb_result
         result.batch_size = batch_size
         result.mean_loss = batch_gradients.mean_loss
+        unique_in, unique_out = ws.reduce_gradients(batch_gradients)
         result.w_in_rows, result.w_in_sums, result.w_in_counts = self._noisy_rows(
-            ws.center_scratch, batch_gradients.centers,
-            batch_gradients.center_gradients, std, ws.num_nodes,
+            ws.center_scratch, unique_in, std, ws.num_nodes
         )
         result.w_out_rows, result.w_out_sums, result.w_out_counts = self._noisy_rows(
-            ws.context_scratch, batch_gradients.context_nodes.reshape(-1),
-            batch_gradients.context_gradients.reshape(-1, ws.embedding_dim),
-            std, ws.num_nodes,
+            ws.context_scratch, unique_out, std, ws.num_nodes
         )
         return result
 
     @zero_alloc
     def _clip_batch(self, batch_gradients: BatchGradients, workspace) -> None:
-        """Per-example Eq. (3) clipping, in place in the gradient buffers."""
+        """Per-example Eq. (3) clipping, in place in the gradient buffers.
+
+        The ``W_out`` block of example ``b`` is ``e_b ⊗ c_b`` (errors times
+        centre row), so its Frobenius norm is ``‖e_b‖·‖c_b‖`` and clipping
+        it rescales the error row alone.  An example under the threshold
+        is divided by exactly 1.0, which leaves its bits unchanged.
+        """
         threshold = self.clipping_threshold
         ws = workspace
         norms = ws.example_norms
@@ -133,12 +139,15 @@ class PerturbationStrategy(abc.ABC):
         np.maximum(norms, 1.0, out=norms)
         np.divide(center_grads, ws.example_norms_col, out=center_grads)
 
-        context_grads = batch_gradients.context_gradients
-        np.einsum("bkr,bkr->b", context_grads, context_grads, out=norms)
+        errors = batch_gradients.context_errors
+        center_rows = batch_gradients.center_vectors
+        np.einsum("bk,bk->b", errors, errors, out=norms)
+        np.einsum("br,br->b", center_rows, center_rows, out=ws.center_norms)
+        np.multiply(norms, ws.center_norms, out=norms)
         np.sqrt(norms, out=norms)
         np.divide(norms, threshold, out=norms)
         np.maximum(norms, 1.0, out=norms)
-        np.divide(context_grads, ws.example_norms_col3, out=context_grads)
+        np.divide(errors, ws.example_norms_col, out=errors)
 
     # ------------------------------------------------------------------ #
     @abc.abstractmethod
@@ -147,9 +156,9 @@ class PerturbationStrategy(abc.ABC):
 
     @abc.abstractmethod
     def _noisy_rows(
-        self, scratch, rows: np.ndarray, values: np.ndarray, std: float, num_nodes: int
+        self, scratch, unique: int, std: float, num_nodes: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sum ``values`` by ``rows`` and noise them: ``(rows, sums, counts)``."""
+        """Noise the ``unique`` segment sums of ``scratch``: ``(rows, sums, counts)``."""
 
 
 class NaivePerturbation(PerturbationStrategy):
@@ -163,16 +172,17 @@ class NaivePerturbation(PerturbationStrategy):
             raise TrainingError(f"batch_size must be >= 1, got {batch_size}")
         return self.clipping_threshold * batch_size
 
-    def _noisy_rows(self, scratch, rows, values, std, num_nodes):
+    def _noisy_rows(self, scratch, unique, std, num_nodes):
         # every row of the matrix gets noise, touched or not: the dense
         # |V| x r draw is inherent to Eq. 6, so this ablation allocates
-        del scratch
-        sums = np.zeros((num_nodes, values.shape[1]), dtype=values.dtype)
-        np.add.at(sums, rows, values)
-        counts = np.bincount(rows, minlength=num_nodes).astype(values.dtype)
+        rows = scratch.unique_rows[:unique]
+        sums = np.zeros((num_nodes, scratch.sums.shape[1]), dtype=scratch.sums.dtype)
+        sums[rows] = scratch.sums[:unique]
+        counts = np.zeros(num_nodes, dtype=scratch.counts.dtype)
+        counts[rows] = scratch.counts[:unique]
         # noise is always drawn in float64 (the DP calibration is exact);
         # the sum keeps the compute dtype of the gradients
-        noisy = (sums + self.noise.draw(sums.shape, std)).astype(values.dtype, copy=False)
+        noisy = (sums + self.noise.draw(sums.shape, std)).astype(sums.dtype, copy=False)
         return np.arange(num_nodes), noisy, counts
 
 
@@ -184,6 +194,14 @@ class NonZeroPerturbation(PerturbationStrategy):
     rows (in-place sort + segment reduction), and the scaled Gaussians for
     exactly those rows, in sorted order, land in a reused float64 buffer
     via :meth:`~repro.privacy.noise.NoiseRing.fill`.
+
+    Sensitivity ``C`` is the paper's calibration and holds only if each
+    touched row collects at most one clipped example per step.  Sampled
+    batches do not meet that assumption: in a default private fit the
+    most-touched row collects a median of 6 and up to 12 examples per
+    step, so a row's sum can move by up to that many times ``C``.  The
+    privacy unit and a sensitivity that holds by construction are
+    ROADMAP item 6.
     """
 
     name = "nonzero"
@@ -195,9 +213,8 @@ class NonZeroPerturbation(PerturbationStrategy):
         return self.clipping_threshold
 
     @zero_alloc
-    def _noisy_rows(self, scratch, rows, values, std, num_nodes):
+    def _noisy_rows(self, scratch, unique, std, num_nodes):
         del num_nodes  # only the touched rows are reported
-        unique = scratch.reduce(rows, values)
         noise = self.noise.fill(scratch.noise[:unique], std)
         sums = scratch.sums[:unique]
         if scratch.noise_cast is not scratch.noise:

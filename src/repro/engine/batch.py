@@ -7,7 +7,8 @@ whole batch at a time:
   centres ``[B]``, contexts ``[B, 1+k]`` (positive node first, then the
   ``k`` negatives) and optional proximity weights ``[B]``.
 * :class:`BatchGradients` — the sparse gradients of a whole batch: one
-  ``W_in`` row per example and ``1+k`` ``W_out`` rows per example, plus the
+  ``W_in`` row per example, and the ``1+k`` ``W_out`` rows per example in
+  their rank-1 factors (weighted errors and the centre row), plus the
   per-example losses so the loss never has to be recomputed from scores.
 """
 
@@ -145,6 +146,13 @@ class SubgraphBatch:
 class BatchGradients:
     """Sparse structure-preference gradients of a whole batch (Eq. 7 / Eq. 8).
 
+    The ``W_out`` gradient of example ``b`` is the outer product
+    ``context_errors[b] ⊗ center_vectors[b]`` (Eq. 8: the weighted errors
+    ``p_ij (σ(v_n·v_i) - 1[n = j])`` times the one centre row ``v_i``), and
+    it is kept in those factors: the ``[B, 1+k, r]`` block is never built.
+    Row ``context_nodes[b, n]`` receives ``context_errors[b, n] ·
+    center_vectors[b]``.
+
     The per-example ``losses`` ride along for free — they are
     computed from the same sigmoid scores as the gradients, so trainers never
     need a second loss pass over the batch.
@@ -153,7 +161,8 @@ class BatchGradients:
     centers: np.ndarray  # [B] int64
     center_gradients: np.ndarray  # [B, r]
     context_nodes: np.ndarray  # [B, 1+k] int64
-    context_gradients: np.ndarray  # [B, 1+k, r]
+    context_errors: np.ndarray  # [B, 1+k]
+    center_vectors: np.ndarray  # [B, r], the W_in rows the scores used
     losses: np.ndarray  # [B]
 
     def __len__(self) -> int:

@@ -72,23 +72,22 @@ class DirectSparseUpdate(UpdateRule):
 
     Each example contributes a full-strength update to the rows it touches.
     Duplicate rows are first aggregated through the workspace's segment
-    scratch, then each touched row is hit once with fancy indexing: the
-    same accumulated update as ``np.subtract.at`` (up to float summation
-    order) at a fraction of its per-element scatter cost, allocation-free.
+    scratch (the ``W_out`` rows straight from their rank-1 factors), then
+    each touched row is hit once with fancy indexing: the same accumulated
+    update as ``np.subtract.at`` (up to float summation order) at a
+    fraction of its per-element scatter cost, allocation-free.
     """
 
     def apply(self, model, optimizer, batch, gradients) -> None:
         profiler = self.profiler
         start = perf_counter() if profiler is not None else 0.0
         ws = self.workspace
+        unique_in, unique_out = ws.reduce_gradients(gradients)
         updates = (
-            (model.w_in, ws.center_scratch, gradients.centers,
-             gradients.center_gradients),
-            (model.w_out, ws.context_scratch, gradients.context_nodes.reshape(-1),
-             gradients.context_gradients.reshape(-1, model.embedding_dim)),
+            (model.w_in, ws.center_scratch, unique_in),
+            (model.w_out, ws.context_scratch, unique_out),
         )
-        for parameters, scratch, rows, values in updates:
-            unique = scratch.reduce(rows, values)
+        for parameters, scratch, unique in updates:
             sums = scratch.sums[:unique]
             optimizer.descend_unique_rows(
                 parameters, scratch.unique_rows[:unique], sums,

@@ -2,8 +2,11 @@
 
 An engine step needs roughly ten arrays — the batch gather, the
 ``[B, 1+k, r]`` context-vector block, the score and error blocks, the
-outer-product gradient block, clipping quotients, Gaussian noise — and on
-large graphs allocating them per step would dominate the step time.
+``W_in`` gradient rows, clipping quotients, segment-sum scratch, Gaussian
+noise — and on large graphs allocating them per step would dominate the
+step time.  The ``W_out`` gradient needs no block of its own: it is the
+rank-1 product of the ``[B, 1+k]`` errors and the ``[B, r]`` centre rows,
+and the segment sums form each product only when they gather it.
 :class:`StepWorkspace` allocates each of them once per
 :meth:`~repro.engine.core.TrainingEngine.run`, and the step threads it
 through every phase:
@@ -11,9 +14,10 @@ through every phase:
 * ``SubgraphSampler.sample_batch_arrays(workspace)`` fills the batch
   buffers in place via ``np.take(..., out=..., mode="clip")``,
 * ``StructurePreferenceObjective.batch_gradients(..., workspace=...)``
-  computes scores, losses, errors and both gradient blocks with ``out=``
-  ufuncs and einsums into the preallocated blocks,
-* the perturbation strategies clip in place and (non-zero Eq. 9) run
+  computes scores, losses, errors and the ``W_in`` gradient rows with
+  ``out=`` ufuncs and einsums into the preallocated blocks,
+* the perturbation strategies clip in place (the ``W_out`` norm is
+  ``‖errors_b‖·‖centre_b‖``, and clipping rescales the error row) and run
   their aggregate → noise pipeline inside the two :class:`_SegmentScratch`
   blocks, drawing Gaussians into a reused float64 buffer, and
 * the update rules descend through the same scratch.
@@ -84,9 +88,18 @@ class _SegmentScratch:
        place (rows ascending, original slot as tiebreak),
     2. mark segment boundaries with an in-place ``np.not_equal`` and
        compress them into the bounds buffer (``np.compress(..., out=...)``),
-    3. initialise each segment sum with its *first* slot's value block
-       (one ``np.take(..., out=...)`` gather), then scatter-add only the
-       duplicate slots — usually a small fraction — via ``np.add.at``.
+    3. initialise each segment sum with its *first* slot's value (one
+       gather), then fold in the duplicate slots one multiplicity layer at
+       a time: every segment's first duplicate in one take → add → put,
+       then every second duplicate, and so on.  A segment appears at most
+       once per layer, so each put is conflict-free, and each segment adds
+       its slots in their original order — the same sums, bit for bit, as
+       ``np.add.at`` over the sorted slots.
+
+    A slot's value is either an explicit row (``W_in``: one gradient row
+    per example) or a rank-1 product gathered on demand (``W_out``: the
+    weighted error of the slot times its example's centre row), so the
+    ``W_out`` gradient block is never materialised.
 
     All outputs are views into buffers owned by this object; they are valid
     until the next :meth:`reduce` call.
@@ -101,17 +114,22 @@ class _SegmentScratch:
         self.dup_flags = np.empty(slots, dtype=bool)
         self.bounds = np.empty(slots, dtype=np.int64)
         self.segment_ids = np.empty(slots, dtype=np.int64)
+        self.layer_keys = np.empty(slots, dtype=np.int64)
+        self.dup_keys = np.empty(slots, dtype=np.int64)
+        self.layer_starts = np.empty(slots, dtype=np.int64)
         self.index_scratch = np.empty(slots, dtype=np.int64)
         self.dup_positions = np.empty(slots, dtype=np.int64)
         self.dup_segments = np.empty(slots, dtype=np.int64)
+        self.owners = np.empty(slots, dtype=np.int64)
+        self.factors = np.empty(slots, dtype=dtype)
         self.count_ints = np.empty(slots, dtype=np.int64)
         self.sums = np.empty((slots, dim), dtype=dtype)
         self.counts = np.empty(slots, dtype=dtype)
         self.unique_rows = np.empty(slots, dtype=np.int64)
         # One block serves the three value scratches, whose lifetimes never
-        # overlap within a step: duplicate slots during ``reduce``, then the
-        # noise staged into ``sums``, then the gathered parameter rows of
-        # the descent.
+        # overlap within a step: duplicate slots (and the per-layer staging
+        # behind them) during ``reduce``, then the noise staged into
+        # ``sums``, then the gathered parameter rows of the descent.
         block = np.empty((slots, dim), dtype=dtype)
         self.dup_values = block
         #: compute-dtype staging for the noise: a cross-dtype ufunc would
@@ -127,12 +145,19 @@ class _SegmentScratch:
         self.arange = np.arange(slots, dtype=np.int64)
 
     @zero_alloc
-    def reduce(self, rows: np.ndarray, values: np.ndarray) -> int:
-        """Segment-sum ``values`` by ``rows``; return the unique-row count ``U``.
+    def reduce(
+        self, rows: np.ndarray, values: np.ndarray, scale: np.ndarray | None = None
+    ) -> int:
+        """Segment-sum the slot values by ``rows``; return the unique-row count ``U``.
+
+        Slot ``s`` carries ``values[s]``, or, given ``scale``, the rank-1
+        product ``scale[s] · values[s // m]`` with ``m = slots / len(values)``
+        slots per row of ``values`` (the ``W_out`` gradient: the weighted
+        error of a context slot times its example's centre row).
 
         After the call ``unique_rows[:U]`` holds the sorted unique rows,
-        ``sums[:U]`` their summed value blocks and ``counts[:U]`` how many
-        slots hit each row.  ``rows`` must hold exactly ``self.slots``
+        ``sums[:U]`` their summed values and ``counts[:U]`` how many slots
+        hit each row.  ``rows`` must hold exactly ``self.slots``
         non-negative entries.  Within a segment, slots accumulate in their
         original order — the same order as ``np.add.at`` over sorted rows.
         """
@@ -151,33 +176,13 @@ class _SegmentScratch:
         np.compress(flags, self.arange, out=bounds[:unique])
         np.take(self.sorted_rows, bounds[:unique], out=self.unique_rows[:unique], mode="clip")
 
-        # seed every segment with its first slot's value block ...
-        first_slots = self.index_scratch
-        np.take(self.slot_of, bounds[:unique], out=first_slots[:unique], mode="clip")
-        np.take(values, first_slots[:unique], axis=0, out=self.sums[:unique], mode="clip")
-        # ... then fold in only the duplicate slots (few, for real batches)
-        duplicates = slots - unique
-        if duplicates:
-            np.cumsum(flags, out=self.segment_ids)
-            np.subtract(self.segment_ids, 1, out=self.segment_ids)
-            np.logical_not(flags, out=self.dup_flags)
-            np.compress(self.dup_flags, self.arange, out=self.dup_positions[:duplicates])
-            np.take(
-                self.segment_ids, self.dup_positions[:duplicates],
-                out=self.dup_segments[:duplicates], mode="clip",
-            )
-            np.take(
-                self.slot_of, self.dup_positions[:duplicates],
-                out=self.index_scratch[:duplicates], mode="clip",
-            )
-            np.take(
-                values, self.index_scratch[:duplicates], axis=0,
-                out=self.dup_values[:duplicates], mode="clip",
-            )
-            np.add.at(
-                self.sums[:unique], self.dup_segments[:duplicates],
-                self.dup_values[:duplicates],
-            )
+        # seed every segment with its first slot's value ...
+        first_slots = self.index_scratch[:unique]
+        np.take(self.slot_of, bounds[:unique], out=first_slots, mode="clip")
+        self._gather(first_slots, values, scale, self.sums[:unique])
+        # ... then fold in the duplicate slots (few, for real batches)
+        if unique < slots:
+            self._fold_duplicates(unique, values, scale)
 
         ints = self.count_ints
         if unique > 1:
@@ -185,6 +190,82 @@ class _SegmentScratch:
         ints[unique - 1] = slots - bounds[unique - 1]
         np.copyto(self.counts[:unique], ints[:unique], casting="unsafe")
         return unique
+
+    @zero_alloc
+    def _fold_duplicates(
+        self, unique: int, values: np.ndarray, scale: np.ndarray | None
+    ) -> None:
+        """Add every non-first slot into its segment sum, one layer at a time.
+
+        Layer ``j`` holds each segment's ``j``-th duplicate.  Ordering the
+        duplicates by ``(layer, sorted position)`` makes every layer one
+        contiguous run, and layers run in ascending order, so each
+        segment's slots still add in their original order.
+        """
+        slots = self.slots
+        duplicates = slots - unique
+        segment_ids = self.segment_ids
+        np.cumsum(self.flags, out=segment_ids)
+        np.subtract(segment_ids, 1, out=segment_ids)
+        # rank of each sorted position within its segment (0 = first slot),
+        # packed with the position into one sortable key
+        keys = self.layer_keys
+        np.take(self.bounds, segment_ids, out=keys, mode="clip")
+        np.subtract(self.arange, keys, out=keys)
+        np.multiply(keys, slots, out=keys)
+        np.add(keys, self.arange, out=keys)
+        np.logical_not(self.flags, out=self.dup_flags)
+        dup_keys = self.dup_keys[:duplicates]
+        np.compress(self.dup_flags, keys, out=dup_keys)
+        dup_keys.sort()
+        positions = self.dup_positions[:duplicates]
+        np.remainder(dup_keys, slots, out=positions)
+        np.floor_divide(dup_keys, slots, out=dup_keys)
+
+        layer_flags = self.dup_flags[:duplicates]
+        layer_flags[0] = True
+        np.not_equal(dup_keys[1:], dup_keys[:-1], out=layer_flags[1:])
+        layers = int(np.count_nonzero(layer_flags))
+        starts = self.layer_starts[: layers + 1]
+        np.compress(layer_flags, self.arange[:duplicates], out=starts[:layers])
+        starts[layers] = duplicates
+
+        segments = self.dup_segments[:duplicates]
+        np.take(segment_ids, positions, out=segments, mode="clip")
+        dup_slots = self.index_scratch[:duplicates]
+        np.take(self.slot_of, positions, out=dup_slots, mode="clip")
+        dup_values = self.dup_values
+        self._gather(dup_slots, values, scale, dup_values[:duplicates])
+        # a layer has at most ``unique`` entries and unique + duplicates =
+        # slots, so the rows behind the duplicate values stage each layer
+        sums = self.sums
+        for layer in range(layers):
+            start, stop = starts[layer], starts[layer + 1]
+            layer_segments = segments[start:stop]
+            staged = dup_values[duplicates : duplicates + stop - start]
+            np.take(sums, layer_segments, axis=0, out=staged, mode="clip")
+            np.add(staged, dup_values[start:stop], out=staged)
+            sums[layer_segments] = staged
+
+    @zero_alloc
+    def _gather(
+        self,
+        slot_ids: np.ndarray,
+        values: np.ndarray,
+        scale: np.ndarray | None,
+        out: np.ndarray,
+    ) -> None:
+        """Write the values of slots ``slot_ids`` into ``out`` (see :meth:`reduce`)."""
+        if scale is None:
+            np.take(values, slot_ids, axis=0, out=out, mode="clip")
+            return
+        count = slot_ids.shape[0]
+        owners = self.owners[:count]
+        np.floor_divide(slot_ids, self.slots // values.shape[0], out=owners)
+        np.take(values, owners, axis=0, out=out, mode="clip")
+        factors = self.factors[:count]
+        np.take(scale, slot_ids, out=factors, mode="clip")
+        np.multiply(out, factors[:, None], out=out)
 
 
 @dataclass
@@ -284,23 +365,22 @@ class StepWorkspace:
         self.loss_scratch_a = np.empty((B, K), dtype=self.dtype)
         self.loss_scratch_b = np.empty((B, K), dtype=self.dtype)
         self.center_gradients = np.empty((B, r), dtype=self.dtype)
-        self.context_gradients = np.empty((B, K, r), dtype=self.dtype)
-        # broadcastable views built once so the hot loop never re-slices
+        # broadcastable view built once so the hot loop never re-slices
         self.weights_col = self.weights[:, None]
-        self.errors_col = self.errors[:, :, None]
-        self.center_vecs_mid = self.center_vecs[:, None, :]
+        # the W_out gradient stays in its rank-1 factors errors ⊗ center_vecs
         self.gradients = BatchGradients(
             centers=self.centers,
             center_gradients=self.center_gradients,
             context_nodes=self.contexts,
-            context_gradients=self.context_gradients,
+            context_errors=self.errors,
+            center_vectors=self.center_vecs,
             losses=self.losses,
         )
 
         # ---- clipping scratch ----
         self.example_norms = np.empty(B, dtype=self.dtype)
         self.example_norms_col = self.example_norms[:, None]
-        self.example_norms_col3 = self.example_norms[:, None, None]
+        self.center_norms = np.empty(B, dtype=self.dtype)
 
         # ---- compact scatter scratch (direct descents and non-zero Eq. 9) ----
         self.center_scratch = _SegmentScratch(B, r, self.dtype)
@@ -319,6 +399,22 @@ class StepWorkspace:
         )
 
     # ------------------------------------------------------------------ #
+    @zero_alloc
+    def reduce_gradients(self, gradients: BatchGradients) -> tuple[int, int]:
+        """Segment-sum both matrices' gradient rows into the two scratches.
+
+        ``W_in`` sums its explicit rows; ``W_out`` sums the rank-1 products
+        ``context_errors[b, n] · center_vectors[b]`` straight from the
+        factors.  Returns the unique-row counts ``(U_in, U_out)``.
+        """
+        unique_in = self.center_scratch.reduce(gradients.centers, gradients.center_gradients)
+        unique_out = self.context_scratch.reduce(
+            gradients.context_nodes.reshape(-1),
+            gradients.center_vectors,
+            gradients.context_errors.reshape(-1),
+        )
+        return unique_in, unique_out
+
     def validate_batch(self, batch: SubgraphBatch) -> None:
         """Check an incoming batch against the preallocated buffer shapes."""
         if batch.contexts.shape != self.contexts.shape:

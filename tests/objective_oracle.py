@@ -20,13 +20,23 @@ from repro.utils.math import log_sigmoid, sigmoid
 
 @dataclass
 class ExampleGradients:
-    """Sparse gradients of one example: one ``W_in`` row, ``1+k`` ``W_out`` rows."""
+    """Sparse gradients of one example: one ``W_in`` row, ``1+k`` ``W_out`` rows.
+
+    The ``W_out`` rows are kept as Eq. (8) factors, the weighted errors and
+    the centre row; :attr:`context_gradients` builds their outer product.
+    """
 
     center: int
     center_gradient: np.ndarray
     context_nodes: np.ndarray
-    context_gradients: np.ndarray
+    context_errors: np.ndarray
+    center_vector: np.ndarray
     loss: float
+
+    @property
+    def context_gradients(self) -> np.ndarray:
+        """The ``[1+k, r]`` ``W_out`` gradient block ``errors ⊗ v_i``."""
+        return np.outer(self.context_errors, self.center_vector)
 
 
 def _loss(scores, weight) -> float:
@@ -55,7 +65,8 @@ def example_gradients(w_in, w_out, center, contexts_row, weight) -> ExampleGradi
         center=center,
         center_gradient=errors @ context_vecs,
         context_nodes=context_nodes,
-        context_gradients=np.outer(errors, center_vec),
+        context_errors=errors,
+        center_vector=center_vec.copy(),
         loss=_loss(scores, weight),
     )
 
@@ -75,7 +86,8 @@ def split(gradients: BatchGradients) -> list[ExampleGradients]:
             center=int(gradients.centers[row]),
             center_gradient=gradients.center_gradients[row].copy(),
             context_nodes=gradients.context_nodes[row].copy(),
-            context_gradients=gradients.context_gradients[row].copy(),
+            context_errors=gradients.context_errors[row].copy(),
+            center_vector=gradients.center_vectors[row].copy(),
             loss=float(gradients.losses[row]),
         )
         for row in range(len(gradients))

@@ -111,7 +111,8 @@ def load_gradients(
         workspace.centers[row] = example.center
         workspace.center_gradients[row] = example.center_gradient
         workspace.contexts[row] = example.context_nodes
-        workspace.context_gradients[row] = example.context_gradients
+        workspace.errors[row] = example.context_errors
+        workspace.center_vecs[row] = example.center_vector
         workspace.losses[row] = example.loss
     return workspace.gradients
 

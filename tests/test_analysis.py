@@ -447,6 +447,35 @@ class TestFP001:
         )
         assert report.findings == []
 
+    def test_silent_on_tests_comparing_pins(self, tmp_path):
+        # the loop checks digests against pins; it feeds no digest itself
+        report = lint(
+            tmp_path,
+            """
+            PINS = {"a": "00ff", "b": "ff00"}
+
+            def test_fingerprint_pins():
+                for name, expected in PINS.items():
+                    assert fingerprint_of(name) == expected, name
+            """,
+            rule="FP001",
+        )
+        assert report.findings == []
+
+    def test_still_fires_on_fingerprint_iterating_items(self, tmp_path):
+        report = lint(
+            tmp_path,
+            """
+            def fingerprint(payload):
+                digest = 0
+                for key, value in payload.items():
+                    digest = hash((digest, key, value))
+                return digest
+            """,
+            rule="FP001",
+        )
+        assert rule_ids(report) == ["FP001"]
+
 
 # --------------------------------------------------------------------- #
 # suppressions

@@ -128,20 +128,23 @@ class TestPairGradients:
             score = float(w_out[node] @ w_in[1])
             indicator = 1.0 if row == 0 else 0.0
             expected = weight * (sigmoid(score) - indicator) * w_in[1]
-            np.testing.assert_allclose(grads.context_gradients[0, row], expected, atol=1e-10)
+            np.testing.assert_allclose(
+                grads.context_errors[0, row] * grads.center_vectors[0], expected, atol=1e-10
+            )
 
     def test_gradient_sparsity_structure(self, rng):
         w_in, w_out = self._setup(rng)
         grads = self._gradients(w_in, w_out, 1.0)
         assert grads.centers[0] == 1
         np.testing.assert_array_equal(grads.context_nodes[0], [2, 4, 6])
-        assert grads.context_gradients[0].shape == (3, 5)
+        assert grads.context_errors[0].shape == (3,)
+        assert grads.center_vectors[0].shape == (5,)
 
     def test_zero_weight_gives_zero_gradient(self, rng):
         w_in, w_out = self._setup(rng)
         grads = self._gradients(w_in, w_out, 0.0)
         np.testing.assert_allclose(grads.center_gradients, 0.0)
-        np.testing.assert_allclose(grads.context_gradients, 0.0)
+        np.testing.assert_allclose(grads.context_errors, 0.0)
 
 
 class TestStructurePreferenceObjective:

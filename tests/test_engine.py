@@ -29,7 +29,9 @@ from repro.engine import (
     LossLoggingHook,
     StepWorkspace,
     TrainingEngine,
+    run_hogwild,
 )
+from repro.graph import load_dataset
 from repro.graph.sampling import (
     ProximityNegativeSampler,
     SubgraphSampler,
@@ -52,11 +54,12 @@ def _objective_and_pool(graph, k=4, seed=0):
 
 
 def _whole_pool_gradients(graph, objective, pool, w_in, w_out):
-    """Gradients of every pool row in one workspace step."""
-    pool = pool.with_weights(objective.edge_weights(pool.centers, pool.positives))
+    """Gradients of every pool row in one workspace step, in ``w_in``'s dtype."""
+    weights = objective.edge_weights(pool.centers, pool.positives).astype(w_in.dtype)
+    pool = pool.with_weights(weights)
     ws = StepWorkspace(
         batch_size=len(pool), num_negatives=pool.num_negatives,
-        embedding_dim=w_in.shape[1], num_nodes=graph.num_nodes,
+        embedding_dim=w_in.shape[1], num_nodes=graph.num_nodes, dtype=w_in.dtype,
     )
     return objective.batch_gradients(w_in, w_out, pool, workspace=ws), ws
 
@@ -140,7 +143,9 @@ class TestBatchGradientEquivalence:
             )
             np.testing.assert_array_equal(batch.context_nodes[row], reference.context_nodes)
             np.testing.assert_allclose(
-                batch.context_gradients[row], reference.context_gradients, atol=ATOL
+                np.outer(batch.context_errors[row], batch.center_vectors[row]),
+                reference.context_gradients,
+                atol=ATOL,
             )
             assert batch.losses[row] == pytest.approx(reference.loss, abs=ATOL)
 
@@ -158,10 +163,19 @@ class TestPerturbationEquivalence:
     @pytest.mark.parametrize("strategy", ["nonzero", "naive"])
     def test_perturb_batch_matches_perturb(self, small_graph, rng, strategy):
         """Same clipping, same noise draws: step and oracle agree to 1e-10."""
-        objective, pool = _objective_and_pool(small_graph)
-        w_in = rng.normal(size=(small_graph.num_nodes, 8))
-        w_out = rng.normal(size=(small_graph.num_nodes, 8))
-        batch_grads, ws = _whole_pool_gradients(small_graph, objective, pool, w_in, w_out)
+        self._check(small_graph, rng, strategy, "float64", rtol=1e-7, atol=ATOL)
+
+    @pytest.mark.parametrize("strategy", ["nonzero", "naive"])
+    def test_float32_perturb_batch_matches_perturb(self, small_graph, rng, strategy):
+        """float32 steps, at the float32 tolerance of test_fastpath."""
+        self._check(small_graph, rng, strategy, "float32", rtol=1e-5, atol=1e-5)
+
+    @staticmethod
+    def _check(graph, rng, strategy, dtype, *, rtol, atol):
+        objective, pool = _objective_and_pool(graph)
+        w_in = rng.normal(size=(graph.num_nodes, 8)).astype(dtype)
+        w_out = rng.normal(size=(graph.num_nodes, 8)).astype(dtype)
+        batch_grads, ws = _whole_pool_gradients(graph, objective, pool, w_in, w_out)
 
         loop = get_perturbation(strategy, clipping_threshold=0.5, noise_multiplier=2.0, seed=77)
         vec = get_perturbation(strategy, clipping_threshold=0.5, noise_multiplier=2.0, seed=77)
@@ -170,17 +184,124 @@ class TestPerturbationEquivalence:
         reference = perturb(
             loop,
             split(batch_grads),
-            num_nodes=small_graph.num_nodes,
+            num_nodes=graph.num_nodes,
             embedding_dim=8,
         )
-        batched = densify(vec.perturb_batch(batch_grads, ws), small_graph.num_nodes)
+        batched = densify(vec.perturb_batch(batch_grads, ws), graph.num_nodes)
 
-        np.testing.assert_allclose(batched.w_in_gradient, reference.w_in_gradient, atol=ATOL)
-        np.testing.assert_allclose(batched.w_out_gradient, reference.w_out_gradient, atol=ATOL)
+        assert batched.w_out_gradient.dtype == np.dtype(dtype)
+        for name in ("w_in_gradient", "w_out_gradient"):
+            np.testing.assert_allclose(
+                getattr(batched, name), getattr(reference, name), rtol=rtol, atol=atol
+            )
         np.testing.assert_array_equal(batched.w_in_counts, reference.w_in_counts)
         np.testing.assert_array_equal(batched.w_out_counts, reference.w_out_counts)
         assert batched.batch_size == reference.batch_size
-        assert batched.mean_loss == pytest.approx(reference.mean_loss, abs=ATOL)
+        assert batched.mean_loss == pytest.approx(reference.mean_loss, abs=atol)
+
+
+class TestRank1Clipping:
+    def test_clipped_blocks_respect_the_threshold(self, small_graph, rng):
+        objective, pool = _objective_and_pool(small_graph)
+        w_in = rng.normal(size=(small_graph.num_nodes, 8))
+        w_out = rng.normal(size=(small_graph.num_nodes, 8))
+        grads, ws = _whole_pool_gradients(small_graph, objective, pool, w_in, w_out)
+        raw_errors = grads.context_errors.copy()
+        raw_centers = grads.center_gradients.copy()
+        raw_norms = np.linalg.norm(
+            (raw_errors[:, :, None] * grads.center_vectors[:, None, :]).reshape(len(grads), -1),
+            axis=1,
+        )
+        threshold = float(np.median(raw_norms))
+        strategy = get_perturbation("nonzero", threshold, 1.0, seed=0)
+        strategy._clip_batch(grads, ws)
+
+        blocks = grads.context_errors[:, :, None] * grads.center_vectors[:, None, :]
+        norms = np.linalg.norm(blocks.reshape(len(grads), -1), axis=1)
+        assert np.all(norms <= threshold * (1 + 1e-12))
+        clipped = raw_norms > threshold
+        assert clipped.any() and not clipped.all()
+        np.testing.assert_allclose(norms[clipped], threshold, rtol=1e-12)
+        # an example under the threshold is divided by exactly 1.0
+        assert grads.context_errors[~clipped].tobytes() == raw_errors[~clipped].tobytes()
+        center_norms = np.linalg.norm(grads.center_gradients, axis=1)
+        assert np.all(center_norms <= threshold * (1 + 1e-12))
+        kept = np.linalg.norm(raw_centers, axis=1) <= threshold
+        assert grads.center_gradients[kept].tobytes() == raw_centers[kept].tobytes()
+
+
+def _block_apply(self, model, optimizer, batch, gradients):
+    """The SE-GEmb step with the ``W_out`` gradient block materialised.
+
+    Builds ``errors ⊗ centre`` per example, seeds each row's sum with its
+    first slot and adds the duplicates with ``np.add.at``.
+    """
+    block = gradients.context_errors[:, :, None] * gradients.center_vectors[:, None, :]
+    for parameters, rows, values in (
+        (model.w_in, gradients.centers, gradients.center_gradients),
+        (model.w_out, gradients.context_nodes.reshape(-1),
+         block.reshape(-1, model.embedding_dim)),
+    ):
+        unique_rows, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        sums = values[first].copy()
+        duplicates = np.setdiff1d(np.arange(rows.size), first)
+        np.add.at(sums, inverse[duplicates], values[duplicates])
+        optimizer.descend_unique_rows(parameters, unique_rows, sums)
+
+
+class TestRank1DirectUpdate:
+    """SE-GEmb fits from the rank-1 factors equal the block path byte for byte."""
+
+    CONFIG = TrainingConfig(
+        embedding_dim=6, batch_size=24, learning_rate=0.1, negative_samples=4,
+        epochs=30, seed=0,
+    )
+
+    @staticmethod
+    def _graph(nodes):
+        # 20 nodes: 24 examples x 5 context slots land on at most 20 rows,
+        # so every row collects several slots per step
+        return load_dataset("smallworld", num_nodes=nodes, seed=3)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("nodes", [20, 80])
+    def test_serial_fit_is_byte_identical(self, monkeypatch, nodes, dtype):
+        graph = self._graph(nodes)
+
+        def fit():
+            return SEGEmbTrainer(
+                proximity=DegreeProximity(), config=self.CONFIG, seed=0,
+                compute_dtype=dtype,
+            ).fit(graph)
+
+        factored = fit()
+        monkeypatch.setattr(DirectSparseUpdate, "apply", _block_apply)
+        block = fit()
+        assert factored.embeddings_.dtype == np.dtype(dtype)
+        assert factored.embeddings_.tobytes() == block.embeddings_.tobytes()
+        assert factored.result_.losses == block.result_.losses
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_single_shard_hogwild_is_byte_identical(self, monkeypatch, dtype):
+        graph = self._graph(80)
+
+        def run():
+            trainer = SEGEmbTrainer(
+                proximity=DegreeProximity(), config=self.CONFIG, seed=5,
+                compute_dtype=dtype,
+            )
+            trainer._setup(graph, np.random.default_rng(5))
+            return run_hogwild(
+                model=trainer.model, engine_factory=trainer._build_engine,
+                total_steps=12, workers=1, seed=7,
+            ).result
+
+        factored = run()
+        monkeypatch.setattr(DirectSparseUpdate, "apply", _block_apply)
+        block = run()
+        assert factored.embeddings.tobytes() == block.embeddings.tobytes()
+        assert factored.context_embeddings.tobytes() == block.context_embeddings.tobytes()
+        assert factored.losses == block.losses
 
 
 def _legacy_setup(graph, config, rng):

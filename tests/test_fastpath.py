@@ -93,7 +93,8 @@ class TestStepWorkspace:
         )
         assert ws.batch.centers is ws.centers
         assert ws.batch.weights is ws.weights
-        assert ws.gradients.context_gradients is ws.context_gradients
+        assert ws.gradients.context_errors is ws.errors
+        assert ws.gradients.center_vectors is ws.center_vecs
         assert ws.contexts.shape == (8, 4)
         assert ws.context_vecs.shape == (8, 4, 5)
         assert ws.dtype == np.dtype(np.float32)
@@ -106,9 +107,10 @@ class TestStepWorkspace:
     )
     def test_workspace_size_is_pinned(self, dtype, budget_mib):
         # B=1024, k=5, r=32: one (slots, r) block per segment scratch serves
-        # the duplicate values, the noise staging and the descent gather
-        # (7.94 MiB float64, 6.06 MiB float32); a separate block for each
-        # use costs 11.45 / 7.81 MiB
+        # the duplicate values, the noise staging and the descent gather,
+        # and the W_out gradient stays in its rank-1 factors (6.73 MiB
+        # float64, 5.56 MiB float32); a separate scratch block for each use
+        # adds 3.50 / 1.75 MiB
         tracemalloc.start()
         try:
             ws = StepWorkspace(
@@ -181,6 +183,43 @@ class TestSegmentScratch:
         np.testing.assert_allclose(scratch.sums[0], [6.0, 6.0])
         assert scratch.counts[0] == 6.0
 
+    @staticmethod
+    def _add_at_reference(rows, slot_values):
+        """Each segment seeded with its first slot, duplicates via ``np.add.at``."""
+        unique_rows, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        sums = slot_values[first].copy()
+        duplicates = np.setdiff1d(np.arange(rows.size), first)
+        np.add.at(sums, inverse[duplicates], slot_values[duplicates])
+        return unique_rows, sums, np.bincount(inverse)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("factored", [False, True], ids=["explicit", "rank1"])
+    @pytest.mark.parametrize("multiplicity", [1, 2, 3, 5, 7, 11, 24])
+    def test_layered_fold_equals_add_at_bit_for_bit(self, multiplicity, factored, dtype):
+        # 24 slots: from all-distinct rows up to every slot on one row
+        slots, group, dim = 24, 4, 5
+        rng = np.random.default_rng(multiplicity)
+        nodes = rng.permutation(50)[: -(-slots // multiplicity)]
+        rows = nodes[np.arange(slots) // multiplicity]
+        rng.shuffle(rows)
+        if factored:
+            # W_out: slot s carries scale[s] * values[s // group]
+            values = rng.standard_normal((slots // group, dim)).astype(dtype)
+            scale = rng.standard_normal(slots).astype(dtype)
+            slot_values = scale[:, None] * values[np.arange(slots) // group]
+        else:
+            values = slot_values = rng.standard_normal((slots, dim)).astype(dtype)
+            scale = None
+        scratch = _SegmentScratch(slots, dim, np.dtype(dtype))
+        unique = scratch.reduce(rows, values, scale)
+        expected_rows, expected_sums, expected_counts = self._add_at_reference(
+            rows, slot_values
+        )
+        assert unique == expected_rows.size == -(-slots // multiplicity)
+        np.testing.assert_array_equal(scratch.unique_rows[:unique], expected_rows)
+        assert scratch.sums[:unique].tobytes() == expected_sums.tobytes()
+        np.testing.assert_array_equal(scratch.counts[:unique], expected_counts)
+
 
 # --------------------------------------------------------------------- #
 # float32 workspace phases against the float64 default, same batches
@@ -203,10 +242,15 @@ class TestWorkspaceEquivalence:
         grads64, _ = _gradients_for(default, batch64)
         grads32, _ = _gradients_for(fast, batch32)
         assert grads32.center_gradients.dtype == np.dtype(np.float32)
-        for name in ("center_gradients", "context_gradients", "losses"):
+        for name in ("center_gradients", "context_errors", "center_vectors", "losses"):
             np.testing.assert_allclose(
                 getattr(grads32, name), getattr(grads64, name), rtol=1e-4, atol=1e-6
             )
+        np.testing.assert_allclose(
+            grads32.context_errors[:, :, None] * grads32.center_vectors[:, None, :],
+            grads64.context_errors[:, :, None] * grads64.center_vectors[:, None, :],
+            rtol=1e-4, atol=1e-6,
+        )
 
     def test_workspace_requires_bound_weights(self, graph):
         trainer = _setup(graph)
