@@ -12,13 +12,17 @@ runs as sparse Lanczos iteration on the CSR adjacency (no dense
 :func:`scipy.sparse.linalg.spsolve`, and DeepWalk accumulates CSR
 transition powers with an optional truncation threshold that bounds
 fill-in on large graphs.
+
+``scipy.sparse.linalg`` is imported inside the three functions that call
+it (``spectral_radius``, Katz and PPR's sparse solves), not at module
+level: it pulls in ``scipy.linalg`` and its OpenBLAS, which a run that only
+uses degree or DeepWalk proximity never needs resident.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse as _sp
-from scipy.sparse import linalg as _spla
 
 from ..exceptions import ProximityError
 from ..graph import Graph
@@ -65,6 +69,8 @@ def spectral_radius(
     if n <= 2:
         dense = matrix.toarray() if _sp.issparse(matrix) else matrix
         return float(np.max(np.abs(np.linalg.eigvalsh(dense))))
+    from scipy.sparse import linalg as _spla
+
     try:
         extreme = _spla.eigsh(
             matrix.astype(float), k=1, which="LM", return_eigenvectors=False
@@ -155,12 +161,14 @@ class KatzProximity(ProximityMeasure):
         return katz
 
     def compute_sparse_matrix(self, graph: Graph) -> _sp.csr_matrix:
+        from scipy.sparse.linalg import spsolve
+
         adjacency = self._sparse_adjacency(graph)
         self._check_convergence(adjacency)
         n = adjacency.shape[0]
         identity = _sp.identity(n, format="csc")
         system = (identity - self.beta * adjacency).tocsc()
-        solution = _spla.spsolve(system, identity)
+        solution = spsolve(system, identity)
         katz = _sp.csr_matrix(solution) - _sp.identity(n, format="csr")
         return _clamp_nonnegative(katz)
 
@@ -198,12 +206,14 @@ class PersonalizedPageRankProximity(ProximityMeasure):
         return ppr
 
     def compute_sparse_matrix(self, graph: Graph) -> _sp.csr_matrix:
+        from scipy.sparse.linalg import spsolve
+
         adjacency = self._sparse_adjacency(graph)
         transition, _, _ = _transition_and_inv_degrees(adjacency)
         n = adjacency.shape[0]
         identity = _sp.identity(n, format="csc")
         system = (identity - self.damping * transition).tocsc()
-        solution = _spla.spsolve(system, identity)
+        solution = spsolve(system, identity)
         ppr = (1.0 - self.damping) * _sp.csr_matrix(solution)
         return _clamp_nonnegative(ppr)
 

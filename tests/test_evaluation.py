@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 import split_oracle
+from scipy import stats
 
 from repro import EvaluationError, Graph, available_datasets, load_dataset
 from repro.evaluation import (
@@ -18,6 +19,7 @@ from repro.evaluation import (
     score_edges,
     structural_equivalence_score,
 )
+from repro.evaluation.metrics import average_ranks
 from repro.evaluation.structural_equivalence import _adjacency_distances
 
 
@@ -70,6 +72,71 @@ class TestRocAuc:
     def test_single_class_raises(self):
         with pytest.raises(EvaluationError):
             roc_auc_score(np.ones(4), np.arange(4.0))
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[0, 1, 2, 2], [0, 1, -1, 1], [0.0, 1.0, 0.9, 0.0], [0.0, 1.0, np.nan, 1.0]],
+        ids=["two", "minus-one", "non-integral-float", "nan"],
+    )
+    def test_non_binary_labels_raise(self, labels):
+        with pytest.raises(EvaluationError, match="0/1 labels"):
+            roc_auc_score(labels, [0.1, 0.2, 0.3, 0.4])
+
+    def test_bool_and_float_binary_labels_match_int(self, rng):
+        labels = np.array([0, 1, 1, 0, 1, 0, 0, 1])
+        scores = rng.normal(size=labels.size)
+        expected = roc_auc_score(labels, scores)
+        assert roc_auc_score(labels.astype(bool), scores) == expected
+        assert roc_auc_score(labels.astype(float), scores) == expected
+
+    def test_auc_bit_identical_to_scipy_ranks(self, rng):
+        labels = rng.integers(0, 2, size=12_000)
+        # rounded scores: many ties, the case the average ranks exist for
+        scores = np.round(rng.normal(size=labels.size), 2)
+        ranks = stats.rankdata(scores)
+        positives = int(labels.sum())
+        u_statistic = float(np.sum(ranks[labels == 1])) - positives * (positives + 1) / 2.0
+        expected = u_statistic / (positives * (labels.size - positives))
+        assert roc_auc_score(labels, scores) == expected
+
+
+class TestAverageRanks:
+    """``average_ranks`` equals ``scipy.stats.rankdata`` byte for byte."""
+
+    @staticmethod
+    def assert_matches_scipy(values):
+        ours = average_ranks(values)
+        theirs = stats.rankdata(values)
+        assert ours.dtype == theirs.dtype == np.float64
+        assert ours.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [3.0, 1.0, 2.0, 1.0, 3.0, 3.0],
+            [7.5] * 6,
+            [4.2],
+            [],
+            [0.0, -0.0, 1.0, -0.0, -1.0],
+            [np.inf, -np.inf, 0.0, np.inf, -np.inf, 1.0],
+            [5, 3, 5, 1, 3, 5, 0],
+            [[2.0, 1.0], [1.0, 0.5]],
+        ],
+        ids=["ties", "all-equal", "one", "empty", "signed-zeros", "infinities", "int",
+             "2d-flattened"],
+    )
+    def test_matches_scipy(self, values):
+        self.assert_matches_scipy(np.asarray(values))
+
+    @pytest.mark.parametrize("values", [[1.0, np.nan, 2.0], [np.nan], [np.nan, np.nan, 0.0]])
+    def test_nan_propagates_to_every_rank(self, values):
+        ranks = average_ranks(np.asarray(values))
+        assert ranks.shape == (len(values),)
+        assert np.all(np.isnan(ranks))
+        self.assert_matches_scipy(np.asarray(values))
+
+    def test_large_random_input(self, rng):
+        self.assert_matches_scipy(np.round(rng.normal(size=12_000), 2))
 
 
 class TestLinkPredictionSplit:

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from repro import Graph
 from repro.evaluation import pearson_correlation, roc_auc_score
+from repro.evaluation.metrics import average_ranks
 from repro.privacy import RdpAccountant, clip_gradient, gaussian_rdp, rdp_to_dp
 from repro.privacy.subsampling import subsampled_rdp
 from repro.proximity import CommonNeighborsProximity, DegreeProximity, ProximityMatrix
@@ -215,6 +217,15 @@ class TestMathProperties:
         auc = roc_auc_score(labels, scores)
         flipped = roc_auc_score(labels, -scores)
         assert auc + flipped == pytest.approx(1.0, abs=1e-9)
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40),
+           st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_average_ranks_match_scipy_with_forced_ties(self, pool, seed):
+        # draw every element from a small pool, so most values repeat
+        rng = np.random.default_rng(seed)
+        values = np.asarray(pool)[rng.integers(0, min(len(pool), 5), size=2 * len(pool))]
+        assert average_ranks(values).tobytes() == stats.rankdata(values).tobytes()
 
     @given(st.integers(min_value=2, max_value=15), st.integers(min_value=1, max_value=6),
            st.integers(min_value=0, max_value=10**6))
