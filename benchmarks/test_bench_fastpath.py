@@ -3,10 +3,12 @@
 Measures steps/sec of the engine's zero-allocation workspace step in both
 compute dtypes (``compute_dtype="float64"``, the default, and
 ``"float32"``), for the non-private (SE-GEmb) and the private
-(SE-PrivGEmb, non-zero Eq. 9) step.  A :class:`StepProfiler` rides along on
-every engine so the artifact records *where* each dtype spends its step
-(sample / gradients / perturb / descend), next to the machine's core count
-and the Algorithm-1 pool build time.
+(SE-PrivGEmb, non-zero Eq. 9) step.  The private engine averages its
+iterates, as a private fit does by default.  A :class:`StepProfiler` rides
+along on every engine so the artifact records *where* each dtype spends
+its step (sample / gradients / perturb / descend, and averaging on the
+private path), next to the machine's core count and the Algorithm-1 pool
+build time.
 
 Nothing is gated: the ratio of two dtypes on one path is a record, not a
 contract.  The reported speedup is the median over seven back-to-back
@@ -32,6 +34,7 @@ from repro.embedding import SGDOptimizer, SkipGramModel, get_perturbation
 from repro.embedding.objectives import StructurePreferenceObjective
 from repro.engine import (
     DirectSparseUpdate,
+    IterateAveragingHook,
     PerturbedUpdate,
     StepProfiler,
     TrainingEngine,
@@ -90,13 +93,14 @@ def _build_engine(graph, objective, pool, *, dtype, private: bool, seed=0):
     else:
         update_rule = DirectSparseUpdate()
     profiler = StepProfiler()
+    averaging = (IterateAveragingHook(),) if private else ()
     engine = TrainingEngine(
         model=model,
         optimizer=SGDOptimizer(BENCH_CONFIG.learning_rate),
         objective=objective,
         sampler=sampler,
         update_rule=update_rule,
-        hooks=(profiler,),
+        hooks=(*averaging, profiler),
     )
     return engine, profiler
 

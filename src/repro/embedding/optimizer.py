@@ -65,16 +65,21 @@ class SGDOptimizer:
         *,
         scratch: np.ndarray | None = None,
         gather: np.ndarray | None = None,
-    ) -> None:
+        before: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Sparse descent when ``rows`` are known to be unique.
 
-        ``parameters[rows] -= learning_rate * gradient_rows`` through plain
-        fancy indexing, which is safe only because no row appears twice.
+        ``parameters[rows] -= learning_rate * gradient_rows`` as gather →
+        subtract → scatter-assign, which is safe only because no row
+        appears twice.  Returns ``(step, after)``: the rate-scaled rows
+        that were subtracted and the rows' new values.
 
-        The allocation-free variant takes both ``scratch`` (may alias
-        ``gradient_rows``; receives the rate-scaled rows) and ``gather`` (a
-        same-shaped buffer receiving the touched parameter rows): the update
-        becomes gather → subtract → scatter-assign with zero fresh arrays.
+        ``scratch`` (may alias ``gradient_rows``) receives the step and
+        ``gather`` the touched parameter rows, then their new values; both
+        must have the shape of ``gradient_rows``.  Passing them makes the
+        update allocation-free, omitting them allocates two fresh arrays.
+        A ``before`` array of that shape, of any float dtype, receives the
+        rows' old values.
         """
         rows = np.asarray(rows, dtype=np.int64)
         gradient_rows = np.asarray(gradient_rows)
@@ -83,13 +88,17 @@ class SGDOptimizer:
                 "rows and gradient_rows must have the same leading dimension"
             )
         gradient_rows = _check_gradient_dtype(parameters, gradient_rows)
-        if scratch is None or gather is None:
-            parameters[rows] -= self.learning_rate * gradient_rows
-            return
+        if scratch is None:
+            scratch = np.empty(gradient_rows.shape, dtype=parameters.dtype)
+        if gather is None:
+            gather = np.empty_like(scratch)
         np.multiply(gradient_rows, self.learning_rate, out=scratch)
         np.take(parameters, rows, axis=0, out=gather, mode="clip")
+        if before is not None:
+            np.copyto(before, gather)
         np.subtract(gather, scratch, out=gather)
         parameters[rows] = gather
+        return scratch, gather
 
     def __repr__(self) -> str:
         return f"SGDOptimizer(learning_rate={self.learning_rate})"

@@ -351,9 +351,9 @@ class SkipGramTrainerBase(Embedder):
     def _release_training_state(self) -> None:
         """Drop what only training reads; keep what the fit publishes.
 
-        The engine takes its sampler, update rule and hooks (iterate sums
-        included) with it.  A fitted estimator holds its published
-        matrices, its privacy record and the recorded γ.
+        The engine takes its sampler, update rule and hooks (averaging
+        corrections included) with it.  A fitted estimator holds its
+        published matrices, its privacy record and the recorded γ.
         """
         self.engine = self.model = self._sampler = self._subgraph_pool = None
 

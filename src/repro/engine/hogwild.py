@@ -246,16 +246,21 @@ def _release_blocks(
 
 
 class _SharedAccumulator:
-    """Two shared float64 blocks pooling the workers' iterate sums.
+    """Two shared float64 blocks pooling the workers' averaging corrections.
 
-    Workers add their :class:`~repro.engine.hooks.IterateAveragingHook`
-    sums under ``lock`` once at shard end (two adds per worker per run,
-    not per step), the parent divides by the total accumulated step count.
-    Fresh shared memory reads as zeros and its pages are only backed once
-    written, so a pool whose engines do not average pays nothing for the
-    blocks.  The parent creates, owns and unlinks them; a pid-guarded
-    ``weakref.finalize`` backstop releases them at garbage collection if
-    :meth:`destroy` was never reached.
+    A worker's :class:`~repro.engine.hooks.IterateAveragingHook` ends its
+    shard with the correction ``D_w/T_w``: its step-weighted sum of the
+    steps it landed, over its own step count.  Each worker adds it under
+    ``lock`` once at shard end (two adds per worker per run, not per step),
+    and the parent publishes ``W_final + Σ_w D_w/T_w``.  When the shards
+    take turns, step ``u`` of a ``T_w``-step shard lands near global step
+    ``u·T/T_w``, so each correction weighs its steps as the global-clock
+    Polyak average ``W_T + (1/T)·Σ_t (t−1)·δ_t`` does, up to a shift of
+    less than one round of the pool.  Fresh shared memory reads as zeros
+    and its pages are only backed once written, so a pool whose engines
+    do not average pays nothing for the blocks.  The parent creates, owns
+    and unlinks them; a pid-guarded ``weakref.finalize`` backstop releases
+    them at garbage collection if :meth:`destroy` was never reached.
     """
 
     def __init__(self, shape: tuple[int, int]) -> None:
@@ -264,8 +269,8 @@ class _SharedAccumulator:
             _shm.SharedMemory(create=True, size=nbytes),
             _shm.SharedMemory(create=True, size=nbytes),
         )
-        self.sum_w_in = np.ndarray(shape, dtype=np.float64, buffer=self._blocks[0].buf)
-        self.sum_w_out = np.ndarray(shape, dtype=np.float64, buffer=self._blocks[1].buf)
+        self.correction_w_in = np.ndarray(shape, dtype=np.float64, buffer=self._blocks[0].buf)
+        self.correction_w_out = np.ndarray(shape, dtype=np.float64, buffer=self._blocks[1].buf)
         self._owner_pid = os.getpid()
         # backstop if run_hogwild never reaches its finally (or a caller
         # abandons the accumulator): unlink at GC so no segment can outlive
@@ -275,15 +280,15 @@ class _SharedAccumulator:
             self, _release_blocks, self._blocks, self._owner_pid
         )
 
-    def add(self, sum_w_in: np.ndarray, sum_w_out: np.ndarray) -> None:
-        self.sum_w_in += sum_w_in
-        self.sum_w_out += sum_w_out
+    def add(self, correction_w_in: np.ndarray, correction_w_out: np.ndarray) -> None:
+        self.correction_w_in += correction_w_in
+        self.correction_w_out += correction_w_out
 
     def destroy(self) -> None:
         """Drop the views, close the mappings and (in the owner) unlink."""
         self._finalizer.detach()
-        self.sum_w_in = None  # type: ignore[assignment]
-        self.sum_w_out = None  # type: ignore[assignment]
+        self.correction_w_in = None  # type: ignore[assignment]
+        self.correction_w_out = None  # type: ignore[assignment]
         _release_blocks(self._blocks, self._owner_pid)
 
 
@@ -356,7 +361,8 @@ def _run_shard(
 ) -> tuple[WorkerReport, IterateAveragingHook | None]:
     """Run one shard incarnation in the current process; pool and inline share it.
 
-    Returns the report and the engine's iterate averager, if it has one.
+    Returns the report and the engine's iterate averager, if it has one;
+    the averager ends the run with its correction for the pool to add.
     """
     rng = np.random.default_rng(seed)
     if task.rng_state is not None:
@@ -367,6 +373,8 @@ def _run_shard(
     averager = next(
         (hook for hook in engine.hooks if isinstance(hook, IterateAveragingHook)), None
     )
+    if averager is not None:
+        averager.pooled = True
     profiler = StepProfiler()
     extra_hooks: list[EngineHook] = [profiler]
     plan = get_active_plan()
@@ -404,12 +412,12 @@ def _run_shard(
 
 
 def _worker_entry(engine_factory, seed, task, trace_memory, accumulator, lock, conn) -> None:
-    """Forked worker body: run the shard, pool iterate sums, report back."""
+    """Forked worker body: run the shard, pool its averaging correction, report back."""
     try:
         report, averager = _run_shard(engine_factory, seed, task, trace_memory)
         if averager is not None:
             with lock:
-                accumulator.add(averager.sum_w_in, averager.sum_w_out)
+                accumulator.add(averager.correction_w_in, averager.correction_w_out)
         conn.send(("ok", report))
     except BaseException as exc:  # forwarded to the parent, then re-raised
         try:
@@ -477,19 +485,21 @@ def _merge_run(
 ) -> HogwildRun:
     """Fold worker reports + the shared pages into one :class:`HogwildRun`.
 
-    ``accumulator`` holds the pooled iterate sums: the shared blocks of a
-    forked pool, or the one in-process shard's own averaging hook.  The
-    result averages them when any shard averaged, and publishes the final
-    iterates otherwise.
+    ``accumulator`` holds the pooled averaging corrections: the shared
+    blocks of a forked pool, or the one in-process shard's own averaging
+    hook.  When any shard averaged, the result is the shared final
+    iterates plus the pooled corrections; otherwise it is the final
+    iterates.
     """
     total_run = sum(report.steps for report in reports)
     averaged = sum(report.averaged_steps for report in reports)
     if averaged > 0:
-        embeddings = (accumulator.sum_w_in / averaged).astype(
-            model.w_in.dtype, copy=False
-        )
-        context = (accumulator.sum_w_out / averaged).astype(
-            model.w_out.dtype, copy=False
+        embeddings, context = (
+            np.add(final, correction).astype(final.dtype, copy=False)
+            for final, correction in (
+                (model.w_in, accumulator.correction_w_in),
+                (model.w_out, accumulator.correction_w_out),
+            )
         )
     else:
         embeddings, context = model.embeddings(), model.w_out.copy()
@@ -529,8 +539,9 @@ def run_hogwild(
         worker, so it may close over arbitrarily large parent state
         (subgraph pools, objectives) at zero copy cost.  When the engine
         carries an :class:`~repro.engine.hooks.IterateAveragingHook`, the
-        shards' iterate sums are pooled and the result publishes their
-        global average instead of the final iterates.
+        shards' averaging corrections are pooled and the result publishes
+        the final iterates plus their sum, the Polyak average of the pooled
+        run, instead of the final iterates.
     total_steps:
         Combined number of steps across all shards.  The privacy-relevant
         count is the run's :attr:`HogwildRun.accountant_steps` — equal to

@@ -1,8 +1,10 @@
 """Step-phase wall-time profiling for the training engine.
 
-A training step has four phases — ``sample`` (draw the batch), ``gradients``
-(Eq. 7/8 batch gradients), ``perturb`` (clip → aggregate → noise; private
-update rule only) and ``descend`` (parameter scatter updates).  The
+A training step has up to five phases — ``sample`` (draw the batch),
+``gradients`` (Eq. 7/8 batch gradients), ``perturb`` (clip → aggregate →
+noise; private update rule only), ``descend`` (parameter scatter updates)
+and ``averaging`` (the moved rows' share of the iterate average; only
+with an :class:`~repro.engine.hooks.IterateAveragingHook`).  The
 :class:`StepProfiler` hook times each phase with ``time.perf_counter`` and
 publishes the totals as a :class:`StepProfile` on
 :attr:`~repro.engine.core.EngineResult.profile`, so benchmarks (and curious
@@ -32,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["StepProfile", "StepProfiler"]
 
 #: canonical phase order used by reports
-PHASES = ("sample", "gradients", "perturb", "descend")
+PHASES = ("sample", "gradients", "perturb", "descend", "averaging")
 
 
 @dataclass

@@ -75,7 +75,9 @@ class DirectSparseUpdate(UpdateRule):
     scratch (the ``W_out`` rows straight from their rank-1 factors), then
     each touched row is hit once with fancy indexing: the same accumulated
     update as ``np.subtract.at`` (up to float summation order) at a
-    fraction of its per-element scatter cost, allocation-free.
+    fraction of its per-element scatter cost, allocation-free.  The moved
+    rows go into the workspace's :class:`~repro.engine.workspace.MovedRows`
+    records, as for :class:`PerturbedUpdate`.
     """
 
     def apply(self, model, optimizer, batch, gradients) -> None:
@@ -84,14 +86,13 @@ class DirectSparseUpdate(UpdateRule):
         ws = self.workspace
         unique_in, unique_out = ws.reduce_gradients(gradients)
         updates = (
-            (model.w_in, ws.center_scratch, unique_in),
-            (model.w_out, ws.context_scratch, unique_out),
+            (model.w_in, ws.center_scratch, unique_in, ws.moved[0]),
+            (model.w_out, ws.context_scratch, unique_out, ws.moved[1]),
         )
-        for parameters, scratch, unique in updates:
-            sums = scratch.sums[:unique]
-            optimizer.descend_unique_rows(
-                parameters, scratch.unique_rows[:unique], sums,
-                scratch=sums, gather=scratch.gather[:unique],
+        for parameters, scratch, unique, moved in updates:
+            _descend_recording(
+                optimizer, parameters, scratch.unique_rows[:unique],
+                scratch.sums[:unique], scratch, moved,
             )
         if profiler is not None:
             profiler.record("descend", perf_counter() - start)
@@ -149,25 +150,42 @@ class PerturbedUpdate(UpdateRule):
         The sums (and counts) are per-step buffers, rewritten next step, so
         they are scaled in place; each parameter matrix is then updated
         through the gather → subtract → scatter-assign path of
-        :meth:`SGDOptimizer.descend_unique_rows`.
+        :meth:`SGDOptimizer.descend_unique_rows`, and what moved is recorded
+        in the workspace's :class:`~repro.engine.workspace.MovedRows`.
         """
         ws = self.workspace
         updates = (
             (model.w_in, perturbed.w_in_rows, perturbed.w_in_sums,
-             perturbed.w_in_counts, ws.center_scratch),
+             perturbed.w_in_counts, ws.center_scratch, ws.moved[0]),
             (model.w_out, perturbed.w_out_rows, perturbed.w_out_sums,
-             perturbed.w_out_counts, ws.context_scratch),
+             perturbed.w_out_counts, ws.context_scratch, ws.moved[1]),
         )
-        for parameters, rows, sums, counts, scratch in updates:
+        for parameters, rows, sums, counts, scratch, moved in updates:
             if self.gradient_normalization == "batch":
                 np.divide(sums, perturbed.batch_size, out=sums)
             else:
                 # naive Eq. 6 reports untouched rows (count 0): keep them as is
                 np.maximum(counts, 1.0, out=counts)
                 np.divide(sums, counts[:, None], out=sums)
-            count = rows.shape[0]
-            # naive Eq. 6 reports all |V| rows, more than the scratch holds
-            gather = scratch.gather[:count] if count <= scratch.slots else None
-            optimizer.descend_unique_rows(
-                parameters, rows, sums, scratch=sums, gather=gather
-            )
+            _descend_recording(optimizer, parameters, rows, sums, scratch, moved)
+
+
+def _descend_recording(optimizer, parameters, rows, sums, scratch, moved) -> None:
+    """Descend ``parameters`` on ``rows`` by ``sums`` and record it in ``moved``.
+
+    The step runs through the matrix's segment scratch: ``sums`` becomes
+    the subtracted step and the gather block the new rows.  A float32 run
+    also copies the old rows into the float64 noise block, which is free
+    by now.  Naive Eq. 6 reports all ``|V|`` rows, more than the scratch
+    holds, and descends through fresh arrays instead.
+    """
+    count = rows.shape[0]
+    fits = count <= scratch.slots
+    before = None
+    if parameters.dtype != np.float64:
+        before = scratch.noise[:count] if fits else np.empty(sums.shape)
+    moved.step, moved.after = optimizer.descend_unique_rows(
+        parameters, rows, sums, scratch=sums,
+        gather=scratch.gather[:count] if fits else None, before=before,
+    )
+    moved.rows, moved.before = rows, before

@@ -20,7 +20,9 @@ through every phase:
   ``‖errors_b‖·‖centre_b‖``, and clipping rescales the error row) and run
   their aggregate → noise pipeline inside the two :class:`_SegmentScratch`
   blocks, drawing Gaussians into a reused float64 buffer, and
-* the update rules descend through the same scratch.
+* the update rules descend through the same scratch and leave the moved
+  rows and their step in :class:`MovedRows` records (the iterate averaging
+  reads them).
 
 Steady-state steps therefore perform no array-sized heap allocations in the
 gradient / perturb / descend phases (a tracemalloc test pins this); the only
@@ -41,6 +43,7 @@ from ..exceptions import ConfigurationError
 from .batch import BatchGradients, SubgraphBatch
 
 __all__ = [
+    "MovedRows",
     "PerturbedGradients",
     "StepWorkspace",
     "resolve_compute_dtype",
@@ -138,6 +141,7 @@ class _SegmentScratch:
         self.gather = block
         #: float64 regardless of the compute dtype — DP noise is calibrated
         #: and drawn in full precision, then added into the compute buffers.
+        #: A float32 descent then keeps the moved rows' old values here.
         self.noise = (
             block if dtype == np.dtype(np.float64)
             else np.empty((slots, dim), dtype=np.float64)
@@ -289,6 +293,27 @@ class PerturbedGradients:
     mean_loss: float = 0.0
 
 
+@dataclass
+class MovedRows:
+    """The rows one step's descent moved in one matrix, and by how much.
+
+    The update rules fill it: ``rows`` are the moved rows (sorted unique),
+    ``step`` the rate-scaled rows subtracted from them and ``after`` their
+    new values, both in the compute dtype.  A float32 step does not land
+    exactly (``after`` is ``before − step`` rounded to float32), so a
+    float32 run also keeps the old values in float64, ``before``, where
+    ``before − after`` is exact; a float64 run leaves it ``None``.  On the
+    touched-row path all three are views into the matrix's segment scratch,
+    valid until the next step; naive Eq. 6 moves all ``|V|`` rows and
+    reports fresh ``|V| × r`` arrays.
+    """
+
+    rows: np.ndarray | None = None
+    step: np.ndarray | None = None
+    after: np.ndarray | None = None
+    before: np.ndarray | None = None
+
+
 class StepWorkspace:
     """Every per-step array of a training run, allocated once.
 
@@ -386,6 +411,8 @@ class StepWorkspace:
         self.center_scratch = _SegmentScratch(B, r, self.dtype)
         self.context_scratch = _SegmentScratch(slots, r, self.dtype)
         self.perturb_result = PerturbedGradients()
+        #: what the last descent moved, ``W_in`` then ``W_out``
+        self.moved = (MovedRows(), MovedRows())
 
     @classmethod
     def for_training(cls, model, sampler) -> "StepWorkspace":

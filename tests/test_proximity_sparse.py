@@ -199,7 +199,10 @@ class TestSparseProximityMatrixApi:
     def test_freeze_copies_ndarray_subclass_views(self):
         # np.asarray on an ndarray subclass returns a memory-sharing view,
         # so freeze() must copy or the caller's handle mutates the cache
-        raw = np.matrix([[0.0, 1.0], [1.0, 0.0]])
+        class Subclass(np.ndarray):
+            pass
+
+        raw = np.array([[0.0, 1.0], [1.0, 0.0]]).view(Subclass)
         prox = ProximityMatrix(raw).freeze()
         raw[0, 1] = 99.0
         assert prox.pair_value(0, 1) == 1.0
