@@ -38,8 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import DTypeLike
 
+# SciPy's private CSR kernel: ``import scipy.sparse`` loads it anyway, and
+# unlike the public ``csr_matrix @ x`` it accumulates into a caller's buffer
+from scipy.sparse._sparsetools import csr_matvecs
+
 from ..analysis.markers import zero_alloc
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, TrainingError
 from .batch import BatchGradients, SubgraphBatch
 
 __all__ = [
@@ -83,26 +87,28 @@ class _SegmentScratch:
     together with their summed gradients and touch counts.  ``np.unique`` +
     ``np.bincount`` produce fresh arrays every call (and ``np.add.reduceat``
     / axis-0 ``cumsum`` turn out to be several ms for these shapes); this
-    scratch gets the same result through in-place primitives only, and
-    exploits that a training batch touches *mostly distinct* rows — the
-    typical segment has length 1:
+    scratch gets the same result through in-place primitives and one
+    sparse × dense product:
 
     1. pack ``row * slots + slot`` into one int64 key array and sort it in
        place (rows ascending, original slot as tiebreak),
     2. mark segment boundaries with an in-place ``np.not_equal`` and
        compress them into the bounds buffer (``np.compress(..., out=...)``),
-    3. initialise each segment sum with its *first* slot's value (one
-       gather), then fold in the duplicate slots one multiplicity layer at
-       a time: every segment's first duplicate in one take → add → put,
-       then every second duplicate, and so on.  A segment appears at most
-       once per layer, so each put is conflict-free, and each segment adds
-       its slots in their original order — the same sums, bit for bit, as
-       ``np.add.at`` over the sorted slots.
+    3. read the bounds as the ``indptr`` of a ``U × len(values)`` CSR matrix
+       with one entry per sorted slot: its column is the row of ``values``
+       the slot reads, its value the slot's factor.  SciPy's C kernel
+       ``csr_matvecs`` adds that matrix times ``values`` into ``sums[:U]``,
+       pre-filled with ``-0.0``, without allocating.
+
+    The kernel adds each segment's slots in ``indptr`` order, which is
+    their original order, and ``-0.0 + p == p`` for every ``p`` (signed
+    zeros and NaN included), so the sums equal, bit for bit, the first
+    slot of each segment plus ``np.add.at`` over the others.
 
     A slot's value is either an explicit row (``W_in``: one gradient row
-    per example) or a rank-1 product gathered on demand (``W_out``: the
-    weighted error of the slot times its example's centre row), so the
-    ``W_out`` gradient block is never materialised.
+    per example, factor 1.0) or a rank-1 product (``W_out``: the weighted
+    error of the slot times its example's centre row), so the ``W_out``
+    gradient block is never materialised.
 
     All outputs are views into buffers owned by this object; they are valid
     until the next :meth:`reduce` call.
@@ -114,27 +120,19 @@ class _SegmentScratch:
         self.sorted_rows = np.empty(slots, dtype=np.int64)
         self.slot_of = np.empty(slots, dtype=np.int64)
         self.flags = np.empty(slots, dtype=bool)
-        self.dup_flags = np.empty(slots, dtype=bool)
-        self.bounds = np.empty(slots, dtype=np.int64)
-        self.segment_ids = np.empty(slots, dtype=np.int64)
-        self.layer_keys = np.empty(slots, dtype=np.int64)
-        self.dup_keys = np.empty(slots, dtype=np.int64)
-        self.layer_starts = np.empty(slots, dtype=np.int64)
-        self.index_scratch = np.empty(slots, dtype=np.int64)
-        self.dup_positions = np.empty(slots, dtype=np.int64)
-        self.dup_segments = np.empty(slots, dtype=np.int64)
+        #: segment starts, then ``slots``: the CSR ``indptr``
+        self.bounds = np.empty(slots + 1, dtype=np.int64)
         self.owners = np.empty(slots, dtype=np.int64)
         self.factors = np.empty(slots, dtype=dtype)
+        self.ones = np.ones(slots, dtype=dtype)
         self.count_ints = np.empty(slots, dtype=np.int64)
         self.sums = np.empty((slots, dim), dtype=dtype)
         self.counts = np.empty(slots, dtype=dtype)
         self.unique_rows = np.empty(slots, dtype=np.int64)
-        # One block serves the three value scratches, whose lifetimes never
-        # overlap within a step: duplicate slots (and the per-layer staging
-        # behind them) during ``reduce``, then the noise staged into
-        # ``sums``, then the gathered parameter rows of the descent.
+        # One block serves the two value scratches, whose lifetimes never
+        # overlap within a step: the noise staged into ``sums``, then the
+        # gathered parameter rows of the descent.
         block = np.empty((slots, dim), dtype=dtype)
-        self.dup_values = block
         #: compute-dtype staging for the noise: a cross-dtype ufunc would
         #: allocate casting buffers, np.copyto into this one does not
         self.noise_cast = block
@@ -154,122 +152,65 @@ class _SegmentScratch:
     ) -> int:
         """Segment-sum the slot values by ``rows``; return the unique-row count ``U``.
 
-        Slot ``s`` carries ``values[s]``, or, given ``scale``, the rank-1
-        product ``scale[s] · values[s // m]`` with ``m = slots / len(values)``
-        slots per row of ``values`` (the ``W_out`` gradient: the weighted
-        error of a context slot times its example's centre row).
+        Slot ``s`` carries ``values[s // m]``, with ``m = slots / len(values)``
+        slots per row of ``values``, times ``scale[s]`` if given: ``W_in``
+        passes one gradient row per slot, ``W_out`` one centre row per
+        example and each context slot's weighted error as its scale.
 
         After the call ``unique_rows[:U]`` holds the sorted unique rows,
         ``sums[:U]`` their summed values and ``counts[:U]`` how many slots
-        hit each row.  ``rows`` must hold exactly ``self.slots``
-        non-negative entries.  Within a segment, slots accumulate in their
-        original order — the same order as ``np.add.at`` over sorted rows.
+        hit each row.  ``rows`` must hold exactly ``self.slots`` entries; a
+        negative one raises :class:`~repro.exceptions.TrainingError`.
+        Within a segment, slots accumulate in their original order — the
+        same order as ``np.add.at`` over sorted rows.
         """
         slots = self.slots
+        sources, dim = values.shape
+        sums = self.sums
+        # the C kernel checks no bounds, and ravel() would copy a strided
+        # array, so the shape, dtype and layout are checked here
+        if (
+            slots % sources
+            or dim != sums.shape[1]
+            or values.dtype != sums.dtype
+            or not values.flags.c_contiguous
+        ):
+            raise TrainingError(
+                f"segment values must be a C-contiguous {sums.dtype} array of "
+                f"{sums.shape[1]} columns whose rows divide {slots} slots, got "
+                f"{values.dtype} {values.shape}"
+            )
         keys = self.keys
         np.multiply(rows, slots, out=keys)
         np.add(keys, self.arange, out=keys)
         keys.sort()
+        if keys[0] < 0:
+            raise TrainingError("segment rows must be non-negative, got a negative row id")
         np.floor_divide(keys, slots, out=self.sorted_rows)
         np.remainder(keys, slots, out=self.slot_of)
         flags = self.flags
         flags[0] = True
         np.not_equal(self.sorted_rows[1:], self.sorted_rows[:-1], out=flags[1:])
         unique = int(np.count_nonzero(flags))
-        bounds = self.bounds
+        bounds = self.bounds[: unique + 1]
         np.compress(flags, self.arange, out=bounds[:unique])
+        bounds[unique] = slots
         np.take(self.sorted_rows, bounds[:unique], out=self.unique_rows[:unique], mode="clip")
 
-        # seed every segment with its first slot's value ...
-        first_slots = self.index_scratch[:unique]
-        np.take(self.slot_of, bounds[:unique], out=first_slots, mode="clip")
-        self._gather(first_slots, values, scale, self.sums[:unique])
-        # ... then fold in the duplicate slots (few, for real batches)
-        if unique < slots:
-            self._fold_duplicates(unique, values, scale)
+        owners = self.owners
+        np.floor_divide(self.slot_of, slots // sources, out=owners)
+        factors = self.ones
+        if scale is not None:
+            factors = self.factors
+            np.take(scale, self.slot_of, out=factors, mode="clip")
+        out = sums[:unique]
+        out.fill(-0.0)
+        csr_matvecs(unique, sources, dim, bounds, owners, factors, values.ravel(), out.ravel())
 
-        ints = self.count_ints
-        if unique > 1:
-            np.subtract(bounds[1:unique], bounds[: unique - 1], out=ints[: unique - 1])
-        ints[unique - 1] = slots - bounds[unique - 1]
-        np.copyto(self.counts[:unique], ints[:unique], casting="unsafe")
+        ints = self.count_ints[:unique]
+        np.subtract(bounds[1:], bounds[:-1], out=ints)
+        np.copyto(self.counts[:unique], ints, casting="unsafe")
         return unique
-
-    @zero_alloc
-    def _fold_duplicates(
-        self, unique: int, values: np.ndarray, scale: np.ndarray | None
-    ) -> None:
-        """Add every non-first slot into its segment sum, one layer at a time.
-
-        Layer ``j`` holds each segment's ``j``-th duplicate.  Ordering the
-        duplicates by ``(layer, sorted position)`` makes every layer one
-        contiguous run, and layers run in ascending order, so each
-        segment's slots still add in their original order.
-        """
-        slots = self.slots
-        duplicates = slots - unique
-        segment_ids = self.segment_ids
-        np.cumsum(self.flags, out=segment_ids)
-        np.subtract(segment_ids, 1, out=segment_ids)
-        # rank of each sorted position within its segment (0 = first slot),
-        # packed with the position into one sortable key
-        keys = self.layer_keys
-        np.take(self.bounds, segment_ids, out=keys, mode="clip")
-        np.subtract(self.arange, keys, out=keys)
-        np.multiply(keys, slots, out=keys)
-        np.add(keys, self.arange, out=keys)
-        np.logical_not(self.flags, out=self.dup_flags)
-        dup_keys = self.dup_keys[:duplicates]
-        np.compress(self.dup_flags, keys, out=dup_keys)
-        dup_keys.sort()
-        positions = self.dup_positions[:duplicates]
-        np.remainder(dup_keys, slots, out=positions)
-        np.floor_divide(dup_keys, slots, out=dup_keys)
-
-        layer_flags = self.dup_flags[:duplicates]
-        layer_flags[0] = True
-        np.not_equal(dup_keys[1:], dup_keys[:-1], out=layer_flags[1:])
-        layers = int(np.count_nonzero(layer_flags))
-        starts = self.layer_starts[: layers + 1]
-        np.compress(layer_flags, self.arange[:duplicates], out=starts[:layers])
-        starts[layers] = duplicates
-
-        segments = self.dup_segments[:duplicates]
-        np.take(segment_ids, positions, out=segments, mode="clip")
-        dup_slots = self.index_scratch[:duplicates]
-        np.take(self.slot_of, positions, out=dup_slots, mode="clip")
-        dup_values = self.dup_values
-        self._gather(dup_slots, values, scale, dup_values[:duplicates])
-        # a layer has at most ``unique`` entries and unique + duplicates =
-        # slots, so the rows behind the duplicate values stage each layer
-        sums = self.sums
-        for layer in range(layers):
-            start, stop = starts[layer], starts[layer + 1]
-            layer_segments = segments[start:stop]
-            staged = dup_values[duplicates : duplicates + stop - start]
-            np.take(sums, layer_segments, axis=0, out=staged, mode="clip")
-            np.add(staged, dup_values[start:stop], out=staged)
-            sums[layer_segments] = staged
-
-    @zero_alloc
-    def _gather(
-        self,
-        slot_ids: np.ndarray,
-        values: np.ndarray,
-        scale: np.ndarray | None,
-        out: np.ndarray,
-    ) -> None:
-        """Write the values of slots ``slot_ids`` into ``out`` (see :meth:`reduce`)."""
-        if scale is None:
-            np.take(values, slot_ids, axis=0, out=out, mode="clip")
-            return
-        count = slot_ids.shape[0]
-        owners = self.owners[:count]
-        np.floor_divide(slot_ids, self.slots // values.shape[0], out=owners)
-        np.take(values, owners, axis=0, out=out, mode="clip")
-        factors = self.factors[:count]
-        np.take(scale, slot_ids, out=factors, mode="clip")
-        np.multiply(out, factors[:, None], out=out)
 
 
 @dataclass

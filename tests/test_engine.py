@@ -27,6 +27,7 @@ from repro.embedding.objectives import StructurePreferenceObjective
 from repro.engine import (
     DirectSparseUpdate,
     LossLoggingHook,
+    PerturbedUpdate,
     StepWorkspace,
     TrainingEngine,
     run_hogwild,
@@ -404,6 +405,78 @@ class TestEngineTrainerEquivalence:
         ).fit(small_graph, epochs=5)
         np.testing.assert_allclose(trainer.embeddings_, legacy_w_in, atol=ATOL)
         np.testing.assert_allclose(trainer.context_embeddings_, legacy_w_out, atol=ATOL)
+
+
+def _seeded_engine(graph, config, update_rule, learning_rate):
+    """An engine whose model and batches depend only on the seed, not the rule."""
+    objective, pool = _objective_and_pool(graph, k=config.negative_samples)
+    pool = pool.with_weights(objective.edge_weights(pool.centers, pool.positives))
+    rng = ensure_rng(0)
+    model = SkipGramModel(graph.num_nodes, config.embedding_dim, seed=rng)
+    return TrainingEngine(
+        model=model,
+        optimizer=SGDOptimizer(learning_rate),
+        objective=objective,
+        sampler=SubgraphSampler(pool, config.batch_size, seed=rng),
+        update_rule=update_rule,
+    )
+
+
+class TestNoiselessLimit:
+    """With clipping and noise off, SE-PrivGEmb's step is SE-GEmb's step.
+
+    ``C = 1e10`` clips no example, and ``σ·C = 1e-290`` adds nothing a
+    gradient row can hold; ``"batch"`` divides the sum by ``B``, so a rate
+    of ``η·B`` descends by ``η`` times the summed gradient, as
+    :class:`DirectSparseUpdate` does.  Both rules sum through the same
+    segment reduce.
+    """
+
+    def test_perturbed_batch_rule_matches_direct_update(self, small_graph, fast_training_config):
+        eta, steps = 0.1, 20
+        direct = _seeded_engine(small_graph, fast_training_config, DirectSparseUpdate(), eta)
+        batch_size = direct.sampler.batch_size
+        noiseless = get_perturbation("nonzero", 1e10, 1e-300, seed=0)
+        private = _seeded_engine(
+            small_graph, fast_training_config, PerturbedUpdate(noiseless, "batch"),
+            eta * batch_size,
+        )
+        init = direct.model.w_in.copy()
+        exact, perturbed = direct.run(steps), private.run(steps)
+        # the runs move away from the init, so matching is not vacuous
+        assert not np.allclose(exact.embeddings, init, atol=1e-3)
+        np.testing.assert_allclose(perturbed.losses, exact.losses, rtol=1e-10)
+        np.testing.assert_allclose(perturbed.embeddings, exact.embeddings, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(
+            perturbed.context_embeddings, exact.context_embeddings, rtol=1e-9, atol=1e-12
+        )
+
+
+class TestForeignBatchRows:
+    @pytest.mark.parametrize("private", [False, True], ids=["direct", "perturbed"])
+    def test_negative_centre_raises_and_leaves_the_model_unchanged(
+        self, small_graph, fast_training_config, private
+    ):
+        rule = (
+            PerturbedUpdate(get_perturbation("nonzero", 2.0, 5.0, seed=0))
+            if private else DirectSparseUpdate()
+        )
+        engine = _seeded_engine(small_graph, fast_training_config, rule, 0.1)
+        model = engine.model
+        engine.workspace = rule.workspace = StepWorkspace.for_training(model, engine.sampler)
+        pool = engine.sampler.pool
+        taken = pool.take(np.arange(engine.sampler.batch_size))
+        centers = taken.centers.copy()
+        centers[3] = -1
+        batch = SubgraphBatch(centers=centers, contexts=taken.contexts, weights=taken.weights)
+        w_in, w_out = model.w_in.copy(), model.w_out.copy()
+        gradients = engine.objective.batch_gradients(
+            model.w_in, model.w_out, batch, workspace=engine.workspace
+        )
+        with pytest.raises(TrainingError, match="non-negative"):
+            rule.apply(model, engine.optimizer, batch, gradients)
+        assert model.w_in.tobytes() == w_in.tobytes()
+        assert model.w_out.tobytes() == w_out.tobytes()
 
 
 class TestTrainingEngine:

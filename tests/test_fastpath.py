@@ -104,14 +104,13 @@ class TestStepWorkspace:
         assert ws.context_scratch.noise.dtype == np.dtype(np.float64)
 
     @pytest.mark.parametrize(
-        ("dtype", "budget_mib"), [("float64", 8.25), ("float32", 6.25)]
+        ("dtype", "budget_mib"), [("float64", 7.9), ("float32", 5.9)]
     )
     def test_workspace_size_is_pinned(self, dtype, budget_mib):
         # B=1024, k=5, r=32: one (slots, r) block per segment scratch serves
-        # the duplicate values, the noise staging and the descent gather,
-        # and the W_out gradient stays in its rank-1 factors (6.73 MiB
-        # float64, 5.56 MiB float32); a separate scratch block for each use
-        # adds 3.50 / 1.75 MiB
+        # the noise staging and the descent gather, and the W_out gradient
+        # stays in its rank-1 factors (6.39 MiB float64, 5.20 MiB float32);
+        # a separate scratch block for each use adds 1.75 / 0.875 MiB
         tracemalloc.start()
         try:
             ws = StepWorkspace(
@@ -123,7 +122,7 @@ class TestStepWorkspace:
             tracemalloc.stop()
         assert size < budget_mib * 2**20, f"workspace holds {size / 2**20:.2f} MiB"
         for scratch in (ws.center_scratch, ws.context_scratch):
-            assert scratch.gather is scratch.dup_values is scratch.noise_cast
+            assert scratch.gather is scratch.noise_cast
             assert (scratch.noise is scratch.gather) == (dtype == "float64")
 
     def test_rejects_bad_dtype_and_geometry(self):
@@ -196,7 +195,7 @@ class TestSegmentScratch:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("factored", [False, True], ids=["explicit", "rank1"])
     @pytest.mark.parametrize("multiplicity", [1, 2, 3, 5, 7, 11, 24])
-    def test_layered_fold_equals_add_at_bit_for_bit(self, multiplicity, factored, dtype):
+    def test_segment_sums_equal_add_at_bit_for_bit(self, multiplicity, factored, dtype):
         # 24 slots: from all-distinct rows up to every slot on one row
         slots, group, dim = 24, 4, 5
         rng = np.random.default_rng(multiplicity)
@@ -220,6 +219,54 @@ class TestSegmentScratch:
         np.testing.assert_array_equal(scratch.unique_rows[:unique], expected_rows)
         assert scratch.sums[:unique].tobytes() == expected_sums.tobytes()
         np.testing.assert_array_equal(scratch.counts[:unique], expected_counts)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("factored", [False, True], ids=["explicit", "rank1"])
+    def test_signed_zeros_and_non_finite_slots_equal_add_at_bit_for_bit(
+        self, factored, dtype
+    ):
+        # The sums start from -0.0, the additive identity: a segment whose
+        # slots are all -0.0 must stay -0.0 (a +0.0 start makes it +0.0),
+        # and inf / nan must come out as the first-slot + np.add.at sums do
+        slots, group, dim = 24, 4, 6
+        rng = np.random.default_rng(5)
+        special = np.array([-0.0, -0.0, 0.0, np.inf, -np.inf, np.nan, 1.5, -2.0], dtype=dtype)
+        # segments of 1, 1, 1, 2, 2, 3, 5 and 9 slots
+        rows = rng.permutation(np.repeat(np.arange(8) * 3, [1, 1, 1, 2, 2, 3, 5, 9]))
+        if factored:
+            values = rng.choice(special, size=(slots // group, dim))
+            scale = rng.choice(special, size=slots)
+            with np.errstate(invalid="ignore"):
+                slot_values = scale[:, None] * values[np.arange(slots) // group]
+        else:
+            values = slot_values = rng.choice(special, size=(slots, dim))
+            scale = None
+        scratch = _SegmentScratch(slots, dim, np.dtype(dtype))
+        with np.errstate(invalid="ignore"):
+            unique = scratch.reduce(rows, values, scale)
+            expected_rows, expected_sums, expected_counts = self._add_at_reference(
+                rows, slot_values
+            )
+        # the data must hold every case the test is about
+        assert np.any((expected_sums == 0) & np.signbit(expected_sums))
+        assert np.any((expected_sums == 0) & ~np.signbit(expected_sums))
+        assert np.isnan(expected_sums).any() and np.isinf(expected_sums).any()
+        assert unique == expected_rows.size == 8
+        np.testing.assert_array_equal(scratch.unique_rows[:unique], expected_rows)
+        assert scratch.sums[:unique].tobytes() == expected_sums.tobytes()
+        np.testing.assert_array_equal(scratch.counts[:unique], expected_counts)
+
+    def test_rejects_values_the_kernel_cannot_read_in_place(self):
+        scratch = _SegmentScratch(6, 4, np.dtype(np.float64))
+        rows = np.arange(6)
+        for values in (
+            np.ones((4, 4)),  # 4 rows do not divide 6 slots
+            np.ones((6, 5)),  # wrong width
+            np.ones((6, 4), dtype=np.float32),  # wrong dtype
+            np.ones((6, 8))[:, ::2],  # strided
+        ):
+            with pytest.raises(TrainingError, match="C-contiguous"):
+                scratch.reduce(rows, values)
 
 
 # --------------------------------------------------------------------- #
