@@ -3,7 +3,8 @@
 The paper optimises skip-gram with vanilla SGD (Algorithm 2 updates each
 weight matrix by the averaged, possibly-noised batch gradient scaled by the
 learning rate ``η``).  The training step descends on the touched rows only
-(:meth:`SGDOptimizer.descend_unique_rows`, through workspace scratch).
+(:meth:`SGDOptimizer.descend_unique_rows`: one scatter-axpy into the
+touched rows, through workspace scratch).
 
 The descent rejects float gradients whose dtype differs from the
 parameters': numpy would otherwise upcast silently, and a float32
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..engine.workspace import covers_all_rows, scatter_axpy
 from ..exceptions import ConfigurationError
 
 __all__ = ["SGDOptimizer"]
@@ -66,20 +68,27 @@ class SGDOptimizer:
         scratch: np.ndarray | None = None,
         gather: np.ndarray | None = None,
         before: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sparse descent when ``rows`` are known to be unique.
+        pattern: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """``parameters[rows] -= learning_rate * gradient_rows``, in place.
 
-        ``parameters[rows] -= learning_rate * gradient_rows`` as gather →
-        subtract → scatter-assign, which is safe only because no row
-        appears twice.  Returns ``(step, after)``: the rate-scaled rows
-        that were subtracted and the rows' new values.
+        ``rows`` must be unique (a repeated row takes the sum of its
+        steps); a row outside ``[0, |V|)`` raises
+        :class:`~repro.exceptions.TrainingError` before anything moves.
+        The rows ``0, 1, …, |V|−1`` in order descend densely
+        (``W -= step``, :func:`~repro.engine.workspace.covers_all_rows`);
+        any others take one scatter-axpy of ``−1 × step``
+        (:func:`~repro.engine.workspace.scatter_axpy`), bit for bit
+        ``W[rows] − step``, without a ``|V|``-length array.
 
-        ``scratch`` (may alias ``gradient_rows``) receives the step and
-        ``gather`` the touched parameter rows, then their new values; both
-        must have the shape of ``gradient_rows``.  Passing them makes the
-        update allocation-free, omitting them allocates two fresh arrays.
-        A ``before`` array of that shape, of any float dtype, receives the
-        rows' old values.
+        ``scratch`` (may alias ``gradient_rows``) receives the step.  A
+        ``before`` array of its shape, of any float dtype, receives the
+        rows' old values, and ``gather`` their new ones; asking for either
+        fills ``gather``.  ``pattern`` is the scatter's ``(indptr, factors)``:
+        ``0, 1, …`` and ``−1``, at least as many as the rows.  Returns
+        ``(step, after)``: the rate-scaled rows that were subtracted and
+        the rows' new values (``gather``), or ``None`` when neither was
+        asked for.  Buffers not passed are allocated.
         """
         rows = np.asarray(rows, dtype=np.int64)
         gradient_rows = np.asarray(gradient_rows)
@@ -90,15 +99,24 @@ class SGDOptimizer:
         gradient_rows = _check_gradient_dtype(parameters, gradient_rows)
         if scratch is None:
             scratch = np.empty(gradient_rows.shape, dtype=parameters.dtype)
-        if gather is None:
-            gather = np.empty_like(scratch)
-        np.multiply(gradient_rows, self.learning_rate, out=scratch)
-        np.take(parameters, rows, axis=0, out=gather, mode="clip")
-        if before is not None:
-            np.copyto(before, gather)
-        np.subtract(gather, scratch, out=gather)
-        parameters[rows] = gather
-        return scratch, gather
+        step = np.multiply(gradient_rows, self.learning_rate, out=scratch)
+        count = rows.shape[0]
+        if gather is not None or before is not None:
+            if gather is None:
+                gather = np.empty_like(step)
+            np.take(parameters, rows, axis=0, out=gather, mode="clip")
+            if before is not None:
+                np.copyto(before, gather)
+            # what the descent lands: y + (−1)·x is y − x exactly
+            np.subtract(gather, step, out=gather)
+        if covers_all_rows(rows, parameters.shape[0]):
+            np.subtract(parameters, step, out=parameters)
+        else:
+            if pattern is None:
+                pattern = np.arange(count + 1), np.full(count, -1.0, dtype=step.dtype)
+            indptr, minus_ones = pattern
+            scatter_axpy(parameters, rows, step, minus_ones, indptr)
+        return step, gather
 
     def __repr__(self) -> str:
         return f"SGDOptimizer(learning_rate={self.learning_rate})"

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..analysis.markers import zero_alloc
 from ..utils.logging import get_logger
-from .workspace import MovedRows
+from .workspace import MovedRows, covers_all_rows, scatter_axpy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core import EngineResult, TrainingEngine
@@ -92,8 +92,10 @@ class IterateAveragingHook(EngineHook):
         ``Σ_{u=1..T} W_u = T·W_T + Σ_u (u−1)·δ_u``.
 
     Per matrix the hook keeps ``D = Σ_u (u−1)·δ_u`` in float64.  Each step
-    adds ``(u−1)·δ_u`` into the moved rows of ``D``: one take → add → put
-    through the step's own scratch, with a scalar weight.  The workspace's
+    adds ``(u−1)·δ_u`` into the moved rows of ``D`` with one scatter-axpy
+    (:func:`~repro.engine.workspace.scatter_axpy`) whose factors are all
+    ``u−1``: the same multiply, then add, as scaling ``δ_u`` and adding it,
+    without gathering ``D``'s rows.  The workspace's
     :class:`~repro.engine.workspace.MovedRows` supply ``δ_u``.  In float64
     it is the subtracted step, which the descent rounds by at most half an
     ulp per entry, so the mean matches the dense sums to float64 rounding
@@ -116,8 +118,9 @@ class IterateAveragingHook(EngineHook):
         self.steps = 0
         #: set by a hogwild pool: end with ``D/T`` for the pool to add up
         self.pooled = False
-        # float64 staging of a float32 run's new rows, as many as the
-        # W_out scratch holds (or all |V| rows under naive Eq. 6)
+        # the scatter-axpy's weights and the float64 staging of a float32
+        # run's new rows, as many as the W_out scratch holds
+        self._weights: np.ndarray | None = None
         self._stage: np.ndarray | None = None
 
     def on_train_start(self, engine: "TrainingEngine") -> None:
@@ -125,7 +128,7 @@ class IterateAveragingHook(EngineHook):
         self.correction_w_in = np.zeros(model.w_in.shape, dtype=np.float64)
         self.correction_w_out = np.zeros(model.w_out.shape, dtype=np.float64)
         self.steps = 0
-        self._stage = None
+        self._weights = self._stage = None
 
     def after_step(self, engine: "TrainingEngine", epoch: int, loss: float) -> None:
         profiler = engine.profiler
@@ -135,35 +138,46 @@ class IterateAveragingHook(EngineHook):
         self.steps += 1
         # the first iterate is W_T's own share: it needs no correction
         if weight:
+            scratch = engine.workspace.context_scratch
             moved_in, moved_out = engine.workspace.moved
-            if moved_out.before is not None:
-                rows = max(moved_out.rows.shape[0], engine.workspace.context_scratch.slots)
-                if self._stage is None or self._stage.shape[0] < rows:
-                    self._stage = np.empty((rows, moved_out.after.shape[1]))
-            self._accumulate(self.correction_w_in, moved_in, weight)
-            self._accumulate(self.correction_w_out, moved_out, weight)
+            if self._weights is None:
+                self._weights = np.empty(scratch.slots)
+                if moved_out.before is not None:
+                    self._stage = np.empty((scratch.slots, moved_out.step.shape[1]))
+            self._weights.fill(weight)
+            self._accumulate(self.correction_w_in, moved_in, weight, scratch.indptr)
+            self._accumulate(self.correction_w_out, moved_out, weight, scratch.indptr)
         if profiler is not None:
             profiler.record("averaging", perf_counter() - start)
 
     @zero_alloc
-    def _accumulate(self, correction: np.ndarray, moved: MovedRows, weight: int) -> None:
+    def _accumulate(
+        self, correction: np.ndarray, moved: MovedRows, weight: int, indptr: np.ndarray
+    ) -> None:
         """Add ``weight · δ`` into the moved rows of ``correction``.
 
-        The step's buffers are free once the descent has run: ``δ`` is
-        scaled in place, and the rows of ``correction`` are staged in the
-        buffer of the new values.
+        Touched rows take one scatter-axpy with the step's weight as every
+        factor and the ``W_out`` scratch's ``indptr``; all ``|V|`` rows
+        (naive Eq. 6) take the same multiply, then add, densely.  A float32
+        step's buffers are free once the descent has run: ``δ`` is formed
+        in its old-rows block, with touched new rows staged in float64.
         """
-        rows, delta, stage = moved.rows, moved.step, moved.after
+        rows, delta = moved.rows, moved.step
+        dense = covers_all_rows(rows, correction.shape[0])
         if moved.before is not None:
             # float32: the landed step, exact in float64 (copyto casts in
-            # place; a cross-dtype ufunc would allocate casting buffers)
-            delta, stage = moved.before, self._stage[: rows.shape[0]]
-            np.copyto(stage, moved.after)
-            np.subtract(delta, stage, out=delta)
-        np.multiply(delta, weight, out=delta)
-        np.take(correction, rows, axis=0, out=stage, mode="clip")
-        np.add(stage, delta, out=stage)
-        correction[rows] = stage
+            # place; a cross-dtype ufunc allocates casting buffers, which
+            # only the dense ablation, allocating anyway, accepts)
+            after = moved.after
+            if not dense:
+                after = self._stage[: rows.shape[0]]
+                np.copyto(after, moved.after)
+            delta = np.subtract(moved.before, after, out=moved.before)
+        if dense:
+            np.multiply(delta, weight, out=delta)
+            np.add(correction, delta, out=correction)
+        else:
+            scatter_axpy(correction, rows, delta, self._weights, indptr)
 
     def on_train_end(
         self, engine: "TrainingEngine", result: "EngineResult"
@@ -180,5 +194,6 @@ class IterateAveragingHook(EngineHook):
             )
         ]
         # the published matrices may be the buffers: the hook lets go of them
-        self.correction_w_in = self.correction_w_out = self._stage = None
+        self.correction_w_in = self.correction_w_out = None
+        self._weights = self._stage = None
         return replace(result, embeddings=published[0], context_embeddings=published[1])

@@ -73,7 +73,7 @@ class DirectSparseUpdate(UpdateRule):
     Each example contributes a full-strength update to the rows it touches.
     Duplicate rows are first aggregated through the workspace's segment
     scratch (the ``W_out`` rows straight from their rank-1 factors), then
-    each touched row is hit once with fancy indexing: the same accumulated
+    each touched row is hit once by a scatter-axpy: the same accumulated
     update as ``np.subtract.at`` (up to float summation order) at a
     fraction of its per-element scatter cost, allocation-free.  The moved
     rows go into the workspace's :class:`~repro.engine.workspace.MovedRows`
@@ -148,10 +148,10 @@ class PerturbedUpdate(UpdateRule):
         """Normalise the noisy sums in place and descend on their rows.
 
         The sums (and counts) are per-step buffers, rewritten next step, so
-        they are scaled in place; each parameter matrix is then updated
-        through the gather → subtract → scatter-assign path of
-        :meth:`SGDOptimizer.descend_unique_rows`, and what moved is recorded
-        in the workspace's :class:`~repro.engine.workspace.MovedRows`.
+        they are scaled in place; each parameter matrix then descends
+        through :meth:`SGDOptimizer.descend_unique_rows` (one scatter-axpy
+        into the touched rows), and what moved is recorded in the
+        workspace's :class:`~repro.engine.workspace.MovedRows`.
         """
         ws = self.workspace
         updates = (
@@ -173,19 +173,22 @@ class PerturbedUpdate(UpdateRule):
 def _descend_recording(optimizer, parameters, rows, sums, scratch, moved) -> None:
     """Descend ``parameters`` on ``rows`` by ``sums`` and record it in ``moved``.
 
-    The step runs through the matrix's segment scratch: ``sums`` becomes
-    the subtracted step and the gather block the new rows.  A float32 run
-    also copies the old rows into the float64 noise block, which is free
-    by now.  Naive Eq. 6 reports all ``|V|`` rows, more than the scratch
-    holds, and descends through fresh arrays instead.
+    ``sums`` becomes the subtracted step.  The touched rows take one
+    scatter-axpy through the matrix's segment scratch; naive Eq. 6 moves
+    all ``|V|`` rows and descends densely in place.  A float32 run also
+    records the rows' old values in float64 (in the scratch's noise block,
+    free by now) and their new ones (in its gather block); naive Eq. 6
+    reports more rows than the scratch holds and records them in fresh
+    arrays.
     """
     count = rows.shape[0]
-    fits = count <= scratch.slots
-    before = None
+    gather = before = None
     if parameters.dtype != np.float64:
+        fits = count <= scratch.slots
+        gather = scratch.gather[:count] if fits else None
         before = scratch.noise[:count] if fits else np.empty(sums.shape)
     moved.step, moved.after = optimizer.descend_unique_rows(
-        parameters, rows, sums, scratch=sums,
-        gather=scratch.gather[:count] if fits else None, before=before,
+        parameters, rows, sums, scratch=sums, gather=gather, before=before,
+        pattern=(scratch.indptr, scratch.minus_ones),
     )
     moved.rows, moved.before = rows, before

@@ -38,9 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import DTypeLike
 
-# SciPy's private CSR kernel: ``import scipy.sparse`` loads it anyway, and
-# unlike the public ``csr_matrix @ x`` it accumulates into a caller's buffer
-from scipy.sparse._sparsetools import csr_matvecs
+# SciPy's private sparse kernels: ``import scipy.sparse`` loads them anyway,
+# and unlike the public ``matrix @ x`` they accumulate into a caller's buffer
+from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 from ..analysis.markers import zero_alloc
 from ..exceptions import ConfigurationError, TrainingError
@@ -50,7 +50,9 @@ __all__ = [
     "MovedRows",
     "PerturbedGradients",
     "StepWorkspace",
+    "covers_all_rows",
     "resolve_compute_dtype",
+    "scatter_axpy",
 ]
 
 #: the supported compute dtypes; accountant / sensitivity / noise
@@ -78,6 +80,75 @@ def resolve_compute_dtype(value: DTypeLike | None) -> np.dtype:
             f"compute_dtype must be one of {sorted(_COMPUTE_DTYPES)}, got {value!r}"
         )
     return dtype
+
+
+@zero_alloc
+def scatter_axpy(
+    target: np.ndarray,
+    rows: np.ndarray,
+    values: np.ndarray,
+    factors: np.ndarray,
+    indptr: np.ndarray,
+) -> None:
+    """``target[rows[j]] += factors[j] · values[j]`` for each ``j``, in place.
+
+    ``rows`` are int64, and unique when ``target`` is to take each step
+    once (a repeated row takes the sum).  SciPy's C kernel ``csc_matvecs`` reads a ``|V| × U`` CSC
+    matrix with one entry per column (column ``j`` holds ``factors[j]`` at
+    row ``rows[j]``, so its ``indptr`` is ``0, 1, …, U``) and adds its
+    product with ``values`` into ``target``: O(U·r) work and no
+    ``|V|``-length array.  ``factors`` and ``indptr`` may be longer than
+    ``U``; their prefixes are read.
+
+    Each entry is one ``y += a·x``.  With ``a = −1`` that is exactly
+    ``y − x``; with ``a = w`` it is ``w·x`` rounded, then added, as long as
+    the kernel's build does not fuse the multiply-add (the x86-64 wheels do
+    not).  The kernel checks nothing, and ``ravel()`` of a strided array is
+    a copy the update would vanish into, so the target's layout, dtype and
+    width are checked here, with the lengths of ``rows``, ``factors`` and
+    ``indptr``, and every row is held to ``[0, |V|)`` (two scalar
+    reductions); each failure raises :class:`~repro.exceptions.TrainingError`
+    before anything is written.
+    """
+    count, dim = values.shape
+    if (
+        target.ndim != 2
+        or target.shape[1] != dim
+        or target.dtype != values.dtype
+        or factors.dtype != values.dtype
+        or not target.flags.c_contiguous
+        or not values.flags.c_contiguous
+    ):
+        raise TrainingError(
+            f"scatter-axpy needs a C-contiguous target of the step's dtype and width, "
+            f"got {target.dtype} {target.shape} (order "
+            f"{'C' if target.flags.c_contiguous else 'not C'}) for a {values.dtype} "
+            f"step of width {dim}"
+        )
+    if rows.shape != (count,) or factors.shape[0] < count or indptr.shape[0] <= count:
+        raise TrainingError(
+            f"scatter-axpy needs one row, one factor and one indptr entry per step "
+            f"row ({count}), got {rows.shape[0]}, {factors.shape[0]} and {indptr.shape[0]}"
+        )
+    if count and (rows.min() < 0 or rows.max() >= target.shape[0]):
+        raise TrainingError(
+            f"scatter rows must lie in [0, {target.shape[0]}), got "
+            f"{rows.min()}..{rows.max()}"
+        )
+    csc_matvecs(
+        target.shape[0], count, dim, indptr[: count + 1], rows, factors[:count],
+        values.ravel(), target.ravel(),
+    )
+
+
+def covers_all_rows(rows: np.ndarray, num_rows: int) -> bool:
+    """Whether ``rows`` are exactly ``0, 1, …, num_rows − 1``, in that order.
+
+    Such a step can descend densely.  A step on fewer rows costs one length
+    compare; only a full-length one (naive Eq. 6, which allocates anyway)
+    is compared entry by entry, so a permutation is not taken for it.
+    """
+    return rows.shape[0] == num_rows and bool(np.array_equal(rows, np.arange(num_rows)))
 
 
 class _SegmentScratch:
@@ -114,8 +185,10 @@ class _SegmentScratch:
     until the next :meth:`reduce` call.
     """
 
-    def __init__(self, slots: int, dim: int, dtype: np.dtype) -> None:
+    def __init__(self, slots: int, dim: int, dtype: np.dtype, num_nodes: int) -> None:
         self.slots = int(slots)
+        #: ``|V|``: the reduce rejects a row id outside ``[0, |V|)``
+        self.num_nodes = int(num_nodes)
         self.keys = np.empty(slots, dtype=np.int64)
         self.sorted_rows = np.empty(slots, dtype=np.int64)
         self.slot_of = np.empty(slots, dtype=np.int64)
@@ -125,6 +198,8 @@ class _SegmentScratch:
         self.owners = np.empty(slots, dtype=np.int64)
         self.factors = np.empty(slots, dtype=dtype)
         self.ones = np.ones(slots, dtype=dtype)
+        #: the factors of a descent's scatter-axpy, ``W[rows] += −1 · step``
+        self.minus_ones = np.full(slots, -1.0, dtype=dtype)
         self.count_ints = np.empty(slots, dtype=np.int64)
         self.sums = np.empty((slots, dim), dtype=dtype)
         self.counts = np.empty(slots, dtype=dtype)
@@ -144,7 +219,9 @@ class _SegmentScratch:
             block if dtype == np.dtype(np.float64)
             else np.empty((slots, dim), dtype=np.float64)
         )
-        self.arange = np.arange(slots, dtype=np.int64)
+        #: ``0, 1, …, slots``: slot positions, and the ``indptr`` of a
+        #: scatter-axpy over ``unique_rows`` (one entry per column)
+        self.indptr = np.arange(slots + 1, dtype=np.int64)
 
     @zero_alloc
     def reduce(
@@ -159,8 +236,8 @@ class _SegmentScratch:
 
         After the call ``unique_rows[:U]`` holds the sorted unique rows,
         ``sums[:U]`` their summed values and ``counts[:U]`` how many slots
-        hit each row.  ``rows`` must hold exactly ``self.slots`` entries; a
-        negative one raises :class:`~repro.exceptions.TrainingError`.
+        hit each row.  ``rows`` must hold exactly ``self.slots`` entries; one
+        outside ``[0, |V|)`` raises :class:`~repro.exceptions.TrainingError`.
         Within a segment, slots accumulate in their original order — the
         same order as ``np.add.at`` over sorted rows.
         """
@@ -182,10 +259,18 @@ class _SegmentScratch:
             )
         keys = self.keys
         np.multiply(rows, slots, out=keys)
-        np.add(keys, self.arange, out=keys)
+        positions = self.indptr[:slots]
+        np.add(keys, positions, out=keys)
         keys.sort()
+        # both scalar reads come before anything is written: a foreign
+        # batch id fails the step before either matrix moves
         if keys[0] < 0:
             raise TrainingError("segment rows must be non-negative, got a negative row id")
+        if keys[-1] >= self.num_nodes * slots:
+            raise TrainingError(
+                f"segment rows must be below |V| = {self.num_nodes}, got row "
+                f"{keys[-1] // slots}"
+            )
         np.floor_divide(keys, slots, out=self.sorted_rows)
         np.remainder(keys, slots, out=self.slot_of)
         flags = self.flags
@@ -193,7 +278,7 @@ class _SegmentScratch:
         np.not_equal(self.sorted_rows[1:], self.sorted_rows[:-1], out=flags[1:])
         unique = int(np.count_nonzero(flags))
         bounds = self.bounds[: unique + 1]
-        np.compress(flags, self.arange, out=bounds[:unique])
+        np.compress(flags, positions, out=bounds[:unique])
         bounds[unique] = slots
         np.take(self.sorted_rows, bounds[:unique], out=self.unique_rows[:unique], mode="clip")
 
@@ -238,15 +323,16 @@ class PerturbedGradients:
 class MovedRows:
     """The rows one step's descent moved in one matrix, and by how much.
 
-    The update rules fill it: ``rows`` are the moved rows (sorted unique),
-    ``step`` the rate-scaled rows subtracted from them and ``after`` their
-    new values, both in the compute dtype.  A float32 step does not land
-    exactly (``after`` is ``before − step`` rounded to float32), so a
-    float32 run also keeps the old values in float64, ``before``, where
-    ``before − after`` is exact; a float64 run leaves it ``None``.  On the
-    touched-row path all three are views into the matrix's segment scratch,
-    valid until the next step; naive Eq. 6 moves all ``|V|`` rows and
-    reports fresh ``|V| × r`` arrays.
+    The update rules fill it: ``rows`` are the moved rows (sorted unique)
+    and ``step`` the rate-scaled rows subtracted from them, in the compute
+    dtype.  A float32 step does not land exactly (the new rows are
+    ``before − step`` rounded to float32), so a float32 run also keeps the
+    old values in float64, ``before``, and the new ones, ``after``, where
+    ``before − after`` is exact; a float64 run leaves both ``None``.  On
+    the touched-row path they are views into the matrix's segment scratch,
+    valid until the next step; naive Eq. 6 moves all ``|V|`` rows, and a
+    float32 run reports its ``before`` / ``after`` as fresh ``|V| × r``
+    arrays.
     """
 
     rows: np.ndarray | None = None
@@ -349,8 +435,8 @@ class StepWorkspace:
         self.center_norms = np.empty(B, dtype=self.dtype)
 
         # ---- compact scatter scratch (direct descents and non-zero Eq. 9) ----
-        self.center_scratch = _SegmentScratch(B, r, self.dtype)
-        self.context_scratch = _SegmentScratch(slots, r, self.dtype)
+        self.center_scratch = _SegmentScratch(B, r, self.dtype, self.num_nodes)
+        self.context_scratch = _SegmentScratch(slots, r, self.dtype, self.num_nodes)
         self.perturb_result = PerturbedGradients()
         #: what the last descent moved, ``W_in`` then ``W_out``
         self.moved = (MovedRows(), MovedRows())

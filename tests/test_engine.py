@@ -453,30 +453,52 @@ class TestNoiselessLimit:
 
 
 class TestForeignBatchRows:
-    @pytest.mark.parametrize("private", [False, True], ids=["direct", "perturbed"])
-    def test_negative_centre_raises_and_leaves_the_model_unchanged(
-        self, small_graph, fast_training_config, private
-    ):
+    """A batch id outside ``[0, |V|)`` fails the step before either matrix moves."""
+
+    @staticmethod
+    def _apply_foreign(graph, config, private, centre=None, context=None):
         rule = (
             PerturbedUpdate(get_perturbation("nonzero", 2.0, 5.0, seed=0))
             if private else DirectSparseUpdate()
         )
-        engine = _seeded_engine(small_graph, fast_training_config, rule, 0.1)
+        engine = _seeded_engine(graph, config, rule, 0.1)
         model = engine.model
         engine.workspace = rule.workspace = StepWorkspace.for_training(model, engine.sampler)
         pool = engine.sampler.pool
         taken = pool.take(np.arange(engine.sampler.batch_size))
-        centers = taken.centers.copy()
-        centers[3] = -1
-        batch = SubgraphBatch(centers=centers, contexts=taken.contexts, weights=taken.weights)
+        centers, contexts = taken.centers.copy(), taken.contexts.copy()
+        if centre is not None:
+            centers[3] = centre
+        if context is not None:
+            contexts[3, 2] = context
+        batch = SubgraphBatch(centers=centers, contexts=contexts, weights=taken.weights)
         w_in, w_out = model.w_in.copy(), model.w_out.copy()
+        # the gradients read the rows with mode="clip"; the reduce is the guard
         gradients = engine.objective.batch_gradients(
             model.w_in, model.w_out, batch, workspace=engine.workspace
         )
-        with pytest.raises(TrainingError, match="non-negative"):
+        with pytest.raises(TrainingError) as raised:
             rule.apply(model, engine.optimizer, batch, gradients)
         assert model.w_in.tobytes() == w_in.tobytes()
         assert model.w_out.tobytes() == w_out.tobytes()
+        return str(raised.value)
+
+    @pytest.mark.parametrize("private", [False, True], ids=["direct", "perturbed"])
+    def test_negative_centre_raises_and_leaves_the_model_unchanged(
+        self, small_graph, fast_training_config, private
+    ):
+        message = self._apply_foreign(small_graph, fast_training_config, private, centre=-1)
+        assert "non-negative" in message
+
+    @pytest.mark.parametrize("private", [False, True], ids=["direct", "perturbed"])
+    def test_context_of_num_nodes_raises_and_leaves_the_model_unchanged(
+        self, small_graph, fast_training_config, private
+    ):
+        nodes = small_graph.num_nodes
+        message = self._apply_foreign(
+            small_graph, fast_training_config, private, context=nodes
+        )
+        assert f"below |V| = {nodes}" in message
 
 
 class TestTrainingEngine:

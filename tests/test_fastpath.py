@@ -36,7 +36,7 @@ from repro.engine import (
     StepWorkspace,
     resolve_compute_dtype,
 )
-from repro.engine.workspace import _SegmentScratch
+from repro.engine.workspace import _SegmentScratch, scatter_axpy
 from repro.exceptions import GraphError, TrainingError
 from repro.graph import load_dataset
 from repro.graph.sampling import (
@@ -163,9 +163,10 @@ class TestSegmentScratch:
     @settings(max_examples=40, deadline=None)
     def test_reduce_matches_unique_bincount(self, seed, slots, dim):
         rng = np.random.default_rng(seed)
-        rows = rng.integers(0, max(2, slots // 2 * 3), size=slots)
+        nodes = max(2, slots // 2 * 3)
+        rows = rng.integers(0, nodes, size=slots)
         values = rng.standard_normal((slots, dim))
-        scratch = _SegmentScratch(slots, dim, np.dtype(np.float64))
+        scratch = _SegmentScratch(slots, dim, np.dtype(np.float64), nodes)
         unique = scratch.reduce(rows, values)
         expected_rows, inverse = np.unique(rows, return_inverse=True)
         expected_sums = np.zeros((expected_rows.size, dim))
@@ -177,7 +178,7 @@ class TestSegmentScratch:
         np.testing.assert_array_equal(scratch.counts[:unique], expected_counts)
 
     def test_all_duplicates(self):
-        scratch = _SegmentScratch(6, 2, np.dtype(np.float64))
+        scratch = _SegmentScratch(6, 2, np.dtype(np.float64), 1)
         unique = scratch.reduce(np.zeros(6, dtype=np.int64), np.ones((6, 2)))
         assert unique == 1
         np.testing.assert_allclose(scratch.sums[0], [6.0, 6.0])
@@ -210,7 +211,7 @@ class TestSegmentScratch:
         else:
             values = slot_values = rng.standard_normal((slots, dim)).astype(dtype)
             scale = None
-        scratch = _SegmentScratch(slots, dim, np.dtype(dtype))
+        scratch = _SegmentScratch(slots, dim, np.dtype(dtype), 50)
         unique = scratch.reduce(rows, values, scale)
         expected_rows, expected_sums, expected_counts = self._add_at_reference(
             rows, slot_values
@@ -241,7 +242,7 @@ class TestSegmentScratch:
         else:
             values = slot_values = rng.choice(special, size=(slots, dim))
             scale = None
-        scratch = _SegmentScratch(slots, dim, np.dtype(dtype))
+        scratch = _SegmentScratch(slots, dim, np.dtype(dtype), 24)
         with np.errstate(invalid="ignore"):
             unique = scratch.reduce(rows, values, scale)
             expected_rows, expected_sums, expected_counts = self._add_at_reference(
@@ -257,7 +258,7 @@ class TestSegmentScratch:
         np.testing.assert_array_equal(scratch.counts[:unique], expected_counts)
 
     def test_rejects_values_the_kernel_cannot_read_in_place(self):
-        scratch = _SegmentScratch(6, 4, np.dtype(np.float64))
+        scratch = _SegmentScratch(6, 4, np.dtype(np.float64), 6)
         rows = np.arange(6)
         for values in (
             np.ones((4, 4)),  # 4 rows do not divide 6 slots
@@ -267,6 +268,164 @@ class TestSegmentScratch:
         ):
             with pytest.raises(TrainingError, match="C-contiguous"):
                 scratch.reduce(rows, values)
+
+
+# --------------------------------------------------------------------- #
+# scatter-axpy: the descent and the iterate average write through it
+# --------------------------------------------------------------------- #
+class TestScatterAxpy:
+    NODES, DIM = 40, 6
+
+    def _case(self, dtype, count, seed=0):
+        """A matrix, sorted unique rows, and steps holding ±0, ±inf and nan."""
+        rng = np.random.default_rng(seed)
+        matrix = rng.standard_normal((self.NODES, self.DIM)).astype(dtype)
+        rows = np.sort(rng.choice(self.NODES, size=count, replace=False)).astype(np.int64)
+        step = rng.standard_normal((count, self.DIM)).astype(dtype)
+        special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan], dtype=dtype)
+        step.flat[: special.size] = special
+        matrix[rows[0], : special.size] = special[::-1]
+        return matrix, rows, step
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("count", [1, 7, 39])
+    def test_descent_equals_take_subtract_put_bit_for_bit(self, dtype, count):
+        matrix, rows, step = self._case(dtype, count)
+        expected = matrix.copy()
+        with np.errstate(invalid="ignore"):
+            expected[rows] = expected[rows] - step
+            scatter_axpy(
+                matrix, rows, step, np.full(count, -1.0, dtype=dtype), np.arange(count + 1)
+            )
+        assert matrix.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("weight", [1, 3, 37, 999])
+    def test_weighted_add_equals_multiply_then_add_bit_for_bit(self, weight):
+        correction, rows, delta = self._case("float64", 17, seed=weight)
+        expected = correction.copy()
+        with np.errstate(invalid="ignore"):
+            expected[rows] = expected[rows] + delta * weight
+            scatter_axpy(correction, rows, delta, np.full(17, float(weight)), np.arange(18))
+        assert correction.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("count", [5, NODES], ids=["touched", "all_rows"])
+    def test_optimizer_descent_reports_step_and_new_rows(self, dtype, count):
+        """The touched rows scatter, all ``|V|`` rows descend densely: same bits."""
+        matrix, rows, gradients = self._case(dtype, count, seed=2)
+        gradients[~np.isfinite(gradients)] = 0.5
+        expected = matrix.copy()
+        step_expected = gradients * np.asarray(0.3, dtype=dtype)
+        expected[rows] = expected[rows] - step_expected
+        old = matrix[rows].astype(np.float64)
+        before, gather = np.empty((count, self.DIM)), np.empty_like(gradients)
+        step, after = SGDOptimizer(0.3).descend_unique_rows(
+            matrix, rows, gradients, gather=gather, before=before
+        )
+        assert matrix.tobytes() == expected.tobytes()
+        assert step.tobytes() == step_expected.tobytes()
+        assert after is gather and after.tobytes() == expected[rows].tobytes()
+        assert before.tobytes() == old.tobytes()
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            lambda m: np.asfortranarray(m),
+            lambda m: np.ascontiguousarray(np.hstack([m, m]))[:, : m.shape[1]],
+            lambda m: np.ascontiguousarray(np.vstack([m, m]))[::2],
+            lambda m: m.astype(np.float32),
+            lambda m: np.ascontiguousarray(m[:, :-1]),
+        ],
+        ids=["fortran", "column_slice", "row_stride", "dtype", "width"],
+    )
+    def test_rejects_targets_the_kernel_cannot_write_in_place(self, target):
+        matrix, rows, step = self._case("float64", 5)
+        step[~np.isfinite(step)] = 1.0
+        matrix = target(matrix)
+        before = matrix.copy()
+        with pytest.raises(TrainingError, match="C-contiguous target"):
+            scatter_axpy(matrix, rows, step, np.full(5, -1.0), np.arange(6))
+        assert matrix.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, NODES], ids=["negative", "num_nodes"])
+    def test_rejects_rows_outside_the_matrix(self, bad):
+        matrix, _, step = self._case("float64", 3)
+        rows = np.array([0, 5, bad]) if bad > 0 else np.array([bad, 5, 9])
+        before = matrix.copy()
+        with pytest.raises(TrainingError, match="must lie in"):
+            scatter_axpy(matrix, rows, step, np.full(3, -1.0), np.arange(4))
+        assert matrix.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows", [[5, 0], [0, -1], [1, 7, 0]], ids=["unsorted_high", "unsorted_negative", "middle"]
+    )
+    def test_rejects_an_out_of_range_row_anywhere(self, rows):
+        """Every row is bounded, not just the ends of a sorted list."""
+        matrix = np.zeros((3, self.DIM))
+        step = np.ones((len(rows), self.DIM))
+        with pytest.raises(TrainingError, match="must lie in"):
+            scatter_axpy(
+                matrix, np.array(rows), step, np.full(len(rows), -1.0), np.arange(len(rows) + 1)
+            )
+        with pytest.raises(TrainingError, match="must lie in"):
+            SGDOptimizer(0.3).descend_unique_rows(matrix, np.array(rows), step)
+        assert not matrix.any()
+
+    @pytest.mark.parametrize("rows", [[0, 2, 1, 3], [3, 2, 1, 0], [2, 0]])
+    def test_optimizer_descends_unsorted_unique_rows_onto_their_own_rows(self, rows):
+        """A permutation of all ``|V|`` rows is not taken for ``0, 1, …, |V|−1``."""
+        rng = np.random.default_rng(5)
+        matrix = rng.standard_normal((4, self.DIM))
+        gradients = rng.standard_normal((len(rows), self.DIM))
+        expected = matrix.copy()
+        expected[rows] = expected[rows] - gradients * 0.3
+        SGDOptimizer(0.3).descend_unique_rows(matrix, np.array(rows), gradients)
+        assert matrix.tobytes() == expected.tobytes()
+
+    def test_rejects_rows_factors_or_indptr_shorter_than_the_step(self):
+        matrix, rows, step = self._case("float64", 5)
+        before = matrix.copy()
+        for args in (
+            (rows[:4], np.full(5, -1.0), np.arange(6)),
+            (rows, np.full(4, -1.0), np.arange(6)),
+            (rows, np.full(5, -1.0), np.arange(5)),
+        ):
+            with pytest.raises(TrainingError, match="one row, one factor"):
+                scatter_axpy(matrix, args[0], step, args[1], args[2])
+        assert matrix.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_a_fortran_ordered_model_raises_instead_of_losing_the_step(self, graph, dtype):
+        trainer = _setup(graph, dtype=dtype)
+        engine = trainer.engine
+        model = engine.model
+        # W_in descends first: its B touched rows always take the scatter
+        model.w_in = np.asfortranarray(model.w_in)
+        engine.workspace = engine.update_rule.workspace = _workspace(trainer)
+        batch = engine.sampler.sample_batch_arrays(engine.workspace)
+        gradients = engine.objective.batch_gradients(
+            model.w_in, model.w_out, batch, workspace=engine.workspace
+        )
+        w_in, w_out = model.w_in.copy(), model.w_out.copy()
+        with pytest.raises(TrainingError, match="C-contiguous target"):
+            engine.update_rule.apply(model, engine.optimizer, batch, gradients)
+        assert np.array_equal(model.w_in, w_in)
+        assert np.array_equal(model.w_out, w_out)
+
+    def test_the_averaging_hook_rejects_a_strided_correction(self, graph):
+        trainer = _setup(graph, private=True)
+        engine = trainer.engine
+        (hook,) = (h for h in engine.hooks if isinstance(h, IterateAveragingHook))
+
+        class _Strided(EngineHook):
+            def after_step(self, engine, epoch, loss):
+                # swap in a view that ravel() would copy: the update would vanish
+                wide = np.zeros((hook.correction_w_out.shape[0], 2 * TRAINING.embedding_dim))
+                hook.correction_w_out = wide[:, : TRAINING.embedding_dim]
+
+        engine.hooks = (_Strided(), *engine.hooks)
+        with pytest.raises(TrainingError, match="C-contiguous target"):
+            engine.run(3)
 
 
 # --------------------------------------------------------------------- #

@@ -149,9 +149,11 @@ class TestHookState:
 # the hogwild pool: W_final + Σ_w D_w/T_w
 # --------------------------------------------------------------------- #
 def _shard_engine(model, slots):
-    """What the hook reads of an engine: the model, the moved-rows records, no profiler."""
+    """What the hook reads of an engine: the model, the moved-rows records, the
+    ``W_out`` scratch's size and ``indptr``, no profiler."""
     workspace = SimpleNamespace(
-        moved=(MovedRows(), MovedRows()), context_scratch=SimpleNamespace(slots=slots)
+        moved=(MovedRows(), MovedRows()),
+        context_scratch=SimpleNamespace(slots=slots, indptr=np.arange(slots + 1)),
     )
     return SimpleNamespace(model=model, workspace=workspace, profiler=None)
 

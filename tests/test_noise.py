@@ -2,7 +2,8 @@
 
 The ring changes *who* draws the Gaussian noise (a background filler or the
 consumer itself), never *which* values are drawn: every read equals the
-inline ``standard_normal`` stream of the perturbation's own generator.
+inline ``standard_normal`` stream of the SFC64 generator its seed names
+(:func:`~repro.privacy.noise.noise_generator`).
 These tests pin that equality at block boundaries and through whole fits,
 the filler's lifecycle (never alive after a run, on any exit path, nor at
 a hogwild fork), and the zero-allocation contract of the workspace path.
@@ -31,7 +32,7 @@ from repro.engine import EngineHook, StepWorkspace
 from repro.exceptions import ConfigurationError
 from repro.graph import load_dataset
 from repro.privacy import noise as noise_module
-from repro.privacy.noise import NoiseRing
+from repro.privacy.noise import NoiseRing, noise_generator
 from repro.proximity import DegreeProximity
 from repro.robustness import FaultPlan, FaultRule, SupervisorPolicy
 
@@ -50,7 +51,8 @@ def _fillers() -> list[threading.Thread]:
 
 
 def _inline(seed, count: int) -> np.ndarray:
-    return np.random.default_rng(seed).standard_normal(count)
+    """The first ``count`` draws of the SFC64 stream a ring seeded with ``seed`` reads."""
+    return noise_generator(seed).standard_normal(count)
 
 
 @pytest.fixture(scope="module")
@@ -103,10 +105,10 @@ class _Probe(EngineHook):
 
 
 class _FailingGenerator:
-    """Fills ``good`` blocks like the wrapped generator, then raises."""
+    """Fills ``good`` blocks like a ring seeded with ``seed``, then raises."""
 
     def __init__(self, seed: int, good: int) -> None:
-        self._rng = np.random.default_rng(seed)
+        self._rng = noise_generator(seed)
         self._good = good
 
     def standard_normal(self, out):
@@ -117,10 +119,10 @@ class _FailingGenerator:
 
 
 class _GatedGenerator:
-    """Draws like ``default_rng(seed)``, but only while ``gate`` is set."""
+    """Draws like a ring seeded with ``seed``, but only while ``gate`` is set."""
 
     def __init__(self, seed: int, gate: threading.Event) -> None:
-        self._rng = np.random.default_rng(seed)
+        self._rng = noise_generator(seed)
         self._gate = gate
 
     def standard_normal(self, out):
@@ -222,8 +224,43 @@ class TestStreamEquality:
         trainer = _trainer(graph, seed=13)
         trainer.engine.run(4)
         drawn = np.concatenate(reads)
-        child = np.random.default_rng(13).spawn(1)[0]
+        child = noise_generator(np.random.default_rng(13).spawn(1)[0])
         assert np.array_equal(drawn, child.standard_normal(drawn.size) * STD)
+
+    def test_the_stream_is_sfc64_seeded_by_one_draw_of_the_ring_seed(self, small_ring):
+        """Same seed, same bytes; distinct spawned children, distinct streams."""
+        parent = np.random.default_rng(4)
+        children = parent.spawn(2)
+        state = parent.bit_generator.state
+        reads = [small_ring(child).draw(250, 1.0) for child in children]
+        assert parent.bit_generator.state == state  # nothing drawn from the parent
+        assert not np.array_equal(reads[0], reads[1])
+        again = np.random.default_rng(4).spawn(2)
+        assert small_ring(again[0]).draw(250, 1.0).tobytes() == reads[0].tobytes()
+        # an int seed and a generator of that seed name one stream
+        assert small_ring(9).draw(250, 1.0).tobytes() == (
+            small_ring(np.random.default_rng(9)).draw(250, 1.0).tobytes()
+        )
+        ring = small_ring(9)
+        assert isinstance(ring._rng.bit_generator, np.random.SFC64)
+        draw = int(np.random.default_rng(9).integers(0, 2**63 - 1))
+        expected = np.random.Generator(
+            np.random.SFC64(np.random.SeedSequence(draw))
+        ).standard_normal(250)
+        assert ring.draw(250, 1.0).tobytes() == expected.tobytes()
+
+    def test_a_handed_generator_moves_on_by_one_draw(self, small_ring):
+        """Two rings handed one generator read different noise; a restored state repeats it."""
+        handed = np.random.default_rng(9)
+        state = handed.bit_generator.state
+        first = small_ring(handed).draw(250, 1.0)
+        second = small_ring(handed).draw(250, 1.0)
+        assert not np.array_equal(first, second)
+        reference = np.random.default_rng(9)
+        reference.integers(0, 2**63 - 1, size=2)
+        assert handed.bit_generator.state == reference.bit_generator.state
+        handed.bit_generator.state = state
+        assert small_ring(handed).draw(250, 1.0).tobytes() == first.tobytes()
 
 
 # --------------------------------------------------------------------- #
