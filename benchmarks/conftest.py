@@ -6,8 +6,8 @@ a laptop.  Set the environment variable ``REPRO_BENCH_SCALE=paper`` to run
 the paper-scale grid instead (hours of compute).
 
 Each benchmark prints the resulting table; compare the rows against the
-corresponding table/figure in the paper (and the expectations recorded in
-EXPERIMENTS.md).
+corresponding table/figure in the paper.  A record of which paper claims
+reproduce is ROADMAP.md item 4.
 
 Every benchmark also emits a ``BENCH_<test>.json`` artifact next to this
 file (timings + any ``benchmark.extra_info`` the test recorded), so the

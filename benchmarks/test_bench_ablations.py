@@ -1,4 +1,7 @@
-"""Ablation benches for this reproduction's own design choices (see EXPERIMENTS.md)."""
+"""Ablation benches for this reproduction's own design choices.
+
+Each bench prints its table; the claims record is ROADMAP.md item 4.
+"""
 
 from __future__ import annotations
 

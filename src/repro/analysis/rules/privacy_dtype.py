@@ -1,9 +1,10 @@
 """PRIV001: privacy arithmetic stays float64, even in float32 compute mode.
 
-The PR-5 dtype policy: the compute fast path may run float32, but noise
-calibration, sensitivity, and the RDP accountant are *exact* — their math
-is always float64, and Gaussian draws happen in float64 before being
-staged into compute buffers.  A ``float32`` introduced inside ``privacy/``
+The dtype policy: SE-GEmb may train in float32, but the private step —
+noise calibration, sensitivity, the Gaussian draws and their sum, and the
+RDP accountant — is *exact*: it runs in float64 only, and a float32
+private fit rounds its published matrices once, at release.  A
+``float32`` introduced inside ``privacy/``
 or in the perturbation module truncates the noise calibration silently: the
 reported (ε, δ) stays the same while the actual mechanism changes, which
 is precisely the failure no unit test on accuracy can catch.
@@ -33,8 +34,8 @@ class PrivacyDtypeRule(Rule):
     title = "no float32 in privacy-bearing code"
     hint = (
         "privacy math (noise, sensitivity, accountant) is float64 by "
-        "contract; stage any compute-dtype cast outside the privacy path "
-        "(see engine/workspace.py noise_cast)"
+        "contract; cast to the published dtype outside the privacy path, "
+        "once, at release (see SkipGramTrainerBase._run_engine)"
     )
 
     def applies_to(self, display_path: str) -> bool:

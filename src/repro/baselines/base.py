@@ -42,10 +42,10 @@ class BaselineEmbedder(Embedder):
     compute_dtype:
         Dtype of the *published* embedding matrix (``"float32"`` or
         ``"float64"``, default float64).  The baselines' internal training
-        math stays float64 — unlike the SE trainers they have no float32
-        compute path — so a float32 baseline is the float64 result rounded
-        at release, which keeps the estimator surface uniform across all
-        eight registered methods.
+        math stays float64, as SE-PrivGEmb's does (only SE-GEmb has a
+        float32 compute path), so a float32 baseline is the float64 result
+        rounded at release, which keeps the estimator surface uniform
+        across all eight registered methods.
     """
 
     #: registry key; subclasses override.

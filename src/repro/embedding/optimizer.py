@@ -66,10 +66,8 @@ class SGDOptimizer:
         gradient_rows: np.ndarray,
         *,
         scratch: np.ndarray | None = None,
-        gather: np.ndarray | None = None,
-        before: np.ndarray | None = None,
         pattern: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray | None]:
+    ) -> np.ndarray:
         """``parameters[rows] -= learning_rate * gradient_rows``, in place.
 
         ``rows`` must be unique (a repeated row takes the sum of its
@@ -81,14 +79,11 @@ class SGDOptimizer:
         (:func:`~repro.engine.workspace.scatter_axpy`), bit for bit
         ``W[rows] − step``, without a ``|V|``-length array.
 
-        ``scratch`` (may alias ``gradient_rows``) receives the step.  A
-        ``before`` array of its shape, of any float dtype, receives the
-        rows' old values, and ``gather`` their new ones; asking for either
-        fills ``gather``.  ``pattern`` is the scatter's ``(indptr, factors)``:
-        ``0, 1, …`` and ``−1``, at least as many as the rows.  Returns
-        ``(step, after)``: the rate-scaled rows that were subtracted and
-        the rows' new values (``gather``), or ``None`` when neither was
-        asked for.  Buffers not passed are allocated.
+        ``scratch`` (may alias ``gradient_rows``) receives the step.
+        ``pattern`` is the scatter's ``(indptr, factors)``: ``0, 1, …`` and
+        ``−1``, at least as many as the rows.  Returns the step: the
+        rate-scaled rows that were subtracted.  Buffers not passed are
+        allocated.
         """
         rows = np.asarray(rows, dtype=np.int64)
         gradient_rows = np.asarray(gradient_rows)
@@ -100,23 +95,15 @@ class SGDOptimizer:
         if scratch is None:
             scratch = np.empty(gradient_rows.shape, dtype=parameters.dtype)
         step = np.multiply(gradient_rows, self.learning_rate, out=scratch)
-        count = rows.shape[0]
-        if gather is not None or before is not None:
-            if gather is None:
-                gather = np.empty_like(step)
-            np.take(parameters, rows, axis=0, out=gather, mode="clip")
-            if before is not None:
-                np.copyto(before, gather)
-            # what the descent lands: y + (−1)·x is y − x exactly
-            np.subtract(gather, step, out=gather)
         if covers_all_rows(rows, parameters.shape[0]):
             np.subtract(parameters, step, out=parameters)
         else:
             if pattern is None:
+                count = rows.shape[0]
                 pattern = np.arange(count + 1), np.full(count, -1.0, dtype=step.dtype)
             indptr, minus_ones = pattern
             scatter_axpy(parameters, rows, step, minus_ones, indptr)
-        return step, gather
+        return step
 
     def __repr__(self) -> str:
         return f"SGDOptimizer(learning_rate={self.learning_rate})"

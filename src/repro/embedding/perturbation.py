@@ -180,10 +180,8 @@ class NaivePerturbation(PerturbationStrategy):
         sums[rows] = scratch.sums[:unique]
         counts = np.zeros(num_nodes, dtype=scratch.counts.dtype)
         counts[rows] = scratch.counts[:unique]
-        # noise is always drawn in float64 (the DP calibration is exact);
-        # the sum keeps the compute dtype of the gradients
-        noisy = (sums + self.noise.draw(sums.shape, std)).astype(sums.dtype, copy=False)
-        return np.arange(num_nodes), noisy, counts
+        sums += self.noise.draw(sums.shape, std)
+        return np.arange(num_nodes), sums, counts
 
 
 class NonZeroPerturbation(PerturbationStrategy):
@@ -192,8 +190,8 @@ class NonZeroPerturbation(PerturbationStrategy):
     Untouched rows are exactly zero under Eq. (9), so the pipeline stays in
     touched-row space: the workspace's segment scratch sums the clipped
     rows (in-place sort + segment reduction), and the scaled Gaussians for
-    exactly those rows, in sorted order, land in a reused float64 buffer
-    via :meth:`~repro.privacy.noise.NoiseRing.fill`.
+    exactly those rows, in sorted order, land in the scratch's reused
+    float64 noise buffer via :meth:`~repro.privacy.noise.NoiseRing.fill`.
 
     Sensitivity ``C`` is the paper's calibration and holds only if each
     touched row collects at most one clipped example per step.  Sampled
@@ -217,11 +215,6 @@ class NonZeroPerturbation(PerturbationStrategy):
         del num_nodes  # only the touched rows are reported
         noise = self.noise.fill(scratch.noise[:unique], std)
         sums = scratch.sums[:unique]
-        if scratch.noise_cast is not scratch.noise:
-            # stage the float64 draws in the compute dtype: copyto casts
-            # in place, a cross-dtype np.add would allocate buffers
-            noise = scratch.noise_cast[:unique]
-            np.copyto(noise, scratch.noise[:unique], casting="same_kind")
         np.add(sums, noise, out=sums)
         return scratch.unique_rows[:unique], sums, scratch.counts[:unique]
 

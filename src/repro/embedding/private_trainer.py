@@ -87,14 +87,15 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
         ``"nonzero"`` (default, Eq. 9), ``"naive"`` (Eq. 6) or a
         pre-constructed :class:`PerturbationStrategy`.
     iterate_averaging:
-        If ``True`` (default) the returned embedding is the average of the
-        ``W_in`` iterates over all private steps (Polyak–Ruppert output
-        averaging).  Averaging is post-processing of the noised updates, so
-        it costs no additional privacy (Theorem 2), and it damps the noise
-        accumulated by later steps — without it, utility can *decrease* with
-        larger budgets because extra noisy steps hurt more than the extra
-        signal helps.  Set to ``False`` to publish the final iterate exactly
-        as Algorithm 2 states.
+        If ``True`` (default) the published matrices are the averages of
+        the ``W_in`` and ``W_out`` iterates over all private steps
+        (Polyak–Ruppert output averaging); ``False`` publishes the final
+        iterate, as Algorithm 2 states.  Averaging is post-processing of
+        the noised updates, so it costs no additional privacy (Theorem 2).
+        It is this reproduction's addition, not the paper's, and it does
+        not pay: in the three-seed link-prediction table of ROADMAP.md
+        (item 3's evidence) the averaged output scores below the final
+        iterate in all 18 (rule, ε, seed) cells.
     gradient_normalization:
         ``"per_row"`` (default) divides each row of the noisy summed gradient
         by the number of batch examples that touched it; ``"batch"`` divides
@@ -105,11 +106,10 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
         fit the most-touched row collects a median of 6 and at most 12
         examples per step), so no single ``η`` turns one rule into the
         other.  Either division is post-processing of the noised sum, so
-        the privacy guarantee is unchanged; ``"per_row"`` keeps the
-        effective per-row step at the configured ``η`` instead of ``η / B``,
-        which is what makes the scaled-down experiments in this
-        reproduction converge within the small epoch budgets the privacy
-        accountant allows.
+        the privacy guarantee is unchanged.  ``"per_row"`` is this
+        reproduction's addition; the same ROADMAP.md table has it at
+        chance (AUC 0.48–0.52 on two of three seeds at every ε) at the
+        default ``η = 0.1``, while ``"batch"`` at ``η = B·0.1`` learns.
     seed:
         Master seed for initialisation, sampling and noise; overridable per
         fit with ``fit(graph, rng=...)``.
@@ -118,9 +118,11 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
         explicit :class:`~repro.proximity.cache.ProximityCache`; ignored
         when ``proximity`` is already a matrix.
     compute_dtype:
-        ``"float64"`` (default) or ``"float32"`` for the model matrices
-        and gradient arithmetic.  The RDP accountant, sensitivities and
-        noise calibration always stay float64.
+        ``"float64"`` (default) or ``"float32"``: the dtype of the
+        *published* matrices, as for the baselines.  The private step
+        (model, gradients, noise, averaging, accountant) always runs in
+        float64, so a float32 fit is the float64 fit rounded once at
+        release.
     workers:
         ``1`` (default) trains serially, as the one-worker case of the
         hogwild recipe.  ``> 1`` shards the private step stream over that
@@ -216,6 +218,11 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
             # the fit built this strategy: no later fit reads its noise ring,
             # while a caller's own strategy keeps its stream across fits
             self.perturbation.noise = None
+
+    @property
+    def _train_dtype(self) -> np.dtype:
+        """A private step runs in float64 only, whatever ``compute_dtype`` says."""
+        return np.dtype(np.float64)
 
     def _build_engine(self, rng: np.random.Generator) -> TrainingEngine:
         engine = super()._build_engine(rng)

@@ -165,10 +165,15 @@ class SkipGramTrainerBase(Embedder):
             graph.num_nodes,
             self.training_config.embedding_dim,
             seed=self._rng,
-            dtype=self.compute_dtype,
+            dtype=self._train_dtype,
         )
         self._apply_warm_start(model)
         return model
+
+    @property
+    def _train_dtype(self) -> np.dtype:
+        """The dtype the model trains in; the fit publishes ``compute_dtype``."""
+        return self.compute_dtype
 
     def _apply_warm_start(self, model: SkipGramModel) -> None:
         """Overwrite the model's leading rows with the warm-start matrices.
@@ -339,8 +344,11 @@ class SkipGramTrainerBase(Embedder):
         else:
             result = self.engine.run(epochs)
         spent = self._account(charged)
-        self._embeddings = result.embeddings
-        self._context_embeddings = result.context_embeddings
+        # one cast at release where the fit trained in another dtype
+        self._embeddings = result.embeddings.astype(self.compute_dtype, copy=False)
+        self._context_embeddings = result.context_embeddings.astype(
+            self.compute_dtype, copy=False
+        )
         return FitResult(
             losses=result.losses,
             epochs_run=result.epochs_run,

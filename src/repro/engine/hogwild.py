@@ -495,7 +495,7 @@ def _merge_run(
     averaged = sum(report.averaged_steps for report in reports)
     if averaged > 0:
         embeddings, context = (
-            np.add(final, correction).astype(final.dtype, copy=False)
+            np.add(final, correction)
             for final, correction in (
                 (model.w_in, accumulator.correction_w_in),
                 (model.w_out, accumulator.correction_w_out),

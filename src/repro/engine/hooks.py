@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..analysis.markers import zero_alloc
+from ..exceptions import TrainingError
 from ..utils.logging import get_logger
 from .workspace import MovedRows, covers_all_rows, scatter_axpy
 
@@ -96,20 +97,19 @@ class IterateAveragingHook(EngineHook):
     (:func:`~repro.engine.workspace.scatter_axpy`) whose factors are all
     ``u−1``: the same multiply, then add, as scaling ``δ_u`` and adding it,
     without gathering ``D``'s rows.  The workspace's
-    :class:`~repro.engine.workspace.MovedRows` supply ``δ_u``.  In float64
-    it is the subtracted step, which the descent rounds by at most half an
-    ulp per entry, so the mean matches the dense sums to float64 rounding
-    (1.6e-15 of the largest entry after 100 steps, 6.8e-15 after 1,000, on
-    a 2,000-node fit).  A float32 step rounds by half a float32 ulp, far
-    more, so there ``δ_u`` is the step that landed, ``before − after``,
-    exact in float64.  The run publishes ``W_T + D/T``.
+    :class:`~repro.engine.workspace.MovedRows` supply ``δ_u``: the
+    subtracted step, which the descent rounds by at most half an ulp per
+    entry, so the mean matches the dense sums to float64 rounding (1.6e-15
+    of the largest entry after 100 steps, 6.8e-15 after 1,000, on a
+    2,000-node fit).  That holds for float64 parameters only, so a run on
+    any other raises :class:`~repro.exceptions.TrainingError` before its
+    first step.  The run publishes ``W_T + D/T``.
 
     ``correction_w_in`` / ``correction_w_out`` hold ``D`` during a run and
     ``D/T`` after it.  A run finishes in place: ``D/T + W_T`` overwrites the
-    correction and is published (cast to the model dtype), so no further
-    ``|V| × r`` arrays are made.  A hogwild pool sets :attr:`pooled`; the
-    run then keeps ``D/T``, and the pool publishes the shared final
-    iterates plus every shard's correction.
+    correction and is published, so no further ``|V| × r`` arrays are made.
+    A hogwild pool sets :attr:`pooled`; the run then keeps ``D/T``, and the
+    pool publishes the shared final iterates plus every shard's correction.
     """
 
     def __init__(self) -> None:
@@ -118,17 +118,20 @@ class IterateAveragingHook(EngineHook):
         self.steps = 0
         #: set by a hogwild pool: end with ``D/T`` for the pool to add up
         self.pooled = False
-        # the scatter-axpy's weights and the float64 staging of a float32
-        # run's new rows, as many as the W_out scratch holds
+        # the scatter-axpy's weights, as many as the W_out scratch holds
         self._weights: np.ndarray | None = None
-        self._stage: np.ndarray | None = None
 
     def on_train_start(self, engine: "TrainingEngine") -> None:
         model = engine.model
+        if model.w_in.dtype != np.float64 or model.w_out.dtype != np.float64:
+            raise TrainingError(
+                f"iterate averaging runs on float64 parameters only, got "
+                f"{model.w_in.dtype} / {model.w_out.dtype}"
+            )
         self.correction_w_in = np.zeros(model.w_in.shape, dtype=np.float64)
         self.correction_w_out = np.zeros(model.w_out.shape, dtype=np.float64)
         self.steps = 0
-        self._weights = self._stage = None
+        self._weights = None
 
     def after_step(self, engine: "TrainingEngine", epoch: int, loss: float) -> None:
         profiler = engine.profiler
@@ -142,8 +145,6 @@ class IterateAveragingHook(EngineHook):
             moved_in, moved_out = engine.workspace.moved
             if self._weights is None:
                 self._weights = np.empty(scratch.slots)
-                if moved_out.before is not None:
-                    self._stage = np.empty((scratch.slots, moved_out.step.shape[1]))
             self._weights.fill(weight)
             self._accumulate(self.correction_w_in, moved_in, weight, scratch.indptr)
             self._accumulate(self.correction_w_out, moved_out, weight, scratch.indptr)
@@ -158,22 +159,11 @@ class IterateAveragingHook(EngineHook):
 
         Touched rows take one scatter-axpy with the step's weight as every
         factor and the ``W_out`` scratch's ``indptr``; all ``|V|`` rows
-        (naive Eq. 6) take the same multiply, then add, densely.  A float32
-        step's buffers are free once the descent has run: ``δ`` is formed
-        in its old-rows block, with touched new rows staged in float64.
+        (naive Eq. 6) take the same multiply, then add, densely, scaling the
+        step in place: its buffer is free once the descent has run.
         """
         rows, delta = moved.rows, moved.step
-        dense = covers_all_rows(rows, correction.shape[0])
-        if moved.before is not None:
-            # float32: the landed step, exact in float64 (copyto casts in
-            # place; a cross-dtype ufunc allocates casting buffers, which
-            # only the dense ablation, allocating anyway, accepts)
-            after = moved.after
-            if not dense:
-                after = self._stage[: rows.shape[0]]
-                np.copyto(after, moved.after)
-            delta = np.subtract(moved.before, after, out=moved.before)
-        if dense:
+        if covers_all_rows(rows, correction.shape[0]):
             np.multiply(delta, weight, out=delta)
             np.add(correction, delta, out=correction)
         else:
@@ -188,12 +178,12 @@ class IterateAveragingHook(EngineHook):
         if self.pooled:
             return result
         published = [
-            np.add(correction, final, out=correction).astype(final.dtype, copy=False)
+            np.add(correction, final, out=correction)
             for correction, final in zip(
                 corrections, (engine.model.w_in, engine.model.w_out), strict=True
             )
         ]
-        # the published matrices may be the buffers: the hook lets go of them
+        # the published matrices are the buffers: the hook lets go of them
         self.correction_w_in = self.correction_w_out = None
-        self._weights = self._stage = None
+        self._weights = None
         return replace(result, embeddings=published[0], context_embeddings=published[1])

@@ -101,6 +101,10 @@ class DirectSparseUpdate(UpdateRule):
 class PerturbedUpdate(UpdateRule):
     """Clip → aggregate → perturb → average → descend — the SE-PrivGEmb rule.
 
+    The step runs in float64 only, as the noise is calibrated and drawn:
+    :meth:`apply` raises :class:`~repro.exceptions.TrainingError` on other
+    parameters before either matrix moves.
+
     Parameters
     ----------
     perturbation:
@@ -130,6 +134,11 @@ class PerturbedUpdate(UpdateRule):
         return self.perturbation.noise.prefetching()
 
     def apply(self, model, optimizer, batch, gradients) -> None:
+        if model.w_in.dtype != np.float64 or model.w_out.dtype != np.float64:
+            raise TrainingError(
+                f"a private step runs in float64 only, got {model.w_in.dtype} / "
+                f"{model.w_out.dtype} parameters"
+            )
         profiler = self.profiler
         start = perf_counter() if profiler is not None else 0.0
         perturbed = self.perturbation.perturb_batch(gradients, self.workspace)
@@ -175,20 +184,9 @@ def _descend_recording(optimizer, parameters, rows, sums, scratch, moved) -> Non
 
     ``sums`` becomes the subtracted step.  The touched rows take one
     scatter-axpy through the matrix's segment scratch; naive Eq. 6 moves
-    all ``|V|`` rows and descends densely in place.  A float32 run also
-    records the rows' old values in float64 (in the scratch's noise block,
-    free by now) and their new ones (in its gather block); naive Eq. 6
-    reports more rows than the scratch holds and records them in fresh
-    arrays.
+    all ``|V|`` rows and descends densely in place.
     """
-    count = rows.shape[0]
-    gather = before = None
-    if parameters.dtype != np.float64:
-        fits = count <= scratch.slots
-        gather = scratch.gather[:count] if fits else None
-        before = scratch.noise[:count] if fits else np.empty(sums.shape)
-    moved.step, moved.after = optimizer.descend_unique_rows(
-        parameters, rows, sums, scratch=sums, gather=gather, before=before,
-        pattern=(scratch.indptr, scratch.minus_ones),
+    moved.step = optimizer.descend_unique_rows(
+        parameters, rows, sums, scratch=sums, pattern=(scratch.indptr, scratch.minus_ones)
     )
-    moved.rows, moved.before = rows, before
+    moved.rows = rows

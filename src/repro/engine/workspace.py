@@ -19,7 +19,7 @@ through every phase:
 * the perturbation strategies clip in place (the ``W_out`` norm is
   ``‖errors_b‖·‖centre_b‖``, and clipping rescales the error row) and run
   their aggregate → noise pipeline inside the two :class:`_SegmentScratch`
-  blocks, drawing Gaussians into a reused float64 buffer, and
+  blocks, drawing Gaussians into a reused buffer, and
 * the update rules descend through the same scratch and leave the moved
   rows and their step in :class:`MovedRows` records (the iterate averaging
   reads them).
@@ -55,8 +55,8 @@ __all__ = [
     "scatter_axpy",
 ]
 
-#: the supported compute dtypes; accountant / sensitivity / noise
-#: calibration always stay float64 regardless of this knob.
+#: the supported compute dtypes; the private step, its noise and the
+#: accountant always run in float64 regardless of this knob.
 _COMPUTE_DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
@@ -204,21 +204,9 @@ class _SegmentScratch:
         self.sums = np.empty((slots, dim), dtype=dtype)
         self.counts = np.empty(slots, dtype=dtype)
         self.unique_rows = np.empty(slots, dtype=np.int64)
-        # One block serves the two value scratches, whose lifetimes never
-        # overlap within a step: the noise staged into ``sums``, then the
-        # gathered parameter rows of the descent.
-        block = np.empty((slots, dim), dtype=dtype)
-        #: compute-dtype staging for the noise: a cross-dtype ufunc would
-        #: allocate casting buffers, np.copyto into this one does not
-        self.noise_cast = block
-        self.gather = block
-        #: float64 regardless of the compute dtype — DP noise is calibrated
-        #: and drawn in full precision, then added into the compute buffers.
-        #: A float32 descent then keeps the moved rows' old values here.
-        self.noise = (
-            block if dtype == np.dtype(np.float64)
-            else np.empty((slots, dim), dtype=np.float64)
-        )
+        #: the Gaussian noise of a private step, added into ``sums``; a
+        #: private step runs in float64 only, so it is drawn in place here
+        self.noise = np.empty((slots, dim), dtype=dtype)
         #: ``0, 1, …, slots``: slot positions, and the ``indptr`` of a
         #: scatter-axpy over ``unique_rows`` (one entry per column)
         self.indptr = np.arange(slots + 1, dtype=np.int64)
@@ -325,20 +313,13 @@ class MovedRows:
 
     The update rules fill it: ``rows`` are the moved rows (sorted unique)
     and ``step`` the rate-scaled rows subtracted from them, in the compute
-    dtype.  A float32 step does not land exactly (the new rows are
-    ``before − step`` rounded to float32), so a float32 run also keeps the
-    old values in float64, ``before``, and the new ones, ``after``, where
-    ``before − after`` is exact; a float64 run leaves both ``None``.  On
-    the touched-row path they are views into the matrix's segment scratch,
-    valid until the next step; naive Eq. 6 moves all ``|V|`` rows, and a
-    float32 run reports its ``before`` / ``after`` as fresh ``|V| × r``
-    arrays.
+    dtype.  On the touched-row path both are views into the matrix's
+    segment scratch, valid until the next step; naive Eq. 6 moves all
+    ``|V|`` rows.
     """
 
     rows: np.ndarray | None = None
     step: np.ndarray | None = None
-    after: np.ndarray | None = None
-    before: np.ndarray | None = None
 
 
 class StepWorkspace:
@@ -357,8 +338,9 @@ class StepWorkspace:
         ``|V|`` of the training graph (bounds the scatter row indices).
     dtype:
         Compute dtype of every floating buffer (``"float32"`` or
-        ``"float64"``).  Index buffers are always int64 and the DP noise
-        buffers always float64.
+        ``"float64"``).  Index buffers are always int64.  A private step
+        runs in float64 only (:class:`~repro.engine.updates.PerturbedUpdate`
+        rejects anything else), so its noise buffers are float64 too.
     """
 
     def __init__(

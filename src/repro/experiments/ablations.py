@@ -1,7 +1,8 @@
 """Ablations of this reproduction's own design choices.
 
 Beyond the paper's tables, three implementation decisions materially affect
-the scaled-down experiments (they are discussed in EXPERIMENTS.md):
+the scaled-down experiments (the benches print each ablation's table; the
+claims record is ROADMAP.md item 4):
 
 * **iterate averaging** — publishing the average of the private W_in
   iterates instead of the last iterate,

@@ -3,7 +3,8 @@
 Covers the :class:`~repro.engine.StepWorkspace` machinery (in-place
 gradients, compact perturbation, segment reduction) and its per-run
 lifetime, the ``compute_dtype`` knob (float32 ↔ float64 parity at
-tolerance, phase by phase and across every registered method), the alias
+tolerance, phase by phase and across every registered method, and the
+float64-only private step), the alias
 negative sampler, the ``rng.choice`` batch sampler, the per-phase
 :class:`~repro.engine.StepProfiler`, the SGD dtype guard, and the
 tracemalloc allocation pins.
@@ -30,7 +31,6 @@ from repro.engine import (
     DirectSparseUpdate,
     EngineHook,
     IterateAveragingHook,
-    PerturbedGradients,
     PerturbedUpdate,
     StepProfiler,
     StepWorkspace,
@@ -100,17 +100,17 @@ class TestStepWorkspace:
         assert ws.context_vecs.shape == (8, 4, 5)
         assert ws.dtype == np.dtype(np.float32)
         assert ws.weights.dtype == np.dtype(np.float32)
-        # DP noise buffers stay float64 regardless of the compute dtype
-        assert ws.context_scratch.noise.dtype == np.dtype(np.float64)
+        # the noise block takes the compute dtype: a private step is float64 only
+        assert ws.context_scratch.noise.dtype == np.dtype(np.float32)
 
     @pytest.mark.parametrize(
         ("dtype", "budget_mib"), [("float64", 7.9), ("float32", 5.9)]
     )
     def test_workspace_size_is_pinned(self, dtype, budget_mib):
-        # B=1024, k=5, r=32: one (slots, r) block per segment scratch serves
-        # the noise staging and the descent gather, and the W_out gradient
-        # stays in its rank-1 factors (6.39 MiB float64, 5.20 MiB float32);
-        # a separate scratch block for each use adds 1.75 / 0.875 MiB
+        # B=1024, k=5, r=32: one (slots, r) noise block per segment scratch,
+        # in the compute dtype, and the W_out gradient stays in its rank-1
+        # factors (6.44 MiB float64, 3.48 MiB float32); a second scratch
+        # block per segment scratch would add 1.75 / 0.875 MiB
         tracemalloc.start()
         try:
             ws = StepWorkspace(
@@ -122,8 +122,7 @@ class TestStepWorkspace:
             tracemalloc.stop()
         assert size < budget_mib * 2**20, f"workspace holds {size / 2**20:.2f} MiB"
         for scratch in (ws.center_scratch, ws.context_scratch):
-            assert scratch.gather is scratch.noise_cast
-            assert (scratch.noise is scratch.gather) == (dtype == "float64")
+            assert scratch.noise.dtype == ws.dtype
 
     def test_rejects_bad_dtype_and_geometry(self):
         with pytest.raises(ConfigurationError, match="compute_dtype"):
@@ -310,22 +309,16 @@ class TestScatterAxpy:
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("count", [5, NODES], ids=["touched", "all_rows"])
-    def test_optimizer_descent_reports_step_and_new_rows(self, dtype, count):
+    def test_optimizer_descent_reports_its_step(self, dtype, count):
         """The touched rows scatter, all ``|V|`` rows descend densely: same bits."""
         matrix, rows, gradients = self._case(dtype, count, seed=2)
         gradients[~np.isfinite(gradients)] = 0.5
         expected = matrix.copy()
         step_expected = gradients * np.asarray(0.3, dtype=dtype)
         expected[rows] = expected[rows] - step_expected
-        old = matrix[rows].astype(np.float64)
-        before, gather = np.empty((count, self.DIM)), np.empty_like(gradients)
-        step, after = SGDOptimizer(0.3).descend_unique_rows(
-            matrix, rows, gradients, gather=gather, before=before
-        )
+        step = SGDOptimizer(0.3).descend_unique_rows(matrix, rows, gradients)
         assert matrix.tobytes() == expected.tobytes()
         assert step.tobytes() == step_expected.tobytes()
-        assert after is gather and after.tobytes() == expected[rows].tobytes()
-        assert before.tobytes() == old.tobytes()
 
     @pytest.mark.parametrize(
         "target",
@@ -473,26 +466,6 @@ class TestWorkspaceEquivalence:
                 model.w_in, model.w_out, weightless, workspace=ws
             )
 
-    def test_perturb_batch_workspace_matches_default(self, graph):
-        """float32 perturbation: the float64 default's rows, counts and noise."""
-        results = {}
-        for dtype in ("float64", "float32"):
-            trainer = _setup(graph, private=True, dtype=dtype)
-            batch = trainer._sampler.sample_batch_arrays(_workspace(trainer))
-            gradients, ws = _gradients_for(trainer, batch)
-            # same seed: the float64 noise stream is identical for both dtypes
-            strategy = get_perturbation("nonzero", 2.0, 5.0, seed=123)
-            results[dtype] = strategy.perturb_batch(gradients, ws)
-        fast, default = results["float32"], results["float64"]
-        assert isinstance(fast, PerturbedGradients)
-        assert fast.w_in_sums.dtype == np.dtype(np.float32)
-        np.testing.assert_array_equal(fast.w_in_rows, default.w_in_rows)
-        np.testing.assert_array_equal(fast.w_out_rows, default.w_out_rows)
-        np.testing.assert_array_equal(fast.w_in_counts, default.w_in_counts)
-        np.testing.assert_array_equal(fast.w_out_counts, default.w_out_counts)
-        np.testing.assert_allclose(fast.w_in_sums, default.w_in_sums, rtol=1e-5, atol=1e-5)
-        np.testing.assert_allclose(fast.w_out_sums, default.w_out_sums, rtol=1e-5, atol=1e-5)
-
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)
     def test_engine_step_matches_default_given_same_batches(self, seed):
@@ -539,10 +512,10 @@ class TestComputeDtypeParity:
     def test_float32_matches_float64_at_tolerance(self, method):
         """The satellite contract: float32 runs shadow float64 at rtol<=1e-4.
 
-        SE methods run both dtypes through the same step (index draws and
-        DP noise are dtype-independent, so the two runs see identical
-        batches and noise); the one-shot baselines publish a float32 cast
-        of their float64 release.
+        SE-GEmb runs both dtypes through the same step (index draws are
+        dtype-independent, so the two runs see identical batches);
+        SE-PrivGEmb and the one-shot baselines publish a float32 cast of
+        their float64 release.
         """
         graph = _small_parity_graph()
         spec = get_method(method)
@@ -701,7 +674,8 @@ class TestZeroAllocation:
     def alloc_graph(self):
         return load_dataset("smallworld", num_nodes=2000, seed=3)
 
-    def _engine(self, alloc_graph, private, dtype="float32"):
+    def _engine(self, alloc_graph, private):
+        """A float64 private engine, or a float32 non-private one."""
         config = TrainingConfig(
             embedding_dim=32, batch_size=512, learning_rate=0.1,
             negative_samples=5, epochs=1, seed=0,
@@ -709,7 +683,7 @@ class TestZeroAllocation:
         if private:
             trainer = SEPrivGEmbTrainer(
                 proximity=DegreeProximity(), training_config=config,
-                privacy_config=PRIVACY, seed=0, compute_dtype=dtype,
+                privacy_config=PRIVACY, seed=0,
             )
         else:
             trainer = SEGEmbTrainer(
@@ -750,12 +724,11 @@ class TestZeroAllocation:
     def test_full_step_stays_below_budget(self, alloc_graph):
         _, engine = self._engine(alloc_graph, private=True)
         peak = _phase_peak(lambda: engine.step())
-        # one [B, 1+k, r] float32 block would already be 384 KiB
+        # one [B, 1+k, r] float64 block would already be 768 KiB
         assert peak < 256 * 1024, peak
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_iterate_averaging_step_allocates_no_arrays(self, alloc_graph, dtype):
-        _, engine = self._engine(alloc_graph, private=True, dtype=dtype)
+    def test_iterate_averaging_step_allocates_no_arrays(self, alloc_graph):
+        _, engine = self._engine(alloc_graph, private=True)
         (averager,) = (h for h in engine.hooks if isinstance(h, IterateAveragingHook))
         averager.on_train_start(engine)  # the run above released its buffers
 
@@ -763,7 +736,7 @@ class TestZeroAllocation:
             engine.step()
             averager.after_step(engine, 0, 0.0)
 
-        # warm-up steps make the weight nonzero and the float32 stage exist
+        # warm-up steps make the weight nonzero and the weight vector exist
         full_peak = _phase_peak(step_and_average)
         engine.step()
         averaging_peak = _phase_peak(lambda: averager.after_step(engine, 0, 0.0), warmups=0)
@@ -986,8 +959,7 @@ class TestOptimizerDtypeGuard:
         unique_grads = np.random.default_rng(1).standard_normal((2, 2))
         optimizer.descend_unique_rows(params_a, unique_rows, unique_grads)
         optimizer.descend_unique_rows(
-            params_b, unique_rows, unique_grads.copy(),
-            scratch=np.empty((2, 2)), gather=np.empty((2, 2)),
+            params_b, unique_rows, unique_grads.copy(), scratch=np.empty((2, 2))
         )
         np.testing.assert_allclose(params_a, params_b, rtol=1e-15, atol=1e-15)
 
@@ -1061,23 +1033,95 @@ class _PerturbedRows(EngineHook):
         self.batch_sizes.append(result.batch_size)
 
 
-class TestEngineWorkspaceWiring:
-    def test_private_fast_run_spends_budget_like_default(self, graph):
-        """A float32 private fit spends exactly the float64 default's budget."""
+class TestPrivateStepIsFloat64:
+    """SE-PrivGEmb trains in float64; ``compute_dtype`` is its published dtype."""
+
+    @pytest.mark.parametrize(
+        ("perturbation", "averaging"),
+        [("nonzero", True), ("nonzero", False), ("naive", True)],
+        ids=["nonzero-averaged", "nonzero-final", "naive-averaged"],
+    )
+    def test_float32_fit_is_the_float64_fit_rounded_once(
+        self, graph, perturbation, averaging
+    ):
         runs = {
             dtype: SEPrivGEmbTrainer(
                 proximity=DegreeProximity(), training_config=TRAINING,
-                privacy_config=PRIVACY, seed=0, compute_dtype=dtype,
+                privacy_config=PRIVACY, perturbation=perturbation,
+                iterate_averaging=averaging, seed=0, compute_dtype=dtype,
             ).fit(graph)
             for dtype in ("float64", "float32")
         }
         default, fast = runs["float64"], runs["float32"]
-        # the accountant is driven by (sigma, gamma, steps), never the dtype
-        assert fast.result_.privacy_spent.epsilon == pytest.approx(
-            default.result_.privacy_spent.epsilon
-        )
+        for name in ("embeddings_", "context_embeddings_"):
+            published = getattr(fast, name)
+            assert published.dtype == np.dtype(np.float32)
+            rounded = getattr(default, name).astype(np.float32)
+            assert published.tobytes() == rounded.tobytes()
+        assert fast.result_.losses == default.result_.losses
+        assert fast.result_.privacy_spent == default.result_.privacy_spent
         assert fast.result_.epochs_run == default.result_.epochs_run
 
+    @pytest.mark.parametrize(
+        "workers", [1, pytest.param(2, marks=FORK_ONLY)], ids=["serial", "hogwild"]
+    )
+    @pytest.mark.parametrize(
+        ("private", "trained"), [(False, np.float32), (True, np.float64)],
+        ids=["se_gemb", "se_privgemb"],
+    )
+    def test_a_float32_fit_trains_in_its_method_dtype(self, graph, private, trained, workers):
+        """SE-GEmb keeps its float32 compute path; SE-PrivGEmb trains in float64."""
+        kwargs = dict(seed=0, compute_dtype="float32", workers=workers)
+        if private:
+            trainer = SEPrivGEmbTrainer(
+                DegreeProximity(), training_config=TRAINING, privacy_config=PRIVACY, **kwargs
+            )
+        else:
+            trainer = SEGEmbTrainer(DegreeProximity(), config=TRAINING, **kwargs)
+        trainer._setup(graph, np.random.default_rng(0))
+        try:
+            assert trainer.model.w_in.dtype == trainer.model.w_out.dtype == np.dtype(trained)
+            assert _workspace(trainer).dtype == np.dtype(trained)
+        finally:
+            trainer.model.release()
+
+    def test_float32_private_artifact_round_trips(self, tmp_path, graph):
+        model = get_method("se_privgemb_deg").build(
+            training=TRAINING, privacy=PRIVACY, seed=0, proximity_cache="off",
+            compute_dtype="float32",
+        ).fit(graph)
+        path = model.save(tmp_path / "private32.npz")
+        _, metadata = load_artifact(path)
+        assert metadata["build_options"]["compute_dtype"] == "float32"
+        reloaded = Embedder.load(path)
+        assert reloaded.compute_dtype == np.dtype(np.float32)
+        assert reloaded.embeddings_.dtype == np.dtype(np.float32)
+        assert reloaded.embeddings_.tobytes() == model.embeddings_.tobytes()
+
+    def _float32_engine(self, graph):
+        """A float32 SE-GEmb engine, and copies of its two matrices."""
+        engine = _setup(graph, dtype="float32").engine
+        assert engine.model.w_in.dtype == np.dtype(np.float32)
+        return engine, engine.model.w_in.copy(), engine.model.w_out.copy()
+
+    def test_perturbed_update_rejects_float32_parameters(self, graph):
+        engine, w_in, w_out = self._float32_engine(graph)
+        engine.update_rule = PerturbedUpdate(get_perturbation("nonzero", 2.0, 5.0, seed=0))
+        with pytest.raises(TrainingError, match="float64 only"):
+            engine.run(3)
+        assert engine.model.w_in.tobytes() == w_in.tobytes()
+        assert engine.model.w_out.tobytes() == w_out.tobytes()
+
+    def test_iterate_averaging_rejects_float32_parameters(self, graph):
+        engine, w_in, w_out = self._float32_engine(graph)
+        engine.hooks += (IterateAveragingHook(),)
+        with pytest.raises(TrainingError, match="float64 parameters only"):
+            engine.run(3)
+        assert engine.model.w_in.tobytes() == w_in.tobytes()
+        assert engine.model.w_out.tobytes() == w_out.tobytes()
+
+
+class TestEngineWorkspaceWiring:
     def test_perturbed_update_workspace_path_used(self, graph):
         trainer = _setup(graph, private=True)
         engine = trainer.engine

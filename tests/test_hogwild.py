@@ -278,45 +278,39 @@ class TestSingleShard:
     def test_inline_averaged_run_equals_serial_engine(self):
         # one shard runs in-process, without a pool: its result must be the
         # serial engine's, built by the same builder from the shard's seed
-        # (float32 too: both average in float64)
         graph = _graph()
 
-        def private_setup(compute_dtype):
+        def private_setup():
             trainer = SEPrivGEmbTrainer(
                 proximity=get_proximity("degree"),
                 training_config=TRAIN,
                 privacy_config=PRIVACY,
                 seed=5,
-                compute_dtype=compute_dtype,
             )
             trainer._setup(graph, np.random.default_rng(5))
             return trainer
 
-        for compute_dtype in ("float64", "float32"):
-            pooled = private_setup(compute_dtype)
-            run = run_hogwild(
-                model=pooled.model,
-                engine_factory=pooled._build_engine,
-                total_steps=12,
-                workers=1,
-                seed=7,
-            )
+        pooled = private_setup()
+        run = run_hogwild(
+            model=pooled.model,
+            engine_factory=pooled._build_engine,
+            total_steps=12,
+            workers=1,
+            seed=7,
+        )
 
-            serial = private_setup(compute_dtype)
-            shard_seed = np.random.SeedSequence(7).spawn(1)[0]
-            engine = serial._build_engine(np.random.default_rng(shard_seed))
-            expected = engine.run(12)
+        serial = private_setup()
+        shard_seed = np.random.SeedSequence(7).spawn(1)[0]
+        engine = serial._build_engine(np.random.default_rng(shard_seed))
+        expected = engine.run(12)
 
-            assert run.result.embeddings.dtype == np.dtype(compute_dtype)
-            assert np.array_equal(run.result.embeddings, expected.embeddings)
-            assert np.array_equal(
-                run.result.context_embeddings, expected.context_embeddings
-            )
-            assert not np.array_equal(run.result.embeddings, pooled.model.w_in)
-            assert run.result.losses == expected.losses
-            assert run.result.epochs_run == 12
-            assert run.charged_steps == [12]
-            assert run.reports[0].averaged_steps == 12
+        assert np.array_equal(run.result.embeddings, expected.embeddings)
+        assert np.array_equal(run.result.context_embeddings, expected.context_embeddings)
+        assert not np.array_equal(run.result.embeddings, pooled.model.w_in)
+        assert run.result.losses == expected.losses
+        assert run.result.epochs_run == 12
+        assert run.charged_steps == [12]
+        assert run.reports[0].averaged_steps == 12
 
 
 @FORK_ONLY

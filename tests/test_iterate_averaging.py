@@ -3,8 +3,8 @@
 :class:`~repro.engine.hooks.IterateAveragingHook` publishes
 ``W_T + D/T`` with ``D = Σ_u (u−1)·δ_u`` kept on the rows each step moved.
 These tests hold it to the dense definition (:mod:`averaging_oracle`) on
-seeded fits of every perturbation, normalisation and compute dtype, pin
-the hogwild pool's arithmetic, and check what the hook keeps and times.
+seeded fits of every perturbation and normalisation, pin the hogwild
+pool's arithmetic, and check what the hook keeps and times.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ def graph():
     return load_dataset("smallworld", num_nodes=150, seed=4)
 
 
-def _private_engine(graph, *, perturbation, normalization, dtype, seed=3):
+def _private_engine(graph, *, perturbation, normalization, seed=3):
     trainer = SEPrivGEmbTrainer(
         DegreeProximity(), training_config=TRAINING, privacy_config=PRIVACY,
         perturbation=perturbation, gradient_normalization=normalization,
-        seed=seed, compute_dtype=dtype,
+        seed=seed,
     )
     trainer._setup(graph, np.random.default_rng(seed))
     return trainer.engine
@@ -64,34 +64,23 @@ def _assert_close(actual, expected):
 
 
 class TestMatchesDenseOracle:
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("normalization", ["per_row", "batch"])
     @pytest.mark.parametrize("perturbation", ["nonzero", "naive"])
-    def test_published_average_matches_dense_sums(
-        self, graph, perturbation, normalization, dtype
-    ):
-        engine = _private_engine(
-            graph, perturbation=perturbation, normalization=normalization, dtype=dtype
-        )
+    def test_published_average_matches_dense_sums(self, graph, perturbation, normalization):
+        engine = _private_engine(graph, perturbation=perturbation, normalization=normalization)
         oracle = DenseIterateSums()
         engine.hooks += (oracle,)
         result = engine.run(60)
 
         mean_in, mean_out = oracle.means()
-        assert result.embeddings.dtype == np.dtype(dtype)
-        assert result.context_embeddings.dtype == np.dtype(dtype)
-        # a float32 fit publishes its float64 average rounded once
-        _assert_close(result.embeddings, mean_in.astype(dtype))
-        _assert_close(result.context_embeddings, mean_out.astype(dtype))
+        _assert_close(result.embeddings, mean_in)
+        _assert_close(result.context_embeddings, mean_out)
         # and it is an average, not the final iterate
         assert not np.array_equal(result.embeddings, engine.model.w_in)
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_pooled_correction_matches_dense_sums_in_float64(self, graph, dtype):
-        """``W_T + D/T`` before any cast: the float64 value a pool publishes."""
-        engine = _private_engine(
-            graph, perturbation="nonzero", normalization="per_row", dtype=dtype
-        )
+    def test_pooled_correction_matches_dense_sums_in_float64(self, graph):
+        """``W_T + D/T``: the float64 value a pool publishes."""
+        engine = _private_engine(graph, perturbation="nonzero", normalization="per_row")
         averager = _averager(engine)
         averager.pooled = True
         oracle = DenseIterateSums()
@@ -105,9 +94,7 @@ class TestMatchesDenseOracle:
         _assert_close(engine.model.w_out + averager.correction_w_out, mean_out)
 
     def test_single_step_publishes_the_only_iterate(self, graph):
-        engine = _private_engine(
-            graph, perturbation="nonzero", normalization="per_row", dtype="float64"
-        )
+        engine = _private_engine(graph, perturbation="nonzero", normalization="per_row")
         result = engine.run(1)
         assert np.array_equal(result.embeddings, engine.model.w_in)
         assert np.array_equal(result.context_embeddings, engine.model.w_out)
@@ -116,29 +103,23 @@ class TestMatchesDenseOracle:
 
 class TestHookState:
     def test_finish_in_place_releases_the_buffers(self, graph):
-        engine = _private_engine(
-            graph, perturbation="nonzero", normalization="per_row", dtype="float64"
-        )
+        engine = _private_engine(graph, perturbation="nonzero", normalization="per_row")
         averager = _averager(engine)
         engine.run(5)
         assert averager.steps == 5
         assert averager.correction_w_in is None and averager.correction_w_out is None
 
     def test_refit_restarts_the_average(self, graph):
-        engine = _private_engine(
-            graph, perturbation="nonzero", normalization="batch", dtype="float32"
-        )
+        engine = _private_engine(graph, perturbation="nonzero", normalization="batch")
         oracle = DenseIterateSums()
         engine.hooks += (oracle,)
         engine.run(4)
         second = engine.run(6)
         assert _averager(engine).steps == 6
-        _assert_close(second.embeddings, oracle.means()[0].astype(np.float32))
+        _assert_close(second.embeddings, oracle.means()[0])
 
     def test_profiler_times_the_averaging_phase(self, graph):
-        engine = _private_engine(
-            graph, perturbation="nonzero", normalization="per_row", dtype="float64"
-        )
+        engine = _private_engine(graph, perturbation="nonzero", normalization="per_row")
         engine.hooks += (StepProfiler(),)
         profile = engine.run(4).profile
         assert profile.phase_seconds["averaging"] > 0
@@ -159,8 +140,7 @@ def _shard_engine(model, slots):
 
 
 class TestPooledCorrections:
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_pool_publishes_the_global_clock_average_of_round_robin_shards(self, dtype):
+    def test_pool_publishes_the_global_clock_average_of_round_robin_shards(self):
         """Shards taking turns: the pool is the global Polyak average up to a known shift.
 
         Shard ``w`` (0-based) of ``S`` runs its ``u``-th step at global step
@@ -171,7 +151,7 @@ class TestPooledCorrections:
         """
         rng = np.random.default_rng(0)
         nodes, dim, slots, shards, rounds = 40, 4, 12, 3, 25
-        model = SkipGramModel(nodes, dim, seed=0, dtype=dtype)
+        model = SkipGramModel(nodes, dim, seed=0)
         optimizer = SGDOptimizer(0.3)
         engines = [_shard_engine(model, slots) for _ in range(shards)]
         hooks = [IterateAveragingHook() for _ in range(shards)]
@@ -188,15 +168,11 @@ class TestPooledCorrections:
                 for k, (matrix, moved) in enumerate(zip(matrices, engine.workspace.moved)):
                     count = int(rng.integers(1, slots + 1))
                     rows = np.sort(rng.choice(nodes, size=count, replace=False))
-                    gradients = rng.standard_normal((count, dim)).astype(dtype)
-                    before = np.empty((count, dim))
-                    moved.step, moved.after = optimizer.descend_unique_rows(
-                        matrix, rows, gradients, before=before
-                    )
-                    displacement[shard, k, rows] += before - moved.after
+                    gradients = rng.standard_normal((count, dim))
+                    before = matrix[rows]
+                    moved.step = optimizer.descend_unique_rows(matrix, rows, gradients)
+                    displacement[shard, k, rows] += before - matrix[rows]
                     moved.rows = rows
-                    # a float64 step is recorded by what it subtracted
-                    moved.before = before if dtype == np.float32 else None
                 hook.after_step(engine, step, 0.0)
                 oracle.after_step(engine, step, 0.0)
         for hook, engine in zip(hooks, engines, strict=True):
@@ -221,9 +197,9 @@ class TestPooledCorrections:
         finally:
             accumulator.destroy()
 
-        # the pool rounds W_final + Σ_w D_w/T_w once, to the model dtype
-        assert np.array_equal(run.result.embeddings, pooled[0].astype(dtype))
-        assert np.array_equal(run.result.context_embeddings, pooled[1].astype(dtype))
+        # the pool publishes W_final + Σ_w D_w/T_w
+        assert np.array_equal(run.result.embeddings, pooled[0])
+        assert np.array_equal(run.result.context_embeddings, pooled[1])
         total = shards * rounds
         shift = sum(shard / total * displacement[shard] for shard in range(shards))
         for k, mean in enumerate(oracle.means()):

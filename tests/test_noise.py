@@ -268,18 +268,12 @@ class TestStreamEquality:
 # --------------------------------------------------------------------- #
 class TestFits:
     @pytest.mark.parametrize("perturbation", ["nonzero", "naive"])
-    # "fast": the float32 compute dtype, whose noise is cast into the sums
-    @pytest.mark.parametrize(
-        "compute_dtype", ["float64", "float32"], ids=["default", "fast"]
-    )
     def test_thread_filled_and_synchronous_fits_are_byte_identical(
-        self, graph, perturbation, compute_dtype, small_ring
+        self, graph, perturbation, small_ring
     ):
         embeddings = []
         for prefetch in (True, False):
-            trainer = _trainer(
-                graph, perturbation=perturbation, compute_dtype=compute_dtype
-            )
+            trainer = _trainer(graph, perturbation=perturbation)
             _small_blocks(trainer, small_ring)
             if not prefetch:
                 trainer.engine.update_rule.running = nullcontext
