@@ -7,7 +7,10 @@ the paper-scale grid instead (hours of compute).
 
 Each benchmark prints the resulting table; compare the rows against the
 corresponding table/figure in the paper.  A record of which paper claims
-reproduce is ROADMAP.md item 4.
+reproduce is ROADMAP.md item 4.  Every paper bench (Figures 3-4, Tables
+II-VI, the three ablations) also keeps its table through the
+``record_table`` fixture: the rows, the :class:`ExperimentSettings` and the
+seed land in the bench's ``extra_info``.
 
 Every benchmark also emits a ``BENCH_<test>.json`` artifact next to this
 file (timings + any ``benchmark.extra_info`` the test recorded), so the
@@ -25,6 +28,7 @@ import json
 import os
 import re
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -69,6 +73,26 @@ def benchmark(benchmark, request):
         "extra_info": dict(getattr(benchmark, "extra_info", {}) or {}),
     }
     write_bench_artifact(request.node.name, payload)
+
+
+@pytest.fixture
+def record_table(benchmark):
+    """Callable fixture: ``record_table(table, settings)`` keeps a paper table.
+
+    The rows, the settings and the seed go into ``benchmark.extra_info``,
+    which the ``benchmark`` wrapper above writes into ``BENCH_<test>.json``.
+    """
+
+    def record(table, settings: ExperimentSettings) -> None:
+        benchmark.extra_info["rows"] = table.rows
+        benchmark.extra_info["settings"] = {
+            **asdict(settings),
+            "training": settings.training.to_dict(),
+            "privacy": settings.privacy.to_dict(),
+        }
+        benchmark.extra_info["seed"] = settings.seed
+
+    return record
 
 
 def _bench_settings() -> ExperimentSettings:

@@ -12,7 +12,7 @@ from repro.experiments.ablations import (
 )
 
 
-def test_ablation_iterate_averaging(benchmark, quick_bench_settings):
+def test_ablation_iterate_averaging(benchmark, quick_bench_settings, record_table):
     """Averaged iterates versus the last private iterate."""
     table = benchmark.pedantic(
         ablation_iterate_averaging,
@@ -20,12 +20,13 @@ def test_ablation_iterate_averaging(benchmark, quick_bench_settings):
         rounds=1,
         iterations=1,
     )
+    record_table(table, quick_bench_settings)
     print()
     print(table.to_text())
     assert len(table) == len(quick_bench_settings.datasets) * 2
 
 
-def test_ablation_gradient_normalization(benchmark, quick_bench_settings):
+def test_ablation_gradient_normalization(benchmark, quick_bench_settings, record_table):
     """Per-row normalisation versus the literal Eq. (9) batch averaging."""
     table = benchmark.pedantic(
         ablation_gradient_normalization,
@@ -33,12 +34,13 @@ def test_ablation_gradient_normalization(benchmark, quick_bench_settings):
         rounds=1,
         iterations=1,
     )
+    record_table(table, quick_bench_settings)
     print()
     print(table.to_text())
     assert len(table) == len(quick_bench_settings.datasets) * 2
 
 
-def test_ablation_negative_sampling(benchmark, quick_bench_settings):
+def test_ablation_negative_sampling(benchmark, quick_bench_settings, record_table):
     """Theorem-3 negative sampling versus the unigram sampler (non-private)."""
     table = benchmark.pedantic(
         ablation_negative_sampling,
@@ -46,6 +48,7 @@ def test_ablation_negative_sampling(benchmark, quick_bench_settings):
         rounds=1,
         iterations=1,
     )
+    record_table(table, quick_bench_settings)
     print()
     print(table.to_text())
     assert len(table) == len(quick_bench_settings.datasets) * 2

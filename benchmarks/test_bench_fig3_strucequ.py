@@ -17,7 +17,7 @@ METHODS = (
 )
 
 
-def test_figure3_structural_equivalence(benchmark, bench_settings):
+def test_figure3_structural_equivalence(benchmark, bench_settings, record_table):
     """Regenerate the Figure-3 series and check the paper's method ordering."""
     settings = bench_settings.with_updates(
         datasets=("chameleon",), epsilons=(0.5, 2.0, 3.5)
@@ -28,6 +28,7 @@ def test_figure3_structural_equivalence(benchmark, bench_settings):
         rounds=1,
         iterations=1,
     )
+    record_table(table, settings)
     print()
     print(table.to_text())
     assert len(table) == len(settings.datasets) * len(METHODS) * len(settings.epsilons)

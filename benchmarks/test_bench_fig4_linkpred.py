@@ -7,7 +7,7 @@ from repro.experiments import figure_link_prediction
 METHODS = ("dpgvae", "gap", "se_gemb_dw", "se_privgemb_dw")
 
 
-def test_figure4_link_prediction(benchmark, bench_settings):
+def test_figure4_link_prediction(benchmark, bench_settings, record_table):
     """Regenerate the Figure-4 series and check the non-private upper bound."""
     settings = bench_settings.with_updates(
         datasets=("chameleon",), epsilons=(0.5, 2.0, 3.5)
@@ -18,6 +18,7 @@ def test_figure4_link_prediction(benchmark, bench_settings):
         rounds=1,
         iterations=1,
     )
+    record_table(table, settings)
     print()
     print(table.to_text())
     assert len(table) == len(settings.datasets) * len(METHODS) * len(settings.epsilons)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.experiments import table_learning_rate
 
 
-def test_table3_learning_rate(benchmark, quick_bench_settings):
+def test_table3_learning_rate(benchmark, quick_bench_settings, record_table):
     """Regenerate Table III and print the resulting rows."""
     table = benchmark.pedantic(
         table_learning_rate,
@@ -13,6 +13,7 @@ def test_table3_learning_rate(benchmark, quick_bench_settings):
         rounds=1,
         iterations=1,
     )
+    record_table(table, quick_bench_settings)
     print()
     print(table.to_text())
     assert len(table) == len(quick_bench_settings.datasets) * 2 * 3

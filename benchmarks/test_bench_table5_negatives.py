@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.experiments import table_negative_samples
 
 
-def test_table5_negative_samples(benchmark, quick_bench_settings):
+def test_table5_negative_samples(benchmark, quick_bench_settings, record_table):
     """Regenerate Table V and print the resulting rows."""
     table = benchmark.pedantic(
         table_negative_samples,
@@ -13,6 +13,7 @@ def test_table5_negative_samples(benchmark, quick_bench_settings):
         rounds=1,
         iterations=1,
     )
+    record_table(table, quick_bench_settings)
     print()
     print(table.to_text())
     assert len(table) == len(quick_bench_settings.datasets) * 2 * 4

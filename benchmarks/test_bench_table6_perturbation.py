@@ -9,7 +9,7 @@ from __future__ import annotations
 from repro.experiments import table_perturbation
 
 
-def test_table6_perturbation_strategies(benchmark, quick_bench_settings):
+def test_table6_perturbation_strategies(benchmark, quick_bench_settings, record_table):
     """Regenerate Table VI and check the non-zero strategy wins on average."""
     table = benchmark.pedantic(
         table_perturbation,
@@ -17,6 +17,7 @@ def test_table6_perturbation_strategies(benchmark, quick_bench_settings):
         rounds=1,
         iterations=1,
     )
+    record_table(table, quick_bench_settings)
     print()
     print(table.to_text())
     assert len(table) == len(quick_bench_settings.datasets) * 2 * 3

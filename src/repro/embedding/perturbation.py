@@ -95,11 +95,20 @@ class PerturbationStrategy(abc.ABC):
         copy first if you pass your own and still need the raw values).
 
         Returns the workspace's reused :class:`PerturbedGradients`, valid
-        until the next step.  Allocation-free for non-zero Eq. 9; naive
-        Eq. 6 allocates its dense ``|V| × r`` noise.
+        until the next step.  Allocation-free for non-zero Eq. 9 once the
+        workspace holds its noise blocks (the first call allocates them);
+        naive Eq. 6 allocates its dense ``|V| × r`` noise.
+
+        The noise is calibrated and drawn in float64, so a workspace of any
+        other dtype raises :class:`~repro.exceptions.TrainingError` before
+        clipping touches the gradients.
         """
         ws = workspace
         batch_size = len(batch_gradients)
+        if ws.dtype != np.float64:
+            raise TrainingError(
+                f"a private step runs in float64 only, got a {ws.dtype} workspace"
+            )
         if batch_gradients.context_errors.shape != ws.errors.shape:
             raise TrainingError(
                 f"batch gradients shape {batch_gradients.context_errors.shape} "
@@ -191,7 +200,8 @@ class NonZeroPerturbation(PerturbationStrategy):
     touched-row space: the workspace's segment scratch sums the clipped
     rows (in-place sort + segment reduction), and the scaled Gaussians for
     exactly those rows, in sorted order, land in the scratch's reused
-    float64 noise buffer via :meth:`~repro.privacy.noise.NoiseRing.fill`.
+    float64 noise block (allocated by the first step) via
+    :meth:`~repro.privacy.noise.NoiseRing.fill`.
 
     Sensitivity ``C`` is the paper's calibration and holds only if each
     touched row collects at most one clipped example per step.  Sampled
@@ -213,7 +223,7 @@ class NonZeroPerturbation(PerturbationStrategy):
     @zero_alloc
     def _noisy_rows(self, scratch, unique, std, num_nodes):
         del num_nodes  # only the touched rows are reported
-        noise = self.noise.fill(scratch.noise[:unique], std)
+        noise = self.noise.fill(scratch.noise_rows(unique), std)
         sums = scratch.sums[:unique]
         np.add(sums, noise, out=sums)
         return scratch.unique_rows[:unique], sums, scratch.counts[:unique]

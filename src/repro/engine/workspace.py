@@ -204,12 +204,23 @@ class _SegmentScratch:
         self.sums = np.empty((slots, dim), dtype=dtype)
         self.counts = np.empty(slots, dtype=dtype)
         self.unique_rows = np.empty(slots, dtype=np.int64)
-        #: the Gaussian noise of a private step, added into ``sums``; a
-        #: private step runs in float64 only, so it is drawn in place here
-        self.noise = np.empty((slots, dim), dtype=dtype)
+        #: the Gaussian noise of a non-zero Eq. 9 step, added into ``sums``;
+        #: ``None`` until :meth:`noise_rows` first asks for it, so a
+        #: workspace that never perturbs (SE-GEmb) never holds it
+        self.noise: np.ndarray | None = None
         #: ``0, 1, …, slots``: slot positions, and the ``indptr`` of a
         #: scatter-axpy over ``unique_rows`` (one entry per column)
         self.indptr = np.arange(slots + 1, dtype=np.int64)
+
+    def noise_rows(self, count: int) -> np.ndarray:
+        """The first ``count`` rows of the noise block, allocated on first use.
+
+        The block takes the dtype of ``sums``; a private step runs in
+        float64 only, so its noise is drawn in place here.
+        """
+        if self.noise is None:
+            self.noise = np.empty_like(self.sums)
+        return self.noise[:count]
 
     @zero_alloc
     def reduce(
@@ -340,7 +351,8 @@ class StepWorkspace:
         Compute dtype of every floating buffer (``"float32"`` or
         ``"float64"``).  Index buffers are always int64.  A private step
         runs in float64 only (:class:`~repro.engine.updates.PerturbedUpdate`
-        rejects anything else), so its noise buffers are float64 too.
+        and the perturbation strategies reject anything else), so its noise
+        blocks, allocated by its first step, are float64 too.
     """
 
     def __init__(

@@ -5,10 +5,11 @@ Figure 4 does the same with link-prediction AUC.  The functions return
 :class:`ResultTable` objects with one row per (dataset, method, ε) — the
 series the paper plots.
 
-Both sweeps expand into :class:`RunSpec` cells and delegate to the
-orchestrator: non-private methods do not depend on ε, so they are a single
-cell whose result is replicated across the budget grid (the flat lines in
-the figures), while each private (method, dataset, ε) triple is its own
+Both sweeps expand into :class:`RunSpec` cells and run through
+:func:`repro.experiments.orchestrator.sweep`: a non-private method's cell
+keeps the base privacy settings at every ε, so all its rows share one
+fingerprint and :func:`sweep` computes it once per dataset (the flat lines
+in the figures), while each private (method, dataset, ε) triple is its own
 cell.  ``workers`` and ``store`` behave as in :mod:`repro.experiments.tables`.
 """
 
@@ -18,7 +19,7 @@ from pathlib import Path
 from collections.abc import Sequence
 
 from .configs import ExperimentSettings, PAPER_METHODS
-from .orchestrator import execute, specs_for_settings
+from .orchestrator import specs_for_settings, sweep
 from .results import ResultTable
 from .runner import is_private_method
 from .store import RunStore
@@ -26,56 +27,39 @@ from .store import RunStore
 __all__ = ["figure_structural_equivalence", "figure_link_prediction"]
 
 
-def _figure_sweep(
+def _figure(
     settings: ExperimentSettings,
     methods: Sequence[str],
     title: str,
     metric_name: str,
     kind: str,
-    workers: int = 1,
-    store: RunStore | str | Path | None = None,
+    workers: int,
+    store: RunStore | str | Path | None,
 ) -> ResultTable:
-    specs = []
-    # per spec: (dataset, method, epsilons the result is replicated over)
-    placements: list[tuple[str, str, tuple[float, ...]]] = []
-    for dataset_name in settings.datasets:
-        for method in methods:
-            if not is_private_method(method):
-                # one cell, replicated across the sweep (flat figure line)
-                specs.append(
-                    specs_for_settings(
-                        kind, method, dataset_name, settings, metric=metric_name
-                    )
+    """One row per (dataset, method, ε); a non-private row ignores ε."""
+    cells = [
+        (
+            {"dataset": dataset_name, "method": method, "epsilon": float(epsilon)},
+            {
+                metric_name: specs_for_settings(
+                    kind,
+                    method,
+                    dataset_name,
+                    settings,
+                    privacy=(
+                        settings.privacy.with_epsilon(float(epsilon))
+                        if is_private_method(method)
+                        else settings.privacy
+                    ),
+                    metric=metric_name,
                 )
-                placements.append((dataset_name, method, tuple(settings.epsilons)))
-                continue
-            for epsilon in settings.epsilons:
-                specs.append(
-                    specs_for_settings(
-                        kind,
-                        method,
-                        dataset_name,
-                        settings,
-                        privacy=settings.privacy.with_epsilon(float(epsilon)),
-                        metric=metric_name,
-                    )
-                )
-                placements.append((dataset_name, method, (float(epsilon),)))
-    report = execute(specs, workers=workers, store=store)
-    table = ResultTable(title)
-    for (dataset_name, method, epsilons), result in zip(placements, report.results, strict=True):
-        for epsilon in epsilons:
-            table.add_row(
-                {
-                    "dataset": dataset_name,
-                    "method": method,
-                    "epsilon": float(epsilon),
-                    f"{metric_name}_mean": result["mean"],
-                    f"{metric_name}_std": result["std"],
-                }
-            )
-    table.run_report = report
-    return table
+            },
+        )
+        for dataset_name in settings.datasets
+        for method in methods
+        for epsilon in settings.epsilons
+    ]
+    return sweep(title, cells, workers=workers, store=store)
 
 
 def figure_structural_equivalence(
@@ -86,14 +70,9 @@ def figure_structural_equivalence(
 ) -> ResultTable:
     """Figure 3: StrucEqu versus privacy budget ε for every method and dataset."""
     settings = settings or ExperimentSettings()
-    return _figure_sweep(
-        settings,
-        methods,
-        "Figure 3: StrucEqu vs privacy budget",
-        "strucequ",
-        "strucequ",
-        workers=workers,
-        store=store,
+    return _figure(
+        settings, methods, "Figure 3: StrucEqu vs privacy budget", "strucequ", "strucequ",
+        workers, store,
     )
 
 
@@ -105,12 +84,7 @@ def figure_link_prediction(
 ) -> ResultTable:
     """Figure 4: link-prediction AUC versus privacy budget ε."""
     settings = settings or ExperimentSettings()
-    return _figure_sweep(
-        settings,
-        methods,
-        "Figure 4: link-prediction AUC vs privacy budget",
-        "auc",
-        "linkpred",
-        workers=workers,
-        store=store,
+    return _figure(
+        settings, methods, "Figure 4: link-prediction AUC vs privacy budget", "auc", "linkpred",
+        workers, store,
     )

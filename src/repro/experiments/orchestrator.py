@@ -3,7 +3,7 @@
 Every table/figure/ablation reproduction is a grid of *independent* cells:
 one (method, dataset, configuration, seed) tuple evaluated to a
 ``mean ± SD`` pair.  The serial triple loops of the original harness are
-replaced by three pieces:
+replaced by four pieces:
 
 * :class:`RunSpec` — one cell, fully described by plain picklable data
   (method, dataset descriptor + content fingerprint, training/privacy
@@ -19,6 +19,8 @@ replaced by three pieces:
   proximity measure)`` — and dispatched group-chunk at a time, so each
   worker process loads a dataset once and warms the process-wide proximity
   cache once per group instead of once per cell.
+* :func:`sweep` — the one path from a grid of cells to a
+  :class:`ResultTable`, for every paper table, figure and ablation.
 
 Seeding: each cell derives its own :class:`numpy.random.SeedSequence` from
 ``(base seed, cell fingerprint)``, so no two distinct cells ever share a
@@ -30,7 +32,6 @@ the sweep is chunked or which worker runs it.
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -49,6 +50,7 @@ from ..robustness.faults import maybe_hit
 from ..robustness.retry import RetryPolicy
 from ..utils import mp as _mp
 from ..utils.logging import get_logger
+from .results import ResultTable
 from .store import RunStore
 
 __all__ = [
@@ -60,6 +62,7 @@ __all__ = [
     "execute",
     "register_kind",
     "run_spec",
+    "sweep",
 ]
 
 _LOGGER = get_logger("experiments.orchestrator")
@@ -67,23 +70,6 @@ _LOGGER = get_logger("experiments.orchestrator")
 # --------------------------------------------------------------------- #
 # cell kinds
 # --------------------------------------------------------------------- #
-#: built-in cell kinds, resolved lazily so ablation kinds can live next to
-#: their training loops without an import cycle (and so a worker started
-#: with any multiprocessing method can resolve them from the spec alone)
-_LAZY_KINDS: dict[str, tuple[str, str]] = {
-    "strucequ": ("repro.experiments.orchestrator", "_run_strucequ"),
-    "linkpred": ("repro.experiments.orchestrator", "_run_linkpred"),
-    "sleep": ("repro.experiments.orchestrator", "_run_sleep"),
-    "ablation_private": ("repro.experiments.ablations", "run_private_cell"),
-    "ablation_negative_sampling": (
-        "repro.experiments.ablations",
-        "run_negative_sampling_cell",
-    ),
-}
-
-_KIND_RUNNERS: dict[str, Callable[["RunSpec"], dict[str, Any]]] = {}
-
-
 def register_kind(kind: str, runner: Callable[["RunSpec"], dict[str, Any]]) -> None:
     """Register a custom cell kind (mainly for tests and extensions)."""
     _KIND_RUNNERS[kind] = runner
@@ -91,16 +77,8 @@ def register_kind(kind: str, runner: Callable[["RunSpec"], dict[str, Any]]) -> N
 
 def _resolve_kind(kind: str) -> Callable[["RunSpec"], dict[str, Any]]:
     runner = _KIND_RUNNERS.get(kind)
-    if runner is not None:
-        return runner
-    target = _LAZY_KINDS.get(kind)
-    if target is None:
-        raise OrchestrationError(
-            f"unknown run kind {kind!r}; known: {sorted(set(_LAZY_KINDS) | set(_KIND_RUNNERS))}"
-        )
-    module_name, attr = target
-    runner = getattr(importlib.import_module(module_name), attr)
-    _KIND_RUNNERS[kind] = runner
+    if runner is None:
+        raise OrchestrationError(f"unknown run kind {kind!r}; known: {sorted(_KIND_RUNNERS)}")
     return runner
 
 
@@ -114,10 +92,12 @@ class RunSpec:
     Attributes
     ----------
     kind:
-        Which evaluation to run ("strucequ", "linkpred", an ablation kind,
-        or the synthetic "sleep" payload used by scheduling benchmarks).
+        Which evaluation to run ("strucequ", "linkpred", the synthetic
+        "sleep" payload used by scheduling benchmarks, or a kind added
+        with :func:`register_kind`).
     method:
-        Method name (or ablation variant label) the cell evaluates.
+        Registered method name the cell evaluates (a free label for the
+        "sleep" payload and custom kinds).
     dataset / dataset_scale / dataset_num_nodes / dataset_seed:
         Descriptor handed to :func:`repro.graph.load_dataset` — datasets
         are deterministic stand-ins, so the descriptor fully determines the
@@ -132,8 +112,10 @@ class RunSpec:
     repeats / seed / perturbation / deepwalk_window:
         Evaluation protocol knobs (see :mod:`repro.experiments.runner`).
     options:
-        Kind-specific extras as a sorted tuple of ``(name, value)`` pairs
-        (e.g. ablation trainer kwargs, sleep duration).
+        Kind-specific extras as a sorted tuple of ``(name, value)`` pairs:
+        the hogwild ``train_workers`` count, the estimator build overrides
+        of a "strucequ" cell (e.g. ``iterate_averaging=False``), the sleep
+        duration.
     metric:
         Name of the reported metric ("strucequ", "auc", ...), used for
         result labelling only.
@@ -163,8 +145,8 @@ class RunSpec:
         :meth:`~repro.models.MethodSpec.fingerprint_payload` — trainer
         class, proximity factory, perturbation, privacy flag — so a method
         whose *definition* changes invalidates stored cells even when its
-        label stays the same.  Unregistered labels (ablation variants, the
-        synthetic "sleep" payload) fall back to the plain string.
+        label stays the same.  Unregistered labels (the synthetic "sleep"
+        payload, custom kinds) fall back to the plain string.
         """
         try:
             return get_method(self.method).fingerprint_payload()
@@ -296,6 +278,8 @@ def evaluation_seed_sequence(spec: RunSpec) -> np.random.SeedSequence:
 def _run_strucequ(spec: RunSpec) -> dict[str, Any]:
     from .runner import evaluate_structural_equivalence
 
+    # every option but the hogwild worker count configures the estimator
+    overrides = {name: value for name, value in spec.options if name != "train_workers"}
     mean, std = evaluate_structural_equivalence(
         spec.method,
         dataset_graph(spec),
@@ -307,6 +291,7 @@ def _run_strucequ(spec: RunSpec) -> dict[str, Any]:
         deepwalk_window=spec.deepwalk_window,
         evaluation_seed=evaluation_seed_sequence(spec),
         workers=int(spec.option("train_workers", 1)),
+        **overrides,
     )
     return {"metric": spec.metric, "mean": float(mean), "std": float(std), "repeats": spec.repeats}
 
@@ -334,6 +319,17 @@ def _run_sleep(spec: RunSpec) -> dict[str, Any]:
     duration = float(spec.option("duration", 0.1))
     time.sleep(duration)
     return {"metric": spec.metric, "mean": duration, "std": 0.0, "repeats": spec.repeats}
+
+
+#: cell kind -> runner.  The built-ins are module-level functions, so a pool
+#: worker started by any multiprocessing method finds them by importing this
+#: module; kinds added with :func:`register_kind` reach workers only by fork.
+_KIND_RUNNERS: dict[str, Callable[[RunSpec], dict[str, Any]]] = {
+    "strucequ": _run_strucequ,
+    "linkpred": _run_linkpred,
+    "sleep": _run_sleep,
+}
+_BUILTIN_KINDS = frozenset(_KIND_RUNNERS)
 
 
 def run_spec(spec: RunSpec) -> dict[str, Any]:
@@ -521,7 +517,7 @@ def execute(
             # a baffling "unknown run kind" — degrade to the serial path
             # (with a warning) instead of crashing the sweep
             custom = sorted(
-                {s.kind for _, s in pending} & (set(_KIND_RUNNERS) - set(_LAZY_KINDS))
+                {s.kind for _, s in pending} & (set(_KIND_RUNNERS) - _BUILTIN_KINDS)
             )
             if custom:
                 workers = _mp.serial_fallback(
@@ -584,6 +580,36 @@ def execute(
     report.elapsed_seconds = time.perf_counter() - started
     _LOGGER.info("%s", report.summary())
     return report
+
+
+def sweep(
+    title: str,
+    cells: Sequence[tuple[Mapping[str, Any], Mapping[str, RunSpec]]],
+    *,
+    workers: int = 1,
+    store: RunStore | str | Path | None = None,
+) -> ResultTable:
+    """Execute a grid of table cells and lay the results out as rows.
+
+    Each cell pairs a row's leading columns with ``{prefix: RunSpec}``; the
+    result of each spec fills the row's ``prefix_mean`` / ``prefix_std``.
+    Specs that share a fingerprint run once, in first-seen order — a
+    non-private figure line repeated across the ε grid is one computed
+    cell.  ``workers`` and ``store`` are handed to :func:`execute`, and its
+    :class:`SweepReport` is attached to the table as ``table.run_report``.
+    """
+    unique = {spec.fingerprint(): spec for _, specs in cells for spec in specs.values()}
+    report = execute(list(unique.values()), workers=workers, store=store)
+    results = dict(zip(unique, report.results, strict=True))
+    table = ResultTable(title)
+    for columns, specs in cells:
+        row = dict(columns)
+        for prefix, spec in specs.items():
+            result = results[spec.fingerprint()]
+            row[f"{prefix}_mean"], row[f"{prefix}_std"] = result["mean"], result["std"]
+        table.add_row(row)
+    table.run_report = report
+    return table
 
 
 def specs_for_settings(

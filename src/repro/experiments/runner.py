@@ -76,6 +76,7 @@ def embed_with_method(
     proximity_cache: "str | ProximityCache" = "default",
     return_model: bool = False,
     workers: int = 1,
+    **overrides: Any,
 ) -> np.ndarray | Embedder:
     """Produce an embedding matrix for ``graph`` with the named method.
 
@@ -114,10 +115,14 @@ def embed_with_method(
         Hogwild worker count for the SE trainers (``1`` = the unchanged
         serial path).  Methods without the knob (the DP baselines) warn and
         ignore it rather than fail the sweep.
+    overrides:
+        Further estimator keywords for :meth:`~repro.models.MethodSpec.build`
+        (e.g. ``iterate_averaging=False`` for SE-PrivGEmb,
+        ``negative_sampling="unigram"`` for SE-GEmb).
     """
     spec = get_method(method)
     workers = int(workers)
-    build_kwargs: dict[str, Any] = {}
+    build_kwargs: dict[str, Any] = dict(overrides)
     if workers != 1:
         if spec.proximity is not None:
             build_kwargs["workers"] = workers
@@ -162,6 +167,7 @@ def evaluate_structural_equivalence(
     proximity_cache: "str | ProximityCache" = "default",
     evaluation_seed: int | np.random.SeedSequence | None = None,
     workers: int = 1,
+    **overrides: Any,
 ) -> tuple[float, float]:
     """Mean ± SD StrucEqu of a method over repeated runs on one graph.
 
@@ -180,6 +186,10 @@ def evaluate_structural_equivalence(
     the same graph* scores on the identical pair sample (common random
     numbers — cross-cell comparisons are not blurred by sampling noise
     either).
+
+    Extra keyword ``overrides`` go to every repeat's estimator through
+    :func:`embed_with_method` (the ablations vary a trainer keyword this
+    way).
     """
     spec = get_method(method)
     proximity = _resolve_proximity(spec, graph, None, deepwalk_window, proximity_cache)
@@ -203,6 +213,7 @@ def evaluate_structural_equivalence(
             deepwalk_window=deepwalk_window,
             proximity_cache=proximity_cache,
             workers=workers,
+            **overrides,
         )
         # a fresh generator from the *same* stream per repeat: identical
         # evaluation pair sample every time, by construction

@@ -6,22 +6,24 @@ perturbation strategy, over the datasets of the supplied
 :class:`ExperimentSettings`, and returns a :class:`ResultTable` whose rows
 mirror the corresponding paper table (average StrucEqu ± SD per cell).
 
-The sweeps expand into flat lists of :class:`RunSpec` cells and delegate to
-:func:`repro.experiments.orchestrator.execute`: ``workers=1`` (default)
-preserves the serial path, larger values fan the independent cells out over
-a process pool, and ``store=`` makes the sweep resumable (completed cells
-are never recomputed).  The executed :class:`SweepReport` is attached to
-the returned table as ``table.run_report``.
+Every table is a list of ``strucequ`` :class:`RunSpec` cells handed to
+:func:`repro.experiments.orchestrator.sweep`, the one path every table,
+figure and ablation runs through: ``workers=1`` (default) preserves the
+serial path, larger values fan the independent cells out over a process
+pool, and ``store=`` makes the sweep resumable (completed cells are never
+recomputed).  The executed :class:`SweepReport` is attached to the returned
+table as ``table.run_report``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from collections.abc import Sequence
+from collections.abc import Callable, Mapping, Sequence
+from typing import Any
 
 from .configs import ExperimentSettings
-from .orchestrator import SweepReport, execute, specs_for_settings
+from .orchestrator import specs_for_settings, sweep
 from .results import ResultTable
 from .store import RunStore
 
@@ -36,6 +38,9 @@ __all__ = [
 # The two SE-PrivGEmb variants every parameter table reports.
 _VARIANTS = ("se_privgemb_dw", "se_privgemb_deg")
 
+# Column prefix -> perturbation strategy of Tables II-V: one StrucEqu column.
+_STRUCEQU = {"strucequ": "nonzero"}
+
 # Paper sweep values (used as defaults; callers can narrow them for speed).
 PAPER_BATCH_SIZES: tuple[int, ...] = (32, 64, 128, 256, 512, 1024)
 PAPER_LEARNING_RATES: tuple[float, ...] = (0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
@@ -44,45 +49,42 @@ PAPER_NEGATIVE_SAMPLES: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7)
 PAPER_PERTURBATION_EPSILONS: tuple[float, ...] = (0.5, 2.0, 3.5)
 
 
-def _attach_report(table: ResultTable, report: SweepReport) -> ResultTable:
-    table.run_report = report
-    return table
-
-
-def _sweep(
+def _table(
     settings: ExperimentSettings,
     title: str,
     parameter_name: str,
     values: Sequence,
-    apply_value,
-    workers: int = 1,
-    store: RunStore | str | Path | None = None,
+    configure: Callable[[Any], dict[str, Any]],
+    workers: int,
+    store: RunStore | str | Path | None,
+    columns: Mapping[str, str] = _STRUCEQU,
 ) -> ResultTable:
-    """Shared sweep: expand dataset × variant × value cells, then execute."""
-    specs, rows = [], []
-    for dataset_name in settings.datasets:
-        for variant in _VARIANTS:
-            for value in values:
-                training, privacy, perturbation = apply_value(settings, value)
-                specs.append(
-                    specs_for_settings(
-                        "strucequ",
-                        variant,
-                        dataset_name,
-                        settings,
-                        training=training,
-                        privacy=privacy,
-                        perturbation=perturbation,
-                    )
+    """Sweep dataset × variant × value; one column per perturbation strategy.
+
+    ``configure(value)`` gives the configurations a value sets (keywords of
+    :func:`specs_for_settings`); ``columns`` maps each column prefix to the
+    perturbation strategy it scores.
+    """
+    cells = [
+        (
+            {"dataset": dataset_name, "method": variant, parameter_name: value},
+            {
+                prefix: specs_for_settings(
+                    "strucequ",
+                    variant,
+                    dataset_name,
+                    settings,
+                    perturbation=perturbation,
+                    **configure(value),
                 )
-                rows.append({"dataset": dataset_name, "method": variant, parameter_name: value})
-    report = execute(specs, workers=workers, store=store)
-    table = ResultTable(title)
-    for row, result in zip(rows, report.results, strict=True):
-        table.add_row(
-            {**row, "strucequ_mean": result["mean"], "strucequ_std": result["std"]}
+                for prefix, perturbation in columns.items()
+            },
         )
-    return _attach_report(table, report)
+        for dataset_name in settings.datasets
+        for variant in _VARIANTS
+        for value in values
+    ]
+    return sweep(title, cells, workers=workers, store=store)
 
 
 def table_batch_size(
@@ -93,18 +95,10 @@ def table_batch_size(
 ) -> ResultTable:
     """Table II: StrucEqu versus batch size ``B`` at ε = 3.5."""
     settings = settings or ExperimentSettings()
-
-    def apply(s: ExperimentSettings, value: int):
-        return s.training.with_updates(batch_size=int(value)), s.privacy, "nonzero"
-
-    return _sweep(
-        settings,
-        "Table II: StrucEqu vs batch size B",
-        "batch_size",
-        batch_sizes,
-        apply,
-        workers=workers,
-        store=store,
+    return _table(
+        settings, "Table II: StrucEqu vs batch size B", "batch_size", batch_sizes,
+        lambda value: {"training": settings.training.with_updates(batch_size=int(value))},
+        workers, store,
     )
 
 
@@ -116,18 +110,10 @@ def table_learning_rate(
 ) -> ResultTable:
     """Table III: StrucEqu versus learning rate ``η`` at ε = 3.5."""
     settings = settings or ExperimentSettings()
-
-    def apply(s: ExperimentSettings, value: float):
-        return s.training.with_updates(learning_rate=float(value)), s.privacy, "nonzero"
-
-    return _sweep(
-        settings,
-        "Table III: StrucEqu vs learning rate η",
-        "learning_rate",
-        learning_rates,
-        apply,
-        workers=workers,
-        store=store,
+    return _table(
+        settings, "Table III: StrucEqu vs learning rate η", "learning_rate", learning_rates,
+        lambda value: {"training": settings.training.with_updates(learning_rate=float(value))},
+        workers, store,
     )
 
 
@@ -139,19 +125,12 @@ def table_clipping(
 ) -> ResultTable:
     """Table IV: StrucEqu versus gradient clipping threshold ``C`` at ε = 3.5."""
     settings = settings or ExperimentSettings()
-
-    def apply(s: ExperimentSettings, value: float):
-        privacy = dataclasses.replace(s.privacy, clipping_threshold=float(value))
-        return s.training, privacy, "nonzero"
-
-    return _sweep(
-        settings,
-        "Table IV: StrucEqu vs clipping threshold C",
-        "clipping_threshold",
-        thresholds,
-        apply,
-        workers=workers,
-        store=store,
+    return _table(
+        settings, "Table IV: StrucEqu vs clipping threshold C", "clipping_threshold", thresholds,
+        lambda value: {
+            "privacy": dataclasses.replace(settings.privacy, clipping_threshold=float(value))
+        },
+        workers, store,
     )
 
 
@@ -163,18 +142,10 @@ def table_negative_samples(
 ) -> ResultTable:
     """Table V: StrucEqu versus negative sampling number ``k`` at ε = 3.5."""
     settings = settings or ExperimentSettings()
-
-    def apply(s: ExperimentSettings, value: int):
-        return s.training.with_updates(negative_samples=int(value)), s.privacy, "nonzero"
-
-    return _sweep(
-        settings,
-        "Table V: StrucEqu vs negative samples k",
-        "negative_samples",
-        negative_samples,
-        apply,
-        workers=workers,
-        store=store,
+    return _table(
+        settings, "Table V: StrucEqu vs negative samples k", "negative_samples", negative_samples,
+        lambda value: {"training": settings.training.with_updates(negative_samples=int(value))},
+        workers, store,
     )
 
 
@@ -191,32 +162,9 @@ def table_perturbation(
     at every ε, reproducing the paper's ablation.
     """
     settings = settings or ExperimentSettings()
-    strategies = ("naive", "nonzero")
-    specs, rows = [], []
-    for dataset_name in settings.datasets:
-        for variant in _VARIANTS:
-            for epsilon in epsilons:
-                privacy = settings.privacy.with_epsilon(float(epsilon))
-                rows.append(
-                    {"dataset": dataset_name, "method": variant, "epsilon": float(epsilon)}
-                )
-                for strategy in strategies:
-                    specs.append(
-                        specs_for_settings(
-                            "strucequ",
-                            variant,
-                            dataset_name,
-                            settings,
-                            privacy=privacy,
-                            perturbation=strategy,
-                        )
-                    )
-    report = execute(specs, workers=workers, store=store)
-    table = ResultTable("Table VI: naive vs non-zero perturbation")
-    for row_index, row in enumerate(rows):
-        for offset, strategy in enumerate(strategies):
-            result = report.results[row_index * len(strategies) + offset]
-            row[f"{strategy}_mean"] = result["mean"]
-            row[f"{strategy}_std"] = result["std"]
-        table.add_row(row)
-    return _attach_report(table, report)
+    return _table(
+        settings, "Table VI: naive vs non-zero perturbation", "epsilon",
+        [float(epsilon) for epsilon in epsilons],
+        lambda value: {"privacy": settings.privacy.with_epsilon(value)},
+        workers, store, columns={"naive": "naive", "nonzero": "nonzero"},
+    )

@@ -293,6 +293,32 @@ class TestSweeps:
         # non-private methods do not depend on ε: single value replicated
         assert len(set(round(v, 12) for v in values)) == 1
 
+    def test_figure_computes_each_non_private_cell_once(self, monkeypatch):
+        from repro.experiments import orchestrator
+
+        runs: list[tuple[str, str]] = []
+        run_strucequ = orchestrator._KIND_RUNNERS["strucequ"]
+
+        def counting(spec):
+            runs.append((spec.dataset, spec.method))
+            return run_strucequ(spec)
+
+        monkeypatch.setitem(orchestrator._KIND_RUNNERS, "strucequ", counting)
+        settings = SMOKE.with_updates(datasets=("smallworld", "chameleon"))
+        methods = ("se_gemb_deg", "se_privgemb_deg")
+        table = figure_structural_equivalence(settings, methods=methods)
+
+        epsilons = len(settings.epsilons)
+        assert len(table) == 2 * len(methods) * epsilons
+        for dataset_name in settings.datasets:
+            assert runs.count((dataset_name, "se_gemb_deg")) == 1
+            assert runs.count((dataset_name, "se_privgemb_deg")) == epsilons
+            rows = table.filter(dataset=dataset_name, method="se_gemb_deg").rows
+            assert [row["epsilon"] for row in rows] == list(settings.epsilons)
+            assert len({(row["strucequ_mean"], row["strucequ_std"]) for row in rows}) == 1
+        report = table.run_report
+        assert (report.total, report.computed) == (len(runs), len(runs)) == (6, 6)
+
     def test_figure_link_prediction_series(self):
         table = figure_link_prediction(SMOKE, methods=("se_privgemb_deg", "dpgvae"))
         assert len(table) == len(SMOKE.datasets) * 2 * len(SMOKE.epsilons)

@@ -100,17 +100,18 @@ class TestStepWorkspace:
         assert ws.context_vecs.shape == (8, 4, 5)
         assert ws.dtype == np.dtype(np.float32)
         assert ws.weights.dtype == np.dtype(np.float32)
-        # the noise block takes the compute dtype: a private step is float64 only
-        assert ws.context_scratch.noise.dtype == np.dtype(np.float32)
+        # only a perturbing step allocates the noise blocks
+        assert ws.center_scratch.noise is None
+        assert ws.context_scratch.noise is None
 
     @pytest.mark.parametrize(
         ("dtype", "budget_mib"), [("float64", 7.9), ("float32", 5.9)]
     )
     def test_workspace_size_is_pinned(self, dtype, budget_mib):
-        # B=1024, k=5, r=32: one (slots, r) noise block per segment scratch,
-        # in the compute dtype, and the W_out gradient stays in its rank-1
-        # factors (6.44 MiB float64, 3.48 MiB float32); a second scratch
-        # block per segment scratch would add 1.75 / 0.875 MiB
+        # B=1024, k=5, r=32: no noise block until a perturbing step asks
+        # for one, and the W_out gradient stays in its rank-1 factors
+        # (4.69 MiB float64, 2.60 MiB float32); one (slots, r) block per
+        # segment scratch adds 1.75 / 0.875 MiB
         tracemalloc.start()
         try:
             ws = StepWorkspace(
@@ -122,7 +123,34 @@ class TestStepWorkspace:
             tracemalloc.stop()
         assert size < budget_mib * 2**20, f"workspace holds {size / 2**20:.2f} MiB"
         for scratch in (ws.center_scratch, ws.context_scratch):
-            assert scratch.noise.dtype == ws.dtype
+            assert scratch.noise is None
+            block = scratch.noise_rows(3)
+            assert block.shape == (3, 32) and block.dtype == ws.dtype
+            assert scratch.noise.shape == scratch.sums.shape
+            assert scratch.noise_rows(5).base is scratch.noise
+
+    def test_float32_workspace_is_rejected_before_clipping(self, graph):
+        """Both strategies refuse a float32 workspace alike, gradients untouched."""
+        trainer = _setup(graph, dtype="float32")
+        ws = _workspace(trainer)
+        model = trainer.model
+        batch = trainer._sampler.sample_batch_arrays(ws)
+        gradients = trainer.objective.batch_gradients(
+            model.w_in, model.w_out, batch, workspace=ws
+        )
+        buffers = (gradients.center_gradients, gradients.context_errors)
+        before = [buffer.copy() for buffer in buffers]
+        messages = []
+        for name in ("naive", "nonzero"):
+            # a tiny threshold: clipping would rescale every example
+            strategy = get_perturbation(name, clipping_threshold=1e-6, noise_multiplier=1.0)
+            with pytest.raises(TrainingError, match="float64 only") as raised:
+                strategy.perturb_batch(gradients, ws)
+            messages.append(str(raised.value))
+            for buffer, copy in zip(buffers, before, strict=True):
+                np.testing.assert_array_equal(buffer, copy)
+        assert messages[0] == messages[1]
+        assert ws.center_scratch.noise is None and ws.context_scratch.noise is None
 
     def test_rejects_bad_dtype_and_geometry(self):
         with pytest.raises(ConfigurationError, match="compute_dtype"):

@@ -111,7 +111,7 @@ class TestRunSpec:
         assert isinstance(payload, dict)
         assert payload["proximity"] == "degree"
         assert payload["private"] is True
-        # unregistered labels (ablation variants, sleep cells) stay strings
+        # unregistered labels (sleep cells, custom kinds) stay strings
         assert _sleep_spec(0).describe()["method"] == "sleep"
 
     def test_fingerprint_changes_when_method_definition_drifts(self, monkeypatch):
@@ -388,8 +388,8 @@ class TestForkFallback:
         from repro.utils import mp as repro_mp
 
         monkeypatch.setattr(repro_mp, "start_method", lambda: "spawn")
-        # "sleep" is a _LAZY_KINDS entry: workers resolve it by import, so
-        # the sweep is allowed to keep its pool even without fork
+        # "sleep" is a built-in kind: workers resolve it by import, so the
+        # sweep is allowed to keep its pool even without fork
         report = execute([_sleep_spec(0), _sleep_spec(1)], workers=2)
         assert report.workers == 2
         assert report.computed == 2
