@@ -18,6 +18,12 @@ memory-mapped servable, and queried through :class:`QueryEngine`:
 * **micro-batching server** — the same request stream issued as
   concurrent single-node awaits through :class:`BatchingServer`; the
   artifact records how many engine calls the coalescing window saved.
+* **server closed loop** — ``CLIENTS`` closed-loop clients through
+  :class:`BatchingServer` over the real engine, as the end-to-end
+  benchmark's serve loop drives it.  The artifact records the p50 / p99
+  request latency and how many distinct threads ran the engine; only the
+  thread count is asserted (it must be 1: the server's own worker), since
+  a latency gate would flake on a loaded machine.
 * **server front-end cost** — µs per request of the server's own
   bookkeeping: 64 closed-loop clients against an engine that answers
   instantly, with the failure guards on (deadline, queue bound, circuit
@@ -44,6 +50,7 @@ from __future__ import annotations
 import asyncio
 import os
 import statistics
+import threading
 import time
 import tracemalloc
 
@@ -74,6 +81,7 @@ QUERY_ROWS = 512  # queries timed per arm of a pair
 CLIENTS = 64  # closed-loop clients of the front-end cost bench
 FRONT_END_REQUESTS = 4096  # requests timed per arm of a front-end pair
 FRONT_END_PAIRS = 7
+CLOSED_LOOP_REQUESTS = 16384  # requests timed in the real-engine closed loop
 #: guards as the end-to-end benchmark's serve loop sets them
 GUARDS = {"request_timeout": 5.0, "max_pending": 4 * CLIENTS, "breaker_threshold": 5}
 MAX_GUARD_COST = 2.0
@@ -212,6 +220,70 @@ def test_batching_server_coalesces(server_artifact, servable):
     assert stats.coalesced_requests > 0
 
 
+class _ThreadCountingEngine:
+    """Delegates to a :class:`QueryEngine`, noting the thread of each call."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.max_batch = engine.max_batch
+        self.threads: set[int] = set()
+
+    def top_k(self, nodes, k, **options):
+        self.threads.add(threading.get_ident())
+        return self.engine.top_k(nodes, k, **options)
+
+
+def test_batching_server_closed_loop(server_artifact, servable):
+    engine = _ThreadCountingEngine(servable.query_engine(max_batch=BATCH, max_k=K))
+    rng = np.random.default_rng(6)
+    nodes = rng.integers(0, servable.num_nodes, size=CLOSED_LOOP_REQUESTS)
+    latencies = np.empty(CLOSED_LOOP_REQUESTS)
+
+    async def scenario():
+        cursor = 0
+        async with BatchingServer(
+            engine, max_batch=BATCH, max_delay=0.002, default_k=K, **GUARDS
+        ) as server:
+            # warm-up through the server: its thread's first BLAS calls and
+            # the allocator settle outside the timed loop
+            for offset in range(0, 16 * BATCH, BATCH):
+                batch = nodes[offset:offset + BATCH]
+                await asyncio.gather(*(server.top_k(int(node)) for node in batch))
+
+            async def client():
+                nonlocal cursor
+                while cursor < CLOSED_LOOP_REQUESTS:
+                    index = cursor
+                    cursor += 1
+                    start = time.perf_counter()
+                    await server.top_k(int(nodes[index]))
+                    latencies[index] = time.perf_counter() - start
+
+            start = time.perf_counter()
+            await asyncio.gather(*(client() for _ in range(CLIENTS)))
+            return time.perf_counter() - start, server.stats
+
+    elapsed, stats = asyncio.run(scenario())
+    p50_ms, p99_ms = np.percentile(latencies, [50, 99]) * 1e3
+    print()
+    print(
+        f"server closed loop, {CLIENTS} clients over the {servable.num_nodes}-node "
+        f"engine: {CLOSED_LOOP_REQUESTS / elapsed:.0f} req/sec, p50 {p50_ms:.2f} ms, "
+        f"p99 {p99_ms:.2f} ms, {len(engine.threads)} engine thread(s)"
+    )
+    server_artifact["closed_loop"] = {
+        "clients": CLIENTS,
+        "requests": CLOSED_LOOP_REQUESTS,
+        "requests_per_sec": CLOSED_LOOP_REQUESTS / elapsed,
+        "p50_ms": p50_ms,
+        "p99_ms": p99_ms,
+        "mean_batch_size": stats.mean_batch_size,
+        "engine_threads": len(engine.threads),
+        "nproc": os.cpu_count(),
+    }
+    assert len(engine.threads) == 1
+
+
 class _InstantEngine:
     """Answers every batch from preallocated rows, so only the server costs."""
 
@@ -250,7 +322,7 @@ def _front_end_us_per_request(guards: dict) -> float:
 
 def test_server_front_end_cost(server_artifact):
     arms = (GUARDS, {})
-    for guards in arms:  # warm-up: executor thread, first-call costs
+    for guards in arms:  # warm-up: server thread, first-call costs
         _front_end_us_per_request(guards)
     micros: tuple[list[float], list[float]] = ([], [])
     for pair in range(FRONT_END_PAIRS):

@@ -275,11 +275,14 @@ def evaluation_seed_sequence(spec: RunSpec) -> np.random.SeedSequence:
     return np.random.SeedSequence([spec.seed, entropy])
 
 
+def _estimator_overrides(spec: RunSpec) -> dict[str, Any]:
+    """Every option but the hogwild worker count configures the estimator."""
+    return {name: value for name, value in spec.options if name != "train_workers"}
+
+
 def _run_strucequ(spec: RunSpec) -> dict[str, Any]:
     from .runner import evaluate_structural_equivalence
 
-    # every option but the hogwild worker count configures the estimator
-    overrides = {name: value for name, value in spec.options if name != "train_workers"}
     mean, std = evaluate_structural_equivalence(
         spec.method,
         dataset_graph(spec),
@@ -291,7 +294,7 @@ def _run_strucequ(spec: RunSpec) -> dict[str, Any]:
         deepwalk_window=spec.deepwalk_window,
         evaluation_seed=evaluation_seed_sequence(spec),
         workers=int(spec.option("train_workers", 1)),
-        **overrides,
+        **_estimator_overrides(spec),
     )
     return {"metric": spec.metric, "mean": float(mean), "std": float(std), "repeats": spec.repeats}
 
@@ -309,6 +312,7 @@ def _run_linkpred(spec: RunSpec) -> dict[str, Any]:
         perturbation=spec.perturbation,
         deepwalk_window=spec.deepwalk_window,
         workers=int(spec.option("train_workers", 1)),
+        **_estimator_overrides(spec),
     )
     return {"metric": spec.metric, "mean": float(mean), "std": float(std), "repeats": spec.repeats}
 

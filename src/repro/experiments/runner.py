@@ -237,6 +237,7 @@ def evaluate_link_prediction(
     deepwalk_window: int = 5,
     proximity_cache: "str | ProximityCache" = "off",
     workers: int = 1,
+    **overrides: Any,
 ) -> tuple[float, float]:
     """Mean ± SD link-prediction AUC of a method over repeated runs on one graph.
 
@@ -253,6 +254,9 @@ def evaluate_link_prediction(
     cache for the process lifetime.  Pass ``"default"`` or an explicit
     :class:`~repro.proximity.cache.ProximityCache` to opt into caching them
     (e.g. when sweeping several ε values over the same seeds and splits).
+
+    Extra keyword ``overrides`` go to every repeat's estimator through
+    :func:`embed_with_method`, as in :func:`evaluate_structural_equivalence`.
     """
     spec = get_method(method)
     train_streams, _ = repeat_streams(seed, repeats)
@@ -274,6 +278,7 @@ def evaluate_link_prediction(
             deepwalk_window=deepwalk_window,
             proximity_cache=proximity_cache,
             workers=workers,
+            **overrides,
         )
         scores.append(link_prediction_auc(embeddings, split))
     summary = summarize_runs(scores)

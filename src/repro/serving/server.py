@@ -10,14 +10,26 @@ max-batch window:
 * the first request to arrive opens a window of ``max_delay`` seconds,
 * requests landing inside the window join the batch,
 * the batch is flushed early the moment it reaches ``max_batch`` rows,
-* the vectorized call runs in the default executor, so the event loop
-  keeps accepting (and queueing) new requests while numpy works.
+* the vectorized call runs on the server's one worker thread, so the
+  event loop keeps accepting (and queueing) new requests and firing
+  deadlines while numpy works.
 
 Requests that ask for a different ``(k, metric)`` than the batch being
 assembled stay queued and flush as their own group — every engine call
 serves one homogeneous batch.  The engine (and its preallocated
 workspace) is owned by the server's single flush loop; never share one
 engine between a running server and direct callers.
+
+Every engine call of a server runs on that one thread.  The loop's
+default executor spread consecutive calls over several pool threads, and
+a BLAS-backed call can stall for up to ~15 ms when its calling thread
+changes (p99 of a 64-row top-10 over 20k rows: 5-6.5 ms on one thread,
+7-17 ms on two or three taking turns).  Calling inline on the loop would
+keep one caller but stop admission and deadline timers for each call.
+A drained ``stop`` joins the idle thread; a bounded ``stop`` that times
+out keeps it, so a restarted server queues behind the abandoned call
+instead of running beside it (see DESIGN.md, "One engine thread per
+server").
 
 Failure envelope.  A production front end must bound every bad outcome,
 so the server carries three opt-in guards, each a typed error:
@@ -54,6 +66,7 @@ import asyncio
 import math
 import time
 from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any
@@ -271,6 +284,10 @@ class BatchingServer:
         self._wakeup: asyncio.Event | None = None
         self._task: asyncio.Task | None = None
         self._closing = False
+        #: the one worker thread that makes every engine call of this server
+        self._worker: ThreadPoolExecutor | None = None
+        #: the engine call most recently handed to the worker
+        self._call: Future | None = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -285,6 +302,8 @@ class BatchingServer:
             self.breaker_threshold, self.breaker_reset, self.stats
         )
         self._wakeup = asyncio.Event()
+        if self._worker is None:
+            self._worker = ThreadPoolExecutor(1, thread_name_prefix="repro-serve")
         self._task = asyncio.create_task(self._run())
         return self
 
@@ -296,6 +315,12 @@ class BatchingServer:
         cancelled and every unserved waiter — in flight or still queued —
         receives :class:`~repro.exceptions.ServerClosedError` instead of
         hanging on a future nobody will complete.
+
+        A drained stop joins the server's worker thread once it is idle.
+        A stop whose deadline passed keeps it without waiting: the worker
+        may still be inside the abandoned engine call, and the next
+        ``start`` queues its calls behind that one instead of running two
+        at once.
         """
         if self._task is None:
             return
@@ -316,6 +341,12 @@ class BatchingServer:
                     except (asyncio.CancelledError, Exception):
                         pass
                     self._abandon_waiters()
+                    return
+            call = self._call
+            # a cancelled call may have been queued behind one still running
+            if call is None or (call.done() and not call.cancelled()):
+                self._worker.shutdown(wait=True)
+                self._worker = self._call = None
         finally:
             if self._timer is not None:
                 self._timer.cancel()
@@ -440,9 +471,9 @@ class BatchingServer:
                 except asyncio.TimeoutError:
                     break
                 self._wakeup.clear()
-            await self._flush_one_group(loop)
+            await self._flush_one_group()
 
-    async def _flush_one_group(self, loop: asyncio.AbstractEventLoop) -> None:
+    async def _flush_one_group(self) -> None:
         """Serve the head-of-queue group of compatible requests."""
         batch = []
         skipped: deque = deque()
@@ -466,15 +497,14 @@ class BatchingServer:
         nodes = np.array([node for node, *_ in batch], dtype=np.int64)
         self._in_flight = batch
         try:
-            result = await loop.run_in_executor(
-                None,
-                lambda: self.engine.top_k(
-                    nodes, head_k, metric=head_metric, exclude_self=self.exclude_self
-                ),
+            self._call = self._worker.submit(
+                self.engine.top_k,
+                nodes, head_k, metric=head_metric, exclude_self=self.exclude_self,
             )
+            result = await asyncio.wrap_future(self._call)
         except asyncio.CancelledError:
             # a deadline-bounded stop() cancelled the loop mid-call: the
-            # executor thread finishes on its own, but these waiters will
+            # worker thread finishes on its own, but these waiters will
             # never get a result — fail them now, then let the cancel win
             self._abandon_waiters()
             raise

@@ -10,16 +10,18 @@ import numpy as np
 import pytest
 
 from repro import PrivacyConfig, TrainingConfig
-from repro.exceptions import OrchestrationError
+from repro.exceptions import OrchestrationError, TrainingError
 from repro.experiments import ExperimentSettings, RunStore, execute, table_batch_size
 from repro.experiments.orchestrator import (
     RunSpec,
     cell_seed_sequence,
     dataset_fingerprint,
+    dataset_graph,
     register_kind,
     run_spec,
     specs_for_settings,
 )
+from repro.experiments.runner import evaluate_link_prediction
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -424,3 +426,41 @@ class TestTrainWorkersThreading:
 
         with pytest.raises(ConfigurationError):
             TINY.with_updates(train_workers=0)
+
+
+class TestEstimatorOptions:
+    """Every cell option but ``train_workers`` reaches the estimator."""
+
+    @pytest.mark.parametrize("kind", ["strucequ", "linkpred"])
+    def test_bogus_option_raises_on_both_kinds(self, kind):
+        spec = specs_for_settings(
+            kind, "se_gemb_dw", "smallworld", TINY, options={"negative_sampling": "bogus"}
+        )
+        with pytest.raises(TrainingError, match="negative_sampling"):
+            run_spec(spec)
+
+    def test_override_changes_a_linkpred_cell(self):
+        spec = specs_for_settings(
+            "linkpred", "se_gemb_dw", "smallworld", TINY,
+            metric="auc", options={"negative_sampling": "unigram"},
+        )
+
+        def direct(**overrides) -> float:
+            # the same cell stream with and without the override: only the
+            # override, not the re-seeding its fingerprint causes, differs
+            mean, _ = evaluate_link_prediction(
+                spec.method,
+                dataset_graph(spec),
+                spec.training,
+                spec.privacy,
+                repeats=spec.repeats,
+                seed=cell_seed_sequence(spec),
+                perturbation=spec.perturbation,
+                deepwalk_window=spec.deepwalk_window,
+                **overrides,
+            )
+            return mean
+
+        served = run_spec(spec)["mean"]
+        assert served == direct(negative_sampling="unigram")
+        assert served != direct()

@@ -18,6 +18,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,7 @@ from repro.robustness import (
 from repro.robustness.faults import CRASH_EXIT_CODE
 from repro.serving import BatchingServer, QueryEngine
 from repro.utils.fileio import atomic_write_path
+from topk_oracle import brute_force_topk
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -641,16 +643,32 @@ class TestSupervisedHogwild:
 # hardened batching server
 # --------------------------------------------------------------------- #
 class _RowCountingEngine:
-    """Delegates to a :class:`QueryEngine`, recording every node it is asked."""
+    """Delegates to a :class:`QueryEngine`, recording every node it is asked.
+
+    It also records the thread of each call and the most calls that were
+    ever inside the engine at once.
+    """
 
     def __init__(self, engine):
         self.engine = engine
         self.max_batch = engine.max_batch
         self.rows: list[int] = []
+        self.threads: list[threading.Thread] = []
+        self.most_at_once = 0
+        self._inside = 0
+        self._lock = threading.Lock()
 
     def top_k(self, nodes, k, **options):
-        self.rows.extend(int(node) for node in nodes)
-        return self.engine.top_k(nodes, k, **options)
+        with self._lock:
+            self.rows.extend(int(node) for node in nodes)
+            self.threads.append(threading.current_thread())
+            self._inside += 1
+            self.most_at_once = max(self.most_at_once, self._inside)
+        try:
+            return self.engine.top_k(nodes, k, **options)
+        finally:
+            with self._lock:
+                self._inside -= 1
 
 
 class TestServerRobustness:
@@ -665,7 +683,7 @@ class TestServerRobustness:
                 with plan:
                     with pytest.raises(ServerTimeoutError):
                         await server.top_k(3, k=2)
-                # the stalled batch finishes in its executor thread; a fresh
+                # the stalled batch finishes on the server thread; a fresh
                 # request afterwards is served normally
                 ids, scores = await server.top_k(3, k=2, timeout=5.0)
                 assert len(ids) == 2 and len(scores) == 2
@@ -857,6 +875,36 @@ class TestServerRobustness:
         stats = asyncio.run(scenario())
         assert stats.abandoned >= 1
         assert stats.health()["abandoned"] >= 1
+
+    def test_restart_after_bounded_stop_queues_behind_the_stalled_call(
+        self, engine, embeddings
+    ):
+        counting = _RowCountingEngine(engine)
+
+        async def scenario():
+            server = BatchingServer(counting, max_delay=0.001)
+            await server.start()
+            plan = FaultPlan([FaultRule("serving.engine.query", "stall", delay=0.3)])
+            with plan:
+                waiter = asyncio.ensure_future(server.top_k(1, k=2))
+                await asyncio.sleep(0.05)  # the batch is now stalled in flight
+                await server.stop(drain_timeout=0.05)
+                with pytest.raises(ServerClosedError):
+                    await waiter
+                await server.start()
+                # the abandoned call still writes the engine's workspace:
+                # this one must wait for it, not run beside it
+                answer = await server.top_k(2, k=2, timeout=5.0)
+            await server.stop()
+            return answer
+
+        ids, scores = asyncio.run(scenario())
+        expected_ids, expected_scores = brute_force_topk(embeddings, [2], 2)
+        assert counting.rows == [1, 2]
+        assert counting.most_at_once == 1
+        assert len(set(counting.threads)) == 1
+        assert np.array_equal(ids, expected_ids[0])
+        np.testing.assert_allclose(scores, expected_scores[0], rtol=1e-6)
 
     def test_request_after_bounded_stop_raises_cleanly(self, engine):
         async def scenario():

@@ -5,13 +5,20 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro import TrainingConfig
-from repro.exceptions import ArtifactError, ConfigurationError, TrainingError
+from repro.exceptions import (
+    ArtifactError,
+    ConfigurationError,
+    ServerClosedError,
+    TrainingError,
+)
 from repro.models import Embedder, get_method, peek_artifact
 from repro.models.registry import _REGISTRY
 from repro.serving import (
@@ -484,6 +491,26 @@ class TestPeekArtifact:
 # --------------------------------------------------------------------- #
 # the batching server
 # --------------------------------------------------------------------- #
+class _ThreadRecordingEngine:
+    """Delegates to a :class:`QueryEngine`, recording the thread of each call.
+
+    With a ``gate``, every call first waits for the event to be set (at
+    most 10 s, so a stop that waits for the call shows as slow, not hung).
+    """
+
+    def __init__(self, engine, gate: threading.Event | None = None):
+        self.engine = engine
+        self.max_batch = engine.max_batch
+        self.gate = gate
+        self.threads: list[threading.Thread] = []
+
+    def top_k(self, nodes, k, **options):
+        self.threads.append(threading.current_thread())
+        if self.gate is not None:
+            self.gate.wait(10.0)
+        return self.engine.top_k(nodes, k, **options)
+
+
 class TestBatchingServer:
     def test_coalesces_concurrent_requests(self, engine, embeddings):
         async def scenario():
@@ -572,6 +599,102 @@ class TestBatchingServer:
             BatchingServer(engine, max_delay=-1.0)
         with pytest.raises(ConfigurationError):
             BatchingServer(engine, max_batch=0)
+
+    def test_every_engine_call_runs_on_the_one_server_thread(self, engine):
+        recording = _ThreadRecordingEngine(engine)
+
+        async def cycle(server):
+            async with server:
+                await asyncio.gather(*(server.top_k(node, k=3) for node in range(40)))
+                for node in range(5):  # one call per request
+                    await server.top_k(node, k=3)
+            return len(recording.threads)
+
+        async def scenario():
+            server = BatchingServer(recording, max_delay=0.001)
+            first = await cycle(server)
+            await cycle(server)
+            return first
+
+        first = asyncio.run(scenario())
+        assert 8 <= first < len(recording.threads)
+        for calls in (recording.threads[:first], recording.threads[first:]):
+            assert len(set(calls)) == 1
+            (thread,) = set(calls)
+            assert thread is not threading.main_thread()
+            assert thread.name.startswith("repro-serve")
+        # the first cycle's thread was joined before the second one started
+        assert recording.threads[0] is not recording.threads[-1]
+
+    def test_drained_stop_joins_the_server_thread(self, engine):
+        recording = _ThreadRecordingEngine(engine)
+
+        async def scenario():
+            server = BatchingServer(recording, max_delay=0.001)
+            async with server:
+                await asyncio.gather(*(server.top_k(node, k=3) for node in range(8)))
+                assert all(thread.is_alive() for thread in recording.threads)
+            # checked while the server is still referenced: its worker
+            # thread is gone because stop joined it, not because it was freed
+            return [thread.is_alive() for thread in recording.threads], server
+
+        alive, _ = asyncio.run(scenario())
+        assert alive and not any(alive)
+
+    def test_bounded_stop_does_not_wait_for_a_stalled_call(self, engine):
+        recording = _ThreadRecordingEngine(engine, gate=threading.Event())
+
+        async def scenario():
+            server = await BatchingServer(recording, max_delay=0.001).start()
+            waiter = asyncio.ensure_future(server.top_k(1, k=3))
+            while not recording.threads:  # the call is now stalled on the gate
+                await asyncio.sleep(0.001)
+            start = time.perf_counter()
+            await server.stop(drain_timeout=0.05)
+            stopped_in = time.perf_counter() - start
+            recording.gate.set()
+            with pytest.raises(ServerClosedError):
+                await waiter
+            # a restart serves behind the released call; its drained stop joins
+            async with server:
+                await server.top_k(2, k=3)
+            return stopped_in
+
+        stopped_in = asyncio.run(scenario())
+        assert stopped_in < 0.05 + 0.45
+        assert len(set(recording.threads)) == 1
+        assert not recording.threads[0].is_alive()
+
+    def test_drained_stop_does_not_wait_for_an_abandoned_call(self, engine):
+        recording = _ThreadRecordingEngine(engine, gate=threading.Event())
+
+        async def scenario():
+            server = await BatchingServer(recording, max_delay=0.001).start()
+            start = time.perf_counter()
+            stalled = asyncio.ensure_future(server.top_k(1, k=3))
+            while not recording.threads:
+                await asyncio.sleep(0.001)
+            await server.stop(drain_timeout=0.05)
+            # a restarted server's call queues behind the stalled one, and
+            # a second bounded stop cancels it before it runs
+            await server.start()
+            queued = asyncio.ensure_future(server.top_k(2, k=3))
+            await asyncio.sleep(0.02)
+            await server.stop(drain_timeout=0.05)
+            await server.start()
+            await server.stop()  # drained, with the worker still stalled
+            stopped_in = time.perf_counter() - start
+            recording.gate.set()
+            outcomes = await asyncio.gather(stalled, queued, return_exceptions=True)
+            async with server:
+                await server.top_k(3, k=3)
+            return stopped_in, outcomes
+
+        stopped_in, outcomes = asyncio.run(scenario())
+        assert stopped_in < 0.15 + 0.45
+        assert all(isinstance(outcome, ServerClosedError) for outcome in outcomes)
+        assert len(recording.threads) == 2  # the cancelled call never ran
+        assert len(set(recording.threads)) == 1
 
 
 # --------------------------------------------------------------------- #
