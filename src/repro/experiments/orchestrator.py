@@ -616,6 +616,10 @@ def sweep(
     return table
 
 
+#: the metric a cell kind reports when its spec names none
+_DEFAULT_METRICS = {"linkpred": "auc"}
+
+
 def specs_for_settings(
     kind: str,
     method: str,
@@ -624,10 +628,14 @@ def specs_for_settings(
     training: TrainingConfig | None = None,
     privacy: PrivacyConfig | None = None,
     perturbation: str = "nonzero",
-    metric: str = "strucequ",
+    metric: str | None = None,
     options: Mapping[str, Any] | None = None,
 ) -> RunSpec:
-    """Build one :class:`RunSpec` from an :class:`ExperimentSettings` grid."""
+    """Build one :class:`RunSpec` from an :class:`ExperimentSettings` grid.
+
+    ``metric`` labels the result; by default it names what ``kind``
+    measures ("auc" for "linkpred", "strucequ" otherwise).
+    """
     merged = dict(options or {})
     train_workers = int(getattr(settings, "train_workers", 1) or 1)
     if train_workers != 1:
@@ -648,6 +656,6 @@ def specs_for_settings(
         repeats=settings.repeats,
         seed=settings.seed,
         perturbation=perturbation,
-        metric=metric,
+        metric=metric if metric is not None else _DEFAULT_METRICS.get(kind, "strucequ"),
         options=tuple(sorted(merged.items())),
     )

@@ -3,7 +3,7 @@
 The serving counterpart of the training fast path: where
 :class:`~repro.engine.workspace.StepWorkspace` preallocates every per-step
 training array, :class:`QueryWorkspace` preallocates every per-query array —
-the float32 query block, the score block and the survivor mask — so a
+the float32 query block, the score block and the strip maxima — so a
 steady stream of ``top_k`` calls performs no array-sized allocations
 proportional to the corpus.  Every query is served in float32 from one
 corpus prepared when the engine is built: a float32 matrix (such as a
@@ -23,11 +23,17 @@ a *descending* rank and packed with the candidate node id::
 Ascending order over keys is "descending score, ties by ascending node
 id" by construction, whatever the chunking, and score and id are both
 recovered from a key.  Only candidates that can still enter a row's top-k
-are packed: a block entry is merged only if its score is ``>=`` the row's
-running threshold (the k-th best of the first 512 columns, then the worst
-score of the running top-k).  ``>=`` passes every candidate whose key
-could enter, so the answer is bit for bit that of a full-block partition.
-NaN never passes: it ranks after every other score, by ascending id.
+are packed.  Each block row is cut into strips (strip g holds columns g,
+g + G, g + 2G, …) and reduced to its strip maxima; for cosine only the
+maxima are divided by the query norm, which gives the bits a full-block
+divide would, because rounded division by a positive number is monotone.
+A row's running threshold starts at its k-th best strip maximum (k strips
+hold k distinct real candidates) and then becomes the worst score of its
+running top-k.  Only strips whose maximum is ``>=`` the threshold are
+gathered, divided and compared, and only their entries ``>=`` it are
+packed and merged.  ``>=`` passes every candidate whose key could enter,
+so the answer is bit for bit that of a full-block partition.  NaN never
+passes: it ranks after every other score, by ascending id.
 """
 
 from __future__ import annotations
@@ -54,8 +60,9 @@ _U32_MAX = np.uint32(0xFFFFFFFF)
 _U32_SIGN = np.uint32(0x80000000)
 _U32_LOW = np.uint32(0x7FFFFFFF)
 _SENTINEL_ID = 0xFFFFFFFF  # the node id a sentinel key unpacks to
-#: first-block columns whose k-th best score seeds each row's threshold
-_SEED_COLUMNS = 512
+#: most columns per strip: a ``block_rows``-wide block is cut into
+#: ``ceil(block_rows / 16)`` strips, each ranked by its maximum
+_STRIP_COLUMNS = 16
 
 #: floor applied to row norms so cosine never divides by zero
 _NORM_FLOOR = 1e-12
@@ -108,29 +115,27 @@ def _unpack_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids, scores
 
 
-def _seed_threshold(scores: np.ndarray, seed: np.ndarray, k: int, thr: np.ndarray) -> None:
-    """Each row's k-th best score among its first columns, NaN left out.
+def _seed_threshold(maxima: np.ndarray, seed: np.ndarray, k: int, thr: np.ndarray) -> None:
+    """Each row's k-th best strip maximum, NaN left out.
 
-    Any k real candidates bound the final k-th best score from below; a
-    row with fewer than k non-NaN scores there gets -inf.
+    The maxima of k strips are k distinct real candidates, so they bound
+    the final k-th best score from below; a row with fewer than k non-NaN
+    maxima gets -inf.
     """
-    cols = min(scores.shape[1], seed.shape[1])
     thr.fill(-np.inf)
-    if k <= cols:
-        np.negative(scores[:, :cols], out=seed[:, :cols])
-        seed[:, :cols].partition(k - 1, axis=1)  # NaN sorts last
+    if k <= maxima.shape[1]:
+        np.negative(maxima, out=seed)
+        seed.partition(k - 1, axis=1)  # NaN sorts last
         np.fmax(np.negative(seed[:, k - 1], out=thr), -np.inf, out=thr)
 
 
-def _merge_survivors(top: np.ndarray, scores: np.ndarray, flat: np.ndarray,
-                     start: int) -> None:
-    """Merge the score-block entries at row-major flat indices ``flat`` into ``top``."""
+def _merge_survivors(top: np.ndarray, rows: np.ndarray, ids: np.ndarray,
+                     scores: np.ndarray) -> None:
+    """Merge candidates ``ids`` scored ``scores`` into rows ``rows`` (ascending) of ``top``."""
     B, k = top.shape
-    rows, ids = np.divmod(flat, scores.shape[1])
-    ids += start
-    keys = np.empty(flat.size, dtype=np.uint64)
-    _pack_keys_inplace(np.take(scores, flat).view(np.uint32),
-                       np.empty(flat.size, dtype=np.uint32), keys, ids.view(np.uint64))
+    keys = np.empty(ids.size, dtype=np.uint64)
+    _pack_keys_inplace(scores.view(np.uint32), np.empty(ids.size, dtype=np.uint32),
+                       keys, ids.view(np.uint64))
     counts = np.bincount(rows, minlength=B)
     merged = np.full((B, k + int(counts.max())), _KEY_SENTINEL)
     merged[:, :k] = top
@@ -172,7 +177,7 @@ class QueryWorkspace:
     sized by the engine geometry (``max_batch`` queries × ``block_rows``
     candidates × ``max_k`` results) and reused by every ``top_k`` /
     ``score_links`` call.  Vectors and scores are float32, beside the
-    uint64 keys and the bool mask of the pruned ranking.  Candidate rows
+    strip maxima and uint64 keys of the pruned ranking.  Candidate rows
     are never staged: the engine's float32 corpus is read in place.
     """
 
@@ -182,15 +187,20 @@ class QueryWorkspace:
         self.block_rows = int(block_rows)
         self.dim = int(dim)
         B, K, W, d = self.max_batch, self.max_k, self.block_rows, self.dim
+        #: a block is ranked as ``strips`` strips of at most ``strip_len``
+        #: columns each; strip g holds columns g, g + strips, g + 2·strips, …
+        self.strips = -(-W // _STRIP_COLUMNS)
+        self.strip_len = -(-W // self.strips)
+        G = self.strips
 
         # ---- query gather ----
         self.queries = np.zeros((B, d), dtype=np.float32)
         self.query_norms = np.ones((B, 1), dtype=np.float32)
 
-        # ---- blocked candidate scan + threshold-pruned ranking ----
-        self.scores = _staggered_zeros((B, W), np.float32, 1)
-        self.mask = _staggered_zeros((B, W), np.bool_, 2)
-        self.seed = np.empty((B, min(W, _SEED_COLUMNS)), dtype=np.float32)
+        # ---- blocked candidate scan + strip-gated ranking ----
+        self.scores = _staggered_zeros((B, self.strip_len * G), np.float32, 1)
+        self.strip_max = np.empty((B, G), dtype=np.float32)
+        self.seed = np.empty((B, G), dtype=np.float32)
         self.threshold = np.empty(B, dtype=np.float32)
         self.top = np.empty((B, K), dtype=np.uint64)
 
@@ -363,15 +373,19 @@ class QueryEngine:
         top = ws.top[:B, :k]
         top.fill(_KEY_SENTINEL)
         thr = ws.threshold[:B]
+        maxima = ws.strip_max[:B]
+        G = ws.strips
+        width = ws.scores.shape[1]
+        flat_scores = ws.scores.reshape(-1)
         for start in range(0, self.num_nodes, W):
             stop = min(start + W, self.num_nodes)
             nb = stop - start
+            S = -(-nb // G)  # strip length in this block
 
             tick = time.perf_counter() if prof is not None else 0.0
             np.matmul(ws.queries[:B], corpus[start:stop].T, out=ws.scores[:B, :nb])
             if norms is not None:
                 np.divide(ws.scores[:B, :nb], norms[start:stop], out=ws.scores[:B, :nb])
-                np.divide(ws.scores[:B, :nb], ws.query_norms[:B], out=ws.scores[:B, :nb])
             if prof is not None:
                 now = time.perf_counter()
                 matmul_seconds += now - tick
@@ -381,14 +395,29 @@ class QueryEngine:
                 here = np.flatnonzero((nodes >= start) & (nodes < stop))
                 if here.size:
                     ws.scores[here, nodes[here] - start] = np.nan  # never passes a threshold
+            ws.scores[:B, nb:S * G] = np.nan  # pad a partial last strip row; fmax skips NaN
+            np.fmax.reduce(ws.scores[:B, :S * G].reshape(B, S, G), axis=1, out=maxima)
+            if norms is not None:
+                # x -> x / q rounds monotonically for q > 0, so the maximum
+                # of the divided strip is the divided maximum, bit for bit
+                np.divide(maxima, ws.query_norms[:B], out=maxima)
             if start == 0:
-                _seed_threshold(ws.scores[:B, :nb], ws.seed[:B], k, thr)
-            mask = ws.mask[:B]
-            np.greater_equal(ws.scores[:B, :nb], thr[:, None], out=mask[:, :nb])
-            mask[:, nb:] = False
-            _merge_survivors(top, ws.scores, np.flatnonzero(mask), start)
-            _, worst = _unpack_keys(top[:, k - 1])
-            np.fmax(worst, -np.inf, out=thr)  # a sentinel (NaN) keeps -inf
+                _seed_threshold(maxima, ws.seed[:B], k, thr)
+            # gather, divide and compare only the strips whose maximum passes
+            first = np.flatnonzero(maxima >= thr[:, None])  # (row, strip), row-major
+            rows = first // G
+            first += rows * (width - G)  # -> flat index of the strip's first column
+            flat = first[:, None] + np.arange(0, S * G, G)
+            values = np.take(flat_scores, flat)
+            if norms is not None:
+                values /= ws.query_norms[rows]
+            hits = np.flatnonzero(values >= thr[rows, None])
+            if hits.size:
+                hit_rows, ids = np.divmod(np.take(flat, hits), width)
+                ids += start
+                _merge_survivors(top, hit_rows, ids, np.take(values, hits))
+                _, worst = _unpack_keys(top[:, k - 1])
+                np.fmax(worst, -np.inf, out=thr)  # a sentinel (NaN) keeps -inf
             if prof is not None:
                 partition_seconds += time.perf_counter() - tick
 

@@ -421,6 +421,14 @@ class TestTrainWorkersThreading:
         )
         assert base.fingerprint() != hog.fingerprint()
 
+    def test_metric_defaults_by_kind(self):
+        linkpred = specs_for_settings("linkpred", "se_gemb_deg", "smallworld", TINY)
+        strucequ = specs_for_settings("strucequ", "se_gemb_deg", "smallworld", TINY)
+        assert (linkpred.metric, strucequ.metric) == ("auc", "strucequ")
+        named = specs_for_settings("linkpred", "se_gemb_deg", "smallworld", TINY, metric="auc")
+        assert named == linkpred  # the label is all that moves, not the fingerprint
+        assert named.fingerprint() == linkpred.fingerprint()
+
     def test_settings_validation(self):
         from repro.exceptions import ConfigurationError
 

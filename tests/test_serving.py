@@ -32,7 +32,7 @@ from repro.serving import (
     write_servable,
 )
 from repro.serving.engine import QueryWorkspace, _pack_keys_inplace, _unpack_keys
-from topk_oracle import brute_force_topk
+from topk_oracle import brute_force_topk, full_block_topk
 
 
 @pytest.fixture(scope="module")
@@ -90,16 +90,23 @@ class TestPackedKeys:
 
 
 class TestQueryWorkspaceLayout:
-    def test_block_buffers_start_at_distinct_page_offsets(self):
-        """2 MiB-multiple buffers must not start in the same cache-line slot of a page."""
+    def test_score_block_starts_past_a_page_boundary(self):
+        """The 2 MiB-multiple score block must not start on a page boundary."""
         ws = QueryWorkspace(max_batch=64, max_k=10, block_rows=8192, dim=64)
-        buffers = (ws.scores, ws.mask)
         assert ws.scores.nbytes % (2 << 20) == 0  # the aliasing-prone geometry
-        offsets = {buffer.ctypes.data % 4096 // 64 for buffer in buffers}
-        assert len(offsets) == len(buffers)
-        assert all(buffer.ctypes.data % 64 == 0 for buffer in buffers)
-        assert all(buffer.flags.writeable and buffer.flags.c_contiguous for buffer in buffers)
-        assert not ws.scores.any() and not ws.mask.any()
+        assert ws.scores.ctypes.data % 4096 != 0
+        assert ws.scores.ctypes.data % 64 == 0
+        assert ws.scores.flags.writeable and ws.scores.flags.c_contiguous
+        assert not ws.scores.any()
+
+    @pytest.mark.parametrize(("block_rows", "strips", "strip_len"),
+                             [(1, 1, 1), (16, 1, 16), (17, 2, 9), (30, 2, 15),
+                              (37, 3, 13), (8192, 512, 16)])
+    def test_strip_geometry_comes_from_block_rows(self, block_rows, strips, strip_len):
+        ws = QueryWorkspace(max_batch=4, max_k=3, block_rows=block_rows, dim=2)
+        assert (ws.strips, ws.strip_len) == (strips, strip_len)
+        assert ws.scores.shape == (4, strips * strip_len)
+        assert ws.strip_max.shape == ws.seed.shape == (4, strips)
 
 
 # --------------------------------------------------------------------- #
@@ -307,6 +314,79 @@ class TestQueryEngine:
             assert profile.phase_seconds[phase] >= 0.0
         profiler.reset()
         assert profiler.profile().steps == 0
+
+
+class TestStripGate:
+    """Strip-gated ranking: ids and score bits equal the full-block reference."""
+
+    @staticmethod
+    def _check(E, nodes, k, *, max_batch=16, block_rows=37, metrics=("cosine", "dot")):
+        engine = QueryEngine(E, max_batch=max_batch, block_rows=block_rows, max_k=E.shape[0])
+        for metric in metrics:
+            for exclude_self in (True, False):
+                got = engine.top_k(nodes, k, metric=metric, exclude_self=exclude_self)
+                ids, scores = full_block_topk(
+                    E, nodes, k, metric=metric, exclude_self=exclude_self,
+                    max_batch=max_batch, block_rows=block_rows,
+                )
+                assert np.array_equal(got.ids, ids), (metric, exclude_self)
+                nan = np.isnan(scores)
+                assert np.array_equal(np.isnan(got.scores), nan)
+                assert np.array_equal(got.scores.view(np.uint32)[~nan],
+                                      scores.view(np.uint32)[~nan])
+        return engine
+
+    @pytest.mark.parametrize("block_rows", [37, 100])
+    @pytest.mark.parametrize("k", [1, 9, 120])
+    def test_several_strips_with_a_partial_last_strip(self, embeddings, block_rows, k):
+        engine = self._check(embeddings, np.arange(0, 211, 2), k, block_rows=block_rows)
+        ws = engine.workspace
+        assert ws.strips > 1 and ws.strip_len > 1
+        # the last block fills its last strip position only in part
+        assert (211 % block_rows) % ws.strips != 0
+
+    @pytest.mark.parametrize(("block_rows", "k"), [(37, 5), (37, 40), (16, 3)])
+    def test_k_above_the_strip_count(self, embeddings, block_rows, k):
+        engine = self._check(embeddings, np.arange(0, 211, 3), k, block_rows=block_rows)
+        assert engine.workspace.strips < k  # the seed falls back to -inf
+
+    @pytest.mark.parametrize("k", [5, 12, 30, 50, 60])
+    def test_exact_ties_across_strips_and_signed_zeros(self, k):
+        # cosine against [1, 0, 0]: 1.0 for every copy of it, and ±1e-30
+        # over a 1e18 row norm underflows to +0.0 / -0.0
+        rows = np.array([[1.0, 0.0, 0.0], [1e-30, 1e18, 0.0], [-1e-30, 1e18, 0.0],
+                         [0.0, 0.0, 0.0]])
+        E = rows[np.random.default_rng(3).permutation(np.repeat(np.arange(4), 20))]
+        nodes = np.flatnonzero(E[:, 0] == 1.0)
+        self._check(E, nodes, k, max_batch=7, block_rows=33)
+        _, scores = full_block_topk(E, nodes, 79, block_rows=33)
+        zeros = scores[scores == 0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("k", [3, 20, 140])
+    def test_nan_and_infinite_rows(self, k):
+        rng = np.random.default_rng(5)
+        E = rng.choice([-2.0, -1.0, 1.0, 2.0], size=(150, 4))
+        E[7] = np.nan
+        E[40] = np.inf
+        E[41] = -np.inf
+        E[2, 1] = np.inf
+        E[90, 3] = np.nan
+        self._check(E, np.arange(150), k)
+
+    def test_duplicate_query_ids(self, embeddings):
+        nodes = np.array([5, 5, 17, 5, 17, 200, 5, 200, 5])
+        self._check(embeddings, nodes, 9, max_batch=3)
+
+    @pytest.mark.parametrize("k", [2, 4, 30])
+    def test_exclude_self_at_every_strip_position(self, k):
+        # 3-D rows cluster tightly, so the excluded query is its strip's best
+        # score; 94 = 2 * 37 + 20 puts a query at every position of every strip
+        E = np.random.default_rng(8).standard_normal((94, 3))
+        engine = self._check(E, np.arange(94), k)
+        assert engine.workspace.strips == 3
 
 
 # --------------------------------------------------------------------- #
