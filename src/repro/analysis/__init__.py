@@ -13,8 +13,6 @@ PRIV001   no float32 introduced in ``privacy/`` or
           accounting stay float64
 ALLOC001  functions marked ``@zero_alloc`` perform no array
           allocations (workspace ``out=`` discipline)
-SHM001    every ``SharedMemory(create=True)`` is paired with a
-          ``weakref.finalize`` backstop or ``try/finally`` release
 FP001     ``fingerprint*`` / ``group_key`` functions iterate mappings
           only via ``sorted(...)`` / ``json.dumps(sort_keys=True)``
 ========  ==============================================================

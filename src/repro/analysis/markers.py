@@ -2,7 +2,7 @@
 
 Markers are pure annotations: they attach a flag attribute and return the
 function unchanged, so decorating a hot-path method costs nothing at call
-time, survives pickling across hogwild forks, and never imports numpy.
+time, survives pickling across forks, and never imports numpy.
 The AST rules in :mod:`repro.analysis.rules` recognise the markers *by
 name* (``@zero_alloc`` / ``@markers.zero_alloc``), so static analysis
 works without importing the decorated module.

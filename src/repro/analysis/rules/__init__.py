@@ -76,4 +76,4 @@ def get_rule(rule_id: str) -> Rule:
 
 
 # importing the rule modules populates the registry
-from . import alloc, fingerprint, privacy_dtype, retry, rng, shm  # registration side effects
+from . import alloc, fingerprint, privacy_dtype, retry, rng  # registration side effects

@@ -4,14 +4,14 @@ PR 10 added the shared :class:`~repro.robustness.retry.RetryPolicy` so the
 decision "is this I/O failure transient?" lives in one classified place
 instead of scattered bare handlers.  On the modules that persist state —
 the atomic-write layer, the run store, the proximity cache, the servable
-store, the privacy ledger, model artifacts, hogwild checkpoints — an
-``except OSError`` that neither sits in retry-aware code (the enclosing
-``try`` references a ``retry`` identifier) nor carries a written
-suppression is a silent place for transient faults to become permanent
-data loss.  The rule does not demand that every handler retries — a
-read-only startup path or a best-effort cleanup legitimately should not —
-it demands that the *decision is written down*: route through
-``RetryPolicy`` or suppress with a reason.
+store, the privacy ledger, model artifacts — an ``except OSError`` that
+neither sits in retry-aware code (the enclosing ``try`` references a
+``retry`` identifier) nor carries a written suppression is a silent place
+for transient faults to become permanent data loss.  The rule does not
+demand that every handler retries — a read-only startup path or a
+best-effort cleanup legitimately should not — it demands that the
+*decision is written down*: route through ``RetryPolicy`` or suppress
+with a reason.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ _PERSISTENCE_MODULES = (
     "serving/store.py",
     "privacy/ledger.py",
     "models/artifacts.py",
-    "robustness/checkpoint.py",
 )
 
 

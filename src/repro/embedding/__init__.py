@@ -1,7 +1,6 @@
 """Skip-gram graph embedding: the paper's core (SE-GEmb / SE-PrivGEmb)."""
 
 from .skipgram import SkipGramModel
-from .shared_model import SharedModelHandle, SharedSkipGramModel
 from .objectives import StructurePreferenceObjective
 from .optimizer import SGDOptimizer
 from .perturbation import (
@@ -15,8 +14,6 @@ from .private_trainer import SEPrivGEmbTrainer
 
 __all__ = [
     "SkipGramModel",
-    "SharedSkipGramModel",
-    "SharedModelHandle",
     "StructurePreferenceObjective",
     "SGDOptimizer",
     "PerturbationStrategy",

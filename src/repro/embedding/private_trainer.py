@@ -44,7 +44,6 @@ from ..exceptions import TrainingError
 from ..graph import Graph
 from ..privacy.accountant import PrivacySpent, RdpAccountant
 from ..proximity.base import ProximityMatrix, ProximityMeasure
-from ..robustness.checkpoint import SupervisorPolicy
 from ..utils.logging import get_logger
 from .perturbation import PerturbationStrategy, get_perturbation
 from .trainer import SkipGramTrainerBase
@@ -123,20 +122,6 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
         (model, gradients, noise, averaging, accountant) always runs in
         float64, so a float32 fit is the float64 fit rounded once at
         release.
-    workers:
-        ``1`` (default) trains serially, as the one-worker case of the
-        hogwild recipe.  ``> 1`` shards the private step stream over that
-        many forked hogwild workers updating a shared-memory model
-        (:mod:`repro.engine.hogwild`); each worker builds its engine with
-        the same builder as a serial fit.  Privacy is composed the same
-        way for any worker count: the budgeted step count is fixed up
-        front via :meth:`~repro.privacy.accountant.RdpAccountant.max_steps`,
-        every worker draws its own float64 noise from a spawned stream,
-        and the accountant composes the per-shard counts with
-        :meth:`~repro.privacy.accountant.RdpAccountant.step_shards` once
-        the run ends — RDP composition is linear in steps at fixed γ, so
-        the reported (ε, δ) is the serial run's exactly.  Falls back to
-        serial with a warning where ``fork`` is unavailable.
     """
 
     #: private fits can check admission against / record into a PrivacyLedger
@@ -153,13 +138,8 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
         seed: int | np.random.Generator | None = None,
         proximity_cache="off",
         compute_dtype="float64",
-        workers: int = 1,
-        hogwild_resilience: SupervisorPolicy | None = None,
     ) -> None:
-        super().__init__(
-            proximity, training_config, seed, proximity_cache, compute_dtype,
-            workers, hogwild_resilience,
-        )
+        super().__init__(proximity, training_config, seed, proximity_cache, compute_dtype)
         if gradient_normalization not in {"per_row", "batch"}:
             raise TrainingError(
                 "gradient_normalization must be 'per_row' or 'batch', got "
@@ -208,8 +188,9 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
             noise_multiplier=self.privacy_config.noise_multiplier,
             sampling_rate=self._sampling_rate,
         )
-        # the fit's own engine charges as it runs; a hogwild pool's shards
-        # are composed when the pool ends (see _run_engine)
+        if self.iterate_averaging:
+            self.engine.hooks += (IterateAveragingHook(),)
+        # the engine charges each step as it runs
         self.engine.hooks += (_ChargeEachStep(self.accountant),)
 
     def _release_training_state(self) -> None:
@@ -224,43 +205,29 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
         """A private step runs in float64 only, whatever ``compute_dtype`` says."""
         return np.dtype(np.float64)
 
-    def _build_engine(self, rng: np.random.Generator) -> TrainingEngine:
-        engine = super()._build_engine(rng)
-        if self.iterate_averaging:
-            engine.hooks += (IterateAveragingHook(),)
-        return engine
-
     def _update_rule(self, rng: np.random.Generator) -> PerturbedUpdate:
         """Clip → noise → average, with noise from a child of ``rng``.
 
         Spawning draws nothing from ``rng``, so the init, pool and sampler
         streams are as if the noise did not exist, and the noise ring may
-        run ahead.  A pre-constructed strategy serves the fit's own engine
-        as-is; hogwild workers each get a copy with its calibration, since
-        forked children would otherwise share one strategy's copy-on-write
-        generator state and emit identical perturbations.
+        run ahead.  A pre-constructed strategy serves the engine as-is.
         """
-        spec = self._perturbation_spec
-        if isinstance(spec, PerturbationStrategy):
-            if rng is self._rng:
-                return PerturbedUpdate(spec, gradient_normalization=self.gradient_normalization)
-            name, clipping, sigma = spec.name, spec.clipping_threshold, spec.noise_multiplier
-        else:
-            name = spec
-            clipping = self.privacy_config.clipping_threshold
-            sigma = self.privacy_config.noise_multiplier
-        perturbation = get_perturbation(
-            name, clipping_threshold=clipping, noise_multiplier=sigma, seed=rng.spawn(1)[0]
-        )
+        perturbation = self._perturbation_spec
+        if not isinstance(perturbation, PerturbationStrategy):
+            perturbation = get_perturbation(
+                perturbation,
+                clipping_threshold=self.privacy_config.clipping_threshold,
+                noise_multiplier=self.privacy_config.noise_multiplier,
+                seed=rng.spawn(1)[0],
+            )
         return PerturbedUpdate(perturbation, gradient_normalization=self.gradient_normalization)
 
     def _admit(self, epochs: int) -> int:
         """Cap the epochs by the ledger, then by the (ε, δ) budget.
 
-        This is Algorithm 2's stop rule for serial and hogwild runs alike:
-        ``max_steps`` is the largest step count whose ε stays within the
-        target, so the run takes exactly the steps a per-step gate would
-        admit, and the accountant composes them once the run ends.
+        This is Algorithm 2's stop rule: ``max_steps`` is the largest step
+        count whose ε stays within the target, so the run takes exactly the
+        steps a per-step gate would admit.
         """
         ledger = self._active_ledger
         if ledger is not None:
@@ -288,9 +255,8 @@ class SEPrivGEmbTrainer(SkipGramTrainerBase):
         )
         return max(0, min(epochs, budget))
 
-    def _account(self, charged: list[int]) -> PrivacySpent:
-        """Compose the shard counts, make the charge durable, report the spend."""
-        self.accountant.step_shards(charged)
+    def _account(self) -> PrivacySpent:
+        """Make the charge durable, report the spend."""
         ledger = self._active_ledger
         if ledger is not None:
             ledger.record_accountant(

@@ -66,9 +66,6 @@ class SkipGramModel:
         self.w_out = rng.uniform(-scale, scale, size=shape).astype(self.dtype, copy=False)
 
     # ------------------------------------------------------------------ #
-    def release(self) -> None:
-        """Nothing to release: a plain model's matrices are private memory."""
-
     def embeddings(self) -> np.ndarray:
         """Return a copy of the published embedding matrix ``W_in``."""
         return self.w_in.copy()

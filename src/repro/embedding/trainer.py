@@ -29,17 +29,13 @@ from ..config import TrainingConfig
 from ..engine import (
     DirectSparseUpdate,
     EngineResult,
-    HogwildRun,
     LossLoggingHook,
     SubgraphBatch,
     TrainingEngine,
     UpdateRule,
-    WorkerReport,
     resolve_compute_dtype,
-    run_hogwild,
 )
-from ..exceptions import HogwildDegradedError, TrainingError
-from ..robustness.checkpoint import SupervisorPolicy
+from ..exceptions import TrainingError
 from ..graph import Graph
 from ..graph.sampling import (
     ProximityNegativeSampler,
@@ -51,12 +47,10 @@ from ..models.base import Embedder, FitResult
 from ..privacy.accountant import PrivacySpent
 from ..proximity.base import ProximityMatrix, ProximityMeasure
 from ..proximity.cache import resolve_cache_policy
-from ..utils import mp as _mp
 from ..utils.logging import get_logger
 from ..utils.rng import ensure_rng
 from .objectives import StructurePreferenceObjective
 from .optimizer import SGDOptimizer
-from .shared_model import SharedSkipGramModel
 from .skipgram import SkipGramModel
 
 __all__ = ["SEGEmbTrainer"]
@@ -71,25 +65,15 @@ class SkipGramTrainerBase(Embedder):
     Algorithm-1 subgraph set with the same Theorem-3 negative sampler; only
     Algorithm 2's clip → noise → account step differs.  So the constructor
     state, the registry hook, the set-up (model → negative sampler → pool
-    → engine, in that RNG order), the one engine builder, the run (epochs,
-    serial or hogwild, fitted state) and the Algorithm-1 accessors live
-    here once.  A serial fit is the one-worker case of the hogwild recipe:
-    both build their engines with :meth:`_build_engine`.  A subclass
-    supplies its :meth:`_update_rule`; the private trainer also adds the
-    averaging hook and hooks the budget into :meth:`_admit` and
-    :meth:`_account`.
+    → engine, in that RNG order), the serial run and the Algorithm-1
+    accessors live here once.  A subclass supplies its
+    :meth:`_update_rule`; the private trainer also adds the averaging hook
+    and hooks the budget into :meth:`_admit` and :meth:`_account`.
     """
 
     proximity: ProximityMeasure | ProximityMatrix
     #: both skip-gram trainers can seed matrices from a prior artifact
     _supports_warm_start = True
-    #: have hogwild workers report tracemalloc evidence (tests/benchmarks)
-    trace_hogwild_memory: bool = False
-    #: per-worker reports of the most recent hogwild fit
-    last_worker_reports: "list[WorkerReport] | None" = None
-    #: full :class:`~repro.engine.hogwild.HogwildRun` of the most recent
-    #: hogwild fit (conservative ``charged_steps``, restart count)
-    last_hogwild_run: "HogwildRun | None" = None
 
     def __init__(
         self,
@@ -98,8 +82,6 @@ class SkipGramTrainerBase(Embedder):
         seed: int | np.random.Generator | None,
         proximity_cache,
         compute_dtype,
-        workers: int,
-        hogwild_resilience: SupervisorPolicy | None,
     ) -> None:
         super().__init__()
         if proximity is None:
@@ -111,12 +93,6 @@ class SkipGramTrainerBase(Embedder):
         self._seed = seed
         self._proximity_cache = proximity_cache
         self.compute_dtype = resolve_compute_dtype(compute_dtype)
-        self.workers = int(workers)
-        if self.workers < 1:
-            raise TrainingError(f"workers must be >= 1, got {self.workers}")
-        #: opt-in crash supervision for the hogwild pool (checkpoints +
-        #: restarts); ``None`` keeps the all-or-nothing failure semantics
-        self.hogwild_resilience = hogwild_resilience
         self.graph: Graph | None = None
         self.engine: TrainingEngine | None = None
         self.proximity_matrix: ProximityMatrix | None = None
@@ -155,13 +131,8 @@ class SkipGramTrainerBase(Embedder):
         return {}
 
     def _make_model(self, graph: Graph) -> SkipGramModel:
-        """Build the model — shared-memory backed when hogwild will run.
-
-        Both classes draw initialisation through the identical RNG stream,
-        so the choice never perturbs any downstream sampling stream.
-        """
-        model_cls = SharedSkipGramModel if self._active_workers > 1 else SkipGramModel
-        model = model_cls(
+        """Build the model from the fit's stream and apply any warm start."""
+        model = SkipGramModel(
             graph.num_nodes,
             self.training_config.embedding_dim,
             seed=self._rng,
@@ -246,8 +217,6 @@ class SkipGramTrainerBase(Embedder):
         options = super()._build_options()
         if self.compute_dtype != np.dtype(np.float64):
             options["compute_dtype"] = self.compute_dtype.name
-        if self.workers != 1:
-            options["workers"] = self.workers
         return options
 
     # ------------------------------------------------------------------ #
@@ -262,17 +231,15 @@ class SkipGramTrainerBase(Embedder):
         """Build model, samplers and engine for ``graph`` (consumes ``rng``).
 
         The stream order is pinned: model initialisation, then the negative
-        sampler's alias table, the subgraph pool, and last the engine
-        :meth:`_build_engine` builds from ``rng``.
+        sampler's alias table, the subgraph pool, the batch sampler, and
+        last :meth:`_update_rule` (the private noise spawns its own child
+        stream, which reads nothing from ``rng``).  The engine allocates
+        its step workspace per run.
         """
         if graph.num_edges == 0:
             raise TrainingError("cannot train on a graph with no edges")
         self.graph = graph
         self._rng = rng
-        self._active_workers = (
-            1 if self.workers <= 1
-            else _mp.resolve_fork_workers(self.workers, "hogwild training")
-        )
         self.proximity_matrix = self._resolve_proximity_matrix(graph, proximity)
         self.objective = StructurePreferenceObjective(self.proximity_matrix)
 
@@ -285,9 +252,18 @@ class SkipGramTrainerBase(Embedder):
         self._subgraph_pool: SubgraphBatch = pool.with_weights(
             self.objective.edge_weights(pool.centers, pool.positives)
         )
-        self.engine = self._build_engine(rng)
-        self._sampler = self.engine.sampler
+        self._sampler = SubgraphSampler(
+            self._subgraph_pool, self.training_config.batch_size, seed=rng
+        )
         self._sampling_rate = self._sampler.sampling_rate
+        self.engine = TrainingEngine(
+            model=self.model,
+            optimizer=SGDOptimizer(self.training_config.learning_rate),
+            objective=self.objective,
+            sampler=self._sampler,
+            update_rule=self._update_rule(rng),
+            hooks=(LossLoggingHook(_LOGGER),),
+        )
 
     def _negative_sampler(self, graph: Graph):
         """The Theorem-3 sampler: candidates uniform, mass min(P)/Σ_j p_ij."""
@@ -295,32 +271,9 @@ class SkipGramTrainerBase(Embedder):
             graph, self.proximity_matrix, seed=self._rng
         )
 
-    def _build_engine(self, rng: np.random.Generator) -> TrainingEngine:
-        """Build one engine over the set-up model, seeded from ``rng``.
-
-        The serial fit calls it with the fit's generator; every hogwild
-        worker calls it *inside* its fork with its own spawned stream, where
-        everything heavy (subgraph pool, proximity weights, the shared
-        model) is inherited zero-copy.  The batch sampler takes ``rng``
-        first, then :meth:`_update_rule` (the private noise spawns its own
-        child stream, which reads nothing from ``rng``).  Each engine
-        allocates its own step workspace per run.
-        """
-        sampler = SubgraphSampler(
-            self._subgraph_pool, self.training_config.batch_size, seed=rng
-        )
-        return TrainingEngine(
-            model=self.model,
-            optimizer=SGDOptimizer(self.training_config.learning_rate),
-            objective=self.objective,
-            sampler=sampler,
-            update_rule=self._update_rule(rng),
-            hooks=(LossLoggingHook(_LOGGER),),
-        )
-
     @abc.abstractmethod
     def _update_rule(self, rng: np.random.Generator) -> UpdateRule:
-        """How one engine's gradients hit the parameters, seeded from ``rng``."""
+        """How the engine's gradients hit the parameters, seeded from ``rng``."""
 
     def _run_engine(self, epochs: int | None) -> FitResult:
         """Run the (already set up) engine and install the fitted state.
@@ -332,18 +285,13 @@ class SkipGramTrainerBase(Embedder):
         if requested <= 0:
             raise TrainingError(f"epochs must be positive, got {requested}")
         epochs = self._admit(requested)
-        charged: list[int] = []  # the fit's own engine charges each step as it runs
         if epochs == 0:  # not even one step fits the budget
-            self.model.release()
             result = EngineResult(
                 embeddings=self.model.w_in, context_embeddings=self.model.w_out
             )
-        elif self._active_workers > 1:
-            run = self._run_hogwild(epochs)
-            result, charged = run.result, run.accountant_steps
         else:
             result = self.engine.run(epochs)
-        spent = self._account(charged)
+        spent = self._account()
         # one cast at release where the fit trained in another dtype
         self._embeddings = result.embeddings.astype(self.compute_dtype, copy=False)
         self._context_embeddings = result.context_embeddings.astype(
@@ -369,41 +317,9 @@ class SkipGramTrainerBase(Embedder):
         """How many of the requested epochs this fit may run."""
         return epochs
 
-    def _account(self, charged: list[int]) -> PrivacySpent | None:
-        """Compose a hogwild run's per-shard step counts; return what the fit spent.
-
-        ``None`` means not private.
-        """
+    def _account(self) -> PrivacySpent | None:
+        """Report what the fit spent; ``None`` means not private."""
         return None
-
-    def _run_hogwild(self, total_steps: int) -> HogwildRun:
-        """Shard ``total_steps`` over the hogwild pool and release the blocks.
-
-        The shared-memory segments are unlinked in the ``finally`` — also
-        when a worker crashes — after which ``self.model`` holds ordinary
-        private arrays with the final trained values.
-        """
-        try:
-            run = run_hogwild(
-                model=self.model,
-                engine_factory=self._build_engine,
-                total_steps=total_steps,
-                workers=self._active_workers,
-                seed=self._rng,
-                trace_memory=self.trace_hogwild_memory,
-                supervision=self.hogwild_resilience,
-            )
-        except HogwildDegradedError as exc:
-            # Every incarnation, the lost ones included, already released
-            # its noise: charge the conservative counts before the failure
-            # propagates.  Over-counting is privacy-safe; under-counting never.
-            self._account(exc.charged_steps)
-            raise
-        finally:
-            self.model.release()
-        self.last_worker_reports = run.reports
-        self.last_hogwild_run = run
-        return run
 
     def _require_setup(self) -> None:
         if self._sampling_rate is None:
@@ -447,24 +363,6 @@ class SEGEmbTrainer(SkipGramTrainerBase):
         ``"float64"`` (default) or ``"float32"``.  Controls the model
         matrices and all gradient arithmetic; privacy-relevant math (noise
         draws, sensitivities, the accountant) always stays float64.
-    workers:
-        ``1`` (default) trains serially, as the one-worker case of the
-        hogwild recipe.  ``> 1`` backs the model with shared memory and
-        shards the step stream over that many forked hogwild workers
-        (:mod:`repro.engine.hogwild`); each worker builds its engine with
-        the same builder as a serial fit, over its own zero-allocation
-        workspace and a spawned RNG stream.  Multi-worker
-        results are reproducible in distribution only (racy lock-free
-        updates).  Falls back to serial with a warning where ``fork`` is
-        unavailable.
-    hogwild_resilience:
-        Optional :class:`~repro.robustness.SupervisorPolicy`.  When set
-        (and ``workers > 1``), the hogwild pool runs under crash
-        supervision: periodic per-shard checkpoints, automatic restart of
-        dead or stalled workers with exponential backoff, and — only after
-        a shard exhausts its restart budget — degradation to a
-        partial-result :class:`~repro.exceptions.HogwildDegradedError`.
-        ``None`` (default) keeps the historical all-or-nothing semantics.
     """
 
     def __init__(
@@ -475,13 +373,8 @@ class SEGEmbTrainer(SkipGramTrainerBase):
         seed: int | np.random.Generator | None = None,
         proximity_cache="off",
         compute_dtype="float64",
-        workers: int = 1,
-        hogwild_resilience: SupervisorPolicy | None = None,
     ) -> None:
-        super().__init__(
-            proximity, config, seed, proximity_cache, compute_dtype, workers,
-            hogwild_resilience,
-        )
+        super().__init__(proximity, config, seed, proximity_cache, compute_dtype)
         if negative_sampling not in {"proximity", "unigram"}:
             raise TrainingError(
                 f"negative_sampling must be 'proximity' or 'unigram', got {negative_sampling!r}"

@@ -15,7 +15,6 @@ where a step's wall time goes (sample / gradients / perturb / descend).
 from .batch import BatchGradients, SubgraphBatch
 from .core import EngineResult, TrainingEngine
 from .hooks import EngineHook, IterateAveragingHook, LossLoggingHook
-from .hogwild import HogwildRun, WorkerReport, plan_shards, run_hogwild
 from .profiler import StepProfile, StepProfiler
 from .updates import DirectSparseUpdate, PerturbedUpdate, UpdateRule
 from .workspace import PerturbedGradients, StepWorkspace, resolve_compute_dtype
@@ -30,10 +29,6 @@ __all__ = [
     "IterateAveragingHook",
     "StepProfile",
     "StepProfiler",
-    "HogwildRun",
-    "WorkerReport",
-    "plan_shards",
-    "run_hogwild",
     "StepWorkspace",
     "PerturbedGradients",
     "UpdateRule",

@@ -108,16 +108,12 @@ class IterateAveragingHook(EngineHook):
     ``correction_w_in`` / ``correction_w_out`` hold ``D`` during a run and
     ``D/T`` after it.  A run finishes in place: ``D/T + W_T`` overwrites the
     correction and is published, so no further ``|V| × r`` arrays are made.
-    A hogwild pool sets :attr:`pooled`; the run then keeps ``D/T``, and the
-    pool publishes the shared final iterates plus every shard's correction.
     """
 
     def __init__(self) -> None:
         self.correction_w_in: np.ndarray | None = None
         self.correction_w_out: np.ndarray | None = None
         self.steps = 0
-        #: set by a hogwild pool: end with ``D/T`` for the pool to add up
-        self.pooled = False
         # the scatter-axpy's weights, as many as the W_out scratch holds
         self._weights: np.ndarray | None = None
 
@@ -175,8 +171,6 @@ class IterateAveragingHook(EngineHook):
         corrections = (self.correction_w_in, self.correction_w_out)
         for correction in corrections:
             np.divide(correction, self.steps, out=correction)
-        if self.pooled:
-            return result
         published = [
             np.add(correction, final, out=correction)
             for correction, final in zip(

@@ -23,7 +23,6 @@ Profiling is strictly opt-in: without the hook the engine takes a single
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from .hooks import EngineHook
@@ -48,32 +47,6 @@ class StepProfile:
 
     phase_seconds: dict[str, float] = field(default_factory=dict)
     steps: int = 0
-    #: number of concurrent profiles merged into this one (1 = a single run)
-    workers: int = 1
-
-    @classmethod
-    def merge(cls, profiles: "Sequence[StepProfile]") -> "StepProfile":
-        """Aggregate per-worker profiles into one run-level profile.
-
-        Phase seconds and step counts sum (total CPU-time spent per phase
-        across the pool); ``workers`` sums the contributing worker counts,
-        so ``total_seconds / workers`` approximates the wall time of the
-        parallel run and per-step means stay comparable to a serial
-        profile.  Merging nothing yields an empty profile.
-        """
-        merged_seconds: dict[str, float] = {}
-        merged_steps = 0
-        merged_workers = 0
-        for profile in profiles:
-            for phase, seconds in profile.phase_seconds.items():
-                merged_seconds[phase] = merged_seconds.get(phase, 0.0) + seconds
-            merged_steps += profile.steps
-            merged_workers += profile.workers
-        return cls(
-            phase_seconds=merged_seconds,
-            steps=merged_steps,
-            workers=max(1, merged_workers),
-        )
 
     @property
     def total_seconds(self) -> float:
@@ -102,7 +75,6 @@ class StepProfile:
         )
         return {
             "steps": self.steps,
-            "workers": self.workers,
             "total_seconds": self.total_seconds,
             "phase_seconds": ordered,
             "phase_mean_seconds": {

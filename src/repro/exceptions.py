@@ -73,31 +73,6 @@ class ServerTimeoutError(ServingError, TimeoutError):
     """Raised when a request misses its per-request deadline."""
 
 
-class HogwildDegradedError(TrainingError):
-    """Raised when supervised hogwild training loses a shard past its restart budget.
-
-    Carries the partial outcome: ``charged_steps`` (conservative per-shard
-    privacy charges — already including every crashed incarnation),
-    ``recovered_shards`` / ``lost_shards``, and ``partial`` (a
-    :class:`~repro.engine.hogwild.HogwildRun` over the surviving reports).
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        charged_steps: "list[int] | None" = None,
-        recovered_shards: "list[int] | None" = None,
-        lost_shards: "list[int] | None" = None,
-        partial: "object | None" = None,
-    ) -> None:
-        super().__init__(message)
-        self.charged_steps = list(charged_steps or [])
-        self.recovered_shards = list(recovered_shards or [])
-        self.lost_shards = list(lost_shards or [])
-        self.partial = partial
-
-
 class LedgerTornError(PrivacyError):
     """Raised when a privacy ledger ends in a torn (partially written) record.
 

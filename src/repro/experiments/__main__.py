@@ -78,12 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     what.add_argument("--figure", type=int, choices=sorted(_FIGURES), help="paper figure number")
     what.add_argument("--ablation", choices=sorted(_ABLATIONS), help="ablation name")
     run.add_argument("--workers", type=int, default=1, help="worker processes (1 = serial)")
-    run.add_argument(
-        "--train-workers",
-        type=int,
-        default=1,
-        help="hogwild workers per SE training run (1 = serial training)",
-    )
     run.add_argument("--store", default=None, metavar="DIR", help="run store directory (resumable)")
     scale = run.add_mutually_exclusive_group()
     scale.add_argument(
@@ -183,8 +177,6 @@ def _settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
         settings = settings.with_updates(
             training=settings.training.with_updates(epochs=args.epochs)
         )
-    if getattr(args, "train_workers", 1) != 1:
-        settings = settings.with_updates(train_workers=args.train_workers)
     return settings
 
 

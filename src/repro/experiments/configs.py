@@ -55,10 +55,6 @@ class ExperimentSettings:
         :func:`repro.utils.rng.repeat_streams` and
         :func:`repro.experiments.orchestrator.cell_seed_sequence`);
         repetitions are spawned children, never ``seed + i``.
-    train_workers:
-        Hogwild worker count handed to the SE trainers inside each cell
-        (``1`` = the unchanged serial path).  Recorded in the cell options
-        only when non-default, so default fingerprints are unchanged.
     """
 
     datasets: tuple[str, ...] = ("chameleon", "power", "arxiv")
@@ -72,17 +68,12 @@ class ExperimentSettings:
     privacy: PrivacyConfig = field(default_factory=PrivacyConfig)
     epsilons: tuple[float, ...] = PAPER_EPSILONS
     seed: int = 7
-    train_workers: int = 1
 
     def __post_init__(self) -> None:
         if not self.datasets:
             raise ConfigurationError("datasets must not be empty")
         if self.repeats < 1:
             raise ConfigurationError(f"repeats must be >= 1, got {self.repeats}")
-        if self.train_workers < 1:
-            raise ConfigurationError(
-                f"train_workers must be >= 1, got {self.train_workers}"
-            )
         if self.dataset_scale <= 0:
             raise ConfigurationError(f"dataset_scale must be positive, got {self.dataset_scale}")
         if not self.epsilons or any(eps <= 0 for eps in self.epsilons):

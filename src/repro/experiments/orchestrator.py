@@ -113,9 +113,8 @@ class RunSpec:
         Evaluation protocol knobs (see :mod:`repro.experiments.runner`).
     options:
         Kind-specific extras as a sorted tuple of ``(name, value)`` pairs:
-        the hogwild ``train_workers`` count, the estimator build overrides
-        of a "strucequ" cell (e.g. ``iterate_averaging=False``), the sleep
-        duration.
+        the estimator build overrides of a "strucequ" or "linkpred" cell
+        (e.g. ``iterate_averaging=False``), the sleep duration.
     metric:
         Name of the reported metric ("strucequ", "auc", ...), used for
         result labelling only.
@@ -275,11 +274,6 @@ def evaluation_seed_sequence(spec: RunSpec) -> np.random.SeedSequence:
     return np.random.SeedSequence([spec.seed, entropy])
 
 
-def _estimator_overrides(spec: RunSpec) -> dict[str, Any]:
-    """Every option but the hogwild worker count configures the estimator."""
-    return {name: value for name, value in spec.options if name != "train_workers"}
-
-
 def _run_strucequ(spec: RunSpec) -> dict[str, Any]:
     from .runner import evaluate_structural_equivalence
 
@@ -293,8 +287,7 @@ def _run_strucequ(spec: RunSpec) -> dict[str, Any]:
         perturbation=spec.perturbation,
         deepwalk_window=spec.deepwalk_window,
         evaluation_seed=evaluation_seed_sequence(spec),
-        workers=int(spec.option("train_workers", 1)),
-        **_estimator_overrides(spec),
+        **dict(spec.options),
     )
     return {"metric": spec.metric, "mean": float(mean), "std": float(std), "repeats": spec.repeats}
 
@@ -311,8 +304,7 @@ def _run_linkpred(spec: RunSpec) -> dict[str, Any]:
         seed=cell_seed_sequence(spec),
         perturbation=spec.perturbation,
         deepwalk_window=spec.deepwalk_window,
-        workers=int(spec.option("train_workers", 1)),
-        **_estimator_overrides(spec),
+        **dict(spec.options),
     )
     return {"metric": spec.metric, "mean": float(mean), "std": float(std), "repeats": spec.repeats}
 
@@ -636,12 +628,6 @@ def specs_for_settings(
     ``metric`` labels the result; by default it names what ``kind``
     measures ("auc" for "linkpred", "strucequ" otherwise).
     """
-    merged = dict(options or {})
-    train_workers = int(getattr(settings, "train_workers", 1) or 1)
-    if train_workers != 1:
-        # recorded only when non-default so existing cell fingerprints (and
-        # therefore stored sweep results) are untouched by the new knob
-        merged.setdefault("train_workers", train_workers)
     return RunSpec(
         kind=kind,
         method=method,
@@ -657,5 +643,5 @@ def specs_for_settings(
         seed=settings.seed,
         perturbation=perturbation,
         metric=metric if metric is not None else _DEFAULT_METRICS.get(kind, "strucequ"),
-        options=tuple(sorted(merged.items())),
+        options=tuple(sorted((options or {}).items())),
     )

@@ -16,7 +16,6 @@ and new methods become registry entries instead of new branches here.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any
 
 import numpy as np
@@ -75,7 +74,6 @@ def embed_with_method(
     deepwalk_window: int = 5,
     proximity_cache: "str | ProximityCache" = "default",
     return_model: bool = False,
-    workers: int = 1,
     **overrides: Any,
 ) -> np.ndarray | Embedder:
     """Produce an embedding matrix for ``graph`` with the named method.
@@ -111,28 +109,12 @@ def embed_with_method(
         When ``True``, return the fitted :class:`~repro.models.Embedder`
         (with ``embeddings_``, ``result_`` incl. privacy spent, and
         ``save()``) instead of the bare embedding matrix.
-    workers:
-        Hogwild worker count for the SE trainers (``1`` = the unchanged
-        serial path).  Methods without the knob (the DP baselines) warn and
-        ignore it rather than fail the sweep.
     overrides:
         Further estimator keywords for :meth:`~repro.models.MethodSpec.build`
         (e.g. ``iterate_averaging=False`` for SE-PrivGEmb,
         ``negative_sampling="unigram"`` for SE-GEmb).
     """
     spec = get_method(method)
-    workers = int(workers)
-    build_kwargs: dict[str, Any] = dict(overrides)
-    if workers != 1:
-        if spec.proximity is not None:
-            build_kwargs["workers"] = workers
-        else:
-            warnings.warn(
-                f"method {method!r} does not support hogwild workers; "
-                "training serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
     model = spec.build(
         training=training,
         privacy=privacy,
@@ -141,7 +123,7 @@ def embed_with_method(
         deepwalk_window=deepwalk_window,
         proximity_cache=proximity_cache,
         seed=seed,
-        **build_kwargs,
+        **overrides,
     )
     if spec.proximity is not None:
         model.fit(graph, proximity=proximity)
@@ -166,7 +148,6 @@ def evaluate_structural_equivalence(
     deepwalk_window: int = 5,
     proximity_cache: "str | ProximityCache" = "default",
     evaluation_seed: int | np.random.SeedSequence | None = None,
-    workers: int = 1,
     **overrides: Any,
 ) -> tuple[float, float]:
     """Mean ± SD StrucEqu of a method over repeated runs on one graph.
@@ -212,7 +193,6 @@ def evaluate_structural_equivalence(
             proximity=proximity,
             deepwalk_window=deepwalk_window,
             proximity_cache=proximity_cache,
-            workers=workers,
             **overrides,
         )
         # a fresh generator from the *same* stream per repeat: identical
@@ -236,7 +216,6 @@ def evaluate_link_prediction(
     perturbation: str | None = None,
     deepwalk_window: int = 5,
     proximity_cache: "str | ProximityCache" = "off",
-    workers: int = 1,
     **overrides: Any,
 ) -> tuple[float, float]:
     """Mean ± SD link-prediction AUC of a method over repeated runs on one graph.
@@ -277,7 +256,6 @@ def evaluate_link_prediction(
             proximity=proximity,
             deepwalk_window=deepwalk_window,
             proximity_cache=proximity_cache,
-            workers=workers,
             **overrides,
         )
         scores.append(link_prediction_auc(embeddings, split))

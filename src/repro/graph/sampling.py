@@ -276,8 +276,7 @@ class SubgraphSampler:
 
     The pool is stored as a :class:`~repro.engine.batch.SubgraphBatch`.
     Indices come from one ``rng.choice(replace=False)`` per step, so the
-    generator's ``bit_generator.state`` is the sampler's whole state — a
-    hogwild checkpoint that saves it resumes the exact index stream.
+    generator's ``bit_generator.state`` is the sampler's whole state.
     :meth:`sample_batch_arrays` gathers a batch into the engine's
     workspace.
     """

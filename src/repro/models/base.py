@@ -471,8 +471,11 @@ class Embedder(abc.ABC):
         options = dict(metadata.get("build_options") or {})
         # older artifacts record fields that no longer choose anything:
         # fast_path=True names the workspace step that is now the only step,
-        # and accountant="rdp" named the one accountant there is
+        # accountant="rdp" named the one accountant there is, and a
+        # multi-worker fit's "workers" count names a training pool that is
+        # gone (the published matrices load the same either way)
         options.pop("fast_path", None)
+        options.pop("workers", None)
         privacy_fields.pop("accountant", None)
         privacy = PrivacyConfig(**privacy_fields) if privacy_fields else None
         model = spec.build(

@@ -138,37 +138,16 @@ class RdpAccountant:
 
         The composed curve is maintained as ``steps * per_step_curve`` rather
         than by accumulation, so it is bit-for-bit independent of how the
-        steps were batched — stepping 1-by-1, in one ``step(T)`` call, or as
-        per-shard counts via :meth:`step_shards` all land on the identical
-        curve (and therefore the identical reported ε).  This also keeps
-        :meth:`get_privacy_spent` exactly consistent with the hypothetical
-        projections (:meth:`epsilon_after`, :meth:`max_steps`), which always
-        used the multiplicative form.
+        steps were batched — stepping 1-by-1 or in one ``step(T)`` call land
+        on the identical curve (and therefore the identical reported ε).
+        This also keeps :meth:`get_privacy_spent` exactly consistent with
+        the hypothetical projections (:meth:`epsilon_after`,
+        :meth:`max_steps`), which always used the multiplicative form.
         """
         if count < 0:
             raise PrivacyError(f"count must be non-negative, got {count}")
         self._steps += count
         self._total_curve = self._steps * self._per_step_curve
-
-    def step_shards(self, counts: Sequence[int]) -> None:
-        """Account for sharded training: ``counts[i]`` steps ran on shard ``i``.
-
-        RDP composition of the subsampled Gaussian is *linear* in the step
-        count at a fixed sampling rate, so a run split across K hogwild
-        workers spends exactly what one worker running ``sum(counts)``
-        steps spends — every shard samples its batches from the same
-        subgraph set at the same rate γ, and each sampled batch is one
-        invocation of the mechanism regardless of which process ran it.
-        This method is that argument made executable (and testable): the
-        per-shard counts are validated and composed into the single total
-        the serial accountant would have accumulated.
-        """
-        total = 0
-        for count in counts:
-            if count < 0:
-                raise PrivacyError(f"shard step counts must be non-negative, got {count}")
-            total += int(count)
-        self.step(total)
 
     def get_privacy_spent(self, delta: float) -> PrivacySpent:
         """Return the (ε, δ)-DP guarantee implied by the steps so far."""

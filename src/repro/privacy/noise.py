@@ -20,8 +20,8 @@ stay queued, so a later consumer continues the exact stream.
 
 Lifecycle: the filler is started and joined by its owner (the engine's
 ``PerturbedUpdate`` does it around each run, in a ``finally``), so no
-thread outlives a run — in particular none is alive when hogwild or the
-experiment orchestrator forks.  An exception in the filler is re-raised
+thread outlives a run — in particular none is alive when the experiment
+orchestrator forks.  An exception in the filler is re-raised
 in the consuming thread the next time it needs a block, and on every
 later read or prefetch: the block it was filling is lost, so the stream
 cannot continue.

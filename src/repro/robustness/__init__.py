@@ -1,30 +1,23 @@
-"""Robustness layer: fault injection, retries, checkpoints, supervision.
+"""Robustness layer: fault injection and retries.
 
 Production-scale serving and training must degrade, not disintegrate, when
-a worker dies, a disk hiccups, or an engine call wedges.  This package
+a disk hiccups, a sweep cell fails, or an engine call wedges.  This package
 holds the cross-cutting pieces:
 
 * :mod:`repro.robustness.faults` — deterministic, seeded fault injection
   (:class:`FaultPlan` / ``REPRO_FAULTS``) behind named points instrumented
-  in the hogwild workers, :func:`~repro.utils.fileio.atomic_write_path`,
-  the serving engine, orchestrator cells, and the privacy ledger; a single
-  inert branch when no plan is active.
+  in :func:`~repro.utils.fileio.atomic_write_path`, the serving engine,
+  orchestrator cells, and the privacy ledger; a single inert branch when
+  no plan is active.
 * :mod:`repro.robustness.retry` — the shared :class:`RetryPolicy`
   (jittered exponential backoff from a seeded stream) used by the
   orchestrator's cell quarantine and the atomic-write publish step.
-* :mod:`repro.robustness.checkpoint` — per-shard hogwild checkpoints and
-  the :class:`SupervisorPolicy` that drives crash-restart supervision in
-  :func:`~repro.engine.hogwild.run_hogwild`.
 
-``faults`` and ``retry`` are dependency-light and imported eagerly;
-``checkpoint`` (which needs the fileio layer) loads lazily so the fault
-registry can be imported from anywhere — including ``utils.fileio`` itself
-— without a cycle.
+Both are dependency-light, so the fault registry can be imported from
+anywhere — including ``utils.fileio`` itself — without a cycle.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from .faults import (
     FAULT_POINTS,
@@ -39,24 +32,11 @@ from .retry import RetryPolicy
 
 __all__ = [
     "FAULT_POINTS",
-    "CheckpointStore",
     "FaultPlan",
     "FaultRule",
     "RetryPolicy",
-    "ShardCheckpoint",
-    "SupervisorPolicy",
     "get_active_plan",
     "maybe_hit",
     "parse_fault_spec",
     "register_fault_point",
 ]
-
-_LAZY = {"CheckpointStore", "ShardCheckpoint", "SupervisorPolicy"}
-
-
-def __getattr__(name: str) -> Any:
-    if name in _LAZY:
-        from . import checkpoint as _checkpoint
-
-        return getattr(_checkpoint, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,13 +1,12 @@
 """Deterministic, seeded fault injection for chaos testing.
 
-Every long-running subsystem (hogwild workers, the file-publication path,
-the serving engine, orchestrator cells, the privacy ledger) carries a named
-*fault point*: a single ``plan.hit(point, **context)`` call that is reached
-on the normal code path but does nothing unless a :class:`FaultPlan` is
-active.  The PR-5 profiler idiom applies — when no plan is active the check
-is one ``is None`` branch (or, on the hogwild hot path, an engine hook that
-is never even installed), so the instrumented paths stay bit-identical to
-the uninstrumented ones.
+Every long-running subsystem (the file-publication path, the serving
+engine, orchestrator cells, the privacy ledger) carries a named *fault
+point*: a single ``plan.hit(point, **context)`` call that is reached on the
+normal code path but does nothing unless a :class:`FaultPlan` is active.
+The PR-5 profiler idiom applies — when no plan is active the check is one
+``is None`` branch, so the instrumented paths stay bit-identical to the
+uninstrumented ones.
 
 A plan is a list of :class:`FaultRule` records.  Each rule names the point
 it arms, the ``action`` to take (``"crash"`` — ``os._exit``; ``"stall"`` /
@@ -17,10 +16,10 @@ by substring — handy for paths — everything else by equality), and
 ``times``: how often the rule may fire in this process (``-1`` =
 unlimited).  Activation is either lexical::
 
-    plan = FaultPlan([FaultRule("hogwild.worker.step", "crash",
-                                where={"shard": 0, "step": 3, "incarnation": 0})])
+    plan = FaultPlan([FaultRule("ledger.append", "raise",
+                                where={"path": "budget.jsonl"})])
     with plan:
-        trainer.fit(graph)
+        trainer.fit(graph)  # a private fit recording into budget.jsonl
     assert plan.fired_total == 1
 
 or environmental, for subprocess drills — ``REPRO_FAULTS`` holds
@@ -30,12 +29,11 @@ rule itself; everything else goes into ``where``)::
 
     REPRO_FAULTS="ledger.append:crash" python append_entries.py
 
-Forked children inherit the active plan (both forms), with *fresh-by-copy*
-per-rule counters: a worker that crashes at step 3 would crash again after
-a supervisor restart, which is why crash rules should pin
-``incarnation=0``.  Rules are deterministic by construction — they fire on
-exact counts and context matches, never on coin flips — so every chaos
-test replays identically.
+Forked children (orchestrator cells) inherit the active plan (both forms),
+with *fresh-by-copy* per-rule counters: each child counts its own firings
+from the parent's counts at the fork.  Rules are deterministic by
+construction — they fire on exact counts and context matches, never on
+coin flips — so every chaos test replays identically.
 """
 
 from __future__ import annotations
@@ -262,11 +260,6 @@ def maybe_hit(point: str, **context: Any) -> None:
 # the instrumented points (declared centrally so the chaos suite can pin
 # that every one of them both fires under a plan and stays inert without)
 # --------------------------------------------------------------------- #
-register_fault_point(
-    "hogwild.worker.step",
-    "before each hogwild worker step; context: shard, step (global, "
-    "resume-offset included), incarnation",
-)
 register_fault_point(
     "fileio.atomic_write",
     "at atomic_write_path's publish (os.replace); context: path",

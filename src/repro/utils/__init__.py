@@ -1,7 +1,7 @@
 """Small shared utilities: RNG handling, stable math, CSR lookups, run statistics."""
 
 from .rng import ensure_rng
-from .mp import fork_available, resolve_fork_workers, serial_fallback
+from .mp import fork_available, serial_fallback
 from .math import (
     sigmoid,
     log_sigmoid,
@@ -20,7 +20,6 @@ __all__ = [
     "csr_lookup",
     "ensure_rng",
     "fork_available",
-    "resolve_fork_workers",
     "serial_fallback",
     "sigmoid",
     "log_sigmoid",

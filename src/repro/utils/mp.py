@@ -1,13 +1,12 @@
-"""Multiprocessing capability detection shared by the parallel subsystems.
+"""Multiprocessing capability detection for the experiment orchestrator.
 
-Two subsystems fan work out over child processes — the experiment
-orchestrator (:mod:`repro.experiments.orchestrator`) and the hogwild
-training pool (:mod:`repro.engine.hogwild`) — and both rely on the
-``fork`` start method for zero-copy inheritance of large in-memory state
-(graphs, subgraph pools, shared-memory handles, runtime-registered cell
-kinds).  Platforms without ``fork`` (Windows; macOS defaults to ``spawn``)
-must not crash a long sweep halfway through: the helpers here detect the
-situation once and degrade to the serial path with a single warning.
+The orchestrator (:mod:`repro.experiments.orchestrator`) fans sweep cells
+out over child processes and relies on the ``fork`` start method for
+zero-copy inheritance of large in-memory state (graphs, runtime-registered
+cell kinds).  Platforms without ``fork`` (Windows; macOS defaults to
+``spawn``) must not crash a long sweep halfway through: the helpers here
+detect the situation once and degrade to the serial path with a single
+warning.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import warnings
 
 from .logging import get_logger
 
-__all__ = ["fork_available", "start_method", "serial_fallback", "resolve_fork_workers"]
+__all__ = ["fork_available", "start_method", "serial_fallback"]
 
 _LOGGER = get_logger("utils.mp")
 
@@ -44,21 +43,3 @@ def serial_fallback(reason: str) -> int:
     _LOGGER.warning("%s", message)
     warnings.warn(message, RuntimeWarning, stacklevel=3)
     return 1
-
-
-def resolve_fork_workers(workers: int, subsystem: str) -> int:
-    """Clamp ``workers`` to 1 (with a warning) when ``fork`` is unavailable.
-
-    Fork is a hard requirement for subsystems whose worker payloads are not
-    picklable (closures over shared-memory models, runtime-registered
-    callables): under ``spawn``/``forkserver`` the children could never
-    reconstruct them.  ``workers == 1`` always passes through untouched.
-    """
-    workers = int(workers)
-    if workers <= 1 or fork_available():
-        return workers
-    return serial_fallback(
-        f"{subsystem} requested workers={workers} but the "
-        f"{start_method()!r} multiprocessing start method cannot inherit "
-        "the in-memory training state (fork required)"
-    )

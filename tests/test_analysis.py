@@ -37,7 +37,7 @@ from repro.analysis.suppressions import SUPPRESSION_RULE_ID
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-RULE_IDS = ("RNG001", "PRIV001", "ALLOC001", "SHM001", "FP001")
+RULE_IDS = ("RNG001", "PRIV001", "ALLOC001", "FP001")
 
 
 def lint(tmp_path: Path, source: str, *, rule: str | None = None,
@@ -290,100 +290,6 @@ class TestALLOC001:
             tmp_path,
             "import numpy as np\n\ndef slow(a):\n    return np.zeros_like(a)\n",
             rule="ALLOC001",
-        )
-        assert report.findings == []
-
-
-# --------------------------------------------------------------------- #
-# SHM001
-# --------------------------------------------------------------------- #
-class TestSHM001:
-    def test_fires_on_unreleased_create(self, tmp_path):
-        report = lint(
-            tmp_path,
-            """
-            from multiprocessing import shared_memory
-
-            def make(size):
-                block = shared_memory.SharedMemory(create=True, size=size)
-                return block.name
-            """,
-            rule="SHM001",
-        )
-        assert rule_ids(report) == ["SHM001"]
-
-    def test_silent_when_owning_class_registers_finalize(self, tmp_path):
-        report = lint(
-            tmp_path,
-            """
-            import weakref
-            from multiprocessing.shared_memory import SharedMemory
-
-            def _release(block):
-                block.unlink()
-                block.close()
-
-            class Owner:
-                def __init__(self, size):
-                    self.block = SharedMemory(create=True, size=size)
-                    self._finalizer = weakref.finalize(self, _release, self.block)
-            """,
-            rule="SHM001",
-        )
-        assert report.findings == []
-
-    def test_silent_on_try_finally_release(self, tmp_path):
-        report = lint(
-            tmp_path,
-            """
-            from multiprocessing.shared_memory import SharedMemory
-
-            def scratch(size, use):
-                block = None
-                try:
-                    block = SharedMemory(create=True, size=size)
-                    use(block)
-                finally:
-                    if block is not None:
-                        block.unlink()
-                        block.close()
-            """,
-            rule="SHM001",
-        )
-        assert report.findings == []
-
-    def test_silent_on_factory_returning_block_with_module_finalize(self, tmp_path):
-        report = lint(
-            tmp_path,
-            """
-            import weakref
-            from multiprocessing.shared_memory import SharedMemory
-
-            def _allocate(size):
-                return SharedMemory(create=True, size=size)
-
-            def adopt(owner, blocks):
-                owner._finalizer = weakref.finalize(owner, _release, blocks)
-
-            def _release(blocks):
-                for block in blocks:
-                    block.unlink()
-                    block.close()
-            """,
-            rule="SHM001",
-        )
-        assert report.findings == []
-
-    def test_attach_without_create_is_ignored(self, tmp_path):
-        report = lint(
-            tmp_path,
-            """
-            from multiprocessing.shared_memory import SharedMemory
-
-            def attach(name):
-                return SharedMemory(name=name)
-            """,
-            rule="SHM001",
         )
         assert report.findings == []
 

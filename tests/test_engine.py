@@ -30,7 +30,6 @@ from repro.engine import (
     PerturbedUpdate,
     StepWorkspace,
     TrainingEngine,
-    run_hogwild,
 )
 from repro.graph import load_dataset
 from repro.graph.sampling import (
@@ -273,28 +272,6 @@ class TestRank1DirectUpdate:
         assert factored.embeddings_.dtype == np.dtype(dtype)
         assert factored.embeddings_.tobytes() == block.embeddings_.tobytes()
         assert factored.result_.losses == block.result_.losses
-
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_single_shard_hogwild_is_byte_identical(self, monkeypatch, dtype):
-        graph = self._graph(80)
-
-        def run():
-            trainer = SEGEmbTrainer(
-                proximity=DegreeProximity(), config=self.CONFIG, seed=5,
-                compute_dtype=dtype,
-            )
-            trainer._setup(graph, np.random.default_rng(5))
-            return run_hogwild(
-                model=trainer.model, engine_factory=trainer._build_engine,
-                total_steps=12, workers=1, seed=7,
-            ).result
-
-        factored = run()
-        monkeypatch.setattr(DirectSparseUpdate, "apply", _block_apply)
-        block = run()
-        assert factored.embeddings.tobytes() == block.embeddings.tobytes()
-        assert factored.context_embeddings.tobytes() == block.context_embeddings.tobytes()
-        assert factored.losses == block.losses
 
 
 def _legacy_setup(graph, config, rng):

@@ -13,7 +13,6 @@ tracemalloc allocation pins.
 from __future__ import annotations
 
 import gc
-import multiprocessing
 import tracemalloc
 import types
 
@@ -772,12 +771,6 @@ class TestZeroAllocation:
         assert full_peak < 256 * 1024, full_peak
 
 
-FORK_ONLY = pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="hogwild workers require the fork start method",
-)
-
-
 def _traced_fit(trainer, graph, proximity):
     """Fit under tracemalloc; ``(retained, peak)`` as multiples of the published bytes."""
     gc.collect()
@@ -799,7 +792,7 @@ class TestFittedStateMemory:
 
     At 20k nodes x 64 dims in float64 the published pair is 19.5 MiB.  A
     fit that keeps its engine, model and noise ring retains 2.19x (SE-GEmb)
-    and 2.60x (private, final iterate or 2-worker hogwild) of that;
+    and 2.60x (private, final iterate) of that;
     releasing them leaves 1.00x.  An averaged private fit finishes its
     average in place and publishes its two float64 corrections themselves:
     it peaks at 2.76x, against 2.60x for the final-iterate fit.
@@ -837,10 +830,6 @@ class TestFittedStateMemory:
             pytest.param(lambda test: test._private(), id="se_privgemb-averaged"),
             pytest.param(
                 lambda test: test._private(iterate_averaging=False), id="se_privgemb-final"
-            ),
-            pytest.param(
-                lambda test: test._private(workers=2), id="se_privgemb-hogwild",
-                marks=FORK_ONLY,
             ),
         ],
     )
@@ -1091,15 +1080,12 @@ class TestPrivateStepIsFloat64:
         assert fast.result_.epochs_run == default.result_.epochs_run
 
     @pytest.mark.parametrize(
-        "workers", [1, pytest.param(2, marks=FORK_ONLY)], ids=["serial", "hogwild"]
-    )
-    @pytest.mark.parametrize(
         ("private", "trained"), [(False, np.float32), (True, np.float64)],
         ids=["se_gemb", "se_privgemb"],
     )
-    def test_a_float32_fit_trains_in_its_method_dtype(self, graph, private, trained, workers):
+    def test_a_float32_fit_trains_in_its_method_dtype(self, graph, private, trained):
         """SE-GEmb keeps its float32 compute path; SE-PrivGEmb trains in float64."""
-        kwargs = dict(seed=0, compute_dtype="float32", workers=workers)
+        kwargs = dict(seed=0, compute_dtype="float32")
         if private:
             trainer = SEPrivGEmbTrainer(
                 DegreeProximity(), training_config=TRAINING, privacy_config=PRIVACY, **kwargs
@@ -1107,11 +1093,8 @@ class TestPrivateStepIsFloat64:
         else:
             trainer = SEGEmbTrainer(DegreeProximity(), config=TRAINING, **kwargs)
         trainer._setup(graph, np.random.default_rng(0))
-        try:
-            assert trainer.model.w_in.dtype == trainer.model.w_out.dtype == np.dtype(trained)
-            assert _workspace(trainer).dtype == np.dtype(trained)
-        finally:
-            trainer.model.release()
+        assert trainer.model.w_in.dtype == trainer.model.w_out.dtype == np.dtype(trained)
+        assert _workspace(trainer).dtype == np.dtype(trained)
 
     def test_float32_private_artifact_round_trips(self, tmp_path, graph):
         model = get_method("se_privgemb_deg").build(

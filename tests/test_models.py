@@ -333,6 +333,19 @@ class TestArtifacts:
         assert reloaded.privacy_config == model.privacy_config
         assert reloaded.embeddings_.tobytes() == model.embeddings_.tobytes()
 
+    def test_artifact_saved_with_a_worker_count_still_loads(self, graph, tmp_path):
+        model = get_method("se_gemb_deg").build(FAST_TRAINING, seed=0).fit(graph)
+        path = model.save(tmp_path / "model.npz")
+        arrays, metadata = load_artifact(path)
+        assert "workers" not in metadata["build_options"]
+        # what an artifact of a fit with workers=2 recorded
+        metadata["build_options"]["workers"] = 2
+        save_artifact(path, arrays, metadata)
+        reloaded = Embedder.load(path)
+        assert not hasattr(reloaded, "workers")
+        assert reloaded.embeddings_.tobytes() == model.embeddings_.tobytes()
+        assert reloaded.context_embeddings_.tobytes() == model.context_embeddings_.tobytes()
+
     def test_typed_load_rejects_other_methods(self, graph, tmp_path):
         path = tmp_path / "gap.npz"
         get_method("gap").build(FAST_TRAINING, FAST_PRIVACY, seed=0).fit(graph).save(path)

@@ -6,13 +6,12 @@ inline ``standard_normal`` stream of the SFC64 generator its seed names
 (:func:`~repro.privacy.noise.noise_generator`).
 These tests pin that equality at block boundaries and through whole fits,
 the filler's lifecycle (never alive after a run, on any exit path, nor at
-a hogwild fork), and the zero-allocation contract of the workspace path.
+an orchestrator fork), and the zero-allocation contract of the workspace
+path.
 """
 
 from __future__ import annotations
 
-import copy
-import json
 import multiprocessing
 import os
 import sys
@@ -30,11 +29,12 @@ from repro.embedding import SEPrivGEmbTrainer, get_perturbation
 from repro.embedding import perturbation as perturbation_module
 from repro.engine import EngineHook, StepWorkspace
 from repro.exceptions import ConfigurationError
+from repro.experiments import ExperimentSettings, execute
+from repro.experiments.orchestrator import specs_for_settings
 from repro.graph import load_dataset
 from repro.privacy import noise as noise_module
 from repro.privacy.noise import NoiseRing, noise_generator
 from repro.proximity import DegreeProximity
-from repro.robustness import FaultPlan, FaultRule, SupervisorPolicy
 
 FILLER = "repro-noise-filler"
 TRAIN = TrainingConfig(
@@ -389,9 +389,9 @@ class TestFillerLifecycle:
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
-        reason="hogwild workers require the fork start method",
+        reason="the orchestrator's worker pool requires the fork start method",
     )
-    def test_no_filler_alive_when_hogwild_forks(self, graph, monkeypatch):
+    def test_no_filler_alive_when_the_orchestrator_forks(self, graph, monkeypatch):
         alive_at_fork: list[int] = []
         real_fork = os.fork
 
@@ -404,11 +404,20 @@ class TestFillerLifecycle:
             proximity=DegreeProximity(), training_config=TRAIN,
             privacy_config=PRIVACY, seed=2,
         )
-        serial.fit(graph)  # a threaded run just before the fork
-        SEPrivGEmbTrainer(
-            proximity=DegreeProximity(), training_config=TRAIN,
-            privacy_config=PRIVACY, seed=2, workers=2,
-        ).fit(graph)
+        serial.fit(graph)  # a threaded run just before the forks
+        settings = ExperimentSettings(
+            datasets=("smallworld",), dataset_scale=0.3, repeats=1,
+            training=TRAIN, privacy=PRIVACY, seed=2,
+        )
+        specs = [
+            specs_for_settings(
+                "strucequ", "se_privgemb_deg", "smallworld", settings,
+                perturbation=perturbation,
+            )
+            for perturbation in ("nonzero", "naive")
+        ]
+        report = execute(specs, workers=2)
+        assert report.workers == 2 and report.computed == 2
         assert alive_at_fork and set(alive_at_fork) == {0}
 
     def test_filler_failure_raises_in_the_consumer(self, small_ring):
@@ -499,69 +508,6 @@ class TestFillerLifecycle:
             gate.set()
             rest = ring.draw(64, 1.0)
         assert np.array_equal(np.concatenate([first, rest]), _inline(6, 80))
-
-
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="hogwild workers require the fork start method",
-)
-class TestHogwildRestartStreams:
-    """Restarted workers never read a stream that released noise came from."""
-
-    @staticmethod
-    def _streams(graph, tmp_path, monkeypatch, checkpoint_every):
-        tmp_path.mkdir(exist_ok=True)
-        log = tmp_path / "streams.jsonl"
-        original = SEPrivGEmbTrainer._update_rule
-        parent = os.getpid()
-
-        def recording_rule(self, rng):
-            rule = original(self, rng)
-            if os.getpid() == parent:  # the fit's own engine, not a worker's
-                return rule
-            noise = rule.perturbation.noise._rng
-            record = {  # the next draws of each stream, taken from copies
-                "sampler": copy.deepcopy(rng).standard_normal(8).tolist(),
-                "noise": copy.deepcopy(noise).standard_normal(8).tolist(),
-            }
-            with log.open("a") as handle:
-                handle.write(json.dumps(record) + "\n")
-            return rule
-
-        monkeypatch.setattr(SEPrivGEmbTrainer, "_update_rule", recording_rule)
-        policy = SupervisorPolicy(
-            max_restarts=1,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=tmp_path / "ckpt" if checkpoint_every else None,
-            backoff_base=0.01,
-            backoff_max=0.02,
-        )
-        trainer = SEPrivGEmbTrainer(
-            proximity=DegreeProximity(), training_config=TRAIN,
-            privacy_config=PRIVACY, seed=2, workers=2, hogwild_resilience=policy,
-        )
-        crash = FaultRule(
-            "hogwild.worker.step", "crash", where={"shard": 0, "step": 2, "incarnation": 0}
-        )
-        with FaultPlan([crash]):
-            trainer.fit(graph)
-        assert trainer.last_hogwild_run.restarts == 1
-        records = [json.loads(line) for line in log.read_text().splitlines()]
-        assert len(records) == 3  # two shards and one restart
-        return records
-
-    @pytest.mark.parametrize("checkpoint_every", [0, 1], ids=["fresh", "checkpoint"])
-    def test_restart_draws_fresh_deterministic_noise(
-        self, graph, tmp_path, monkeypatch, checkpoint_every
-    ):
-        records = self._streams(graph, tmp_path, monkeypatch, checkpoint_every)
-        samplers = {tuple(record["sampler"]) for record in records}
-        noises = {tuple(record["noise"]) for record in records}
-        assert len(noises) == 3
-        # no sampler ever reads values that some incarnation released as noise
-        assert not samplers & noises
-        again = self._streams(graph, tmp_path / "again", monkeypatch, checkpoint_every)
-        assert sorted(map(json.dumps, again)) == sorted(map(json.dumps, records))
 
 
 # --------------------------------------------------------------------- #

@@ -63,6 +63,14 @@ def _strucequ_spec(**overrides) -> RunSpec:
 
 
 class TestRunSpec:
+    def test_metric_defaults_by_kind(self):
+        linkpred = specs_for_settings("linkpred", "se_gemb_deg", "smallworld", TINY)
+        strucequ = specs_for_settings("strucequ", "se_gemb_deg", "smallworld", TINY)
+        assert (linkpred.metric, strucequ.metric) == ("auc", "strucequ")
+        named = specs_for_settings("linkpred", "se_gemb_deg", "smallworld", TINY, metric="auc")
+        assert named == linkpred  # the label is all that moves, not the fingerprint
+        assert named.fingerprint() == linkpred.fingerprint()
+
     def test_fingerprint_is_stable_and_content_addressed(self):
         assert _strucequ_spec().fingerprint() == _strucequ_spec().fingerprint()
         assert len(_strucequ_spec().fingerprint()) == 64
@@ -397,47 +405,8 @@ class TestForkFallback:
         assert report.computed == 2
 
 
-class TestTrainWorkersThreading:
-    def test_default_settings_leave_options_empty(self):
-        spec = specs_for_settings("strucequ", "se_gemb_deg", "smallworld", TINY)
-        assert spec.option("train_workers") is None
-
-    def test_train_workers_recorded_when_set(self):
-        settings = TINY.with_updates(train_workers=2)
-        spec = specs_for_settings("strucequ", "se_gemb_deg", "smallworld", settings)
-        assert spec.option("train_workers") == 2
-
-    def test_default_fingerprint_unchanged_by_new_field(self):
-        base = specs_for_settings("strucequ", "se_gemb_deg", "smallworld", TINY)
-        same = specs_for_settings(
-            "strucequ", "se_gemb_deg", "smallworld", TINY.with_updates(train_workers=1)
-        )
-        assert base.fingerprint() == same.fingerprint()
-
-    def test_train_workers_changes_fingerprint(self):
-        base = specs_for_settings("strucequ", "se_gemb_deg", "smallworld", TINY)
-        hog = specs_for_settings(
-            "strucequ", "se_gemb_deg", "smallworld", TINY.with_updates(train_workers=2)
-        )
-        assert base.fingerprint() != hog.fingerprint()
-
-    def test_metric_defaults_by_kind(self):
-        linkpred = specs_for_settings("linkpred", "se_gemb_deg", "smallworld", TINY)
-        strucequ = specs_for_settings("strucequ", "se_gemb_deg", "smallworld", TINY)
-        assert (linkpred.metric, strucequ.metric) == ("auc", "strucequ")
-        named = specs_for_settings("linkpred", "se_gemb_deg", "smallworld", TINY, metric="auc")
-        assert named == linkpred  # the label is all that moves, not the fingerprint
-        assert named.fingerprint() == linkpred.fingerprint()
-
-    def test_settings_validation(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            TINY.with_updates(train_workers=0)
-
-
 class TestEstimatorOptions:
-    """Every cell option but ``train_workers`` reaches the estimator."""
+    """Every cell option reaches the estimator."""
 
     @pytest.mark.parametrize("kind", ["strucequ", "linkpred"])
     def test_bogus_option_raises_on_both_kinds(self, kind):

@@ -183,6 +183,21 @@ class TestRdpAccountant:
         assert 0 < eps_10 < eps_100
         assert acc.steps == 100
 
+    def test_stepping_one_at_a_time_equals_one_call_exactly(self):
+        single = RdpAccountant(noise_multiplier=1.5, sampling_rate=0.05)
+        for _ in range(60):
+            single.step()
+        batched = RdpAccountant(noise_multiplier=1.5, sampling_rate=0.05)
+        batched.step(60)
+        assert np.array_equal(single.total_rdp, batched.total_rdp)
+        assert single.get_privacy_spent(1e-5) == batched.get_privacy_spent(1e-5)
+
+    def test_negative_step_count_rejected(self):
+        acc = RdpAccountant(noise_multiplier=1.0, sampling_rate=0.1)
+        with pytest.raises(PrivacyError):
+            acc.step(-1)
+        assert acc.steps == 0
+
     def test_zero_steps_zero_epsilon(self):
         acc = RdpAccountant(5.0, 0.1)
         spent = acc.get_privacy_spent(1e-5)

@@ -2,8 +2,7 @@
 
 Covers the fault-injection registry (every registered point fires under a
 plan and is provably inert without one), the shared retry policy, the
-checkpoint store, crash→restart→finish hogwild supervision with
-conservative privacy charging, the hardened batching server
+hardened batching server
 (deadline / overload / circuit breaker / bounded drain), orchestrator
 cell quarantine, and the privacy ledger's torn-write recovery — including
 a real kill-mid-append subprocess drill via ``REPRO_FAULTS``.
@@ -25,17 +24,15 @@ import numpy as np
 import pytest
 
 from repro.config import PrivacyConfig, TrainingConfig
-from repro.embedding import SEGEmbTrainer, SEPrivGEmbTrainer
+from repro.embedding import SEGEmbTrainer
 from repro.exceptions import (
     CircuitOpenError,
     ConfigurationError,
-    HogwildDegradedError,
     LedgerTornError,
     PrivacyError,
     ServerClosedError,
     ServerOverloadedError,
     ServerTimeoutError,
-    TrainingError,
 )
 from repro.experiments import RunStore, execute
 from repro.experiments.orchestrator import RunSpec, run_spec
@@ -44,12 +41,9 @@ from repro.privacy.ledger import LedgerRepairWarning, PrivacyLedger
 from repro.proximity import get_proximity
 from repro.robustness import (
     FAULT_POINTS,
-    CheckpointStore,
     FaultPlan,
     FaultRule,
     RetryPolicy,
-    ShardCheckpoint,
-    SupervisorPolicy,
     get_active_plan,
     parse_fault_spec,
 )
@@ -62,18 +56,12 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 FORK_ONLY = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="hogwild workers require the fork start method",
+    reason="the drill runs only where multiprocessing forks",
 )
 
 TRAIN = TrainingConfig(
     embedding_dim=8, epochs=40, batch_size=16, learning_rate=0.05, negative_samples=2
 )
-#: generous budget so the crash drill's conservative over-charge never
-#: interacts with budget truncation
-PRIVACY = PrivacyConfig(
-    epsilon=8.0, delta=1e-5, noise_multiplier=2.0, clipping_threshold=1.0
-)
-
 FAST_TRAINING = TrainingConfig(
     embedding_dim=8, batch_size=24, learning_rate=0.1, negative_samples=3, epochs=4
 )
@@ -250,34 +238,11 @@ def _fire_ledger_append(tmp_path, engine):
     assert plan.fired_total == 1
 
 
-def _fire_hogwild_step(tmp_path, engine):
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("hogwild workers require the fork start method")
-    trainer = SEGEmbTrainer(
-        proximity=get_proximity("degree"), config=TRAIN, seed=5, workers=2
-    )
-    plan = FaultPlan(
-        [
-            FaultRule(
-                "hogwild.worker.step",
-                "raise",
-                where={"shard": 0, "step": 2},
-                exception="RuntimeError",
-            )
-        ]
-    )
-    with plan:
-        # unsupervised: the worker failure fails the run, naming the shard
-        with pytest.raises(TrainingError, match="injected fault"):
-            trainer.fit(_graph())
-
-
 _POINT_EXERCISERS = {
     "fileio.atomic_write": _fire_fileio,
     "serving.engine.query": _fire_engine_query,
     "orchestrator.cell": _fire_orchestrator_cell,
     "ledger.append": _fire_ledger_append,
-    "hogwild.worker.step": _fire_hogwild_step,
 }
 
 
@@ -297,7 +262,7 @@ class TestEveryPointFires:
 # --------------------------------------------------------------------- #
 def _non_matching_plan() -> FaultPlan:
     return FaultPlan(
-        [FaultRule("hogwild.worker.step", "crash", where={"shard": 10**9})]
+        [FaultRule("orchestrator.cell", "crash", where={"method": "no-such-method"})]
     )
 
 
@@ -434,209 +399,6 @@ class TestRetryPolicy:
                 tmp.write_text('{"published": true}')
         assert plan.fired_total == 1
         assert target.read_text() == '{"published": true}'
-
-
-# --------------------------------------------------------------------- #
-# checkpoint store
-# --------------------------------------------------------------------- #
-class TestCheckpointStore:
-    def _checkpoint(self) -> ShardCheckpoint:
-        rng = np.random.default_rng(3)
-        rng.random(10)
-        return ShardCheckpoint(
-            shard=1,
-            steps=10,
-            incarnation=0,
-            rng_state=rng.bit_generator.state,
-            losses=[0.5, 0.25],
-        )
-
-    def test_round_trip(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        saved = self._checkpoint()
-        store.save(saved)
-        loaded = store.load(1)
-        assert loaded is not None
-        assert loaded.steps == saved.steps
-        assert loaded.incarnation == saved.incarnation
-        assert loaded.losses == saved.losses
-        assert loaded.accountant_steps == saved.steps
-        # the restored stream continues exactly where the saved one stopped
-        resumed = np.random.default_rng()  # repro-lint: disable=RNG001 -- placeholder generator; its state is immediately overwritten with the checkpointed stream below
-        resumed.bit_generator.state = loaded.rng_state
-        reference = np.random.default_rng(3)
-        reference.random(10)
-        assert resumed.random() == reference.random()
-
-    def test_missing_and_corrupt_degrade_to_none(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        assert store.load(0) is None
-        store.path_for(2).write_text("{not json")
-        assert store.load(2) is None
-        store.path_for(3).write_text('{"format": "something-else"}')
-        assert store.load(3) is None
-
-    def test_clear_removes_checkpoints(self, tmp_path):
-        store = CheckpointStore(tmp_path)
-        store.save(self._checkpoint())
-        assert store.path_for(1).exists()
-        store.clear()
-        assert not store.path_for(1).exists()
-
-    def test_supervisor_policy_validation(self):
-        with pytest.raises(ConfigurationError):
-            SupervisorPolicy(max_restarts=-1)
-        with pytest.raises(ConfigurationError):
-            SupervisorPolicy(checkpoint_every=-1)
-        with pytest.raises(ConfigurationError):
-            SupervisorPolicy(worker_timeout=0.0)
-        with pytest.raises(ConfigurationError):
-            SupervisorPolicy(backoff_base=-0.1)
-
-
-# --------------------------------------------------------------------- #
-# supervised hogwild: crash -> restart -> finish
-# --------------------------------------------------------------------- #
-@FORK_ONLY
-class TestSupervisedHogwild:
-    def _private(self, resilience=None) -> SEPrivGEmbTrainer:
-        return SEPrivGEmbTrainer(
-            proximity=get_proximity("degree"),
-            training_config=TRAIN,
-            privacy_config=PRIVACY,
-            seed=5,
-            workers=2,
-            hogwild_resilience=resilience,
-        )
-
-    def test_crashed_private_fit_recovers_and_overcharges(self, tmp_path):
-        graph = _graph()
-        baseline = self._private()
-        baseline.fit(graph)
-
-        policy = SupervisorPolicy(
-            max_restarts=2,
-            checkpoint_every=5,
-            checkpoint_dir=tmp_path / "ckpt",
-            backoff_base=0.01,
-            backoff_max=0.05,
-        )
-        crashed = self._private(policy)
-        plan = FaultPlan(
-            [
-                FaultRule(
-                    "hogwild.worker.step",
-                    "crash",
-                    where={"shard": 0, "step": 12, "incarnation": 0},
-                )
-            ]
-        )
-        with plan:
-            crashed.fit(graph)
-
-        run = crashed.last_hogwild_run
-        assert run is not None and run.restarts == 1
-        # shard 0's second incarnation resumed from the step-10 checkpoint
-        assert any(r.shard == 0 and r.incarnation == 1 for r in run.reports)
-        # every shard still delivered its full target
-        assert sum(r.steps for r in run.reports) == sum(
-            r.steps for r in baseline.last_worker_reports
-        )
-        # conservative accounting: the crashed incarnation's full remaining
-        # allotment is charged on top of the work actually redone
-        assert sum(run.accountant_steps) > sum(r.steps for r in run.reports)
-        assert (
-            crashed.result_.privacy_spent.steps
-            > baseline.result_.privacy_spent.steps
-        )
-        assert (
-            crashed.result_.privacy_spent.epsilon
-            >= baseline.result_.privacy_spent.epsilon
-        )
-        assert np.isfinite(crashed.embeddings_).all()
-        # embeddings converge to the same scale as the uncrashed run
-        assert float(np.linalg.norm(crashed.embeddings_)) == pytest.approx(
-            float(np.linalg.norm(baseline.embeddings_)), rel=0.5
-        )
-        # a user-supplied checkpoint directory keeps its evidence
-        assert sorted(p.name for p in (tmp_path / "ckpt").glob("shard-*.json"))
-
-    def test_persistent_crash_degrades_with_named_shards(self):
-        graph = _graph()
-        policy = SupervisorPolicy(
-            max_restarts=1, checkpoint_every=0, backoff_base=0.01, backoff_max=0.02
-        )
-        trainer = SEGEmbTrainer(
-            proximity=get_proximity("degree"),
-            config=TRAIN,
-            seed=5,
-            workers=2,
-            hogwild_resilience=policy,
-        )
-        plan = FaultPlan(
-            [FaultRule("hogwild.worker.step", "crash", where={"shard": 0}, times=-1)]
-        )
-        with plan:
-            with pytest.raises(HogwildDegradedError) as excinfo:
-                trainer.fit(graph)
-        exc = excinfo.value
-        assert exc.lost_shards == [0]
-        assert exc.recovered_shards == [1]
-        assert "shard 0" in str(exc)
-        # 2 dead incarnations x 20 steps charged + shard 1's 20 real steps
-        assert sum(exc.charged_steps) >= TRAIN.epochs
-        assert exc.partial is not None
-
-    def test_stalled_worker_is_killed_and_restarted(self, tmp_path):
-        graph = _graph()
-        policy = SupervisorPolicy(
-            max_restarts=1,
-            checkpoint_every=4,
-            checkpoint_dir=tmp_path / "ckpt",
-            worker_timeout=0.8,
-            backoff_base=0.01,
-            backoff_max=0.02,
-        )
-        trainer = SEGEmbTrainer(
-            proximity=get_proximity("degree"),
-            config=TRAIN,
-            seed=5,
-            workers=2,
-            hogwild_resilience=policy,
-        )
-        plan = FaultPlan(
-            [
-                FaultRule(
-                    "hogwild.worker.step",
-                    "stall",
-                    where={"shard": 0, "step": 10, "incarnation": 0},
-                    delay=30.0,
-                )
-            ]
-        )
-        with plan:
-            trainer.fit(graph)
-        run = trainer.last_hogwild_run
-        assert run is not None and run.restarts == 1
-        assert sum(r.steps for r in run.reports) == TRAIN.epochs
-        assert np.isfinite(trainer.embeddings_).all()
-
-    def test_degraded_private_fit_still_charges_the_ledger_path(self):
-        # the accountant is charged the conservative amounts even when the
-        # run degrades — "noise already released is released"
-        graph = _graph()
-        policy = SupervisorPolicy(
-            max_restarts=0, checkpoint_every=0, backoff_base=0.01
-        )
-        trainer = self._private(policy)
-        plan = FaultPlan(
-            [FaultRule("hogwild.worker.step", "crash", where={"shard": 0}, times=-1)]
-        )
-        with plan:
-            with pytest.raises(HogwildDegradedError) as excinfo:
-                trainer.fit(graph)
-        assert trainer.accountant.steps == sum(excinfo.value.charged_steps)
-        assert trainer.accountant.steps > 0
 
 
 # --------------------------------------------------------------------- #
