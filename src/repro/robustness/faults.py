@@ -19,12 +19,16 @@ unlimited).  Activation is either lexical::
     plan = FaultPlan([FaultRule("ledger.append", "raise",
                                 where={"path": "budget.jsonl"})])
     with plan:
-        trainer.fit(graph)  # a private fit recording into budget.jsonl
+        try:  # a private fit appending its spend to budget.jsonl
+            trainer.fit(graph, ledger=ledger)
+        except OSError:
+            pass  # the injected fault
     assert plan.fired_total == 1
 
-or environmental, for subprocess drills — ``REPRO_FAULTS`` holds
-``;``-separated rules of the form ``point:action[:key=value,key=value...]``
-(the reserved keys ``times``, ``delay`` and ``exception`` configure the
+(``ledger`` must already hold an entry: a ledger's first entry is written
+by atomic rewrite, not by append), or environmental, for subprocess
+drills — ``REPRO_FAULTS`` holds ``;``-separated rules of the form
+``point:action[:key=value,key=value...]`` (the reserved keys ``times``, ``delay`` and ``exception`` configure the
 rule itself; everything else goes into ``where``)::
 
     REPRO_FAULTS="ledger.append:crash" python append_entries.py

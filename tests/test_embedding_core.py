@@ -72,6 +72,37 @@ class TestSkipGramModel:
         clone.w_in[:] = 9.0
         assert not np.allclose(model.w_in, 9.0)
 
+    def test_default_init_scale_is_half_over_dimension(self):
+        model = SkipGramModel(200, 5, seed=0)
+        for matrix in (model.w_in, model.w_out):
+            assert np.all(np.abs(matrix) <= 0.1)
+            assert np.abs(matrix).max() > 0.09  # the full half-width is used
+
+    def test_input_and_output_matrices_are_separate_draws(self):
+        model = SkipGramModel(8, 4, seed=0)
+        assert not np.array_equal(model.w_in, model.w_out)
+
+    def test_int_seed_and_generator_give_the_same_weights(self):
+        seeded = SkipGramModel(12, 3, seed=7)
+        generated = SkipGramModel(12, 3, seed=np.random.default_rng(7))
+        assert seeded.w_in.tobytes() == generated.w_in.tobytes()
+        assert seeded.w_out.tobytes() == generated.w_out.tobytes()
+
+    def test_float32_model_is_the_rounded_float64_model(self):
+        wide = SkipGramModel(12, 3, seed=4)
+        narrow = SkipGramModel(12, 3, seed=4, dtype="float32")
+        assert narrow.w_in.dtype == np.float32 and narrow.w_out.dtype == np.float32
+        assert np.array_equal(narrow.w_in, wide.w_in.astype(np.float32))
+        assert np.array_equal(narrow.w_out, wide.w_out.astype(np.float32))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_copy_keeps_the_dtype_and_values(self, dtype):
+        model = SkipGramModel(6, 2, seed=1, dtype=dtype)
+        clone = model.copy()
+        assert clone.dtype == model.dtype == np.dtype(dtype)
+        assert clone.w_in.tobytes() == model.w_in.tobytes()
+        assert clone.w_out.tobytes() == model.w_out.tobytes()
+
     def test_rejects_bad_construction(self):
         with pytest.raises(ConfigurationError):
             SkipGramModel(0, 4)

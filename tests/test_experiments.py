@@ -60,6 +60,31 @@ class TestExperimentSettings:
             ExperimentSettings(epsilons=(0.0,))
 
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("datasets", ()),
+            ("repeats", 0),
+            ("repeats", -3),
+            ("dataset_scale", 0.0),
+            ("dataset_scale", -0.5),
+            ("epsilons", ()),
+            ("epsilons", (0.0,)),
+            ("epsilons", (1.0, -2.0)),
+        ],
+    )
+    def test_with_updates_validates_the_named_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SMOKE.with_updates(**{field: value})
+
+    def test_settings_carry_no_training_worker_count(self):
+        # sweeps fan cells out over processes; each cell trains serially
+        with pytest.raises(TypeError, match="train_workers"):
+            ExperimentSettings(train_workers=2)
+        with pytest.raises(TypeError, match="train_workers"):
+            SMOKE.with_updates(train_workers=2)
+
+
 class TestResultTable:
     def test_add_and_render(self):
         table = ResultTable("demo")

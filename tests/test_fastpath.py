@@ -31,6 +31,7 @@ from repro.engine import (
     EngineHook,
     IterateAveragingHook,
     PerturbedUpdate,
+    StepProfile,
     StepProfiler,
     StepWorkspace,
     resolve_compute_dtype,
@@ -1032,6 +1033,52 @@ class TestStepProfiler:
         result = engine.run(4)
         assert result.profile.steps == 4
         assert "descend" in result.profile.phase_seconds
+
+
+class TestStepProfile:
+    """The published profile of one serial run: totals, means and report."""
+
+    def test_empty_profile_reads_zero(self):
+        profile = StepProfile()
+        assert profile.total_seconds == 0.0
+        assert profile.mean_seconds("gradients") == 0.0
+        assert profile.to_dict() == {
+            "steps": 0, "total_seconds": 0.0,
+            "phase_seconds": {}, "phase_mean_seconds": {},
+        }
+
+    def test_means_divide_each_phase_by_the_step_count(self):
+        profile = StepProfile({"gradients": 2.0, "descend": 1.0}, steps=4)
+        assert profile.mean_seconds("gradients") == 0.5
+        assert profile.mean_seconds("descend") == 0.25
+        assert profile.mean_seconds("perturb") == 0.0  # never ran
+        assert profile.total_seconds == 3.0
+
+    def test_report_lists_canonical_phases_first_then_extras(self):
+        profile = StepProfile(
+            {"custom": 0.5, "descend": 1.0, "sample": 2.0, "gradients": 4.0}, steps=2
+        )
+        payload = profile.to_dict()
+        assert list(payload["phase_seconds"]) == ["sample", "gradients", "descend", "custom"]
+        assert payload["phase_mean_seconds"] == {
+            "sample": 1.0, "gradients": 2.0, "descend": 0.5, "custom": 0.25,
+        }
+        assert payload["total_seconds"] == 7.5
+
+    def test_repr_shows_per_step_milliseconds_of_recorded_phases(self):
+        profile = StepProfile({"descend": 0.004, "sample": 0.002}, steps=2)
+        assert repr(profile) == "StepProfile(steps=2, sample=1.000ms, descend=2.000ms)"
+
+    def test_profile_of_a_fit_counts_one_run(self, graph):
+        # a profile describes one serial run: no worker count, nothing to merge
+        trainer = _setup(graph)
+        profiler = StepProfiler()
+        trainer.engine.hooks = (*trainer.engine.hooks, profiler)
+        profile = trainer.engine.run(6).profile
+        assert profile == profiler.last_profile
+        assert profile.steps == 6
+        assert not hasattr(profile, "workers")
+        assert not hasattr(StepProfile, "merge")
 
 
 # --------------------------------------------------------------------- #

@@ -216,6 +216,13 @@ class TestBuildAndFit:
         if spec.proximity is not None:
             assert model.proximity_fingerprint_ is not None
 
+    @pytest.mark.parametrize("method", PAPER_METHOD_NAMES)
+    def test_no_method_builds_with_a_worker_count(self, method):
+        # every registered method trains serially; a worker count is refused
+        # at construction instead of being silently recorded
+        with pytest.raises(TypeError, match="workers"):
+            get_method(method).build(FAST_TRAINING, FAST_PRIVACY, seed=0, workers=2)
+
     def test_fit_rejects_non_graph(self):
         model = get_method("gap").build(FAST_TRAINING, FAST_PRIVACY, seed=0)
         with pytest.raises(ConfigurationError):

@@ -21,7 +21,10 @@ from repro.experiments.orchestrator import (
     run_spec,
     specs_for_settings,
 )
-from repro.experiments.runner import evaluate_link_prediction
+from repro.experiments.runner import (
+    evaluate_link_prediction,
+    evaluate_structural_equivalence,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -403,6 +406,44 @@ class TestForkFallback:
         report = execute([_sleep_spec(0), _sleep_spec(1)], workers=2)
         assert report.workers == 2
         assert report.computed == 2
+
+
+class TestSerialCells:
+    """A sweep parallelises over cells; every cell trains serially."""
+
+    @pytest.mark.parametrize("kind", ["strucequ", "linkpred"])
+    def test_default_settings_leave_options_empty(self, kind):
+        spec = specs_for_settings(kind, "se_gemb_deg", "smallworld", TINY)
+        assert spec.options == ()
+
+    def test_a_train_workers_option_is_an_unknown_estimator_keyword(self):
+        spec = specs_for_settings(
+            "strucequ", "se_gemb_deg", "smallworld", TINY, options={"train_workers": 2}
+        )
+        with pytest.raises(TypeError, match="train_workers"):
+            run_spec(spec)
+
+    @pytest.mark.parametrize(
+        "evaluate", [evaluate_structural_equivalence, evaluate_link_prediction]
+    )
+    def test_runner_forwards_workers_to_the_estimator_which_refuses_it(self, evaluate):
+        graph = dataset_graph(_strucequ_spec())
+        with pytest.raises(TypeError, match="workers"):
+            evaluate("se_gemb_deg", graph, FAST_TRAINING, FAST_PRIVACY, repeats=1, workers=2)
+
+    def test_cli_has_no_train_workers_flag(self, capsys):
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--table", "2", "--smoke", "--train-workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--train-workers" in capsys.readouterr().err
+
+    def test_cli_keeps_the_sweep_workers_flag(self):
+        from repro.experiments.__main__ import _build_parser
+
+        args = _build_parser().parse_args(["run", "--table", "2", "--workers", "3"])
+        assert args.workers == 3
 
 
 class TestEstimatorOptions:

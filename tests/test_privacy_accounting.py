@@ -192,6 +192,27 @@ class TestRdpAccountant:
         assert np.array_equal(single.total_rdp, batched.total_rdp)
         assert single.get_privacy_spent(1e-5) == batched.get_privacy_spent(1e-5)
 
+    @pytest.mark.parametrize(
+        "split", [(40,), (20, 20), (13, 14, 13), (8,) * 5], ids=lambda split: f"{len(split)}-calls"
+    )
+    def test_any_split_of_the_steps_lands_on_the_projected_epsilon(self, split):
+        # ε depends only on the total step count, never on how it was batched
+        acc = RdpAccountant(noise_multiplier=2.0, sampling_rate=0.05)
+        for count in split:
+            acc.step(count)
+        assert acc.steps == 40
+        spent = acc.get_privacy_spent(1e-5)
+        assert spent.epsilon == acc.epsilon_after(40, 1e-5)
+        assert np.array_equal(acc.total_rdp, 40 * acc.per_step_rdp)
+
+    def test_zero_count_step_is_a_no_op(self):
+        acc = RdpAccountant(noise_multiplier=2.0, sampling_rate=0.05)
+        acc.step(3)
+        before = acc.total_rdp
+        acc.step(0)
+        assert acc.steps == 3
+        assert np.array_equal(acc.total_rdp, before)
+
     def test_negative_step_count_rejected(self):
         acc = RdpAccountant(noise_multiplier=1.0, sampling_rate=0.1)
         with pytest.raises(PrivacyError):

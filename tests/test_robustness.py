@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.config import PrivacyConfig, TrainingConfig
-from repro.embedding import SEGEmbTrainer
+from repro.embedding import SEGEmbTrainer, SEPrivGEmbTrainer
 from repro.exceptions import (
     CircuitOpenError,
     ConfigurationError,
@@ -255,6 +255,48 @@ class TestEveryPointFires:
     @pytest.mark.parametrize("point", sorted(_POINT_EXERCISERS))
     def test_point_fires_under_a_plan(self, point, tmp_path, engine):
         _POINT_EXERCISERS[point](tmp_path, engine)
+
+
+class TestDocumentedLedgerFault:
+    """The ``robustness.faults`` module example, run on a real private fit."""
+
+    @staticmethod
+    def _private_fit(graph, ledger) -> None:
+        trainer = SEPrivGEmbTrainer(
+            proximity=get_proximity("degree"),
+            training_config=TRAIN.with_updates(epochs=5),
+            privacy_config=PrivacyConfig(epsilon=2.0, noise_multiplier=2.0),
+            seed=5,
+        )
+        trainer.fit(graph, ledger=ledger)
+
+    @staticmethod
+    def _plan() -> FaultPlan:
+        return FaultPlan(
+            [FaultRule("ledger.append", "raise", where={"path": "budget.jsonl"})]
+        )
+
+    def test_first_entry_is_an_atomic_rewrite_not_an_append(self, tmp_path):
+        ledger = PrivacyLedger(tmp_path / "budget.jsonl")
+        plan = self._plan()
+        with plan:
+            self._private_fit(_graph(nodes=80), ledger)
+        assert plan.fired_total == 0
+        assert len(PrivacyLedger(tmp_path / "budget.jsonl").entries) == 1
+
+    def test_module_example_fires_once_on_an_appending_fit(self, tmp_path):
+        graph = _graph(nodes=80)
+        ledger = PrivacyLedger(tmp_path / "budget.jsonl")
+        self._private_fit(graph, ledger)
+        plan = self._plan()
+        raised = []
+        with plan:
+            try:
+                self._private_fit(graph, ledger)
+            except OSError as error:
+                raised.append(error)
+        assert plan.fired_total == 1
+        assert len(raised) == 1 and "injected fault at ledger.append" in str(raised[0])
 
 
 # --------------------------------------------------------------------- #

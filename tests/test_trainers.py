@@ -13,6 +13,8 @@ from repro import (
     TrainingConfig,
     TrainingError,
 )
+from repro.graph import generators
+from repro.privacy import RdpAccountant
 from repro.proximity import DeepWalkProximity, DegreeProximity
 
 
@@ -257,3 +259,92 @@ class TestCounterparts:
             public._sampler.sample_indices(), private._sampler.sample_indices()
         )
         assert streams[0].bit_generator.state == streams[1].bit_generator.state
+
+
+_SERIAL_TRAIN = TrainingConfig(
+    embedding_dim=8, epochs=40, batch_size=16, learning_rate=0.05, negative_samples=2
+)
+_SERIAL_PRIVACY = PrivacyConfig(
+    epsilon=2.0, delta=1e-5, noise_multiplier=2.0, clipping_threshold=1.0
+)
+
+
+@pytest.fixture(scope="module")
+def scale_free_graph() -> Graph:
+    return generators.barabasi_albert_graph(150, 3, seed=1)
+
+
+def _serial_trainer(private: bool, privacy: PrivacyConfig = _SERIAL_PRIVACY):
+    if private:
+        return SEPrivGEmbTrainer(
+            DegreeProximity(),
+            training_config=_SERIAL_TRAIN,
+            privacy_config=privacy,
+            seed=5,
+        )
+    return SEGEmbTrainer(DegreeProximity(), config=_SERIAL_TRAIN, seed=5)
+
+
+class TestSerialTraining:
+    """Algorithm 2 is one serial loop: no worker pool, no knob selecting one."""
+
+    @pytest.mark.parametrize("knob", ["workers", "hogwild_resilience"])
+    def test_nonprivate_trainer_has_no_worker_knobs(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            SEGEmbTrainer(DegreeProximity(), config=_SERIAL_TRAIN, **{knob: 2})
+
+    @pytest.mark.parametrize("knob", ["workers", "hogwild_resilience"])
+    def test_private_trainer_has_no_worker_knobs(self, knob):
+        with pytest.raises(TypeError, match=knob):
+            SEPrivGEmbTrainer(
+                DegreeProximity(),
+                training_config=_SERIAL_TRAIN,
+                privacy_config=_SERIAL_PRIVACY,
+                **{knob: 2},
+            )
+
+    @pytest.mark.parametrize("private", [False, True], ids=["se_gemb", "se_privgemb"])
+    def test_refit_reproduces_the_first_fit_bitwise(self, scale_free_graph, private):
+        trainer = _serial_trainer(private)
+        first = trainer.fit(scale_free_graph).embeddings_.copy()
+        first_losses = list(trainer.result_.losses)
+        trainer.fit(scale_free_graph)
+        assert trainer.embeddings_.tobytes() == first.tobytes()
+        assert trainer.result_.losses == first_losses
+
+    @pytest.mark.parametrize("private", [False, True], ids=["se_gemb", "se_privgemb"])
+    def test_a_fit_keeps_no_worker_state(self, scale_free_graph, private):
+        trainer = _serial_trainer(private).fit(scale_free_graph)
+        for attribute in ("workers", "last_worker_reports", "last_hogwild_run"):
+            assert not hasattr(trainer, attribute)
+        assert "workers" not in trainer._build_options()
+
+    def test_every_step_is_charged_exactly_once(self, scale_free_graph):
+        trainer = _serial_trainer(private=True).fit(scale_free_graph)
+        result = trainer.result_
+        assert result.epochs_run == _SERIAL_TRAIN.epochs == len(result.losses)
+        assert result.privacy_spent.steps == result.epochs_run
+        oracle = RdpAccountant(
+            noise_multiplier=_SERIAL_PRIVACY.noise_multiplier,
+            sampling_rate=trainer.accountant.sampling_rate,
+        )
+        oracle.step(result.epochs_run)
+        assert result.privacy_spent == oracle.get_privacy_spent(_SERIAL_PRIVACY.delta)
+
+    @pytest.mark.parametrize(
+        ("epsilon", "sigma"), [(1.0, 2.0), (0.8, 1.0)], ids=["admits_15", "admits_none"]
+    )
+    def test_budget_truncates_at_exactly_the_admissible_step(
+        self, scale_free_graph, epsilon, sigma
+    ):
+        tight = PrivacyConfig(
+            epsilon=epsilon, delta=1e-5, noise_multiplier=sigma, clipping_threshold=1.0
+        )
+        trainer = _serial_trainer(private=True, privacy=tight).fit(scale_free_graph)
+        budget = trainer.accountant.max_steps(tight.epsilon, tight.delta)
+        assert budget < _SERIAL_TRAIN.epochs
+        result = trainer.result_
+        assert result.stopped_early
+        assert result.epochs_run == budget == len(result.losses)
+        assert result.privacy_spent.steps == budget
+        assert result.privacy_spent.epsilon <= tight.epsilon

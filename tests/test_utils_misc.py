@@ -1,12 +1,14 @@
-"""Tests for RNG handling, run statistics and logging helpers."""
+"""Tests for RNG handling, run statistics, logging and multiprocessing helpers."""
 
 from __future__ import annotations
 
 import logging
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from repro.utils import mp as repro_mp
 from repro.utils.logging import get_logger
 from repro.utils.rng import ensure_rng, repeat_streams
 from repro.utils.stats import summarize_runs
@@ -94,3 +96,31 @@ class TestGetLogger:
 
     def test_returns_standard_logger(self):
         assert isinstance(get_logger("x"), logging.Logger)
+
+
+class TestMultiprocessingHelpers:
+    """The orchestrator's fork detection and its one serial-fallback warning."""
+
+    def test_start_method_is_the_platform_default(self):
+        assert repro_mp.start_method() == multiprocessing.get_start_method()
+
+    @pytest.mark.parametrize(
+        ("method", "forks"), [("fork", True), ("spawn", False), ("forkserver", False)]
+    )
+    def test_fork_available_follows_the_start_method(self, monkeypatch, method, forks):
+        monkeypatch.setattr(repro_mp, "start_method", lambda: method)
+        assert repro_mp.fork_available() is forks
+
+    def test_serial_fallback_warns_and_returns_one(self):
+        with pytest.warns(RuntimeWarning, match="no fork here; falling back to the serial"):
+            assert repro_mp.serial_fallback("no fork here") == 1
+
+    def test_serial_fallback_logs_the_reason(self, caplog):
+        with pytest.warns(RuntimeWarning), caplog.at_level(logging.WARNING, "repro.utils.mp"):
+            repro_mp.serial_fallback("cells need fork")
+        assert any("cells need fork" in record.getMessage() for record in caplog.records)
+
+    def test_only_the_orchestrator_helpers_are_exported(self):
+        # the trainer-side worker resolver went with multi-worker training
+        assert repro_mp.__all__ == ["fork_available", "start_method", "serial_fallback"]
+        assert not hasattr(repro_mp, "resolve_fork_workers")
